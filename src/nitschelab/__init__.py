@@ -18,13 +18,12 @@ from .felement import (ReferenceBasis, QuadRule, FESpace, FEFunction,
                        interpolate, evaluate, check_inverse_estimate)
 from .energy import (EnergyModel, ExactSolution, ManufacturedProblem,
                      dirichlet_potential_model, minimal_surface_model,
-                     classify, manufactured_semilinear, build_problem,
+                     classify, build_problem,
                      with_forcing, with_zeroed_gradient_blocks, PROBLEM_NAMES)
 from .assembly import (SparseOperator, NormReport, energy_value,
                        assemble_residual, assemble_hessian,
                        apply_third_variation, assemble_gram_l2,
-                       assemble_gram_h1, norms, lq_norm, integrate,
-                       bilinear_value)
+                       assemble_gram_h1, norms, lq_norm, integrate)
 from .solver import (NewtonOptions, SolveLog, LinearSolveError, NewtonError,
                      linear_solve, minimize, prolong, embedding_matrix, embed)
 from .analysis import (EllipticityEstimate, RateEstimate, PQEstimate,

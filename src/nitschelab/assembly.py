@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .felement import FEFunction, quadrature_rule, sample_lattice
+from .felement import FEFunction, quadrature_rule, sample_lattice, tabulate
 
 __all__ = [
     "SparseOperator",
@@ -26,7 +26,6 @@ __all__ = [
     "norms",
     "lq_norm",
     "integrate",
-    "bilinear_value",
 ]
 
 CHUNK = 16384
@@ -67,7 +66,6 @@ class NormReport:
     l2: float
     h1_semi: float
     w1q: float
-    w1inf: float
     q: float
     broken_h2: float | None = None
 
@@ -82,39 +80,31 @@ def _chunks(n, size=None):
         yield slice(start, min(start + size, n))
 
 
-def _element_data(space, rule):
-    """Shared reference tables and per-element geometry."""
-    phi = space.basis.values(rule.points)          # (nq, nloc)
-    gref = space.basis.gradients(rule.points)      # (nq, nloc, d)
-    mesh = space.mesh
+def _quadrature(mesh, points, weights=None):
+    """Element chunks with their physical points (n, npts, d) and the
+    physical weights |T_h|/|T| * w (n, npts); None without `weights`."""
     vol = np.abs(mesh.det_jac) ** -1               # |det DF_h^{-1}| = |T_h|/|T|
-    return phi, gref, mesh, vol
+    for sl in _chunks(mesh.num_elements):
+        v0 = mesh.vertices[mesh.elements[sl, 0]]
+        x = v0[:, None, :] + np.einsum("eij,qj->eqi", mesh.inv_jac[sl], points)
+        yield sl, x, None if weights is None else vol[sl][:, None] * weights
 
 
-def _phys_points(mesh, sl, pts):
-    v0 = mesh.vertices[mesh.elements[sl, 0]]
-    return v0[:, None, :] + np.einsum("eij,qj->eqi", mesh.inv_jac[sl], pts)
-
-
-def _values_grads(space, coeffs, sl, phi, gref):
-    local = coeffs[space.elem_dofs[sl]]
-    vals = local @ phi.T
-    grads = np.einsum("el,qlk,eki->eqi", local, gref, space.mesh.jac[sl])
-    return vals, grads
+def _batch(vals, grads, x):
+    """(p, z, x) flattened over elements and points, as densities take them."""
+    d = x.shape[-1]
+    return grads.reshape(-1, d), vals.ravel(), x.reshape(-1, d)
 
 
 def energy_value(model, v, quad=None):
     """Total energy of a discrete function by element-wise quadrature."""
     space = v.space
     rule = quad or space.quad
-    phi, gref, mesh, vol = _element_data(space, rule)
     total = 0.0
-    for sl in _chunks(mesh.num_elements):
-        vals, grads = _values_grads(space, v.coeffs, sl, phi, gref)
-        x = _phys_points(mesh, sl, rule.points)
-        n, nq, d = x.shape
-        dens = model.eval(grads.reshape(-1, d), vals.ravel(), x.reshape(-1, d))
-        total += float(vol[sl] @ (dens.reshape(n, nq) @ rule.weights))
+    for sl, x, wq in _quadrature(space.mesh, rule.points, rule.weights):
+        state = tabulate(space, v.coeffs, rule.points, sl)
+        dens = model.eval(*_batch(*state, x))
+        total += float(np.sum(wq * dens.reshape(wq.shape)))
     return total
 
 
@@ -122,21 +112,20 @@ def assemble_residual(model, v, quad=None, mask=True):
     """First-variation vector; boundary test entries are masked to zero."""
     space = v.space
     rule = quad or space.quad
-    phi, gref, mesh, vol = _element_data(space, rule)
+    phi = space.basis.values(rule.points)          # (nq, nloc)
+    gref = space.basis.gradients(rule.points)      # (nq, nloc, d)
     out = np.zeros(space.dim)
-    for sl in _chunks(mesh.num_elements):
-        vals, grads = _values_grads(space, v.coeffs, sl, phi, gref)
-        x = _phys_points(mesh, sl, rule.points)
-        n, nq, d = x.shape
-        flat = (grads.reshape(-1, d), vals.ravel(), x.reshape(-1, d))
-        dldp = model.dL_dp(*flat).reshape(n, nq, d)
-        dldz = model.dL_dz(*flat).reshape(n, nq)
+    for sl, x, wq in _quadrature(space.mesh, rule.points, rule.weights):
+        vals, grads = tabulate(space, v.coeffs, rule.points, sl)
+        flat = _batch(vals, grads, x)
+        dldp = model.dL_dp(*flat).reshape(grads.shape)
+        dldz = model.dL_dz(*flat).reshape(vals.shape)
         if not (np.all(np.isfinite(dldp)) and np.all(np.isfinite(dldz))):
             raise AssemblyError("non-finite density derivative during residual assembly")
-        pulled = np.einsum("eqi,eki->eqk", dldp, mesh.jac[sl])
-        r_loc = (np.einsum("q,eqk,qlk->el", rule.weights, pulled, gref)
-                 + np.einsum("q,eq,ql->el", rule.weights, dldz, phi))
-        np.add.at(out, space.elem_dofs[sl], vol[sl][:, None] * r_loc)
+        pulled = np.einsum("eqi,eki->eqk", dldp, space.mesh.jac[sl])
+        r_loc = (np.einsum("eq,eqk,qlk->el", wq, pulled, gref)
+                 + np.einsum("eq,eq,ql->el", wq, dldz, phi))
+        np.add.at(out, space.elem_dofs[sl], r_loc)
     if mask:
         out[space.boundary_dofs] = 0.0
     return out
@@ -146,50 +135,29 @@ def assemble_hessian(model, v, quad=None, mask=True):
     """Second-variation operator at state v, all four derivative blocks."""
     space = v.space
     rule = quad or space.quad
-    phi, gref, mesh, vol = _element_data(space, rule)
+    phi = space.basis.values(rule.points)
+    gref = space.basis.gradients(rule.points)
     nloc = space.basis.n_local
-    rows, cols, data = [], [], []
-    for sl in _chunks(mesh.num_elements):
-        vals, grads = _values_grads(space, v.coeffs, sl, phi, gref)
-        x = _phys_points(mesh, sl, rule.points)
-        n, nq, d = x.shape
-        flat = (grads.reshape(-1, d), vals.ravel(), x.reshape(-1, d))
-        d2pp = model.d2L_dpp(*flat).reshape(n, nq, d, d)
-        d2pz = model.d2L_dpz(*flat).reshape(n, nq, d)
-        d2zz = model.d2L_dzz(*flat).reshape(n, nq)
+    loc = np.empty((space.mesh.num_elements, nloc, nloc))
+    for sl, x, wq in _quadrature(space.mesh, rule.points, rule.weights):
+        vals, grads = tabulate(space, v.coeffs, rule.points, sl)
+        flat = _batch(vals, grads, x)
+        d2pp = model.d2L_dpp(*flat).reshape(grads.shape + grads.shape[-1:])
+        d2pz = model.d2L_dpz(*flat).reshape(grads.shape)
+        d2zz = model.d2L_dzz(*flat).reshape(vals.shape)
         if not np.all(np.isfinite(d2pp)):
             raise AssemblyError("non-finite density derivative during hessian assembly")
 
-        jac = mesh.jac[sl]
+        jac = space.mesh.jac[sl]
         kpp = np.einsum("eai,eqij,ebj->eqab", jac, d2pp, jac)
-        loc = np.einsum("q,qla,eqab,qkb->elk", rule.weights, gref, kpp, gref)
+        block = np.einsum("eq,qla,eqab,qkb->elk", wq, gref, kpp, gref)
         mixed = np.einsum("eai,eqi->eqa", jac, d2pz)
         t = np.einsum("qla,eqa->eql", gref, mixed)
-        m1 = np.einsum("q,eql,qk->elk", rule.weights, t, phi)
-        loc += m1 + np.swapaxes(m1, 1, 2)
-        loc += np.einsum("q,eq,ql,qk->elk", rule.weights, d2zz, phi, phi)
-        loc *= vol[sl][:, None, None]
-
-        ed = space.elem_dofs[sl]
-        rows.append(np.repeat(ed, nloc, axis=1).ravel())
-        cols.append(np.tile(ed, (1, nloc)).ravel())
-        data.append(loc.ravel())
-
-    ndof = space.dim
-    mat = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(ndof, ndof)).tocsr()
-    if mask:
-        mat = _mask_dirichlet(mat, space.boundary_dofs, ndof)
-    return SparseOperator(mat)
-
-
-def _mask_dirichlet(mat, boundary_dofs, ndof):
-    keep = np.ones(ndof)
-    keep[boundary_dofs] = 0.0
-    proj = sp.diags(keep)
-    lift = sp.diags(1.0 - keep)
-    return (proj @ mat @ proj + lift).tocsr()
+        m1 = np.einsum("eq,eql,qk->elk", wq, t, phi)
+        block += m1 + np.swapaxes(m1, 1, 2)
+        block += np.einsum("eq,eq,ql,qk->elk", wq, d2zz, phi, phi)
+        loc[sl] = block
+    return _scatter(space, loc, mask)
 
 
 def apply_third_variation(model, v, fu, fv, fw, quad=None):
@@ -204,21 +172,11 @@ def apply_third_variation(model, v, fu, fv, fw, quad=None):
         if g.space is not space:
             raise ValueError("third-variation arguments must share the state's space")
     rule = quad or space.quad
-    phi, gref, mesh, vol = _element_data(space, rule)
     total = 0.0
-    for sl in _chunks(mesh.num_elements):
-        vals, grads = _values_grads(space, v.coeffs, sl, phi, gref)
-        x = _phys_points(mesh, sl, rule.points)
-        n, nq, d = x.shape
-        p = grads.reshape(-1, d)
-        z = vals.ravel()
-        xx = x.reshape(-1, d)
-
-        vu, gu = _values_grads(space, fu.coeffs, sl, phi, gref)
-        vv, gv = _values_grads(space, fv.coeffs, sl, phi, gref)
-        vw, gw = _values_grads(space, fw.coeffs, sl, phi, gref)
-        vu, vv, vw = vu.ravel(), vv.ravel(), vw.ravel()
-        gu, gv, gw = (g.reshape(-1, d) for g in (gu, gv, gw))
+    for sl, x, wq in _quadrature(space.mesh, rule.points, rule.weights):
+        p, z, xx = _batch(*tabulate(space, v.coeffs, rule.points, sl), x)
+        (gu, vu, _), (gv, vv, _), (gw, vw, _) = (
+            _batch(*tabulate(space, g.coeffs, rule.points, sl), x) for g in (fu, fv, fw))
 
         s = model.d3L_dppp(p, z, xx, gu, gv, gw)
         s = s + (model.d3L_dppz(p, z, xx, gu, gv) * vw
@@ -228,27 +186,36 @@ def apply_third_variation(model, v, fu, fv, fw, quad=None):
                  + model.d3L_dpzz(p, z, xx, gv) * vu * vw
                  + model.d3L_dpzz(p, z, xx, gw) * vu * vv)
         s = s + model.d3L_dzzz(p, z, xx) * vu * vv * vw
-        total += float(vol[sl] @ (s.reshape(n, nq) @ rule.weights))
+        total += float(np.sum(wq * s.reshape(wq.shape)))
     return total
 
 
 def _geometric_local(space, rule, with_stiffness):
-    phi, gref, mesh, vol = _element_data(space, rule)
+    phi = space.basis.values(rule.points)
+    mesh = space.mesh
     mass = np.einsum("q,ql,qk->lk", rule.weights, phi, phi)
     loc = np.broadcast_to(mass, (mesh.num_elements,) + mass.shape).copy()
     if with_stiffness:
+        gref = space.basis.gradients(rule.points)
         kgeo = np.einsum("eai,ebi->eab", mesh.jac, mesh.jac)
         loc += np.einsum("q,qla,eab,qkb->elk", rule.weights, gref, kgeo, gref)
-    return loc * vol[:, None, None]
+    return loc * (np.abs(mesh.det_jac) ** -1)[:, None, None]
 
 
-def _scatter(space, loc):
+def _scatter(space, loc, mask=False):
+    """Global operator from element matrices (ne, nloc, nloc); `mask`
+    replaces the Dirichlet rows and columns by the identity."""
     nloc = space.basis.n_local
     ed = space.elem_dofs
     mat = sp.coo_matrix(
         (loc.ravel(),
          (np.repeat(ed, nloc, axis=1).ravel(), np.tile(ed, (1, nloc)).ravel())),
         shape=(space.dim, space.dim)).tocsr()
+    if mask:
+        keep = np.ones(space.dim)
+        keep[space.boundary_dofs] = 0.0
+        proj = sp.diags(keep)
+        mat = (proj @ mat @ proj + sp.diags(1.0 - keep)).tocsr()
     return SparseOperator(mat)
 
 
@@ -262,35 +229,24 @@ def assemble_gram_h1(space, quad=None):
     return _scatter(space, _geometric_local(space, quad or space.quad, True))
 
 
-def bilinear_value(op, u, v):
-    """u^T A v for coefficient vectors or FE functions."""
-    uc = u.coeffs if isinstance(u, FEFunction) else np.asarray(u, dtype=float)
-    vc = v.coeffs if isinstance(v, FEFunction) else np.asarray(v, dtype=float)
-    return float(uc @ op.apply(vc))
-
-
 def lq_norm(v, q):
     """Plain L^q norm of an FE function (no gradient part), q finite."""
     space = v.space
     rule = space.quad
-    phi, gref, mesh, vol = _element_data(space, rule)
     acc = 0.0
-    for sl in _chunks(mesh.num_elements):
-        vals, _ = _values_grads(space, v.coeffs, sl, phi, gref)
-        acc += float(np.sum(vol[sl][:, None] * rule.weights * np.abs(vals) ** q))
+    for sl, _, wq in _quadrature(space.mesh, rule.points, rule.weights):
+        vals, _ = tabulate(space, v.coeffs, rule.points, sl)
+        acc += float(np.sum(wq * np.abs(vals) ** q))
     return acc ** (1.0 / q)
 
 
 def integrate(mesh, fn, degree=6):
     """Integral of a pointwise callable over the mesh."""
     rule = quadrature_rule(mesh.dim, degree)
-    vol = np.abs(mesh.det_jac) ** -1
     total = 0.0
-    for sl in _chunks(mesh.num_elements):
-        x = _phys_points(mesh, sl, rule.points)
-        n, nq, d = x.shape
-        vals = np.asarray(fn(x.reshape(-1, d)), dtype=float).reshape(n, nq)
-        total += float(vol[sl] @ (vals @ rule.weights))
+    for _, x, wq in _quadrature(mesh, rule.points, rule.weights):
+        vals = np.asarray(fn(x.reshape(-1, mesh.dim)), dtype=float)
+        total += float(np.sum(wq * vals.reshape(wq.shape)))
     return total
 
 
@@ -302,12 +258,11 @@ def norms(f, g, q=2, include_broken_h2=False, quad=None):
     """Broken norms of the difference f - g.
 
     f may be an exact solution (value/gradient/hessian callables), another
-    FE function on the same space, or None (plain norms of g).  The sup
-    norms are sampled on a dense per-element lattice, a documented
-    approximation; everything else is quadrature on g's space.
+    FE function on the same space, or None (plain norms of g).  For
+    q = inf the sup norm is sampled on a dense per-element lattice, a
+    documented approximation; everything else is quadrature on g's space.
     """
     space = g.space
-    mesh = space.mesh
     rule = quad or space.quad
     if not (q == np.inf or q >= 1):
         raise ValueError("q must be >= 1 or inf")
@@ -317,40 +272,47 @@ def norms(f, g, q=2, include_broken_h2=False, quad=None):
     if isinstance(f, FEFunction):
         if f.space is not space:
             raise ValueError("FE functions must share a space; embed first")
-        return _norms_core(_fe_diff_eval(f, g), space, rule, q, include_broken_h2)
-    return _norms_core(_exact_diff_eval(f, g), space, rule, q, include_broken_h2)
+        coeffs, exact = f.coeffs - g.coeffs, None
+    else:
+        coeffs, exact = -g.coeffs, f
 
-
-def _fe_diff_eval(f, g):
-    diff = FEFunction(g.space, f.coeffs - g.coeffs)
-
-    def at(sl, pts, phi, gref, want_hess):
-        vals, grads = _values_grads(g.space, diff.coeffs, sl, phi, gref)
-        hess = _fe_hessians(g.space, diff.coeffs, sl, pts) if want_hess else None
+    def diff(sl, x, pts, with_hess=False):
+        vals, grads = tabulate(space, coeffs, pts, sl)
+        hess = _fe_hessians(space, coeffs, sl, pts) if with_hess else None
+        if exact is not None:
+            flat = x.reshape(-1, space.mesh.dim)
+            vals = exact.value(flat).reshape(vals.shape) + vals
+            grads = exact.gradient(flat).reshape(grads.shape) + grads
+            if with_hess:
+                hess = exact.hessian(flat).reshape(hess.shape) + hess
         return vals, grads, hess
 
-    return at
+    acc_l2 = acc_h1 = acc_q = acc_h2 = 0.0
+    for sl, x, wq in _quadrature(space.mesh, rule.points, rule.weights):
+        vals, grads, hess = diff(sl, x, rule.points, include_broken_h2)
+        gnorm2 = np.einsum("eqi,eqi->eq", grads, grads)
+        acc_l2 += float(np.sum(wq * vals**2))
+        acc_h1 += float(np.sum(wq * gnorm2))
+        if q not in (2, np.inf):
+            acc_q += float(np.sum(wq * (np.abs(vals) ** q + gnorm2 ** (q / 2))))
+        if include_broken_h2:
+            acc_h2 += float(np.sum(wq * np.einsum("eqij,eqij->eq", hess, hess)))
 
-
-def _exact_diff_eval(f, g):
-    def at(sl, pts, phi, gref, want_hess):
-        vals, grads = _values_grads(g.space, g.coeffs, sl, phi, gref)
-        hess = _fe_hessians(g.space, g.coeffs, sl, pts) if want_hess else None
-        if f is not None:
-            x = _phys_points(g.space.mesh, sl, pts)
-            n, nq, d = x.shape
-            flat = x.reshape(-1, d)
-            vals = f.value(flat).reshape(n, nq) - vals
-            grads = f.gradient(flat).reshape(n, nq, d) - grads
-            if want_hess:
-                hess = f.hessian(flat).reshape(n, nq, d, d) - hess
-        else:
-            vals, grads = -vals, -grads
-            if want_hess:
-                hess = -hess
-        return vals, grads, hess
-
-    return at
+    l2 = np.sqrt(acc_l2)
+    h1_semi = np.sqrt(acc_h1)
+    if q == np.inf:
+        lattice = sample_lattice(space.mesh.dim)
+        w1q = 0.0
+        for sl, x, _ in _quadrature(space.mesh, lattice):
+            lv, lg, _ = diff(sl, x, lattice)
+            w1q = max(w1q, float(np.abs(lv).max()),
+                      float(np.linalg.norm(lg, axis=2).max()))
+    elif q == 2:
+        w1q = float(np.hypot(l2, h1_semi))
+    else:
+        w1q = float(acc_q ** (1.0 / q))
+    broken = np.sqrt(acc_h2) if include_broken_h2 else None
+    return NormReport(float(l2), float(h1_semi), w1q, q, broken)
 
 
 def _fe_hessians(space, coeffs, sl, pts):
@@ -359,43 +321,3 @@ def _fe_hessians(space, coeffs, sl, pts):
     ref = np.einsum("el,qlab->eqab", local, href)
     jac = space.mesh.jac[sl]
     return np.einsum("eai,eqab,ebj->eqij", jac, ref, jac)
-
-
-def _norms_core(diff_at, space, rule, q, include_broken_h2):
-    mesh = space.mesh
-    phi = space.basis.values(rule.points)
-    gref = space.basis.gradients(rule.points)
-    lattice = sample_lattice(mesh.dim)
-    phi_lat = space.basis.values(lattice)
-    gref_lat = space.basis.gradients(lattice)
-    vol = np.abs(mesh.det_jac) ** -1
-
-    acc_l2 = acc_h1 = acc_vq = acc_gq = acc_h2 = 0.0
-    sup = 0.0
-    q_finite = q != np.inf
-    for sl in _chunks(mesh.num_elements):
-        vals, grads, hess = diff_at(sl, rule.points, phi, gref, include_broken_h2)
-        w = vol[sl][:, None] * rule.weights
-        gnorm2 = np.einsum("eqi,eqi->eq", grads, grads)
-        acc_l2 += float(np.sum(w * vals**2))
-        acc_h1 += float(np.sum(w * gnorm2))
-        if q_finite and q != 2:
-            acc_vq += float(np.sum(w * np.abs(vals) ** q))
-            acc_gq += float(np.sum(w * gnorm2 ** (q / 2)))
-        if include_broken_h2:
-            acc_h2 += float(np.sum(w * np.einsum("eqij,eqij->eq", hess, hess)))
-
-        lv, lg, _ = diff_at(sl, lattice, phi_lat, gref_lat, False)
-        sup = max(sup, float(np.abs(lv).max()),
-                  float(np.linalg.norm(lg, axis=2).max()))
-
-    l2 = np.sqrt(acc_l2)
-    h1_semi = np.sqrt(acc_h1)
-    if not q_finite:
-        w1q = sup
-    elif q == 2:
-        w1q = float(np.hypot(l2, h1_semi))
-    else:
-        w1q = float((acc_vq + acc_gq) ** (1.0 / q))
-    broken = np.sqrt(acc_h2) if include_broken_h2 else None
-    return NormReport(float(l2), float(h1_semi), w1q, sup, q, broken)

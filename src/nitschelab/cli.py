@@ -116,9 +116,10 @@ def load_config(path):
             try:
                 value = float(value)
             except ValueError:
-                raise ConfigError(f"{key} must be a positive number") from None
-        if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0:
-            raise ConfigError(f"{key} must be a positive number")
+                raise ConfigError(f"{key} must be a positive finite number") from None
+        if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                or not 0 < value < np.inf):
+            raise ConfigError(f"{key} must be a positive finite number")
         tols[key] = float(value)
 
     output_dir = data.get("output_dir", ".")
@@ -128,22 +129,6 @@ def load_config(path):
     return StudyConfig(problem, dim, order, levels, coarse_cells,
                        tuple(diagnostics), seed, tols["newton_tol"],
                        tols["linear_tol"], output_dir)
-
-
-def _threads_hint():
-    """Optional worker-count hint; the implementation is vectorized and
-    single-process, so the value is validated and recorded only."""
-    raw = os.environ.get("NITSCHE_THREADS")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-        if value < 1:
-            raise ValueError
-    except ValueError:
-        print(f"warning: ignoring invalid NITSCHE_THREADS={raw!r}", file=sys.stderr)
-        return None
-    return value
 
 
 def _fmt(value):
@@ -279,7 +264,6 @@ def run(config_path):
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
-    _threads_hint()
     problem = build_problem(cfg.problem, cfg.dim)
     newton = NewtonOptions(residual_tol=cfg.newton_tol, linear_tol=cfg.linear_tol)
     opts = StudyOptions(coarse_cells=cfg.coarse_cells, newton=newton,

@@ -28,7 +28,6 @@ __all__ = [
     "dirichlet_potential_model",
     "minimal_surface_model",
     "classify",
-    "manufactured_semilinear",
     "build_problem",
     "with_forcing",
     "with_zeroed_gradient_blocks",
@@ -322,14 +321,6 @@ def _manufactured_forcing(base_model, exact):
     return f
 
 
-def manufactured_semilinear(dim, psi_choice):
-    """Semilinear benchmark -laplace(u) + psi'(u) = f with the sine-product
-    solution; psi_choice is 'quartic' (z^4/4) or 'cosine' (cos z)."""
-    if psi_choice not in ("quartic", "cosine"):
-        raise ValueError(f"psi_choice must be 'quartic' or 'cosine', got {psi_choice!r}")
-    return build_problem(psi_choice, dim)
-
-
 def build_problem(name, dim):
     """One of the built-in manufactured problems on (0,1)^dim."""
     if dim not in (1, 2):
@@ -351,11 +342,4 @@ def build_problem(name, dim):
 def el_residual(problem, points):
     """Pointwise Euler-Lagrange residual -div dL_dp + dL_dz at given points;
     vanishes identically for manufactured problems (up to rounding)."""
-    x = np.atleast_2d(points)
-    m, exact = problem.model, problem.exact
-    u = exact.value(x)
-    du = exact.gradient(x)
-    h = exact.hessian(x)
-    div_flux = (np.einsum("nij,nij->n", m.d2L_dpp(du, u, x), h)
-                + np.einsum("ni,ni->n", m.d2L_dpz(du, u, x), du))
-    return -div_flux + m.dL_dz(du, u, x)
+    return _manufactured_forcing(problem.model, problem.exact)(points)

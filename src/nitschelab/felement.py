@@ -27,6 +27,7 @@ __all__ = [
     "quadrature_rule",
     "make_space",
     "interpolate",
+    "tabulate",
     "evaluate",
     "check_inverse_estimate",
     "sample_lattice",
@@ -425,30 +426,20 @@ def interpolate(space, g):
     return FEFunction(space, vals)
 
 
+def tabulate(space, coeffs, ref_pts, sl=slice(None)):
+    """Values (ne, npts) and physical gradients (ne, npts, dim) of the
+    coefficient vector `coeffs` at shared reference points on the elements
+    selected by `sl`; every FE evaluation in the package goes through here."""
+    local = np.asarray(coeffs)[space.elem_dofs[sl]]            # (ne, nloc)
+    vals = local @ space.basis.values(ref_pts).T
+    ref = np.einsum("el,qlk->eqk", local, space.basis.gradients(ref_pts))
+    return vals, np.einsum("eki,eqk->eqi", space.mesh.jac[sl], ref)
+
+
 def evaluate(f, element_id, ref_point):
     """Value and physical gradient of f at a reference point of one element."""
-    space = f.space
-    pt = np.atleast_2d(np.asarray(ref_point, dtype=float))
-    local = f.coeffs[space.elem_dofs[element_id]]
-    value = float(space.basis.values(pt)[0] @ local)
-    ref_grad = np.einsum("lk,l->k", space.basis.gradients(pt)[0], local)
-    grad = space.mesh.jac[element_id].T @ ref_grad
-    return value, grad
-
-
-def element_values(f, pts_ref):
-    """Values of f on all elements at shared reference points: (ne, npts)."""
-    table = f.space.basis.values(pts_ref)
-    return f.coeffs[f.space.elem_dofs] @ table.T
-
-
-def element_gradients(f, pts_ref):
-    """Physical gradients on all elements at shared reference points:
-    (ne, npts, dim)."""
-    table = f.space.basis.gradients(pts_ref)          # (npts, nloc, dim)
-    local = f.coeffs[f.space.elem_dofs]               # (ne, nloc)
-    ref = np.einsum("el,qlk->eqk", local, table)
-    return np.einsum("eki,eqk->eqi", f.space.mesh.jac, ref)
+    vals, grads = tabulate(f.space, f.coeffs, np.atleast_2d(ref_point), [element_id])
+    return float(vals[0, 0]), grads[0, 0]
 
 
 def check_inverse_estimate(space, trials, seed=0):
@@ -470,14 +461,12 @@ def check_inverse_estimate(space, trials, seed=0):
 
     max_ratio = 0.0
     for _ in range(trials):
-        v = FEFunction(space, rng.standard_normal(space.dim))
-        vals_l = element_values(v, lattice)
-        grads_l = element_gradients(v, lattice)
+        coeffs = rng.standard_normal(space.dim)
+        vals_l, grads_l = tabulate(space, coeffs, lattice)
         sup = np.maximum(np.abs(vals_l).max(axis=1),
                          np.linalg.norm(grads_l, axis=2).max(axis=1))
 
-        vals_q = element_values(v, qpts)
-        grads_q = element_gradients(v, qpts)
+        vals_q, grads_q = tabulate(space, coeffs, qpts)
         dens = vals_q**2 + np.einsum("eqi,eqi->eq", grads_q, grads_q)
         w12 = np.sqrt(np.abs(mesh.det_jac) ** -1 * (dens @ qw))
 

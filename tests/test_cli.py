@@ -48,6 +48,10 @@ def test_load_config_comma_separated_diagnostics(tmp_path):
     ("problem: linear\ndim: 1\norder: 1\nlevels: 3\nfoo: 1\n", "unknown"),
     ("problem: linear\ndim: 1\nlevels: 3\n", "missing"),
     ("problem: linear\ndim: 1\norder: 1\nlevels: 3\nnewton_tol: -1\n", "newton_tol"),
+    ("problem: linear\ndim: 1\norder: 1\nlevels: 3\nnewton_tol: .nan\n", "newton_tol"),
+    ("problem: linear\ndim: 1\norder: 1\nlevels: 3\nnewton_tol: .inf\n", "newton_tol"),
+    ("problem: linear\ndim: 1\norder: 1\nlevels: 3\nlinear_tol: .nan\n", "linear_tol"),
+    ("problem: linear\ndim: 1\norder: 1\nlevels: 3\nlinear_tol: .inf\n", "linear_tol"),
     ("problem: linear\ndim: 1\norder: 1\nlevels: 3\ndiagnostics: [pq]\n", "pq"),
     ("problem: linear\ndim: 1\norder: 1\nlevels: 3\ndiagnostics: [magic]\n",
      "unknown diagnostics"),
@@ -166,12 +170,14 @@ def test_main_subcommands(tmp_path, capsys):
     assert main(["plot", str(out / "rates.csv")]) == EXIT_OK
 
 
-def test_threads_hint_accepts_and_warns(tmp_path, monkeypatch, capsys):
+def test_run_pq_draws_same_test_functions_on_every_level(tmp_path):
+    """The pq growth gate compares sampled maxima across levels, so every
+    level must draw the same test functions; with per-level draws this
+    seed grows by a factor of about 5 and fails the gate."""
     out = tmp_path / "out"
-    path = write_config(tmp_path, f"problem: linear\ndim: 1\norder: 1\n"
-                                  f"levels: 3\noutput_dir: {out}\n")
-    monkeypatch.setenv("NITSCHE_THREADS", "4")
+    path = write_config(tmp_path, f"problem: quartic\ndim: 2\norder: 2\n"
+                                  f"levels: 3\ncoarse_cells: 2\n"
+                                  f"diagnostics: [pq]\nseed: 11\n"
+                                  f"output_dir: {out}\n")
     assert run(path) == EXIT_OK
-    monkeypatch.setenv("NITSCHE_THREADS", "many")
-    assert run(path) == EXIT_OK
-    assert "NITSCHE_THREADS" in capsys.readouterr().err
+    assert "[PASS] pq" in (out / "report.txt").read_text()

@@ -4,7 +4,7 @@ import pytest
 from nitschelab.assembly import integrate
 from nitschelab.energy import (PROBLEM_NAMES, build_problem, classify,
                                dirichlet_potential_model, el_residual,
-                               manufactured_semilinear, minimal_surface_model,
+                               minimal_surface_model,
                                with_zeroed_gradient_blocks)
 from nitschelab.mesh import build_unit_mesh
 
@@ -208,11 +208,11 @@ def test_energy_value_of_exact_solution_closed_form():
 
 
 def test_manufactured_semilinear_api():
-    prob = manufactured_semilinear(1, "quartic")
+    prob = build_problem("quartic", 1)
     assert prob.name == "quartic"
-    prob = manufactured_semilinear(2, "cosine")
+    prob = build_problem("cosine", 2)
     assert prob.dim == 2
     with pytest.raises(ValueError):
-        manufactured_semilinear(1, "cubic")
+        build_problem("cubic", 1)
     with pytest.raises(ValueError):
         build_problem("quartic", 3)

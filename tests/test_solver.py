@@ -170,7 +170,7 @@ def test_prolong_constant():
 def test_prolong_squared_difference_vanishes():
     """Fine quadrature of (prolong(f) - f)^2, with f evaluated through the
     coarse space, is zero to 1e-26."""
-    from nitschelab.felement import element_values
+    from nitschelab.felement import tabulate
     coarse_mesh = build_unit_mesh(2, 2)
     fine_mesh = refine(coarse_mesh)
     coarse = make_space(coarse_mesh, 2, 0.0)
@@ -180,7 +180,7 @@ def test_prolong_squared_difference_vanishes():
     pf = prolong(f, fine)
 
     qp, qw = fine.quad.points, fine.quad.weights
-    fine_vals = element_values(pf, qp)
+    fine_vals, _ = tabulate(fine, pf.coeffs, qp)
     # evaluate f on the same physical points through the coarse elements
     coarse_vals = np.empty_like(fine_vals)
     for eid in range(fine_mesh.num_elements):
