@@ -26,8 +26,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .assembly import (assemble_gram_h1, assemble_gram_l2, assemble_hessian,
-                       apply_third_variation, lq_norm, norms)
+from .assembly import (AssemblyError, assemble_gram_h1, assemble_gram_l2,
+                       assemble_hessian, apply_third_variation, lq_norm, norms)
 from .energy import ManufacturedProblem
 from .felement import FEFunction, check_inverse_estimate, interpolate, make_space
 from .mesh import build_unit_mesh, refine, width
@@ -313,12 +313,13 @@ def _random_rough(space, rng):
     return FEFunction(space, coeffs)
 
 
-def _directional_norm(v, norm_pair):
+def _directional_norm(v, norm_pair, h1):
+    """||v||_{W^{o,r}}; `h1` is ||v||_{W^{1,2}}, already at hand."""
     o, r = norm_pair
     if o == 1:
         if r != 2:
             raise ValueError("first-order directional norm supports r=2 only")
-        return norms(None, v).h1
+        return h1
     if o == 0:
         if not np.isfinite(r):
             return norms(None, v, q=np.inf).w1q
@@ -351,8 +352,8 @@ def estimate_pq_constant(model, u, norm_pair=(1, 2), samples=8, seed=0):
         for fv in (_random_smooth(space, np.random.default_rng((seed, k, 1))),
                    _random_rough(space, np.random.default_rng((seed, k, 2)))):
             value = abs(apply_third_variation(model, u, fu, fv, fv))
-            nv = norms(None, fv)
-            denom = u_w22 * nv.h1 * _directional_norm(fv, norm_pair)
+            v_h1 = norms(None, fv).h1
+            denom = u_w22 * v_h1 * _directional_norm(fv, norm_pair, v_h1)
             if denom > 0:
                 max_ratio = max(max_ratio, value / denom)
     return PQEstimate(samples, float(max_ratio), tuple(norm_pair))
@@ -392,6 +393,11 @@ def estimate_rate(pairs):
 
 DIAGNOSTIC_NAMES = ("galerkin", "adjoint", "pq", "ellipticity", "inverse_estimate")
 
+# fixed sizes of the per-level diagnostics in a study
+_PQ_SAMPLES = 4
+_INVERSE_TRIALS = 10
+_ADJOINT_LEVELS_FINER = 2
+
 
 @dataclass
 class StudyOptions:
@@ -400,11 +406,8 @@ class StudyOptions:
     diagnostics: tuple = ()
     seed: int = 0
     pq_norm_pair: tuple = (1, 2)
-    pq_samples: int = 4
-    inverse_trials: int = 10
     t_quad_order: int = 5
     continuation: bool = False
-    adjoint_levels_finer: int = 2
 
     def __post_init__(self):
         unknown = set(self.diagnostics) - set(DIAGNOSTIC_NAMES)
@@ -440,9 +443,12 @@ def convergence_study(problem, order, levels, opts=None):
     """Solve the manufactured problem on a nested mesh hierarchy and fit
     error rates; optional per-level diagnostics as configured.
 
-    Solver failures abort the remaining levels and mark the report, as does
-    a non-coercive second variation at a converged state when the
-    ellipticity diagnostic is enabled.
+    A library failure in a level's solve or diagnostics (Newton, CG,
+    assembly or eigenvalue iteration) aborts the remaining levels and
+    marks the report with abort_kind "solver"; with the ellipticity
+    diagnostic enabled, a non-coercive second variation at a converged
+    state aborts with abort_kind "ellipticity".  The Galerkin defect
+    between levels l-1 and l is taken as soon as level l is solved.
     """
     if not isinstance(problem, ManufacturedProblem):
         raise TypeError("convergence_study needs a ManufacturedProblem")
@@ -456,60 +462,56 @@ def convergence_study(problem, order, levels, opts=None):
                                None, None, {name: [] for name in opts.diagnostics})
     solutions = []
     mesh = build_unit_mesh(problem.dim, opts.coarse_cells)
-    for level in range(levels):
-        if level > 0:
-            mesh = refine(mesh)
-        space = make_space(mesh, order, problem.boundary_fn)
-        newton = opts.newton
-        if opts.continuation and solutions:
-            newton = replace(newton, initial_guess="prolonged_coarse",
-                             guess_fe=solutions[-1])
-        try:
+    try:
+        for level in range(levels):
+            if level > 0:
+                mesh = refine(mesh)
+            space = make_space(mesh, order, problem.boundary_fn)
+            newton = opts.newton
+            if opts.continuation and solutions:
+                newton = replace(newton, initial_guess="prolonged_coarse",
+                                 guess_fe=solutions[-1])
             u_h, log = minimize(problem.model, space, newton)
-        except (NewtonError, LinearSolveError) as err:
-            report.aborted = f"level {level}: {err}"
-            report.abort_kind = "solver"
-            break
 
-        err_rep = norms(problem.exact, u_h)
-        monitor = norms(None, u_h, q=4).w1q
-        report.levels.append(LevelResult(
-            level, width(mesh), space.dim, err_rep.l2, err_rep.h1,
-            len(log.iterations) - 1, monitor))
-        solutions.append(u_h)
+            err_rep = norms(problem.exact, u_h)
+            monitor = norms(None, u_h, q=4).w1q
+            report.levels.append(LevelResult(
+                level, width(mesh), space.dim, err_rep.l2, err_rep.h1,
+                len(log.iterations) - 1, monitor))
+            solutions.append(u_h)
 
-        if "ellipticity" in opts.diagnostics:
-            est = estimate_ellipticity(problem.model, u_h, seed=opts.seed + level)
-            report.diagnostics["ellipticity"].append(
-                (level, est.lambda_min, est.lambda_max))
-            if est.lambda_min <= 0:
-                report.aborted = (f"level {level}: second variation not coercive "
-                                  f"(lambda_min={est.lambda_min:.3e})")
-                report.abort_kind = "ellipticity"
-                break
-        if "inverse_estimate" in opts.diagnostics:
-            ratio = check_inverse_estimate(space, opts.inverse_trials,
-                                           seed=opts.seed + level)
-            report.diagnostics["inverse_estimate"].append((level, ratio))
-        if "pq" in opts.diagnostics:
-            est = estimate_pq_constant(problem.model, u_h,
-                                       norm_pair=opts.pq_norm_pair,
-                                       samples=opts.pq_samples,
-                                       seed=opts.seed)
-            report.diagnostics["pq"].append((level, est.max_ratio))
-        if "adjoint" in opts.diagnostics:
-            check = adjoint_identity_check(problem, u_h,
-                                           levels_finer=opts.adjoint_levels_finer,
-                                           newton=opts.newton,
-                                           linear_tol=opts.newton.linear_tol)
-            report.diagnostics["adjoint"].append(
-                (level, check.identity_residual, check.regularity_ratio))
-
-    if "galerkin" in opts.diagnostics:
-        for lev in range(len(solutions) - 1):
-            defect = galerkin_defect(problem.model, solutions[lev + 1],
-                                     solutions[lev], t_quad_order=opts.t_quad_order)
-            report.diagnostics["galerkin"].append((lev, defect))
+            if "galerkin" in opts.diagnostics and level > 0:
+                defect = galerkin_defect(problem.model, u_h, solutions[-2],
+                                         t_quad_order=opts.t_quad_order)
+                report.diagnostics["galerkin"].append((level - 1, defect))
+            if "ellipticity" in opts.diagnostics:
+                est = estimate_ellipticity(problem.model, u_h, seed=opts.seed + level)
+                report.diagnostics["ellipticity"].append(
+                    (level, est.lambda_min, est.lambda_max))
+                if est.lambda_min <= 0:
+                    report.aborted = (f"level {level}: second variation not coercive "
+                                      f"(lambda_min={est.lambda_min:.3e})")
+                    report.abort_kind = "ellipticity"
+                    break
+            if "inverse_estimate" in opts.diagnostics:
+                ratio = check_inverse_estimate(space, _INVERSE_TRIALS,
+                                               seed=opts.seed + level)
+                report.diagnostics["inverse_estimate"].append((level, ratio))
+            if "pq" in opts.diagnostics:
+                est = estimate_pq_constant(problem.model, u_h,
+                                           norm_pair=opts.pq_norm_pair,
+                                           samples=_PQ_SAMPLES, seed=opts.seed)
+                report.diagnostics["pq"].append((level, est.max_ratio))
+            if "adjoint" in opts.diagnostics:
+                check = adjoint_identity_check(problem, u_h,
+                                               levels_finer=_ADJOINT_LEVELS_FINER,
+                                               newton=opts.newton,
+                                               linear_tol=opts.newton.linear_tol)
+                report.diagnostics["adjoint"].append(
+                    (level, check.identity_residual, check.regularity_ratio))
+    except (NewtonError, LinearSolveError, AssemblyError, PowerIterationError) as err:
+        report.aborted = f"level {level}: {err}"
+        report.abort_kind = "solver"
 
     if len(report.levels) >= 3:
         data = [(lr.h, lr.err_l2) for lr in report.levels]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .felement import FEFunction, quadrature_rule, sample_lattice, tabulate
+from .felement import FEFunction, _chunks, quadrature_rule, sample_lattice, tabulate
 
 __all__ = [
     "SparseOperator",
@@ -27,8 +27,6 @@ __all__ = [
     "lq_norm",
     "integrate",
 ]
-
-CHUNK = 16384
 
 
 class AssemblyError(RuntimeError):
@@ -72,12 +70,6 @@ class NormReport:
     @property
     def h1(self):
         return float(np.hypot(self.l2, self.h1_semi))
-
-
-def _chunks(n, size=None):
-    size = size or CHUNK
-    for start in range(0, n, size):
-        yield slice(start, min(start + size, n))
 
 
 def _quadrature(mesh, points, weights=None):

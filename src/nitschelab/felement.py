@@ -7,8 +7,9 @@ here and gives values, gradients and second derivatives at arbitrary
 reference points from one table.
 
 Global degrees of freedom are laid out structurally (vertex, edge,
-interior entities), with edge dofs ordered along ascending global vertex
-index so shared dofs match across elements without coordinate hashing.
+interior entities), edges as in the mesh's edge table, with edge dofs
+ordered along ascending global vertex index so shared dofs match across
+elements without coordinate hashing.
 """
 
 from dataclasses import dataclass, field
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .mesh import Mesh, width
+from .mesh import _LOCAL_FACETS, Mesh, _facet_ids, _facet_table, width
 
 __all__ = [
     "ReferenceBasis",
@@ -34,6 +35,15 @@ __all__ = [
 ]
 
 MAX_ORDER = 3
+
+# elements per slice in every element loop (assembly, norms, diagnostics)
+CHUNK = 16384
+
+
+def _chunks(n):
+    for start in range(0, n, CHUNK):
+        yield slice(start, min(start + CHUNK, n))
+
 
 # local vertex pairs forming the reference triangle's edges, lexicographic
 _TRI_EDGES = ((0, 1), (0, 2), (1, 2))
@@ -249,12 +259,16 @@ def quadrature_rule(dim, degree):
     raise ValueError(f"dim must be 1 or 2, got {dim}")
 
 
-def sample_lattice(dim, resolution=None):
+# sup-norm lattice: 16 points on [0,1]; 13 steps per triangle side,
+# (13+1)(13+2)/2 = 105 points
+_LATTICE_N = {1: 16, 2: 13}
+
+
+def sample_lattice(dim):
     """Dense reference lattice used for sup-norm estimates (>= 10^d points)."""
+    n = _LATTICE_N[dim]
     if dim == 1:
-        n = resolution or 16
         return np.linspace(0.0, 1.0, n)[:, None]
-    n = resolution or 13  # (n+1)(n+2)/2 = 105 points
     pts = [(i / n, j / n) for i in range(n + 1) for j in range(n + 1 - i)]
     return np.array(pts)
 
@@ -323,15 +337,15 @@ class FEFunction:
         return FEFunction(self.space, self.coeffs.copy())
 
 
-def make_space(mesh, order, boundary_fn=0.0, quad_degree=None):
+def make_space(mesh, order, boundary_fn=0.0):
     """Build the global C^0 Lagrange space of the given order.
 
     boundary_fn may be a callable of a coordinate array or a constant;
     its nodal values become the prescribed boundary data (the boundary
     trace is assumed exactly representable at the Lagrange nodes).
 
-    Default quadrature integrates total degree max(2*order + 2, 8): the
-    extra exactness over 2m+2 keeps the quadrature error of smooth
+    Quadrature integrates total degree max(2*order + 2, 8): the extra
+    exactness over 2m+2 keeps the quadrature error of smooth
     non-polynomial data (forcing, potential terms) below solver tolerance
     even on coarse meshes, so integrated-orthogonality identities between
     nested discrete minimizers hold at solver precision.
@@ -340,63 +354,45 @@ def make_space(mesh, order, boundary_fn=0.0, quad_degree=None):
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ORDER}, got {order}")
     basis = reference_basis(mesh.dim, order)
-
-    nv = mesh.num_vertices
+    elements, ne = mesh.elements, mesh.num_elements
     dof_coords = [mesh.vertices]
-    next_dof = nv
+    boundary = [mesh.boundary_facets.ravel()]
 
-    edge_base = {}
     if mesh.dim == 2 and order >= 2:
-        per_edge = order - 1
-        edges = sorted({tuple(sorted(p)) for elem in mesh.elements
-                        for p in ((elem[0], elem[1]), (elem[0], elem[2]), (elem[1], elem[2]))})
-        edge_coords = np.empty((len(edges) * per_edge, mesh.dim))
-        for i, (a, b) in enumerate(edges):
-            edge_base[(a, b)] = next_dof + i * per_edge
-            va, vb = mesh.vertices[a], mesh.vertices[b]
-            for k in range(1, order):
-                edge_coords[i * per_edge + k - 1] = va + (k / order) * (vb - va)
-        dof_coords.append(edge_coords)
-        next_dof += len(edges) * per_edge
+        # edge i of the facet table owns dofs edge_dofs[i], nodes running
+        # from its lower to its higher vertex index
+        edges, elem_edges, _, _ = _facet_table(elements)
+        va, vb = mesh.vertices[edges[:, 0]], mesh.vertices[edges[:, 1]]
+        dof_coords.append(np.stack([va + (k / order) * (vb - va) for k in range(1, order)],
+                                   axis=1).reshape(-1, mesh.dim))
+        edge_dofs = mesh.num_vertices + np.arange(len(edges) * (order - 1)).reshape(len(edges), -1)
+        boundary.append(edge_dofs[_facet_ids(edges, mesh.boundary_facets)].ravel())
 
     n_interior = _interior_count(mesh.dim, order)
-    interior_base = next_dof
+    interior_base = sum(map(len, dof_coords))
     if n_interior:
-        coords = _interior_coords(mesh, order)
-        dof_coords.append(coords)
-        next_dof += mesh.num_elements * n_interior
+        dof_coords.append(_interior_coords(mesh, order))
 
     dof_coords = np.vstack(dof_coords)
 
-    elem_dofs = np.empty((mesh.num_elements, basis.n_local), dtype=np.int64)
-    for eid, elem in enumerate(mesh.elements):
-        for l, ent in enumerate(basis.node_entities):
-            if ent[0] == "vertex":
-                elem_dofs[eid, l] = elem[ent[1]]
-            elif ent[0] == "edge":
-                a, b = elem[_TRI_EDGES[ent[1]][0]], elem[_TRI_EDGES[ent[1]][1]]
-                k = ent[2]
-                if a > b:
-                    a, b = b, a
-                    k = order - k
-                elem_dofs[eid, l] = edge_base[(a, b)] + k - 1
-            else:  # interior
-                elem_dofs[eid, l] = interior_base + eid * n_interior + ent[1]
+    elem_dofs = np.empty((ne, basis.n_local), dtype=np.int64)
+    for l, ent in enumerate(basis.node_entities):
+        if ent[0] == "vertex":
+            elem_dofs[:, l] = elements[:, ent[1]]
+        elif ent[0] == "edge":
+            pair = _TRI_EDGES[ent[1]]
+            a, b = elements[:, pair[0]], elements[:, pair[1]]
+            k = np.where(a > b, order - ent[2], ent[2])
+            elem_dofs[:, l] = edge_dofs[elem_edges[:, _LOCAL_FACETS[2].index(list(pair))], k - 1]
+        else:  # interior
+            elem_dofs[:, l] = interior_base + np.arange(ne) * n_interior + ent[1]
 
-    bdofs = set()
-    for facet in mesh.boundary_facets:
-        for v in facet:
-            bdofs.add(int(v))
-        if mesh.dim == 2 and order >= 2:
-            a, b = sorted(int(v) for v in facet)
-            base = edge_base[(a, b)]
-            bdofs.update(range(base, base + order - 1))
-    boundary_dofs = np.array(sorted(bdofs), dtype=np.int64)
+    boundary_dofs = np.unique(np.concatenate(boundary))
 
     fn = boundary_fn if callable(boundary_fn) else (lambda x, c=float(boundary_fn): np.full(len(x), c))
     boundary_values = np.asarray(fn(dof_coords[boundary_dofs]), dtype=float).reshape(-1)
 
-    quad = quadrature_rule(mesh.dim, quad_degree or max(2 * order + 2, 8))
+    quad = quadrature_rule(mesh.dim, max(2 * order + 2, 8))
     return FESpace(mesh, order, basis, dof_coords, elem_dofs,
                    boundary_dofs, boundary_values, quad)
 
@@ -462,14 +458,15 @@ def check_inverse_estimate(space, trials, seed=0):
     max_ratio = 0.0
     for _ in range(trials):
         coeffs = rng.standard_normal(space.dim)
-        vals_l, grads_l = tabulate(space, coeffs, lattice)
-        sup = np.maximum(np.abs(vals_l).max(axis=1),
-                         np.linalg.norm(grads_l, axis=2).max(axis=1))
+        for sl in _chunks(mesh.num_elements):
+            vals_l, grads_l = tabulate(space, coeffs, lattice, sl)
+            sup = np.maximum(np.abs(vals_l).max(axis=1),
+                             np.linalg.norm(grads_l, axis=2).max(axis=1))
 
-        vals_q, grads_q = tabulate(space, coeffs, qpts)
-        dens = vals_q**2 + np.einsum("eqi,eqi->eq", grads_q, grads_q)
-        w12 = np.sqrt(np.abs(mesh.det_jac) ** -1 * (dens @ qw))
+            vals_q, grads_q = tabulate(space, coeffs, qpts, sl)
+            dens = vals_q**2 + np.einsum("eqi,eqi->eq", grads_q, grads_q)
+            w12 = np.sqrt(np.abs(mesh.det_jac[sl]) ** -1 * (dens @ qw))
 
-        ratio = sup / (h ** (-d / 2) * w12)
-        max_ratio = max(max_ratio, float(ratio.max()))
+            ratio = sup / (h ** (-d / 2) * w12)
+            max_ratio = max(max_ratio, float(ratio.max()))
     return max_ratio

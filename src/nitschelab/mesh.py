@@ -142,45 +142,60 @@ def build_unit_mesh(dim, cells_per_side):
     if dim == 1:
         vertices = np.linspace(0.0, 1.0, n + 1)[:, None]
         elements = np.column_stack([np.arange(n), np.arange(1, n + 1)])
-        facets = np.array([[0], [n]])
-        markers = np.array([1, 1])
-        return Mesh(1, vertices, elements, facets, markers)
-
-    xs = np.linspace(0.0, 1.0, n + 1)
-    xx, yy = np.meshgrid(xs, xs, indexing="ij")
-    vertices = np.column_stack([xx.ravel(), yy.ravel()])
-
-    def vid(ix, iy):
-        return ix * (n + 1) + iy
-
-    elements = []
-    for ix in range(n):
-        for iy in range(n):
-            v00, v10 = vid(ix, iy), vid(ix + 1, iy)
-            v01, v11 = vid(ix, iy + 1), vid(ix + 1, iy + 1)
-            elements.append((v00, v10, v11))
-            elements.append((v00, v11, v01))
-    elements = np.array(elements)
-    facets, markers = _boundary_from_elements(elements)
-    return Mesh(2, vertices, elements, facets, markers)
+    else:
+        xs = np.linspace(0.0, 1.0, n + 1)
+        xx, yy = np.meshgrid(xs, xs, indexing="ij")
+        vertices = np.column_stack([xx.ravel(), yy.ravel()])
+        # grid square (ix, iy), ix-major, splits along its v00-v11 diagonal
+        ix, iy = (g.ravel() for g in np.meshgrid(np.arange(n), np.arange(n), indexing="ij"))
+        v00, v10 = ix * (n + 1) + iy, (ix + 1) * (n + 1) + iy
+        v01, v11 = v00 + 1, v10 + 1
+        elements = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
+    facets, _, counts, _ = _facet_table(elements)
+    boundary = facets[counts == 1]
+    return Mesh(dim, vertices, elements, boundary, np.ones(len(boundary), dtype=np.int64))
 
 
-def _boundary_from_elements(elements):
-    """Facets appearing in exactly one element, with marker 1."""
-    counts = {}
-    for elem in elements:
-        for facet in _element_facets(elem):
-            counts[facet] = counts.get(facet, 0) + 1
-    facets = sorted(f for f, c in counts.items() if c == 1)
-    return np.array(facets, dtype=np.int64), np.ones(len(facets), dtype=np.int64)
+# Local facets of an element: its two vertices (d=1), or the edges joining
+# local vertices i and (i+1) mod 3 (d=2).
+_LOCAL_FACETS = {1: [[0], [1]], 2: [[0, 1], [1, 2], [0, 2]]}
 
 
-def _element_facets(elem):
-    """Sorted vertex tuples of the (d-1)-faces of one element."""
-    if len(elem) == 2:
-        return [(int(elem[0]),), (int(elem[1]),)]
-    a, b, c = (int(v) for v in elem)
-    return [tuple(sorted(p)) for p in ((a, b), (b, c), (a, c))]
+def _facet_keys(facets, n):
+    """One integer per sorted vertex tuple, ordered as the tuples are."""
+    keys = np.zeros(len(facets), dtype=np.int64)
+    for col in facets.T:
+        keys = keys * n + col
+    return keys
+
+
+def _facet_table(elements):
+    """The (d-1)-faces of a simplicial mesh, each listed once.
+
+    Returns the facets as sorted vertex tuples in lexicographic order
+    (nf, d), the facet ids of every element (ne, d+1) in `_LOCAL_FACETS`
+    order, the number of elements sharing each facet (nf,), and the
+    position (nf,) of each facet's first occurrence when the elements'
+    local facets are read in element order.
+    """
+    elements = np.asarray(elements)
+    d = elements.shape[1] - 1
+    local = np.sort(elements[:, _LOCAL_FACETS[d]], axis=2).reshape(-1, d)
+    n = int(elements.max(initial=0)) + 1
+    _, first, inverse, counts = np.unique(_facet_keys(local, n), return_index=True,
+                                          return_inverse=True, return_counts=True)
+    return local[first], inverse.reshape(-1, d + 1), counts, first
+
+
+def _facet_ids(facets, query):
+    """Row ids in the lexicographic `facets` table of the vertex tuples
+    `query` (either orientation); MeshError if one is not a facet."""
+    query = np.sort(np.asarray(query, dtype=np.int64).reshape(-1, facets.shape[1]), axis=1)
+    n = int(max(facets.max(initial=0), query.max(initial=0))) + 1
+    keys, wanted = _facet_keys(facets, n), _facet_keys(query, n)
+    if not np.isin(wanted, keys).all():
+        raise MeshError("boundary facet is not a facet of any element")
+    return np.searchsorted(keys, wanted)
 
 
 def refine(mesh):
@@ -196,67 +211,49 @@ def refine(mesh):
 
 
 def _refine_interval(mesh):
-    nv = mesh.num_vertices
+    nv, ne = mesh.num_vertices, mesh.num_elements
     mids = 0.5 * (mesh.vertices[mesh.elements[:, 0]] + mesh.vertices[mesh.elements[:, 1]])
-    vertices = np.vstack([mesh.vertices, mids])
-    elements = []
-    parents = []
-    for eid, (a, b) in enumerate(mesh.elements):
-        m = nv + eid
-        elements.append((a, m))
-        elements.append((m, b))
-        parents.extend([eid, eid])
+    m = nv + np.arange(ne)
+    elements = np.stack([mesh.elements[:, 0], m, m, mesh.elements[:, 1]], axis=1)
     return Mesh(
         1,
-        vertices,
-        np.array(elements),
+        np.vstack([mesh.vertices, mids]),
+        elements.reshape(-1, 2),
         mesh.boundary_facets.copy(),
         mesh.boundary_markers.copy(),
         level=mesh.level + 1,
         parent=mesh,
-        parent_elements=np.array(parents),
+        parent_elements=np.repeat(np.arange(ne), 2),
     )
 
 
 def _refine_triangles(mesh):
-    nv = mesh.num_vertices
-    edge_mid = {}
-    new_vertices = []
+    """Midpoint vertices are numbered nv, nv+1, ... in the order in which
+    their edges are first met, reading the elements' edges in order."""
+    nv, ne = mesh.num_vertices, mesh.num_elements
+    edges, elem_edges, _, first = _facet_table(mesh.elements)
+    by_rank = np.argsort(first)
+    mid = np.empty(len(edges), dtype=np.int64)
+    mid[by_rank] = nv + np.arange(len(edges))
+    new_vertices = 0.5 * (mesh.vertices[edges[by_rank, 0]] + mesh.vertices[edges[by_rank, 1]])
 
-    def midpoint(a, b):
-        key = (a, b) if a < b else (b, a)
-        idx = edge_mid.get(key)
-        if idx is None:
-            idx = nv + len(new_vertices)
-            edge_mid[key] = idx
-            new_vertices.append(0.5 * (mesh.vertices[key[0]] + mesh.vertices[key[1]]))
-        return idx
+    a, b, c = mesh.elements.T
+    mab, mbc, mac = mid[elem_edges].T
+    elements = np.stack([a, mab, mac, mab, b, mbc, mac, mbc, c, mab, mbc, mac], axis=1)
 
-    elements = []
-    parents = []
-    for eid, (a, b, c) in enumerate(mesh.elements):
-        mab, mbc, mac = midpoint(a, b), midpoint(b, c), midpoint(a, c)
-        elements.extend([(a, mab, mac), (mab, b, mbc), (mac, mbc, c), (mab, mbc, mac)])
-        parents.extend([eid] * 4)
-
-    facets = []
-    markers = []
-    for (a, b), marker in zip(mesh.boundary_facets, mesh.boundary_markers):
-        m = midpoint(int(a), int(b))
-        facets.append(tuple(sorted((int(a), m))))
-        facets.append(tuple(sorted((m, int(b)))))
-        markers.extend([marker, marker])
-
-    vertices = np.vstack([mesh.vertices, np.array(new_vertices)])
+    # each boundary edge (a, b) becomes (a, m), (b, m): m exceeds every old index
+    fa, fb = mesh.boundary_facets.reshape(-1, 2).T
+    fm = mid[_facet_ids(edges, mesh.boundary_facets)]
+    facets = np.stack([fa, fm, fb, fm], axis=1)
     return Mesh(
         2,
-        vertices,
-        np.array(elements),
-        np.array(facets),
-        np.array(markers),
+        np.vstack([mesh.vertices, new_vertices]),
+        elements.reshape(-1, 3),
+        facets.reshape(-1, 2),
+        np.repeat(mesh.boundary_markers, 2),
         level=mesh.level + 1,
         parent=mesh,
-        parent_elements=np.array(parents),
+        parent_elements=np.repeat(np.arange(ne), 4),
     )
 
 
@@ -292,34 +289,28 @@ def element_map(mesh, element_id):
 def check_conforming(mesh):
     """Verify the partition property: element closures meet in common faces.
 
-    Checks, in O(ne): no duplicated vertex coordinates, no degenerate
-    elements, every facet shared by at most two elements, and the facets
-    owned by exactly one element coincide with the declared boundary.
-    Returns True or raises MeshError describing the first violation.
+    Checks, by sorting (O(ne log ne)): no duplicated vertex coordinates,
+    every facet shared by at most two elements, and the facets owned by
+    exactly one element coincide with the declared boundary.  Degenerate
+    elements, repeated vertices included, are rejected when a Mesh is
+    built.  Returns True or raises MeshError describing the first violation.
     """
-    seen = {}
-    for i, v in enumerate(mesh.vertices):
-        key = tuple(v)
-        if key in seen:
-            raise MeshError(f"duplicate vertex coordinates at indices {seen[key]} and {i}")
-        seen[key] = i
+    verts = mesh.vertices
+    order = np.lexsort(verts.T[::-1])
+    same = np.all(verts[order[1:]] == verts[order[:-1]], axis=1)
+    if same.any():
+        # the lowest index repeating an earlier vertex, and that vertex
+        k = np.flatnonzero(same)[np.argmin(order[1:][same])]
+        raise MeshError(f"duplicate vertex coordinates at indices {order[k]} and {order[k + 1]}")
 
-    for eid, elem in enumerate(mesh.elements):
-        if len(set(int(v) for v in elem)) != mesh.dim + 1:
-            raise MeshError(f"element {eid} repeats a vertex")
-    if np.any(mesh.volumes <= 0):
-        raise MeshError("element with non-positive measure")
-
-    counts = {}
-    for elem in mesh.elements:
-        for facet in _element_facets(elem):
-            counts[facet] = counts.get(facet, 0) + 1
-    for facet, c in counts.items():
-        if c > 2:
-            raise MeshError(f"facet {facet} shared by {c} > 2 elements")
-    boundary = {f for f, c in counts.items() if c == 1}
-    declared = {tuple(sorted(int(v) for v in f)) for f in mesh.boundary_facets}
-    if boundary != declared:
+    facets, _, counts, first = _facet_table(mesh.elements)
+    crowded = np.flatnonzero(counts > 2)
+    if len(crowded):
+        f = crowded[np.argmin(first[crowded])]
+        raise MeshError(f"facet {tuple(int(v) for v in facets[f])} shared by "
+                        f"{counts[f]} > 2 elements")
+    declared = np.unique(np.sort(mesh.boundary_facets.reshape(-1, mesh.dim), axis=1), axis=0)
+    if not np.array_equal(declared, facets[counts == 1]):
         raise MeshError("declared boundary facets do not match facet incidence")
     return True
 
@@ -340,19 +331,19 @@ def check_nested(fine):
     if not np.all(child_counts == expected):
         raise MeshError("parent element without exactly 2^d children")
 
-    vol_sums = np.zeros(coarse.num_elements)
-    np.add.at(vol_sums, fine.parent_elements, fine.volumes)
+    vol_sums = np.bincount(fine.parent_elements, fine.volumes, minlength=coarse.num_elements)
     if not np.allclose(vol_sums, coarse.volumes, rtol=1e-12, atol=0):
         raise MeshError("child volumes do not sum to parent volume")
 
     tol = 1e-12
-    for eid, pid in enumerate(fine.parent_elements):
-        jac = coarse.jac[pid]
-        v0 = coarse.vertices[coarse.elements[pid, 0]]
-        for v in fine.element_vertices(eid):
-            ref = jac @ (v - v0)
-            if ref.min() < -tol or ref.sum() > 1.0 + tol:
-                raise MeshError(f"child {eid} vertex outside parent {pid}")
+    pid = fine.parent_elements
+    v0 = coarse.vertices[coarse.elements[pid, 0]]
+    rel = fine.vertices[fine.elements] - v0[:, None, :]            # (ne, d+1, d)
+    ref = np.einsum("eij,ekj->eki", coarse.jac[pid], rel)
+    outside = np.any((ref.min(axis=2) < -tol) | (ref.sum(axis=2) > 1.0 + tol), axis=1)
+    if outside.any():
+        eid = int(np.argmax(outside))
+        raise MeshError(f"child {eid} vertex outside parent {pid[eid]}")
     return True
 
 

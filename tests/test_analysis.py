@@ -233,6 +233,26 @@ def test_pq_norm_pairs():
         estimate_pq_constant(problem.model, u, norm_pair=(2, 2), samples=2)
 
 
+def test_pq_takes_each_norm_once(monkeypatch):
+    """With the default pair (1, 2) the directional norm is the W^{1,2}
+    norm already taken: 3 norms passes per sample, values unchanged."""
+    from nitschelab import analysis as an
+
+    problem = build_problem("quartic", 1)
+    u, _ = solved(problem, 16, order=2)
+    plain = estimate_pq_constant(problem.model, u, samples=4, seed=2)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return norms(*args, **kwargs)
+
+    monkeypatch.setattr(an, "norms", counted)
+    est = estimate_pq_constant(problem.model, u, samples=4, seed=2)
+    assert len(calls) == 12
+    assert est.max_ratio == plain.max_ratio
+
+
 def test_pq_minimal_surface_reported():
     problem = build_problem("minimal_surface", 2)
     u, _ = solved(problem, 8, order=2)

@@ -181,3 +181,22 @@ def test_run_pq_draws_same_test_functions_on_every_level(tmp_path):
                                   f"output_dir: {out}\n")
     assert run(path) == EXIT_OK
     assert "[PASS] pq" in (out / "report.txt").read_text()
+
+
+def test_run_diagnostic_failure_exits_solver(tmp_path, monkeypatch, capsys):
+    """A library error inside a diagnostic ends the study as a solver
+    failure: exit 3, report.txt written, no traceback."""
+    from nitschelab import analysis
+
+    def fail(*args, **kwargs):
+        raise analysis.PowerIterationError("eigenvalue iteration stagnated")
+
+    monkeypatch.setattr(analysis, "estimate_ellipticity", fail)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, f"problem: quartic\ndim: 1\norder: 1\n"
+                                  f"levels: 3\ndiagnostics: [ellipticity]\n"
+                                  f"output_dir: {out}\n")
+    assert main(["run", path]) == EXIT_SOLVER
+    report = (out / "report.txt").read_text()
+    assert "aborted: level 0: eigenvalue iteration stagnated" in report
+    assert "Traceback" not in capsys.readouterr().err

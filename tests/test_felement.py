@@ -80,6 +80,27 @@ def test_make_space_shared_interface_dofs():
         assert np.allclose(space.dof_coords[dof], space.dof_coords[dof])
 
 
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_make_space_dofs_sit_at_element_nodes_in_any_orientation(order):
+    """Every local dof maps to the global node at that element's physical
+    node position, also when elements, their local vertex order and the
+    boundary facets come in scrambled order and orientation."""
+    rng = np.random.default_rng(4)
+    base = refine(build_unit_mesh(2, 3))
+    elements = base.elements[rng.permutation(base.num_elements)]
+    elements = np.take_along_axis(elements, rng.random(elements.shape).argsort(axis=1), 1)
+    facets = base.boundary_facets[rng.permutation(len(base.boundary_facets))]
+    facets = np.take_along_axis(facets, rng.random(facets.shape).argsort(axis=1), 1)
+    mesh = Mesh(2, base.vertices, elements, facets, np.ones(len(facets)))
+    space = make_space(mesh, order, 0.0)
+    v0 = mesh.vertices[mesh.elements[:, 0]]
+    nodes = v0[:, None, :] + np.einsum("eij,lj->eli", mesh.inv_jac, space.basis.nodes)
+    assert np.abs(space.dof_coords[space.elem_dofs] - nodes).max() < 1e-14
+    on_boundary = np.any((space.dof_coords == 0.0) | (space.dof_coords == 1.0), axis=1)
+    assert np.array_equal(space.boundary_dofs, np.flatnonzero(on_boundary))
+    assert space.dim == make_space(base, order, 0.0).dim
+
+
 def test_interpolate_reproduces_linear():
     space = make_space(build_unit_mesh(1, 8), 1, 0.0)
     u = interpolate(space, lambda x: x[:, 0])
@@ -250,3 +271,14 @@ def test_inverse_estimate_validates_trials():
     space = make_space(build_unit_mesh(1, 4), 1, 0.0)
     with pytest.raises(ValueError):
         check_inverse_estimate(space, 0)
+
+
+@pytest.mark.parametrize("dim,order", [(1, 3), (2, 2)])
+def test_inverse_estimate_independent_of_chunk_size(dim, order, monkeypatch):
+    from nitschelab import felement
+
+    space = make_space(refine(build_unit_mesh(dim, 4)), order, 0.0)
+    whole = check_inverse_estimate(space, 3, seed=5)
+    monkeypatch.setattr(felement, "CHUNK", 7)
+    assert space.mesh.num_elements > 7
+    assert check_inverse_estimate(space, 3, seed=5) == pytest.approx(whole, rel=1e-13)

@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from nitschelab.felement import make_space
 from nitschelab.mesh import (MeshError, Mesh, build_unit_mesh, check_conforming,
                              check_nested, dump_mesh, element_map, load_mesh,
                              refine, width)
@@ -177,3 +180,80 @@ def test_load_rejects_garbage(tmp_path):
     path.write_text("v 0.0\nq 1 2\n")
     with pytest.raises(MeshError):
         load_mesh(path)
+
+
+def _digest(arrays):
+    """sha256 over the shapes and the int64/float64 bytes of `arrays`."""
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.asarray(a)
+        a = a.astype(np.float64 if a.dtype.kind == "f" else np.int64)
+        h.update(repr(a.shape).encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+# Pinned topology of three refinements of build_unit_mesh(1, 5) and
+# build_unit_mesh(2, 3): vertex numbering, element order, boundary facet
+# order and the dof layout of each order (numbering, edge orientation,
+# coordinates) must not change.
+_TOPOLOGY_DIGESTS = {
+    (1, "mesh"): "a6229ab6abfdfee8a882b957f0978be8889a0d450af2762dcd3bc660cedf4850",
+    (1, 1): "20bd4488fb0b5f13ccc0e0828abf96c91a95690d913e6b6e25969f69b4b1f278",
+    (1, 2): "450c44b67ba6250777bcb33907e8e3b61b68cda60e8bed13c5c2ab8ae76d4288",
+    (1, 3): "d1c8fed06b89571569e960e47a51a6dc99a27b6d84bdf437cc10bf8ed9179256",
+    (2, "mesh"): "388ada19c1844ff23dcb568fdc050296738b7ce2a080138df78157b2d697adfd",
+    (2, 1): "898c914d67d1bba156cdfb95e76b4ace97c76838ab5800365f4ca37a659910ab",
+    (2, 2): "439d76f089d7aec5e5b107e14b328743f3a2e0aaa1c52ab7c64fdb60d1634c31",
+    (2, 3): "bfde8cccd43910c6708bd716fa8e06cd8a007158320c7072e8687d3780a94c39",
+}
+
+
+@pytest.mark.parametrize("dim,cells", [(1, 5), (2, 3)])
+def test_refined_topology_and_dofs_pinned(dim, cells):
+    m = build_unit_mesh(dim, cells)
+    for _ in range(3):
+        m = refine(m)
+    assert _digest([m.vertices, m.elements, m.boundary_facets, m.boundary_markers,
+                    m.parent_elements]) == _TOPOLOGY_DIGESTS[dim, "mesh"]
+    for order in (1, 2, 3):
+        s = make_space(m, order, 0.0)
+        assert _digest([s.elem_dofs, s.boundary_dofs,
+                        s.dof_coords]) == _TOPOLOGY_DIGESTS[dim, order]
+
+
+def test_conformity_detects_facet_shared_by_three():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.0]])
+    elements = np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]])
+    m = Mesh(2, verts, elements, np.array([[0, 2], [1, 2]]), np.array([1, 1]))
+    with pytest.raises(MeshError, match=r"facet \(0, 1\) shared by 3 > 2"):
+        check_conforming(m)
+
+
+def test_element_repeating_a_vertex_rejected():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(MeshError, match="degenerate"):
+        Mesh(2, verts, np.array([[0, 1, 1]]), np.array([[0, 1]]), np.array([1]))
+    with pytest.raises(MeshError, match="degenerate"):
+        Mesh(1, verts[:2, :1], np.array([[1, 1]]), np.array([[1]]), np.array([1]))
+
+
+def test_nestedness_detects_child_outside_parent():
+    coarse = build_unit_mesh(2, 2)
+    fine = refine(coarse)
+    # hand the children of the two triangles of one grid square to each
+    # other: counts and volume sums still match, containment does not
+    parents = fine.parent_elements.copy()
+    parents[:4], parents[4:8] = 1, 0
+    swapped = Mesh(2, fine.vertices, fine.elements, fine.boundary_facets,
+                   fine.boundary_markers, level=1, parent=coarse,
+                   parent_elements=parents)
+    with pytest.raises(MeshError, match="outside parent"):
+        check_nested(swapped)
+
+
+def test_refine_rejects_boundary_facet_that_is_no_edge():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    m = Mesh(2, verts, np.array([[0, 1, 2]]), np.array([[0, 3]]), np.array([1]))
+    with pytest.raises(MeshError, match="not a facet"):
+        refine(m)
