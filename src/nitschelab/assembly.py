@@ -1,8 +1,12 @@
 """Quadrature assembly of the energy, its first three variations, Gram
 operators, and broken Sobolev norms.
 
-All element loops are chunked and vectorized; contributions are summed
-in element-index order, so assembled values are bitwise reproducible.
+All element loops are chunked and vectorized.  Local vectors and
+matrices are matrix products of per-point coefficients against tables of
+the reference basis at the quadrature points, built once per call, so
+results are deterministic for a given problem size and BLAS build and
+reruns are byte-identical; they are not bitwise equal to an evaluation
+that contracts in another order.
 Dirichlet conditions are imposed by identity-masking boundary rows and
 columns, which keeps the operators symmetric on the constrained space.
 """
@@ -12,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .felement import FEFunction, _chunks, quadrature_rule, sample_lattice, tabulate
+from .felement import (FEFunction, _chunks, _reference_table, quadrature_rule,
+                       sample_lattice, tabulate)
 
 __all__ = [
     "SparseOperator",
@@ -76,10 +81,18 @@ def _quadrature(mesh, points, weights=None):
     """Element chunks with their physical points (n, npts, d) and the
     physical weights |T_h|/|T| * w (n, npts); None without `weights`."""
     vol = np.abs(mesh.det_jac) ** -1               # |det DF_h^{-1}| = |T_h|/|T|
-    for sl in _chunks(mesh.num_elements):
+    for sl in _chunks(mesh.num_elements, len(points)):
         v0 = mesh.vertices[mesh.elements[sl, 0]]
-        x = v0[:, None, :] + np.einsum("eij,qj->eqi", mesh.inv_jac[sl], points)
+        x = v0[:, None, :] + points @ mesh.inv_jac[sl].transpose(0, 2, 1)
         yield sl, x, None if weights is None else vol[sl][:, None] * weights
+
+
+def _outer_table(basis, points):
+    """(npts, (d+1)^2, n_local^2) products tab[q, l, b] tab[q, k, c] of the
+    reference table, row (b, c) and column (l, k) at point q."""
+    tab = _reference_table(basis, points).transpose(0, 2, 1)    # (nq, d+1, nloc)
+    nq, m, nloc = tab.shape
+    return (tab[:, :, None, :, None] * tab[:, None, :, None, :]).reshape(nq, m * m, nloc * nloc)
 
 
 def _batch(vals, grads, x):
@@ -89,7 +102,10 @@ def _batch(vals, grads, x):
 
 
 def energy_value(model, v, quad=None):
-    """Total energy of a discrete function by element-wise quadrature."""
+    """Total energy of a discrete function by element-wise quadrature.
+
+    Unguarded on purpose: a non-finite trial energy fails the Armijo test
+    in `minimize`, which then backtracks."""
     space = v.space
     rule = quad or space.quad
     total = 0.0
@@ -104,51 +120,57 @@ def assemble_residual(model, v, quad=None, mask=True):
     """First-variation vector; boundary test entries are masked to zero."""
     space = v.space
     rule = quad or space.quad
-    phi = space.basis.values(rule.points)          # (nq, nloc)
-    gref = space.basis.gradients(rule.points)      # (nq, nloc, d)
+    d = space.mesh.dim
+    tab = _reference_table(space.basis, rule.points)            # (nq, nloc, d+1)
+    tab = tab.transpose(0, 2, 1).reshape(-1, space.basis.n_local)   # rows (q, c)
     out = np.zeros(space.dim)
     for sl, x, wq in _quadrature(space.mesh, rule.points, rule.weights):
         vals, grads = tabulate(space, v.coeffs, rule.points, sl)
         flat = _batch(vals, grads, x)
-        dldp = model.dL_dp(*flat).reshape(grads.shape)
-        dldz = model.dL_dz(*flat).reshape(vals.shape)
-        if not (np.all(np.isfinite(dldp)) and np.all(np.isfinite(dldz))):
+        # weighted flux [dL_dp J^T, dL_dz] w against the reference table
+        jac = space.mesh.jac[sl]
+        flux = np.empty(wq.shape + (d + 1,))
+        flux[..., :d] = model.dL_dp(*flat).reshape(grads.shape) @ jac.transpose(0, 2, 1)
+        flux[..., d] = model.dL_dz(*flat).reshape(wq.shape)
+        if not np.all(np.isfinite(flux)):
             raise AssemblyError("non-finite density derivative during residual assembly")
-        pulled = np.einsum("eqi,eki->eqk", dldp, space.mesh.jac[sl])
-        r_loc = (np.einsum("eq,eqk,qlk->el", wq, pulled, gref)
-                 + np.einsum("eq,eq,ql->el", wq, dldz, phi))
-        np.add.at(out, space.elem_dofs[sl], r_loc)
+        flux *= wq[..., None]
+        r_loc = flux.reshape(len(flux), -1) @ tab
+        out += np.bincount(space.elem_dofs[sl].ravel(), weights=r_loc.ravel(),
+                           minlength=space.dim)
     if mask:
         out[space.boundary_dofs] = 0.0
     return out
 
 
 def assemble_hessian(model, v, quad=None, mask=True):
-    """Second-variation operator at state v, all four derivative blocks."""
+    """Second-variation operator at state v, all four derivative blocks.
+
+    At every point the blocks form one weighted coefficient matrix
+    [[J d2pp J^T, J d2pz], [(J d2pz)^T, d2zz]] w of size d+1, and the
+    local matrices are its product with the outer-product table.
+    """
     space = v.space
     rule = quad or space.quad
-    phi = space.basis.values(rule.points)
-    gref = space.basis.gradients(rule.points)
-    nloc = space.basis.n_local
+    d, nloc = space.mesh.dim, space.basis.n_local
+    outer = _outer_table(space.basis, rule.points).reshape(-1, nloc * nloc)
     loc = np.empty((space.mesh.num_elements, nloc, nloc))
     for sl, x, wq in _quadrature(space.mesh, rule.points, rule.weights):
         vals, grads = tabulate(space, v.coeffs, rule.points, sl)
         flat = _batch(vals, grads, x)
-        d2pp = model.d2L_dpp(*flat).reshape(grads.shape + grads.shape[-1:])
-        d2pz = model.d2L_dpz(*flat).reshape(grads.shape)
-        d2zz = model.d2L_dzz(*flat).reshape(vals.shape)
-        if not np.all(np.isfinite(d2pp)):
-            raise AssemblyError("non-finite density derivative during hessian assembly")
-
         jac = space.mesh.jac[sl]
-        kpp = np.einsum("eai,eqij,ebj->eqab", jac, d2pp, jac)
-        block = np.einsum("eq,qla,eqab,qkb->elk", wq, gref, kpp, gref)
-        mixed = np.einsum("eai,eqi->eqa", jac, d2pz)
-        t = np.einsum("qla,eqa->eql", gref, mixed)
-        m1 = np.einsum("eq,eql,qk->elk", wq, t, phi)
-        block += m1 + np.swapaxes(m1, 1, 2)
-        block += np.einsum("eq,eq,ql,qk->elk", wq, d2zz, phi, phi)
-        loc[sl] = block
+        # (J kron J)[(a, b), (i, j)] = J[a, i] J[b, j]: d2pp pulled back in one product
+        jj = (jac[:, :, None, :, None] * jac[:, None, :, None, :]).reshape(-1, d * d, d * d)
+        coef = np.empty(wq.shape + (d + 1, d + 1))
+        coef[..., :d, :d] = (model.d2L_dpp(*flat).reshape(wq.shape + (d * d,))
+                             @ jj.transpose(0, 2, 1)).reshape(wq.shape + (d, d))
+        coef[..., :d, d] = model.d2L_dpz(*flat).reshape(grads.shape) @ jac.transpose(0, 2, 1)
+        coef[..., d, :d] = coef[..., :d, d]
+        coef[..., d, d] = model.d2L_dzz(*flat).reshape(wq.shape)
+        if not np.all(np.isfinite(coef)):
+            raise AssemblyError("non-finite density derivative during hessian assembly")
+        coef *= wq[..., None, None]
+        loc[sl] = (coef.reshape(len(coef), -1) @ outer).reshape(-1, nloc, nloc)
     return _scatter(space, loc, mask)
 
 
@@ -178,20 +200,25 @@ def apply_third_variation(model, v, fu, fv, fw, quad=None):
                  + model.d3L_dpzz(p, z, xx, gv) * vu * vw
                  + model.d3L_dpzz(p, z, xx, gw) * vu * vv)
         s = s + model.d3L_dzzz(p, z, xx) * vu * vv * vw
+        if not np.all(np.isfinite(s)):
+            raise AssemblyError("non-finite density derivative during third-variation assembly")
         total += float(np.sum(wq * s.reshape(wq.shape)))
     return total
 
 
 def _geometric_local(space, rule, with_stiffness):
-    phi = space.basis.values(rule.points)
+    """Element Gram matrices: the per-element coefficient matrix
+    [[J J^T, 0], [0, 1]] |T_h|/|T| (no J J^T block without stiffness)
+    times the weighted outer-product table of the reference basis."""
     mesh = space.mesh
-    mass = np.einsum("q,ql,qk->lk", rule.weights, phi, phi)
-    loc = np.broadcast_to(mass, (mesh.num_elements,) + mass.shape).copy()
+    d, nloc = mesh.dim, space.basis.n_local
+    table = np.tensordot(rule.weights, _outer_table(space.basis, rule.points), axes=1)
+    coef = np.zeros((mesh.num_elements, d + 1, d + 1))
     if with_stiffness:
-        gref = space.basis.gradients(rule.points)
-        kgeo = np.einsum("eai,ebi->eab", mesh.jac, mesh.jac)
-        loc += np.einsum("q,qla,eab,qkb->elk", rule.weights, gref, kgeo, gref)
-    return loc * (np.abs(mesh.det_jac) ** -1)[:, None, None]
+        coef[:, :d, :d] = mesh.jac @ mesh.jac.transpose(0, 2, 1)
+    coef[:, d, d] = 1.0
+    coef *= (np.abs(mesh.det_jac) ** -1)[:, None, None]
+    return (coef.reshape(len(coef), -1) @ table).reshape(-1, nloc, nloc)
 
 
 def _scatter(space, loc, mask=False):
@@ -204,10 +231,15 @@ def _scatter(space, loc, mask=False):
          (np.repeat(ed, nloc, axis=1).ravel(), np.tile(ed, (1, nloc)).ravel())),
         shape=(space.dim, space.dim)).tocsr()
     if mask:
-        keep = np.ones(space.dim)
-        keep[space.boundary_dofs] = 0.0
-        proj = sp.diags(keep)
-        mat = (proj @ mat @ proj + sp.diags(1.0 - keep)).tocsr()
+        # in place on the CSR arrays: zero every entry in a boundary row or
+        # column, put ones on the boundary diagonal (every dof couples to
+        # itself, so no entry is inserted), then drop the stored zeros
+        keep = space.interior_mask
+        mat.data *= np.repeat(keep, np.diff(mat.indptr)) & keep[mat.indices]
+        diag = mat.diagonal()
+        diag[space.boundary_dofs] = 1.0
+        mat.setdiag(diag)
+        mat.eliminate_zeros()
     return SparseOperator(mat)
 
 
@@ -309,7 +341,11 @@ def norms(f, g, q=2, include_broken_h2=False, quad=None):
 
 def _fe_hessians(space, coeffs, sl, pts):
     href = space.basis.hessians(pts)               # (nq, nloc, d, d)
+    nq, nloc, d, _ = href.shape
     local = coeffs[space.elem_dofs[sl]]
-    ref = np.einsum("el,qlab->eqab", local, href)
+    ref = (local @ href.transpose(1, 0, 2, 3).reshape(nloc, -1)).reshape(-1, nq * d, d)
     jac = space.mesh.jac[sl]
-    return np.einsum("eai,eqab,ebj->eqij", jac, ref, jac)
+    # J^T H J at every point, one product per element over its stacked
+    # points: (H J)^T J = J^T H^T J, transposed
+    hj = (ref @ jac).reshape(-1, nq, d, d).swapaxes(2, 3).reshape(-1, nq * d, d)
+    return (hj @ jac).reshape(-1, nq, d, d).swapaxes(2, 3)

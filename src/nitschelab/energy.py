@@ -259,35 +259,41 @@ def classify(model, dim=2, samples=100, seed=0, tol=1e-12):
 
 
 def _sine_product(dim):
-    """u(x) = prod_i sin(pi x_i) on (0,1)^dim, vanishing on the boundary."""
+    """u(x) = prod_i sin(pi x_i) on (0,1)^dim, vanishing on the boundary.
+
+    sin and cos are taken once per call and every derivative multiplies
+    its factors left to right, axis by axis."""
+
+    def trig(x):
+        px = np.pi * np.atleast_2d(x)
+        return np.sin(px), np.cos(px)
+
+    def prod(cols):
+        out = cols[0]
+        for col in cols[1:]:
+            out = out * col
+        return out
 
     def value(x):
-        x = np.atleast_2d(x)
-        return np.prod(np.sin(np.pi * x), axis=1)
+        return prod(np.sin(np.pi * np.atleast_2d(x)).T)
 
     def gradient(x):
-        x = np.atleast_2d(x)
-        s, c = np.sin(np.pi * x), np.cos(np.pi * x)
-        grad = np.empty_like(x)
+        s, c = trig(x)
+        grad = np.empty_like(s)
         for i in range(dim):
-            parts = s.copy()
-            parts[:, i] = c[:, i]
-            grad[:, i] = np.pi * np.prod(parts, axis=1)
+            grad[:, i] = np.pi * prod([c[:, k] if k == i else s[:, k] for k in range(dim)])
         return grad
 
     def hessian(x):
-        x = np.atleast_2d(x)
-        s, c = np.sin(np.pi * x), np.cos(np.pi * x)
-        hess = np.empty(x.shape + (dim,))
+        s, c = trig(x)
+        hess = np.empty(s.shape + (dim,))
         for i in range(dim):
             for j in range(dim):
-                parts = s.copy()
                 if i == j:
-                    parts[:, i] = -s[:, i]
+                    cols = [-s[:, k] if k == i else s[:, k] for k in range(dim)]
                 else:
-                    parts[:, i] = c[:, i]
-                    parts[:, j] = c[:, j]
-                hess[:, i, j] = np.pi**2 * np.prod(parts, axis=1)
+                    cols = [c[:, k] if k in (i, j) else s[:, k] for k in range(dim)]
+                hess[:, i, j] = np.pi**2 * prod(cols)
         return hess
 
     return ExactSolution(value, gradient, hessian)

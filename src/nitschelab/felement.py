@@ -36,13 +36,17 @@ __all__ = [
 
 MAX_ORDER = 3
 
-# elements per slice in every element loop (assembly, norms, diagnostics)
+# elements per slice in every element loop (assembly, norms, diagnostics),
+# sized for rules of at most 16 points; denser point sets get fewer elements
 CHUNK = 16384
 
 
-def _chunks(n):
-    for start in range(0, n, CHUNK):
-        yield slice(start, min(start + CHUNK, n))
+def _chunks(n, npts):
+    """Slices of n elements holding at most CHUNK elements and CHUNK * 16
+    evaluation points (npts per element)."""
+    size = max(1, min(CHUNK, CHUNK * 16 // npts))
+    for start in range(0, n, size):
+        yield slice(start, min(start + size, n))
 
 
 # local vertex pairs forming the reference triangle's edges, lexicographic
@@ -422,14 +426,21 @@ def interpolate(space, g):
     return FEFunction(space, vals)
 
 
+def _reference_table(basis, pts):
+    """(npts, n_local, dim + 1) table of the reference gradients, then the
+    values, of every basis function at every point."""
+    return np.concatenate([basis.gradients(pts), basis.values(pts)[..., None]], axis=-1)
+
+
 def tabulate(space, coeffs, ref_pts, sl=slice(None)):
     """Values (ne, npts) and physical gradients (ne, npts, dim) of the
     coefficient vector `coeffs` at shared reference points on the elements
     selected by `sl`; every FE evaluation in the package goes through here."""
     local = np.asarray(coeffs)[space.elem_dofs[sl]]            # (ne, nloc)
-    vals = local @ space.basis.values(ref_pts).T
-    ref = np.einsum("el,qlk->eqk", local, space.basis.gradients(ref_pts))
-    return vals, np.einsum("eki,eqk->eqi", space.mesh.jac[sl], ref)
+    tab = _reference_table(space.basis, ref_pts)
+    npts, nloc, m = tab.shape
+    ref = (local @ tab.transpose(1, 0, 2).reshape(nloc, -1)).reshape(-1, npts, m)
+    return ref[..., -1], ref[..., :-1] @ space.mesh.jac[sl]
 
 
 def evaluate(f, element_id, ref_point):
@@ -458,7 +469,7 @@ def check_inverse_estimate(space, trials, seed=0):
     max_ratio = 0.0
     for _ in range(trials):
         coeffs = rng.standard_normal(space.dim)
-        for sl in _chunks(mesh.num_elements):
+        for sl in _chunks(mesh.num_elements, len(lattice)):
             vals_l, grads_l = tabulate(space, coeffs, lattice, sl)
             sup = np.maximum(np.abs(vals_l).max(axis=1),
                              np.linalg.norm(grads_l, axis=2).max(axis=1))

@@ -94,7 +94,9 @@ def linear_solve(op, b, tol=1e-12, max_iters=None):
 
     Terminates when the 2-norm residual drops below tol * ||b||; raises
     LinearSolveError with the final relative residual if the iteration cap
-    is reached, or immediately if the operator is found indefinite.
+    is reached, or immediately if the operator is found indefinite or
+    non-finite (a diagonal entry or a curvature p.Ap that is not a
+    positive finite number).
     """
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
@@ -102,8 +104,9 @@ def linear_solve(op, b, tol=1e-12, max_iters=None):
     if bnorm == 0.0:
         return np.zeros(n)
     diag = op.diagonal()
-    if np.any(diag <= 0):
-        raise LinearSolveError("operator diagonal not positive; not SPD")
+    if not np.all((diag > 0) & (diag < np.inf)):
+        raise LinearSolveError("operator diagonal not positive and finite; not SPD",
+                               iterations=0)
     cap = max_iters or 10 * n + 100
 
     x = np.zeros(n)
@@ -114,9 +117,9 @@ def linear_solve(op, b, tol=1e-12, max_iters=None):
     for it in range(cap):
         ap = op.apply(p)
         pap = float(p @ ap)
-        if pap <= 0:
-            raise LinearSolveError("conjugate gradients found a non-positive "
-                                   "curvature direction; operator not SPD",
+        if not 0 < pap < np.inf:
+            raise LinearSolveError("conjugate gradients found a non-positive or "
+                                   "non-finite curvature; operator not SPD",
                                    iterations=it)
         alpha = rz / pap
         x += alpha * p

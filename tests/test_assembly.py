@@ -1,11 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from nitschelab.assembly import (apply_third_variation, assemble_gram_h1,
-                                 assemble_gram_l2, assemble_hessian,
-                                 assemble_residual, energy_value, integrate,
-                                 lq_norm, norms)
-from nitschelab.energy import build_problem, with_zeroed_gradient_blocks
+from nitschelab.assembly import (AssemblyError, apply_third_variation,
+                                 assemble_gram_h1, assemble_gram_l2,
+                                 assemble_hessian, assemble_residual,
+                                 energy_value, integrate, lq_norm, norms)
+from nitschelab.energy import (build_problem, minimal_surface_model,
+                               with_zeroed_gradient_blocks)
 from nitschelab.felement import FEFunction, interpolate, make_space
 from nitschelab.mesh import build_unit_mesh
 
@@ -291,3 +295,124 @@ def test_lq_norm_sine():
     v = interpolate(space, lambda x: np.sin(np.pi * x[:, 0]))
     assert lq_norm(v, 1) == pytest.approx(2 / np.pi, abs=1e-6)
     assert lq_norm(v, 2) == pytest.approx(np.sqrt(0.5), abs=1e-6)
+
+
+def test_hessian_rejects_nonfinite_zz_block(problems):
+    model = replace(problems["quartic"].model,
+                    d2L_dzz=lambda p, z, x: np.full(len(z), np.nan))
+    space = make_space(build_unit_mesh(2, 4), 1, 0.0)
+    with pytest.raises(AssemblyError, match="hessian"):
+        assemble_hessian(model, smooth_state(space))
+
+
+def test_third_variation_rejects_nonfinite_integrand(problems):
+    model = replace(problems["quartic"].model,
+                    d3L_dzzz=lambda p, z, x: np.full(len(z), np.inf))
+    space = make_space(build_unit_mesh(1, 6), 1, 0.0)
+    v = smooth_state(space)
+    with pytest.raises(AssemblyError, match="third-variation"):
+        apply_third_variation(model, v, v, v, v)
+
+
+# ---------------------------------------------------------------------------
+# oracle for the table-product kernels: the direct einsum formulas, one
+# einsum per derivative block
+
+
+def mixed_model(dim):
+    """Minimal surface plus z (b . p): a non-identity d2pp and d2pz = b, so
+    the pz and zp blocks of the Hessian are non-zero."""
+    base = minimal_surface_model()
+    b = np.array([0.7, -0.4])[:dim]
+    return replace(
+        base, name="minimal_surface_mixed",
+        eval=lambda p, z, x: base.eval(p, z, x) + z * (p @ b),
+        dL_dp=lambda p, z, x: base.dL_dp(p, z, x) + z[:, None] * b,
+        dL_dz=lambda p, z, x: p @ b,
+        d2L_dpz=lambda p, z, x: np.broadcast_to(b, p.shape).copy())
+
+
+def _oracle_state(space, coeffs):
+    mesh, rule = space.mesh, space.quad
+    local = coeffs[space.elem_dofs]
+    vals = local @ space.basis.values(rule.points).T
+    ref = np.einsum("el,qlk->eqk", local, space.basis.gradients(rule.points))
+    grads = np.einsum("eki,eqk->eqi", mesh.jac, ref)
+    x = (mesh.vertices[mesh.elements[:, 0]][:, None, :]
+         + np.einsum("eij,qj->eqi", mesh.inv_jac, rule.points))
+    wq = (np.abs(mesh.det_jac) ** -1)[:, None] * rule.weights
+    d = mesh.dim
+    return (grads.reshape(-1, d), vals.ravel(), x.reshape(-1, d)), grads.shape, wq
+
+
+def oracle_residual(model, v):
+    space = v.space
+    flat, gshape, wq = _oracle_state(space, v.coeffs)
+    phi = space.basis.values(space.quad.points)
+    gref = space.basis.gradients(space.quad.points)
+    pulled = np.einsum("eqi,eki->eqk", model.dL_dp(*flat).reshape(gshape), space.mesh.jac)
+    r_loc = (np.einsum("eq,eqk,qlk->el", wq, pulled, gref)
+             + np.einsum("eq,eq,ql->el", wq, model.dL_dz(*flat).reshape(wq.shape), phi))
+    out = np.zeros(space.dim)
+    np.add.at(out, space.elem_dofs, r_loc)
+    out[space.boundary_dofs] = 0.0
+    return out
+
+
+def oracle_hessian(model, v, mask):
+    space = v.space
+    flat, gshape, wq = _oracle_state(space, v.coeffs)
+    phi = space.basis.values(space.quad.points)
+    gref = space.basis.gradients(space.quad.points)
+    jac = space.mesh.jac
+    d2pp = model.d2L_dpp(*flat).reshape(gshape + gshape[-1:])
+    d2pz = model.d2L_dpz(*flat).reshape(gshape)
+    d2zz = model.d2L_dzz(*flat).reshape(wq.shape)
+    kpp = np.einsum("eai,eqij,ebj->eqab", jac, d2pp, jac)
+    loc = np.einsum("eq,qla,eqab,qkb->elk", wq, gref, kpp, gref)
+    t = np.einsum("qla,eqa->eql", gref, np.einsum("eai,eqi->eqa", jac, d2pz))
+    m1 = np.einsum("eq,eql,qk->elk", wq, t, phi)
+    loc += m1 + np.swapaxes(m1, 1, 2)
+    loc += np.einsum("eq,eq,ql,qk->elk", wq, d2zz, phi, phi)
+    nloc, ed = space.basis.n_local, space.elem_dofs
+    mat = sp.coo_matrix(
+        (loc.ravel(), (np.repeat(ed, nloc, axis=1).ravel(), np.tile(ed, (1, nloc)).ravel())),
+        shape=(space.dim, space.dim)).toarray()
+    if mask:
+        keep = space.interior_mask.astype(float)
+        mat = keep[:, None] * mat * keep[None, :] + np.diag(1.0 - keep)
+    return mat
+
+
+@pytest.mark.parametrize("dim,order", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)])
+def test_kernels_match_einsum_oracle_with_mixed_block(dim, order):
+    model = mixed_model(dim)
+    space = make_space(build_unit_mesh(dim, 7 if dim == 1 else 3), order, 0.0)
+    v = FEFunction(space, 0.5 * np.random.default_rng(order).standard_normal(space.dim))
+    # the mixed blocks carry weight in the oracle itself
+    no_pz = replace(model, d2L_dpz=lambda p, z, x: np.zeros_like(p))
+    assert np.abs(oracle_hessian(model, v, False) - oracle_hessian(no_pz, v, False)).max() > 1e-2
+
+    for mask in (True, False):
+        want = oracle_hessian(model, v, mask)
+        got = assemble_hessian(model, v, mask=mask).toarray()
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    want = oracle_residual(model, v)
+    got = assemble_residual(model, v)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_hessian_matches_residual_fd_with_mixed_block(dim):
+    model = mixed_model(dim)
+    space = make_space(build_unit_mesh(dim, 8 if dim == 1 else 3), 2, 0.0)
+    v = smooth_state(space, seed=21)
+    hess = assemble_hessian(model, v)
+    assert hess.max_asymmetry() < 1e-12
+    w = np.random.default_rng(22).standard_normal(space.dim)
+    w[space.boundary_dofs] = 0.0
+    eps = 1e-6
+    fd = (assemble_residual(model, FEFunction(space, v.coeffs + eps * w))
+          - assemble_residual(model, FEFunction(space, v.coeffs - eps * w))) / (2 * eps)
+    an = hess.apply(w)
+    assert np.abs(fd - an).max() / max(np.abs(an).max(), 1.0) < 1e-6

@@ -172,6 +172,33 @@ def test_manufactured_el_residual(name, dim):
     assert np.abs(el_residual(problem, pts)).max() < 1e-10
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_sine_product_bitwise_equal_to_prod_formulation(dim):
+    """The exact solution and its derivatives equal, bit for bit, the
+    np.prod of per-axis sine/cosine factors."""
+    from nitschelab.energy import _sine_product
+
+    x = np.random.default_rng(dim).uniform(size=(5000, dim))
+    s, c = np.sin(np.pi * x), np.cos(np.pi * x)
+    grad = np.empty_like(x)
+    hess = np.empty(x.shape + (dim,))
+    for i in range(dim):
+        parts = s.copy()
+        parts[:, i] = c[:, i]
+        grad[:, i] = np.pi * np.prod(parts, axis=1)
+        for j in range(dim):
+            parts = s.copy()
+            if i == j:
+                parts[:, i] = -s[:, i]
+            else:
+                parts[:, i], parts[:, j] = c[:, i], c[:, j]
+            hess[:, i, j] = np.pi**2 * np.prod(parts, axis=1)
+    exact = _sine_product(dim)
+    assert np.array_equal(exact.value(x), np.prod(s, axis=1))
+    assert np.array_equal(exact.gradient(x), grad)
+    assert np.array_equal(exact.hessian(x), hess)
+
+
 def test_manufactured_quartic_forcing_closed_form():
     problem = build_problem("quartic", 1)
     x = np.linspace(0.05, 0.95, 17)[:, None]

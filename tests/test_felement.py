@@ -77,7 +77,11 @@ def test_make_space_shared_interface_dofs():
     shared = [d for d, owners in seen.items() if len(owners) > 1]
     assert len(shared) > 0
     for dof in shared:
-        assert np.allclose(space.dof_coords[dof], space.dof_coords[dof])
+        for eid in seen[dof]:
+            local = int(np.flatnonzero(space.elem_dofs[eid] == dof)[0])
+            v0 = mesh.vertices[mesh.elements[eid, 0]]
+            node = v0 + mesh.inv_jac[eid] @ space.basis.nodes[local]
+            assert np.allclose(space.dof_coords[dof], node, atol=1e-14)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
@@ -282,3 +286,35 @@ def test_inverse_estimate_independent_of_chunk_size(dim, order, monkeypatch):
     monkeypatch.setattr(felement, "CHUNK", 7)
     assert space.mesh.num_elements > 7
     assert check_inverse_estimate(space, 3, seed=5) == pytest.approx(whole, rel=1e-13)
+
+
+def test_chunks_follow_point_budget(monkeypatch):
+    from nitschelab import felement
+
+    def sizes(n, npts):
+        slices = list(felement._chunks(n, npts))
+        assert slices[0].start == 0 and slices[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(slices, slices[1:]))
+        return {s.stop - s.start for s in slices[:-1]}
+
+    # rules of at most 16 points keep CHUNK elements; denser sets fewer
+    assert sizes(40000, 16) == sizes(40000, 5) == {16384}
+    assert sizes(40000, 105) == {16384 * 16 // 105}
+    monkeypatch.setattr(felement, "CHUNK", 7)
+    assert sizes(50, 16) == {7}
+    assert sizes(50, 105) == {1}
+
+
+@pytest.mark.parametrize("dim,order", [(1, 2), (2, 1), (2, 3)])
+def test_sup_norm_and_inverse_ratio_independent_of_chunk_size(dim, order, monkeypatch):
+    from nitschelab import felement
+    from nitschelab.assembly import norms
+
+    space = make_space(refine(build_unit_mesh(dim, 4)), order, 0.0)
+    v = FEFunction(space, np.random.default_rng(3).standard_normal(space.dim))
+    sup = norms(None, v, q=np.inf).w1q
+    ratio = check_inverse_estimate(space, 2, seed=9)
+    monkeypatch.setattr(felement, "CHUNK", 5)
+    assert space.mesh.num_elements > 5
+    assert norms(None, v, q=np.inf).w1q == pytest.approx(sup, rel=1e-13)
+    assert check_inverse_estimate(space, 2, seed=9) == pytest.approx(ratio, rel=1e-13)

@@ -49,6 +49,17 @@ def test_linear_solve_rejects_indefinite():
         linear_solve(SparseOperator(a), np.array([0.0, 1.0]))
 
 
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+def test_linear_solve_rejects_nan_operator_at_once(entry):
+    """A NaN on the diagonal fails the diagonal check, one off it makes the
+    first curvature NaN; neither may run CG to its iteration cap."""
+    a = np.array([[4.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 4.0]])
+    a[entry] = a[entry[::-1]] = np.nan
+    with pytest.raises(LinearSolveError) as err:
+        linear_solve(SparseOperator(sp.csr_matrix(a)), np.ones(3))
+    assert err.value.iterations == 0
+
+
 def test_linear_solve_iteration_cap_reports_residual():
     rng = np.random.default_rng(1)
     b_mat = rng.standard_normal((40, 40))
