@@ -58,6 +58,11 @@ class PowerIterationError(RuntimeError):
     """Raised when an eigenvalue iteration fails to settle."""
 
 
+class _UndefinedDiagnostic(ValueError):
+    """A diagnostic is undefined at its input: a space with no interior
+    dofs, or a zero adjoint right-hand side."""
+
+
 @dataclass(frozen=True)
 class EllipticityEstimate:
     """Extremes of d2J(v) against the H^1 Gram on interior dofs."""
@@ -149,6 +154,8 @@ def estimate_ellipticity(model, v, seed=0, rtol=1e-6, max_iters=500):
     """
     space = v.space
     interior = np.flatnonzero(space.interior_mask)
+    if not len(interior):
+        raise _UndefinedDiagnostic("ellipticity needs interior dofs; the space has none")
     a_mat = _interior_submatrix(assemble_hessian(model, v).matrix,
                                 interior).tocsr()
     g_mat = _interior_submatrix(assemble_gram_h1(space).matrix,
@@ -231,7 +238,7 @@ def h2_regularity_ratio(w, rhs_diff):
         raise ValueError("H^2 ratio needs order >= 2")
     denom = norms(None, rhs_diff).l2
     if denom == 0.0:
-        raise ValueError("zero right-hand side")
+        raise _UndefinedDiagnostic("zero right-hand side")
     nw = norms(None, w, include_broken_h2=True)
     return (nw.l2 + nw.h1_semi + nw.broken_h2) / denom
 
@@ -447,7 +454,8 @@ def convergence_study(problem, order, levels, opts=None):
     assembly or eigenvalue iteration) aborts the remaining levels and
     marks the report with abort_kind "solver"; with the ellipticity
     diagnostic enabled, a non-coercive second variation at a converged
-    state aborts with abort_kind "ellipticity".  The Galerkin defect
+    state aborts with abort_kind "ellipticity", and a diagnostic that is
+    undefined at a level with abort_kind "diagnostic".  The Galerkin defect
     between levels l-1 and l is taken as soon as level l is solved.
     """
     if not isinstance(problem, ManufacturedProblem):
@@ -512,6 +520,9 @@ def convergence_study(problem, order, levels, opts=None):
     except (NewtonError, LinearSolveError, AssemblyError, PowerIterationError) as err:
         report.aborted = f"level {level}: {err}"
         report.abort_kind = "solver"
+    except _UndefinedDiagnostic as err:
+        report.aborted = f"level {level}: {err}"
+        report.abort_kind = "diagnostic"
 
     if len(report.levels) >= 3:
         data = [(lr.h, lr.err_l2) for lr in report.levels]

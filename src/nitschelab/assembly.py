@@ -3,10 +3,19 @@ operators, and broken Sobolev norms.
 
 All element loops are chunked and vectorized.  Local vectors and
 matrices are matrix products of per-point coefficients against tables of
-the reference basis at the quadrature points, built once per call, so
-results are deterministic for a given problem size and BLAS build and
-reruns are byte-identical; they are not bitwise equal to an evaluation
-that contracts in another order.
+the reference basis at the quadrature points, so results are
+deterministic for a given problem size and BLAS build and reruns are
+byte-identical; they are not bitwise equal to an evaluation that
+contracts in another order.
+
+Two caches keep data that depends only on the rule or on x out of the
+chunk loops; neither changes a value.  The reference and outer-product
+tables are built once per (basis, point set) and process, for the rules
+of `quadrature_rule` and the sample lattices (`felement._rule_table`).
+The forcing of a forced model (`EnergyModel.forcing`) is evaluated once
+per (space, forcing, chunk) at the space's own quadrature points and
+kept on the space; `energy_value` and `assemble_residual` pass it to
+`eval` and `dL_dz` as fx.  Physical points are recomputed per call.
 Dirichlet conditions are imposed by identity-masking boundary rows and
 columns, which keeps the operators symmetric on the constrained space.
 """
@@ -16,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .felement import (FEFunction, _chunks, _reference_table, quadrature_rule,
-                       sample_lattice, tabulate)
+from .felement import (FEFunction, ReferenceBasis, _chunks, _reference_table,
+                       _rule_table, quadrature_rule, sample_lattice, tabulate)
 
 __all__ = [
     "SparseOperator",
@@ -81,18 +90,47 @@ def _quadrature(mesh, points, weights=None):
     """Element chunks with their physical points (n, npts, d) and the
     physical weights |T_h|/|T| * w (n, npts); None without `weights`."""
     vol = np.abs(mesh.det_jac) ** -1               # |det DF_h^{-1}| = |T_h|/|T|
-    for sl in _chunks(mesh.num_elements, len(points)):
+    d, npts = mesh.dim, len(points)
+    for sl in _chunks(mesh.num_elements, npts):
         v0 = mesh.vertices[mesh.elements[sl, 0]]
-        x = v0[:, None, :] + points @ mesh.inv_jac[sl].transpose(0, 2, 1)
+        # B xi for every element and point in one product, rows (e, i),
+        # then shifted in place
+        x = (mesh.inv_jac[sl].reshape(-1, d) @ points.T).reshape(-1, d, npts).transpose(0, 2, 1)
+        x += v0[:, None, :]
         yield sl, x, None if weights is None else vol[sl][:, None] * weights
 
 
 def _outer_table(basis, points):
     """(npts, (d+1)^2, n_local^2) products tab[q, l, b] tab[q, k, c] of the
-    reference table, row (b, c) and column (l, k) at point q."""
+    reference table, row (b, c) and column (l, k) at point q; built once
+    per basis and rule."""
+    return _rule_table(_build_outer_table, basis, points)
+
+
+def _build_outer_table(basis, points):
     tab = _reference_table(basis, points).transpose(0, 2, 1)    # (nq, d+1, nloc)
     nq, m, nloc = tab.shape
     return (tab[:, :, None, :, None] * tab[:, None, :, None, :]).reshape(nq, m * m, nloc * nloc)
+
+
+def _density_chunks(model, space, rule):
+    """`_quadrature` chunks of the space, each with the keywords of its
+    density calls: fx, the model's forcing at the chunk's points, when the
+    model is forced and `rule` is the space's own.  f is evaluated once per
+    (space, forcing, chunk) and kept in the space's cache, read-only."""
+    cache = None
+    if model.forcing is not None and rule is space.quad:
+        cache = space._forcing_values.setdefault(model.forcing, {})
+    for sl, x, wq in _quadrature(space.mesh, rule.points, rule.weights):
+        if cache is None:
+            yield sl, x, wq, {}
+            continue
+        fx = cache.get((sl.start, sl.stop))
+        if fx is None:
+            fx = np.array(model.forcing(x.reshape(-1, x.shape[-1])))
+            fx.flags.writeable = False
+            cache[sl.start, sl.stop] = fx
+        yield sl, x, wq, {"fx": fx}
 
 
 def _batch(vals, grads, x):
@@ -109,9 +147,9 @@ def energy_value(model, v, quad=None):
     space = v.space
     rule = quad or space.quad
     total = 0.0
-    for sl, x, wq in _quadrature(space.mesh, rule.points, rule.weights):
+    for sl, x, wq, kw in _density_chunks(model, space, rule):
         state = tabulate(space, v.coeffs, rule.points, sl)
-        dens = model.eval(*_batch(*state, x))
+        dens = model.eval(*_batch(*state, x), **kw)
         total += float(np.sum(wq * dens.reshape(wq.shape)))
     return total
 
@@ -124,14 +162,14 @@ def assemble_residual(model, v, quad=None, mask=True):
     tab = _reference_table(space.basis, rule.points)            # (nq, nloc, d+1)
     tab = tab.transpose(0, 2, 1).reshape(-1, space.basis.n_local)   # rows (q, c)
     out = np.zeros(space.dim)
-    for sl, x, wq in _quadrature(space.mesh, rule.points, rule.weights):
+    for sl, x, wq, kw in _density_chunks(model, space, rule):
         vals, grads = tabulate(space, v.coeffs, rule.points, sl)
         flat = _batch(vals, grads, x)
         # weighted flux [dL_dp J^T, dL_dz] w against the reference table
         jac = space.mesh.jac[sl]
         flux = np.empty(wq.shape + (d + 1,))
         flux[..., :d] = model.dL_dp(*flat).reshape(grads.shape) @ jac.transpose(0, 2, 1)
-        flux[..., d] = model.dL_dz(*flat).reshape(wq.shape)
+        flux[..., d] = model.dL_dz(*flat, **kw).reshape(wq.shape)
         if not np.all(np.isfinite(flux)):
             raise AssemblyError("non-finite density derivative during residual assembly")
         flux *= wq[..., None]
@@ -340,7 +378,7 @@ def norms(f, g, q=2, include_broken_h2=False, quad=None):
 
 
 def _fe_hessians(space, coeffs, sl, pts):
-    href = space.basis.hessians(pts)               # (nq, nloc, d, d)
+    href = _rule_table(ReferenceBasis.hessians, space.basis, pts)   # (nq, nloc, d, d)
     nq, nloc, d, _ = href.shape
     local = coeffs[space.elem_dofs[sl]]
     ref = (local @ href.transpose(1, 0, 2, 3).reshape(nloc, -1)).reshape(-1, nq * d, d)

@@ -7,7 +7,9 @@ shortest round-trip float formatting, so reruns of the same config are
 byte-identical.
 
 Exit codes: 0 all enabled checks pass, 1 a rate or diagnostic check
-failed, 2 config parse error (no files written), 3 solver failure.
+failed, 2 config error (no files written), 3 solver failure.  A config
+whose largest space would exceed MAX_DOFS, or whose output_dir cannot be
+created, is a config error found before any study work.
 """
 
 import argparse
@@ -19,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from .analysis import DIAGNOSTIC_NAMES, StudyOptions, convergence_study, estimate_rate
+from .analysis import (_ADJOINT_LEVELS_FINER, DIAGNOSTIC_NAMES, StudyOptions,
+                       convergence_study, estimate_rate)
 from .energy import PROBLEM_NAMES, build_problem, classify
 from .solver import NewtonOptions
 
@@ -30,6 +33,10 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
+
+# dofs of the largest space a study may build; larger studies are config
+# errors, rejected by load_config before anything is allocated
+MAX_DOFS = 1 << 20
 
 
 class ConfigError(ValueError):
@@ -62,14 +69,14 @@ def load_config(path):
             data = yaml.safe_load(fh)
     except OSError as err:
         raise ConfigError(f"cannot read config: {err}") from err
-    except yaml.YAMLError as err:
+    except (yaml.YAMLError, UnicodeDecodeError) as err:
         raise ConfigError(f"config is not valid key/value text: {err}") from err
     if not isinstance(data, dict):
         raise ConfigError("config must be a flat mapping of keys to values")
 
     unknown = set(data) - set(_REQUIRED) - set(_OPTIONAL)
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown config keys: {sorted(unknown, key=str)}")
     missing = [k for k in _REQUIRED if k not in data]
     if missing:
         raise ConfigError(f"missing required config keys: {missing}")
@@ -95,11 +102,14 @@ def load_config(path):
     if coarse_cells < 1:
         raise ConfigError("coarse_cells must be >= 1")
     seed = as_int("seed", data.get("seed", 0))
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
     diagnostics = data.get("diagnostics", ())
     if isinstance(diagnostics, str):
         diagnostics = [s.strip() for s in diagnostics.split(",") if s.strip()]
-    if not isinstance(diagnostics, (list, tuple)):
+    if (not isinstance(diagnostics, (list, tuple))
+            or not all(isinstance(name, str) for name in diagnostics)):
         raise ConfigError("diagnostics must be a list or comma-separated names")
     bad = set(diagnostics) - set(DIAGNOSTIC_NAMES)
     if bad:
@@ -107,20 +117,24 @@ def load_config(path):
                           f"available: {DIAGNOSTIC_NAMES}")
     if "pq" in diagnostics and order < 2:
         raise ConfigError("the pq diagnostic needs order >= 2")
+    dofs = _largest_space_dofs(dim, order, levels, coarse_cells, diagnostics)
+    if dofs > MAX_DOFS:
+        raise ConfigError(f"study too large: its largest space has at least {dofs} "
+                          f"dofs, above the limit of {MAX_DOFS}")
 
     tols = {}
     for key in ("newton_tol", "linear_tol"):
         value = data.get(key, 1e-12)
-        if isinstance(value, str):
-            # yaml reads exponent forms like 1e-12 as strings
-            try:
-                value = float(value)
-            except ValueError:
-                raise ConfigError(f"{key} must be a positive finite number") from None
-        if (not isinstance(value, (int, float)) or isinstance(value, bool)
-                or not 0 < value < np.inf):
+        # yaml reads exponent forms like 1e-12 as strings; ints beyond the
+        # float range overflow
+        try:
+            value = (float(value) if isinstance(value, (int, float, str))
+                     and not isinstance(value, bool) else np.nan)
+        except (ValueError, OverflowError):
+            value = np.nan
+        if not 0 < value < np.inf:
             raise ConfigError(f"{key} must be a positive finite number")
-        tols[key] = float(value)
+        tols[key] = value
 
     output_dir = data.get("output_dir", ".")
     if not isinstance(output_dir, str):
@@ -129,6 +143,20 @@ def load_config(path):
     return StudyConfig(problem, dim, order, levels, coarse_cells,
                        tuple(diagnostics), seed, tols["newton_tol"],
                        tols["linear_tol"], output_dir)
+
+
+def _largest_space_dofs(dim, order, levels, coarse_cells, diagnostics):
+    """Dofs of the largest space a study builds: the finest level, or with
+    the adjoint diagnostic its reference space, refined
+    _ADJOINT_LEVELS_FINER more times at order max(m, 2).  Cells per side
+    double with each refinement; beyond 64 refinements, far above any
+    limit, the count is a lower bound."""
+    refinements = levels - 1
+    if "adjoint" in diagnostics:
+        refinements += _ADJOINT_LEVELS_FINER
+        order = max(order, 2)
+    n = coarse_cells << min(refinements, 64)
+    return (n * order + 1) ** dim
 
 
 def _fmt(value):
@@ -263,6 +291,11 @@ def run(config_path):
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    try:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+    except (OSError, ValueError) as err:   # ValueError: a NUL byte in the path
+        print(f"config error: cannot create output_dir: {err}", file=sys.stderr)
+        return EXIT_CONFIG
 
     problem = build_problem(cfg.problem, cfg.dim)
     newton = NewtonOptions(residual_tol=cfg.newton_tol, linear_tol=cfg.linear_tol)
@@ -270,7 +303,6 @@ def run(config_path):
                         diagnostics=cfg.diagnostics, seed=cfg.seed)
     report = convergence_study(problem, cfg.order, cfg.levels, opts)
 
-    os.makedirs(cfg.output_dir, exist_ok=True)
     checks = _evaluate_checks(cfg, report)
     _write_rates_csv(os.path.join(cfg.output_dir, "rates.csv"), report)
     _write_diagnostics_csv(os.path.join(cfg.output_dir, "diagnostics.csv"), report)

@@ -45,6 +45,13 @@ class EnergyModel:
     gradient directions; d3L_dppz with two; d3L_dpzz with one; d3L_dzzz
     takes no direction.  ppp_zero / ppz_zero are structural flags that
     hold identically in (p, z, x), not just at sampled states.
+
+    `forcing` is the f of the -f(x) z term that `with_forcing` adds, None
+    for an unforced model.  A forced model's eval and dL_dz take an
+    optional keyword fx, f already evaluated at x, and evaluate f(x)
+    themselves without it.  Assembly passes fx on the space's own rule,
+    from a per-space cache of f at its quadrature points, so an eval or
+    dL_dz replaced on a forced model must accept fx as well.
     """
 
     name: str
@@ -61,6 +68,7 @@ class EnergyModel:
     d3L_dzzz: callable
     ppp_zero: bool
     ppz_zero: bool
+    forcing: callable = None
 
 
 @dataclass(frozen=True)
@@ -201,15 +209,18 @@ def minimal_surface_model():
 
 
 def with_forcing(model, f, name=None):
-    """Add a -f(x) z term; only the z-derivative of first order changes."""
+    """Add a -f(x) z term; only the z-derivative of first order changes.
 
-    def ev(p, z, x):
-        return model.eval(p, z, x) - f(x) * z
+    The result's `forcing` is f; its eval and dL_dz use fx, f already
+    evaluated at x, when the caller passes it."""
 
-    def dl_dz(p, z, x):
-        return model.dL_dz(p, z, x) - f(x)
+    def ev(p, z, x, fx=None):
+        return model.eval(p, z, x) - (f(x) if fx is None else fx) * z
 
-    return replace(model, eval=ev, dL_dz=dl_dz,
+    def dl_dz(p, z, x, fx=None):
+        return model.dL_dz(p, z, x) - (f(x) if fx is None else fx)
+
+    return replace(model, eval=ev, dL_dz=dl_dz, forcing=f,
                    name=name or model.name,
                    formula=model.formula + " - f u")
 

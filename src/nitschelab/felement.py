@@ -251,30 +251,89 @@ def _collapsed_triangle_rule(degree):
     return QuadRule(2, pts, ww.ravel(), degree)
 
 
+_RULES = {}
+
+
 def quadrature_rule(dim, degree):
-    """Smallest available rule integrating total degree `degree` exactly."""
+    """Smallest available rule integrating total degree `degree` exactly;
+    one read-only rule per (dim, degree) and process."""
     degree = max(int(degree), 1)
-    if dim == 1:
-        n = (degree + 2) // 2
-        x, w = leggauss(n)
-        return QuadRule(1, (0.5 * (x + 1.0))[:, None], 0.5 * w, 2 * n - 1)
-    if dim == 2:
-        return _triangle_rule(degree)
-    raise ValueError(f"dim must be 1 or 2, got {dim}")
+    rule = _RULES.get((dim, degree))
+    if rule is None:
+        if dim == 1:
+            n = (degree + 2) // 2
+            x, w = leggauss(n)
+            rule = QuadRule(1, (0.5 * (x + 1.0))[:, None], 0.5 * w, 2 * n - 1)
+        elif dim == 2:
+            rule = _triangle_rule(degree)
+        else:
+            raise ValueError(f"dim must be 1 or 2, got {dim}")
+        _owned(rule.points)
+        rule.weights.flags.writeable = False
+        _RULES[dim, degree] = rule
+    return rule
 
 
 # sup-norm lattice: 16 points on [0,1]; 13 steps per triangle side,
 # (13+1)(13+2)/2 = 105 points
 _LATTICE_N = {1: 16, 2: 13}
+_LATTICES = {}
 
 
 def sample_lattice(dim):
-    """Dense reference lattice used for sup-norm estimates (>= 10^d points)."""
-    n = _LATTICE_N[dim]
-    if dim == 1:
-        return np.linspace(0.0, 1.0, n)[:, None]
-    pts = [(i / n, j / n) for i in range(n + 1) for j in range(n + 1 - i)]
-    return np.array(pts)
+    """Dense reference lattice used for sup-norm estimates (>= 10^d points);
+    one read-only array per dim and process."""
+    pts = _LATTICES.get(dim)
+    if pts is None:
+        n = _LATTICE_N[dim]
+        if dim == 1:
+            pts = np.linspace(0.0, 1.0, n)[:, None]
+        else:
+            pts = np.array([(i / n, j / n) for i in range(n + 1) for j in range(n + 1 - i)])
+        pts = _LATTICES[dim] = _owned(pts)
+    return pts
+
+
+# ---------------------------------------------------------------------------
+# reference tables
+
+# Tables of a reference basis at a point set the package owns (the rules of
+# quadrature_rule, the sample lattices) are built once per process and kept
+# read-only; any other points (evaluate's) get a fresh table per call, so
+# the cache cannot grow with them.
+_OWNED_POINTS = {}
+_TABLES = {}
+
+
+def _owned(points):
+    """Register a package-made point array: read-only, and kept alive, so
+    its id names it for the life of the process."""
+    points.flags.writeable = False
+    _OWNED_POINTS[id(points)] = points
+    return points
+
+
+def _rule_table(build, basis, pts):
+    """build(basis, pts), once per (build, basis, owned point set)."""
+    if (_OWNED_POINTS.get(id(pts)) is not pts
+            or _BASIS_CACHE.get((basis.dim, basis.order)) is not basis):
+        return build(basis, pts)
+    key = (build, basis.dim, basis.order, id(pts))
+    table = _TABLES.get(key)
+    if table is None:
+        table = _TABLES[key] = build(basis, pts)
+        table.flags.writeable = False
+    return table
+
+
+def _build_reference_table(basis, pts):
+    return np.concatenate([basis.gradients(pts), basis.values(pts)[..., None]], axis=-1)
+
+
+def _reference_table(basis, pts):
+    """(npts, n_local, dim + 1) table of the reference gradients, then the
+    values, of every basis function at every point."""
+    return _rule_table(_build_reference_table, basis, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +348,10 @@ class FESpace:
     elem_dofs : (ne, n_local) local-to-global dof map
     boundary_dofs : sorted indices of dofs on the Dirichlet boundary
     boundary_values : prescribed values at those dofs
+
+    Assembly keeps the forcing of forced energy models at the points of
+    `quad` in a private per-space cache, one entry per forcing callable;
+    it assumes `mesh` and `quad` are never reassigned after construction.
     """
 
     mesh: Mesh
@@ -299,6 +362,8 @@ class FESpace:
     boundary_dofs: np.ndarray
     boundary_values: np.ndarray
     quad: QuadRule = field(repr=False)
+    _forcing_values: dict = field(default_factory=dict, init=False, repr=False,
+                                  compare=False)
 
     def __post_init__(self):
         for arr in (self.dof_coords, self.elem_dofs, self.boundary_dofs,
@@ -424,12 +489,6 @@ def interpolate(space, g):
         bad = int(np.flatnonzero(~np.isfinite(vals))[0])
         raise ValueError(f"non-finite value at node {bad}, coord {space.dof_coords[bad]}")
     return FEFunction(space, vals)
-
-
-def _reference_table(basis, pts):
-    """(npts, n_local, dim + 1) table of the reference gradients, then the
-    values, of every basis function at every point."""
-    return np.concatenate([basis.gradients(pts), basis.values(pts)[..., None]], axis=-1)
 
 
 def tabulate(space, coeffs, ref_pts, sl=slice(None)):

@@ -96,7 +96,7 @@ def linear_solve(op, b, tol=1e-12, max_iters=None):
     LinearSolveError with the final relative residual if the iteration cap
     is reached, or immediately if the operator is found indefinite or
     non-finite (a diagonal entry or a curvature p.Ap that is not a
-    positive finite number).
+    positive finite number) or the preconditioned residual r.z underflows.
     """
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
@@ -129,6 +129,12 @@ def linear_solve(op, b, tol=1e-12, max_iters=None):
             return x
         z = r / diag
         rz_new = float(r @ z)
+        if not rz_new > 0:
+            # r.z underflows to zero long before the residual meets a
+            # tolerance near the bottom of the float range
+            raise LinearSolveError("conjugate gradients broke down: the preconditioned "
+                                   "residual norm underflowed",
+                                   residual=rnorm / bnorm, iterations=it + 1)
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise LinearSolveError(

@@ -8,10 +8,13 @@ from nitschelab.assembly import (AssemblyError, apply_third_variation,
                                  assemble_gram_h1, assemble_gram_l2,
                                  assemble_hessian, assemble_residual,
                                  energy_value, integrate, lq_norm, norms)
-from nitschelab.energy import (build_problem, minimal_surface_model,
+from nitschelab import felement
+from nitschelab.energy import (build_problem, dirichlet_potential_model,
+                               minimal_surface_model, with_forcing,
                                with_zeroed_gradient_blocks)
 from nitschelab.felement import FEFunction, interpolate, make_space
 from nitschelab.mesh import build_unit_mesh
+from nitschelab.solver import minimize
 
 
 @pytest.fixture(scope="module")
@@ -416,3 +419,54 @@ def test_hessian_matches_residual_fd_with_mixed_block(dim):
           - assemble_residual(model, FEFunction(space, v.coeffs - eps * w))) / (2 * eps)
     an = hess.apply(w)
     assert np.abs(fd - an).max() / max(np.abs(an).max(), 1.0) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the per-space forcing cache
+
+
+def test_forcing_cache_shared_by_two_models_is_bitwise_exact(monkeypatch):
+    """Two forced models interleaved on one space, each cached under its own
+    forcing over several chunks, give bitwise the values of a fresh space
+    and of the uncached path (a rule other than the space's)."""
+    monkeypatch.setattr(felement, "CHUNK", 7)
+    mesh = build_unit_mesh(2, 3)
+    models = [build_problem(name, 2).model for name in ("quartic", "cosine")]
+    shared = make_space(mesh, 2, 0.0)
+    other_rule = replace(shared.quad)
+    coeffs = 0.3 * np.random.default_rng(5).standard_normal(shared.dim)
+    for model in models + models[::-1]:
+        fresh = make_space(mesh, 2, 0.0)
+        v, w = FEFunction(shared, coeffs), FEFunction(fresh, coeffs)
+        energy = energy_value(model, v)
+        assert energy == energy_value(model, w) == energy_value(model, v, quad=other_rule)
+        residual = assemble_residual(model, v)
+        assert np.array_equal(residual, assemble_residual(model, w))
+        assert np.array_equal(residual, assemble_residual(model, v, quad=other_rule))
+        assert np.array_equal(assemble_hessian(model, v).toarray(),
+                              assemble_hessian(model, w).toarray())
+    assert set(shared._forcing_values) == {m.forcing for m in models}
+    assert all(len(chunks) == 3 for chunks in shared._forcing_values.values())  # 18 elements
+
+
+def test_forcing_evaluated_once_per_chunk_per_space(monkeypatch):
+    monkeypatch.setattr(felement, "CHUNK", 16)
+    forcing = build_problem("quartic", 1).model.forcing
+    calls = []
+
+    def counting(x):
+        calls.append(len(x))
+        return forcing(x)
+
+    base = dirichlet_potential_model(lambda z: 0.25 * z**4, lambda z: z**3,
+                                     lambda z: 3.0 * z**2, lambda z: 6.0 * z)
+    model = with_forcing(base, counting)
+    space = make_space(build_unit_mesh(1, 64), 1, 0.0)
+    npts = len(space.quad.weights)
+    _, log = minimize(model, space)
+    assert len(log.iterations) > 2
+    assert calls == [16 * npts] * 4
+    minimize(model, space)
+    assert len(calls) == 4
+    minimize(model, make_space(build_unit_mesh(1, 64), 1, 0.0))
+    assert len(calls) == 8

@@ -1,10 +1,19 @@
+import contextlib
 import io
+import os
+import tempfile
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nitschelab import cli
+from nitschelab.analysis import DIAGNOSTIC_NAMES
 from nitschelab.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK,
-                            EXIT_SOLVER, ConfigError, list_problems,
+                            EXIT_SOLVER, MAX_DOFS, ConfigError, list_problems,
                             load_config, main, plot_data, run)
+from nitschelab.energy import PROBLEM_NAMES
 
 
 def write_config(tmp_path, text, name="study.yaml"):
@@ -55,6 +64,14 @@ def test_load_config_comma_separated_diagnostics(tmp_path):
     ("problem: linear\ndim: 1\norder: 1\nlevels: 3\ndiagnostics: [pq]\n", "pq"),
     ("problem: linear\ndim: 1\norder: 1\nlevels: 3\ndiagnostics: [magic]\n",
      "unknown diagnostics"),
+    ("problem: linear\ndim: 1\norder: 1\nlevels: 3\nseed: -1\n", "seed"),
+    ("problem: quartic\ndim: 2\norder: 2\nlevels: 3\nseed: -1\ndiagnostics: [pq]\n",
+     "seed"),
+    ("problem: linear\ndim: 1\norder: 1\nlevels: 3\ndiagnostics: [[galerkin]]\n",
+     "diagnostics"),
+    ("problem: linear\ndim: 1\norder: 1\nlevels: 3\n1: 2\nfoo: 3\n", "unknown"),
+    (f"problem: linear\ndim: 1\norder: 1\nlevels: 3\nnewton_tol: {10**400}\n",
+     "newton_tol"),
 ])
 def test_load_config_rejects(tmp_path, snippet, match):
     with pytest.raises(ConfigError, match=match):
@@ -200,3 +217,151 @@ def test_run_diagnostic_failure_exits_solver(tmp_path, monkeypatch, capsys):
     report = (out / "report.txt").read_text()
     assert "aborted: level 0: eigenvalue iteration stagnated" in report
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dim,order,cells,levels,diagnostics,accepted", [
+    # d=1: 4 * cells * order + 1 dofs after two refinements
+    (1, 1, (MAX_DOFS - 1) // 4, 3, "[]", True),
+    (1, 1, (MAX_DOFS - 1) // 4 + 1, 3, "[]", False),
+    (1, 1, 100_000_000, 3, "[]", False),
+    (1, 3, 8, 10**6, "[]", False),
+    # d=2, adjoint: reference two levels finer at order 2, (32 cells + 1)^2
+    (2, 1, 32, 3, "[]", True),
+    (2, 1, 31, 3, "[adjoint]", True),
+    (2, 1, 32, 3, "[adjoint]", False),
+    (2, 3, 10**30, 3, "[]", False),
+])
+def test_load_config_size_cap(tmp_path, dim, order, cells, levels, diagnostics, accepted):
+    """The largest space of the study is bounded before anything runs;
+    only load_config sees these sizes."""
+    path = write_config(tmp_path, f"problem: quartic\ndim: {dim}\norder: {order}\n"
+                                  f"levels: {levels}\ncoarse_cells: {cells}\n"
+                                  f"diagnostics: {diagnostics}\n")
+    if accepted:
+        assert load_config(path).coarse_cells == cells
+    else:
+        with pytest.raises(ConfigError, match="too large"):
+            load_config(path)
+
+
+def test_run_unwritable_output_dir_is_config_error(tmp_path, monkeypatch, capsys):
+    """An output_dir below a regular file exits 2 before any study work."""
+    def no_study(*args, **kwargs):
+        raise AssertionError("the study ran")
+
+    monkeypatch.setattr(cli, "convergence_study", no_study)
+    blocker = tmp_path / "file"
+    blocker.write_text("data")
+    path = write_config(tmp_path, BASE.format(out=blocker / "out"))
+    assert main(["run", path]) == EXIT_CONFIG
+    assert blocker.read_text() == "data"
+    assert sorted(os.listdir(tmp_path)) == ["file", "study.yaml"]
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text,reason", [
+    # one P1 cell has no interior dofs, so no coercivity constant
+    ("problem: linear\ndim: 1\norder: 1\ncoarse_cells: 1\n"
+     "diagnostics: [ellipticity]\n", "needs interior dofs"),
+    # a tolerance met at the initial guess on both the level and its
+    # reference space leaves the adjoint a zero right-hand side
+    ("problem: linear\ndim: 1\norder: 2\ncoarse_cells: 1\nnewton_tol: 1e300\n"
+     "diagnostics: [adjoint]\n", "zero right-hand side"),
+])
+def test_run_undefined_diagnostic_exits_check_failed(tmp_path, capsys, text, reason):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, f"{text}levels: 3\noutput_dir: {out}\n")
+    assert main(["run", path]) == EXIT_CHECK_FAILED
+    report = (out / "report.txt").read_text()
+    assert "aborted: level 0:" in report and reason in report
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_run_cg_breakdown_exits_solver(tmp_path, capsys):
+    """Tolerances at the bottom of the float range drive the Newton
+    residual into underflow; conjugate gradients stops with a solver
+    failure instead of dividing by zero."""
+    out = tmp_path / "out"
+    path = write_config(tmp_path, f"problem: quartic\ndim: 1\norder: 3\nlevels: 3\n"
+                                  f"coarse_cells: 2\nnewton_tol: 5.0e-324\n"
+                                  f"linear_tol: 1.0e-300\noutput_dir: {out}\n")
+    assert main(["run", path]) == EXIT_SOLVER
+    assert "underflowed" in (out / "report.txt").read_text()
+    assert "Traceback" not in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract over arbitrary flat configs
+
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3),
+    st.integers(-(10**30), 10**30), st.sampled_from([-(2**70), 2**70, 10**400]),
+    st.floats(), st.text(max_size=6), st.lists(st.integers(-1, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+
+# values load_config accepts, weighted towards the runnable ones; only d=1,
+# at most 2 coarse cells and 3 levels are small enough to run
+_VALID = {
+    "problem": st.sampled_from(PROBLEM_NAMES),
+    "dim": st.sampled_from([1, 1, 1, 2]),
+    "order": st.integers(1, 3),
+    "levels": st.sampled_from([3, 3, 3, 4]),
+    "coarse_cells": st.sampled_from([1, 2, 2, 3]),
+    "diagnostics": st.one_of(st.lists(st.sampled_from(DIAGNOSTIC_NAMES), max_size=2),
+                             st.sampled_from(DIAGNOSTIC_NAMES)),
+    "seed": st.one_of(st.integers(0, 20), st.just(2**70)),
+    "newton_tol": st.sampled_from([1e-10, 1e-6, "1e-12", 1e300, 5e-324]),
+    "linear_tol": st.sampled_from([1e-10, 1e-6, "1e-12", 1e-300]),
+    "output_dir": st.sampled_from(["<out>"] * 4 + ["<under file>", "<nul>"]),
+}
+_OUTPUT_DIRS = {"<out>": ("out",), "<under file>": ("file", "out"), "<nul>": ("a\x00b",)}
+
+
+@st.composite
+def flat_configs(draw):
+    """A valid config with, half of the time, some keys set to junk, one
+    key dropped or one unknown key added."""
+    cfg = {key: draw(strategy) for key, strategy in _VALID.items()}
+    keys = st.sampled_from(sorted(_VALID))
+    mutation = draw(st.sampled_from(["none", "none", "junk", "drop", "extra"]))
+    if mutation == "junk":
+        for key in draw(st.sets(keys, min_size=1, max_size=3)):
+            cfg[key] = draw(_JUNK)
+    elif mutation == "drop":
+        del cfg[draw(keys)]
+    elif mutation == "extra":
+        cfg[draw(st.one_of(st.text(max_size=4), st.integers()))] = draw(_JUNK)
+    return cfg
+
+
+@settings(deadline=None, max_examples=100, database=None, derandomize=True)
+@given(flat_configs())
+def test_exit_code_contract(cfg):
+    """Exit code in {0, 1, 2, 3}, nothing written on exit 2, and never a
+    traceback; only accepted configs of the tiny d=1 size are run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "file"), "w") as fh:
+            fh.write("data")
+        if isinstance(cfg.get("output_dir"), str) and cfg["output_dir"] in _OUTPUT_DIRS:
+            cfg["output_dir"] = os.path.join(tmp, *_OUTPUT_DIRS[cfg["output_dir"]])
+        path = os.path.join(tmp, "study.yaml")
+        with open(path, "w") as fh:
+            yaml.safe_dump(cfg, fh)
+        try:
+            loaded = load_config(path)
+        except ConfigError:
+            loaded = None
+        if loaded is not None and not (
+                loaded.dim == 1 and loaded.coarse_cells <= 2 and loaded.levels == 3
+                and os.path.abspath(loaded.output_dir).startswith(tmp + os.sep)):
+            return
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["run", path])
+        assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_SOLVER)
+        assert "Traceback" not in err.getvalue()
+        if code == EXIT_CONFIG:
+            assert sorted(os.listdir(tmp)) == ["file", "study.yaml"]
+            with open(os.path.join(tmp, "file")) as fh:
+                assert fh.read() == "data"

@@ -4,7 +4,7 @@ import pytest
 from nitschelab.assembly import integrate
 from nitschelab.energy import (PROBLEM_NAMES, build_problem, classify,
                                dirichlet_potential_model, el_residual,
-                               minimal_surface_model,
+                               minimal_surface_model, with_forcing,
                                with_zeroed_gradient_blocks)
 from nitschelab.mesh import build_unit_mesh
 
@@ -243,3 +243,35 @@ def test_manufactured_semilinear_api():
         build_problem("cubic", 1)
     with pytest.raises(ValueError):
         build_problem("quartic", 3)
+
+
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_forced_model_takes_its_forcing_as_fx(name, dim):
+    """fx = forcing(x) gives bitwise what eval and dL_dz compute alone."""
+    model = build_problem(name, dim).model
+    p, z, x, _ = random_states(dim, 50, seed=9)
+    fx = model.forcing(x)
+    assert np.array_equal(model.eval(p, z, x, fx=fx), model.eval(p, z, x))
+    assert np.array_equal(model.dL_dz(p, z, x, fx=fx), model.dL_dz(p, z, x))
+
+
+def test_forcing_field_of_nested_forcings():
+    """Only the outer forcing is the model's; the inner one stays inside
+    the inner eval and dL_dz."""
+    def f1(x):
+        return np.cos(x[:, 0])
+
+    def f2(x):
+        return x[:, 0] ** 2
+
+    base = quartic_model()
+    assert base.forcing is None
+    model = with_forcing(with_forcing(base, f1), f2)
+    assert model.forcing is f2
+    p, z, x, _ = random_states(1, 30, seed=4)
+    want = base.dL_dz(p, z, x) - f1(x) - f2(x)
+    assert np.array_equal(model.dL_dz(p, z, x, fx=f2(x)), want)
+    assert np.array_equal(model.dL_dz(p, z, x), want)
+    assert np.array_equal(model.eval(p, z, x, fx=f2(x)), model.eval(p, z, x))
+    assert with_zeroed_gradient_blocks(model).forcing is f2

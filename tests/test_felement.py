@@ -3,6 +3,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+from nitschelab import assembly, felement
 from nitschelab.felement import (FEFunction, check_inverse_estimate, evaluate,
                                  interpolate, make_space, quadrature_rule,
                                  reference_basis, sample_lattice, tabulate)
@@ -318,3 +319,37 @@ def test_sup_norm_and_inverse_ratio_independent_of_chunk_size(dim, order, monkey
     assert space.mesh.num_elements > 5
     assert norms(None, v, q=np.inf).w1q == pytest.approx(sup, rel=1e-13)
     assert check_inverse_estimate(space, 2, seed=9) == pytest.approx(ratio, rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# reference tables, once per basis and rule
+
+
+@pytest.mark.parametrize("dim,order", [(1, 3), (2, 2)])
+def test_reference_tables_built_once_per_basis_and_rule(dim, order):
+    basis = reference_basis(dim, order)
+    rule = quadrature_rule(dim, 8)
+    assert quadrature_rule(dim, 8) is rule and sample_lattice(dim) is sample_lattice(dim)
+    for build in (felement._reference_table, assembly._outer_table):
+        for pts in (rule.points, sample_lattice(dim)):
+            table = build(basis, pts)
+            assert build(basis, pts) is table
+            assert not table.flags.writeable
+            # the same values as a table built afresh from unowned points
+            assert np.array_equal(table, build(basis, pts.copy()))
+    assert not rule.points.flags.writeable and not rule.weights.flags.writeable
+
+
+def test_evaluate_leaves_table_cache_unchanged():
+    """One-off points are tabulated afresh, never cached."""
+    space = make_space(build_unit_mesh(2, 2), 2, 0.0)
+    f = interpolate(space, lambda x: x[:, 0] * x[:, 1] + x[:, 1] ** 2)
+    tabulate(space, f.coeffs, space.quad.points)
+    before = len(felement._TABLES), len(felement._OWNED_POINTS)
+    rng = np.random.default_rng(3)
+    for _ in range(1000):
+        a, b = rng.uniform(size=2)
+        element = int(rng.integers(space.mesh.num_elements))
+        val, _ = evaluate(f, element, [a * (1 - b), b])
+        assert np.isfinite(val)
+    assert (len(felement._TABLES), len(felement._OWNED_POINTS)) == before
