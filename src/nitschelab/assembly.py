@@ -8,16 +8,34 @@ deterministic for a given problem size and BLAS build and reruns are
 byte-identical; they are not bitwise equal to an evaluation that
 contracts in another order.
 
-Two caches keep data that depends only on the rule or on x out of the
-chunk loops; neither changes a value.  The reference and outer-product
-tables are built once per (basis, point set) and process, for the rules
-of `quadrature_rule` and the sample lattices (`felement._rule_table`).
-The forcing of a forced model (`EnergyModel.forcing`) is evaluated once
-per (space, forcing, chunk) at the space's own quadrature points and
-kept on the space; `energy_value` and `assemble_residual` pass it to
-`eval` and `dL_dz` as fx.  Physical points are recomputed per call.
-Dirichlet conditions are imposed by identity-masking boundary rows and
-columns, which keeps the operators symmetric on the constrained space.
+For a `quadratic_gradient` model (L = 0.5|p|^2 + G(z, x), the
+semilinear class) the second variation is the Laplace stiffness K plus
+the mass weighted by d2L_dzz.  `assemble_hessian` then adds K to one
+product of the weighted d2L_dzz with the mass column of the outer-product
+table, and `assemble_residual` takes K v (summed as differences, see
+`_stiffness_product`) plus the values-only dL_dz flux; neither tabulates
+gradients.  Every other model takes the generic
+path, which evaluates all derivative blocks.  `energy_value` and
+`apply_third_variation` always evaluate the full density.
+
+Three caches keep data that depends only on the rule, on x or on the
+space out of the element loops; none changes a value it serves.
+  * The reference and outer-product tables are built once per (basis,
+    point set) and process, for the rules of `quadrature_rule` and the
+    sample lattices (`felement._rule_table`).
+  * The forcing of a forced model (`EnergyModel.forcing`) is evaluated
+    once per (space, forcing, chunk) at the space's own quadrature
+    points and kept in `FESpace._forcing_values`; `energy_value` and
+    `assemble_residual` pass it to `eval` and `dL_dz` as fx.
+  * `FESpace._operators` holds the space's CSR skeleton: the unmasked
+    and masked patterns and the data index of every local entry, so
+    every operator is one `np.bincount` of its element matrices.  It
+    also holds the data of the unmasked stiffness K, one per
+    package-owned point set; other point sets get a fresh K per call.
+Physical points are recomputed per call.  Dirichlet conditions are
+imposed by identity-masking boundary rows and columns, which keeps the
+operators symmetric on the constrained space; a masked operator keeps
+every interior entry of the unmasked pattern, explicit zeros included.
 """
 
 from dataclasses import dataclass
@@ -25,8 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .felement import (FEFunction, ReferenceBasis, _chunks, _reference_table,
-                       _rule_table, quadrature_rule, sample_lattice, tabulate)
+from .felement import (FEFunction, ReferenceBasis, _chunks, _is_owned,
+                       _reference_table, _rule_table, quadrature_rule,
+                       sample_lattice, tabulate)
 
 __all__ = [
     "SparseOperator",
@@ -87,23 +106,26 @@ class NormReport:
 
 
 def _quadrature(mesh, points, weights=None):
-    """Element chunks with their physical points (n, npts, d) and the
-    physical weights |T_h|/|T| * w (n, npts); None without `weights`."""
+    """Element chunks with their physical points (n, npts, d), C-contiguous
+    so that flattening them is a view, and the physical weights
+    |T_h|/|T| * w (n, npts); None without `weights`."""
     vol = np.abs(mesh.det_jac) ** -1               # |det DF_h^{-1}| = |T_h|/|T|
     d, npts = mesh.dim, len(points)
     for sl in _chunks(mesh.num_elements, npts):
         v0 = mesh.vertices[mesh.elements[sl, 0]]
         # B xi for every element and point in one product, rows (e, i),
-        # then shifted in place
-        x = (mesh.inv_jac[sl].reshape(-1, d) @ points.T).reshape(-1, d, npts).transpose(0, 2, 1)
-        x += v0[:, None, :]
+        # shifted into (e, q, i) order one coordinate at a time
+        bx = (mesh.inv_jac[sl].reshape(-1, d) @ points.T).reshape(-1, d, npts)
+        x = np.empty((len(bx), npts, d))
+        for i in range(d):
+            np.add(bx[:, i], v0[:, i, None], out=x[:, :, i])
         yield sl, x, None if weights is None else vol[sl][:, None] * weights
 
 
 def _outer_table(basis, points):
     """(npts, (d+1)^2, n_local^2) products tab[q, l, b] tab[q, k, c] of the
     reference table, row (b, c) and column (l, k) at point q; built once
-    per basis and rule."""
+    per basis and rule.  Its last column (l = k = d) is the mass table."""
     return _rule_table(_build_outer_table, basis, points)
 
 
@@ -139,6 +161,18 @@ def _batch(vals, grads, x):
     return grads.reshape(-1, d), vals.ravel(), x.reshape(-1, d)
 
 
+def _pull(a, jac):
+    """a J^T on every element, for a (e, q, ..., d) and J (e, d, d): d
+    broadcast products, where a batched matmul would make one tiny BLAS
+    call per element."""
+    d = jac.shape[-1]
+    shape = (len(jac),) + (1,) * (a.ndim - 2) + (d,)
+    out = a[..., 0, None] * jac[:, :, 0].reshape(shape)
+    for i in range(1, d):
+        out += a[..., i, None] * jac[:, :, i].reshape(shape)
+    return out
+
+
 def energy_value(model, v, quad=None):
     """Total energy of a discrete function by element-wise quadrature.
 
@@ -155,24 +189,34 @@ def energy_value(model, v, quad=None):
 
 
 def assemble_residual(model, v, quad=None, mask=True):
-    """First-variation vector; boundary test entries are masked to zero."""
+    """First-variation vector; boundary test entries are masked to zero.
+
+    For a `quadratic_gradient` model the gradient part is K v with the
+    space's cached stiffness K, and only the values flux dL_dz enters the
+    element loop."""
     space = v.space
     rule = quad or space.quad
-    d = space.mesh.dim
+    d, nloc = space.mesh.dim, space.basis.n_local
+    split = model.quadratic_gradient
     tab = _reference_table(space.basis, rule.points)            # (nq, nloc, d+1)
-    tab = tab.transpose(0, 2, 1).reshape(-1, space.basis.n_local)   # rows (q, c)
-    out = np.zeros(space.dim)
+    if split:
+        tab = tab[..., -1:]
+    tab = tab.transpose(0, 2, 1).reshape(-1, nloc)              # rows (q, c)
+    out = _stiffness_product(space, rule, v.coeffs) if split else np.zeros(space.dim)
     for sl, x, wq, kw in _density_chunks(model, space, rule):
-        vals, grads = tabulate(space, v.coeffs, rule.points, sl)
-        flat = _batch(vals, grads, x)
-        # weighted flux [dL_dp J^T, dL_dz] w against the reference table
-        jac = space.mesh.jac[sl]
-        flux = np.empty(wq.shape + (d + 1,))
-        flux[..., :d] = model.dL_dp(*flat).reshape(grads.shape) @ jac.transpose(0, 2, 1)
-        flux[..., d] = model.dL_dz(*flat, **kw).reshape(wq.shape)
+        if split:
+            vals, _ = tabulate(space, v.coeffs, rule.points, sl, gradients=False)
+            flux = model.dL_dz(None, vals.ravel(), x.reshape(-1, d), **kw).reshape(wq.shape)
+        else:
+            # weighted flux [dL_dp J^T, dL_dz] against the reference table
+            vals, grads = tabulate(space, v.coeffs, rule.points, sl)
+            flat = _batch(vals, grads, x)
+            flux = np.empty(wq.shape + (d + 1,))
+            flux[..., :d] = _pull(model.dL_dp(*flat).reshape(grads.shape), space.mesh.jac[sl])
+            flux[..., d] = model.dL_dz(*flat, **kw).reshape(wq.shape)
         if not np.all(np.isfinite(flux)):
             raise AssemblyError("non-finite density derivative during residual assembly")
-        flux *= wq[..., None]
+        flux = flux * wq.reshape(wq.shape + (1,) * (flux.ndim - 2))
         r_loc = flux.reshape(len(flux), -1) @ tab
         out += np.bincount(space.elem_dofs[sl].ravel(), weights=r_loc.ravel(),
                            minlength=space.dim)
@@ -182,34 +226,49 @@ def assemble_residual(model, v, quad=None, mask=True):
 
 
 def assemble_hessian(model, v, quad=None, mask=True):
-    """Second-variation operator at state v, all four derivative blocks.
+    """Second-variation operator at state v.
 
-    At every point the blocks form one weighted coefficient matrix
-    [[J d2pp J^T, J d2pz], [(J d2pz)^T, d2zz]] w of size d+1, and the
-    local matrices are its product with the outer-product table.
+    At every point the derivative blocks form one weighted coefficient
+    matrix [[J d2pp J^T, J d2pz], [(J d2pz)^T, d2zz]] w of size d+1, and
+    the local matrices are its product with the outer-product table.  For
+    a `quadratic_gradient` model the operator is the space's cached
+    stiffness plus the d2zz-weighted mass, the product of d2zz w alone
+    with the table's mass column.
     """
     space = v.space
     rule = quad or space.quad
     d, nloc = space.mesh.dim, space.basis.n_local
-    outer = _outer_table(space.basis, rule.points).reshape(-1, nloc * nloc)
+    split = model.quadratic_gradient
+    outer = _outer_table(space.basis, rule.points)
+    outer = outer[:, -1] if split else outer.reshape(-1, nloc * nloc)
     loc = np.empty((space.mesh.num_elements, nloc, nloc))
     for sl, x, wq in _quadrature(space.mesh, rule.points, rule.weights):
-        vals, grads = tabulate(space, v.coeffs, rule.points, sl)
-        flat = _batch(vals, grads, x)
-        jac = space.mesh.jac[sl]
-        # (J kron J)[(a, b), (i, j)] = J[a, i] J[b, j]: d2pp pulled back in one product
-        jj = (jac[:, :, None, :, None] * jac[:, None, :, None, :]).reshape(-1, d * d, d * d)
-        coef = np.empty(wq.shape + (d + 1, d + 1))
-        coef[..., :d, :d] = (model.d2L_dpp(*flat).reshape(wq.shape + (d * d,))
-                             @ jj.transpose(0, 2, 1)).reshape(wq.shape + (d, d))
-        coef[..., :d, d] = model.d2L_dpz(*flat).reshape(grads.shape) @ jac.transpose(0, 2, 1)
-        coef[..., d, :d] = coef[..., :d, d]
-        coef[..., d, d] = model.d2L_dzz(*flat).reshape(wq.shape)
+        if split:
+            vals, _ = tabulate(space, v.coeffs, rule.points, sl, gradients=False)
+            coef = model.d2L_dzz(None, vals.ravel(), x.reshape(-1, d)).reshape(wq.shape)
+        else:
+            coef = _coefficients(model, tabulate(space, v.coeffs, rule.points, sl),
+                                 x, space.mesh.jac[sl])
         if not np.all(np.isfinite(coef)):
             raise AssemblyError("non-finite density derivative during hessian assembly")
-        coef *= wq[..., None, None]
+        coef = coef * wq.reshape(wq.shape + (1,) * (coef.ndim - 2))
         loc[sl] = (coef.reshape(len(coef), -1) @ outer).reshape(-1, nloc, nloc)
-    return _scatter(space, loc, mask)
+    return _scatter(space, loc, mask, _stiffness(space, rule) if split else None)
+
+
+def _coefficients(model, state, x, jac):
+    """(e, q, d+1, d+1) unweighted coefficient matrices of every block."""
+    vals, grads = state
+    flat = _batch(vals, grads, x)
+    d = x.shape[-1]
+    coef = np.empty(vals.shape + (d + 1, d + 1))
+    # J d2pp J^T = (J (d2pp J^T)^T)^T
+    pp = _pull(model.d2L_dpp(*flat).reshape(grads.shape + (d,)), jac)
+    coef[..., :d, :d] = _pull(pp.swapaxes(2, 3), jac).swapaxes(2, 3)
+    coef[..., :d, d] = _pull(model.d2L_dpz(*flat).reshape(grads.shape), jac)
+    coef[..., d, :d] = coef[..., :d, d]
+    coef[..., d, d] = model.d2L_dzz(*flat).reshape(vals.shape)
+    return coef
 
 
 def apply_third_variation(model, v, fu, fv, fw, quad=None):
@@ -244,51 +303,137 @@ def apply_third_variation(model, v, fu, fv, fw, quad=None):
     return total
 
 
-def _geometric_local(space, rule, with_stiffness):
-    """Element Gram matrices: the per-element coefficient matrix
-    [[J J^T, 0], [0, 1]] |T_h|/|T| (no J J^T block without stiffness)
-    times the weighted outer-product table of the reference basis."""
+def _geometric_local(space, rule, stiffness=True, mass=True):
+    """Element matrices of the Laplace stiffness, the mass or their sum:
+    the per-element coefficient matrix [[J J^T, 0], [0, 1]] |T_h|/|T|,
+    less the blocks left out, times the weighted outer-product table of
+    the reference basis."""
     mesh = space.mesh
     d, nloc = mesh.dim, space.basis.n_local
     table = np.tensordot(rule.weights, _outer_table(space.basis, rule.points), axes=1)
     coef = np.zeros((mesh.num_elements, d + 1, d + 1))
-    if with_stiffness:
-        coef[:, :d, :d] = mesh.jac @ mesh.jac.transpose(0, 2, 1)
-    coef[:, d, d] = 1.0
+    if stiffness:
+        coef[:, :d, :d] = _pull(mesh.jac, mesh.jac)
+    if mass:
+        coef[:, d, d] = 1.0
     coef *= (np.abs(mesh.det_jac) ** -1)[:, None, None]
     return (coef.reshape(len(coef), -1) @ table).reshape(-1, nloc, nloc)
 
 
-def _scatter(space, loc, mask=False):
-    """Global operator from element matrices (ne, nloc, nloc); `mask`
-    replaces the Dirichlet rows and columns by the identity."""
-    nloc = space.basis.n_local
-    ed = space.elem_dofs
-    mat = sp.coo_matrix(
-        (loc.ravel(),
-         (np.repeat(ed, nloc, axis=1).ravel(), np.tile(ed, (1, nloc)).ravel())),
-        shape=(space.dim, space.dim)).tocsr()
+@dataclass(frozen=True)
+class _Skeleton:
+    """CSR pattern of every operator on a space, arrays read-only.
+
+    `position[e, b, c]` is the index in the unmasked pattern (indptr,
+    indices; `rows` holds the row of every entry) of the entry that
+    element e's local entry (b, c) adds to.  The masked pattern keeps the
+    unmasked entries `take` (interior rows and columns, and the diagonal),
+    and its boundary rows hold only their diagonal, at `boundary_diagonal`.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    rows: np.ndarray
+    position: np.ndarray
+    masked_indptr: np.ndarray
+    masked_indices: np.ndarray
+    take: np.ndarray
+    boundary_diagonal: np.ndarray
+
+    def __post_init__(self):
+        for arr in vars(self).values():
+            arr.flags.writeable = False
+
+
+def _skeleton(space):
+    """The space's skeleton, built on first use."""
+    skeleton = space._operators.get("skeleton")
+    if skeleton is None:
+        skeleton = space._operators["skeleton"] = _build_skeleton(space)
+    return skeleton
+
+
+def _build_skeleton(space):
+    n, ed = space.dim, space.elem_dofs
+    keys, position = np.unique(ed[:, :, None] * n + ed[:, None, :], return_inverse=True)
+    rows, cols = np.divmod(keys, n)
+    interior = space.interior_mask
+    take = np.flatnonzero(interior[rows] & interior[cols] | (rows == cols))
+    index = np.int32 if len(keys) <= np.iinfo(np.int32).max else np.int64
+    bounds = np.arange(n + 1)
+    masked_indptr = np.searchsorted(rows[take], bounds).astype(index)
+    return _Skeleton(np.searchsorted(rows, bounds).astype(index), cols.astype(index), rows,
+                     position.ravel(), masked_indptr, cols[take].astype(index), take,
+                     masked_indptr[space.boundary_dofs])
+
+
+def _scatter_data(space, loc):
+    """Data of the unmasked operator with element matrices (ne, nloc, nloc):
+    one bincount into the space's skeleton."""
+    skeleton = _skeleton(space)
+    return np.bincount(skeleton.position, weights=loc.ravel(),
+                       minlength=len(skeleton.indices))
+
+
+def _scatter(space, loc, mask=False, base=None):
+    """Global operator from element matrices (ne, nloc, nloc), plus `base`,
+    data on the unmasked pattern, when given.  `mask` replaces the
+    Dirichlet rows and columns by the identity."""
+    skeleton = _skeleton(space)
+    data = _scatter_data(space, loc)
+    if base is not None:
+        data += base
+    indices, indptr = skeleton.indices, skeleton.indptr
     if mask:
-        # in place on the CSR arrays: zero every entry in a boundary row or
-        # column, put ones on the boundary diagonal (every dof couples to
-        # itself, so no entry is inserted), then drop the stored zeros
-        keep = space.interior_mask
-        mat.data *= np.repeat(keep, np.diff(mat.indptr)) & keep[mat.indices]
-        diag = mat.diagonal()
-        diag[space.boundary_dofs] = 1.0
-        mat.setdiag(diag)
-        mat.eliminate_zeros()
-    return SparseOperator(mat)
+        data = data[skeleton.take]
+        data[skeleton.boundary_diagonal] = 1.0
+        indices, indptr = skeleton.masked_indices, skeleton.masked_indptr
+    # the operator owns its index arrays, so changing it in place leaves
+    # the skeleton intact
+    return SparseOperator(sp.csr_matrix((data, indices.copy(), indptr.copy()),
+                                        shape=(space.dim, space.dim)))
+
+
+def _stiffness(space, rule):
+    """Data of the unmasked Laplace stiffness of the space under `rule` on
+    its skeleton (read-only), kept on the space for each package-owned
+    point set."""
+    if not _is_owned(rule.points):
+        return _build_stiffness(space, rule)
+    cache = space._operators.setdefault("stiffness", {})
+    weights, stiffness = cache.get(id(rule.points), (None, None))
+    if weights is not rule.weights:
+        stiffness = _build_stiffness(space, rule)
+        cache[id(rule.points)] = (rule.weights, stiffness)
+    return stiffness
+
+
+def _build_stiffness(space, rule):
+    stiffness = _scatter_data(space, _geometric_local(space, rule, mass=False))
+    stiffness.flags.writeable = False
+    return stiffness
+
+
+def _stiffness_product(space, rule, coeffs):
+    """K v, summed as sum_j K_ij (v_j - v_i): the rows of K sum to zero
+    because the basis sums to one.  The plain product cancels O(1) terms
+    and leaves a converged residual about ten times the rounding noise of
+    the element-wise gradient flux; differencing first keeps it at that
+    size, and with it the CG iteration counts of the last Newton steps."""
+    skeleton = _skeleton(space)
+    diff = coeffs[skeleton.indices] - coeffs[skeleton.rows]
+    return np.bincount(skeleton.rows, weights=_stiffness(space, rule) * diff,
+                       minlength=space.dim)
 
 
 def assemble_gram_l2(space, quad=None):
     """Unmasked mass matrix; row sums reproduce the basis integrals."""
-    return _scatter(space, _geometric_local(space, quad or space.quad, False))
+    return _scatter(space, _geometric_local(space, quad or space.quad, stiffness=False))
 
 
 def assemble_gram_h1(space, quad=None):
     """Unmasked H^1 Gram (mass plus Laplace stiffness)."""
-    return _scatter(space, _geometric_local(space, quad or space.quad, True))
+    return _scatter(space, _geometric_local(space, quad or space.quad))
 
 
 def lq_norm(v, q):

@@ -228,27 +228,32 @@ def _evaluate_checks(cfg, report):
 
     threshold = 100.0 * (cfg.newton_tol + cfg.linear_tol)
     for diag in sorted(report.diagnostics):
-        entries = report.diagnostics[diag]
-        if diag == "galerkin":
-            worst = max((e[1] for e in entries), default=0.0)
+        # the first value of every entry is the one checked
+        values = [e[1] for e in report.diagnostics[diag]]
+        if not values:
+            # an enabled diagnostic that recorded nothing certifies nothing
+            checks.append((diag, False, "no data"))
+        elif diag == "galerkin":
+            worst = max(values)
             checks.append(("galerkin", worst <= threshold,
                            f"max defect {_fmt(worst)} <= {_fmt(threshold)}"))
         elif diag == "adjoint":
-            worst = max((e[1] for e in entries), default=0.0)
+            worst = max(values)
             checks.append(("adjoint", worst < 0.05,
                            f"max identity residual {_fmt(worst)} < 0.05"))
         elif diag == "ellipticity":
-            worst = min((e[1] for e in entries), default=1.0)
+            worst = min(values)
             checks.append(("ellipticity", worst > 0,
                            f"min lambda_min {_fmt(worst)} > 0"))
         elif diag == "pq":
-            ratios = [e[1] for e in entries]
-            growth = max(ratios) / ratios[0] if ratios and ratios[0] > 0 else 0.0
-            checks.append(("pq", growth < 2.0,
-                           f"growth factor {_fmt(growth)} < 2"))
+            if max(values) == 0.0:
+                checks.append(("pq", True, "every ratio is 0: the third variation vanishes"))
+            else:
+                growth = max(values) / values[0] if values[0] > 0 else np.inf
+                checks.append(("pq", growth < 2.0,
+                               f"growth factor {_fmt(growth)} < 2"))
         elif diag == "inverse_estimate":
-            ratios = [e[1] for e in entries]
-            spread = max(ratios) / min(ratios) - 1.0 if ratios else 0.0
+            spread = max(values) / min(values) - 1.0
             checks.append(("inverse_estimate", spread < 0.10,
                            f"level spread {_fmt(spread)} < 0.1"))
     return checks

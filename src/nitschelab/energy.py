@@ -52,6 +52,16 @@ class EnergyModel:
     themselves without it.  Assembly passes fx on the space's own rule,
     from a per-space cache of f at its quadrature points, so an eval or
     dL_dz replaced on a forced model must accept fx as well.
+
+    `quadratic_gradient` declares L = 0.5|p|^2 + G(z, x): dL_dp is p,
+    d2L_dpp the identity, d2L_dpz zero, and dL_dz and d2L_dzz never read
+    p.  Assembly then takes the gradient part of the residual and the
+    Hessian from the space's cached Laplace stiffness, calls dL_dz and
+    d2L_dzz with p=None, and never calls dL_dp, d2L_dpp or d2L_dpz.  Only
+    `dirichlet_potential_model` sets it, and a copy whose p-derivatives
+    are replaced must clear it.  It is declared, never inferred from
+    ppp_zero / ppz_zero, which `with_zeroed_gradient_blocks` also sets
+    on the quasilinear minimal-surface model.
     """
 
     name: str
@@ -69,6 +79,7 @@ class EnergyModel:
     ppp_zero: bool
     ppz_zero: bool
     forcing: callable = None
+    quadratic_gradient: bool = False
 
 
 @dataclass(frozen=True)
@@ -98,9 +109,10 @@ def dirichlet_potential_model(psi, dpsi, d2psi, d3psi, f=None, name="potential",
     """Density 0.5|p|^2 + psi(z) - f(x) z.
 
     The p-Hessian is the identity and every third derivative touching p
-    vanishes, so the Euler-Lagrange system is semilinear.  The psi
-    derivatives are cross-checked against finite differences of psi at
-    construction to catch inconsistent inputs early.
+    vanishes, so the Euler-Lagrange system is semilinear; the model is
+    marked `quadratic_gradient`.  The psi derivatives are cross-checked
+    against finite differences of psi at construction to catch
+    inconsistent inputs early.
     """
     _check_potential_derivatives(psi, dpsi, d2psi, d3psi)
     fz = f if f is not None else (lambda x: np.zeros(len(np.atleast_2d(x))))
@@ -139,7 +151,7 @@ def dirichlet_potential_model(psi, dpsi, d2psi, d3psi, f=None, name="potential",
 
     return EnergyModel(name, formula, ev, dl_dp, dl_dz, d2_pp, d2_pz, d2_zz,
                        d3_zero3, d3_zero2, d3_zero1, d3_zzz,
-                       ppp_zero=True, ppz_zero=True)
+                       ppp_zero=True, ppz_zero=True, quadratic_gradient=True)
 
 
 def _check_potential_derivatives(psi, dpsi, d2psi, d3psi, tol=1e-4):

@@ -313,10 +313,13 @@ def _owned(points):
     return points
 
 
+def _is_owned(points):
+    return _OWNED_POINTS.get(id(points)) is points
+
+
 def _rule_table(build, basis, pts):
     """build(basis, pts), once per (build, basis, owned point set)."""
-    if (_OWNED_POINTS.get(id(pts)) is not pts
-            or _BASIS_CACHE.get((basis.dim, basis.order)) is not basis):
+    if not _is_owned(pts) or _BASIS_CACHE.get((basis.dim, basis.order)) is not basis:
         return build(basis, pts)
     key = (build, basis.dim, basis.order, id(pts))
     table = _TABLES.get(key)
@@ -349,9 +352,13 @@ class FESpace:
     boundary_dofs : sorted indices of dofs on the Dirichlet boundary
     boundary_values : prescribed values at those dofs
 
-    Assembly keeps the forcing of forced energy models at the points of
-    `quad` in a private per-space cache, one entry per forcing callable;
-    it assumes `mesh` and `quad` are never reassigned after construction.
+    Assembly keeps two private per-space caches, built on first use:
+    the forcing of forced energy models at the points of `quad`, one
+    entry per forcing callable, and the operator data of `assembly`: the
+    CSR skeleton shared by every operator on the space (masked and
+    unmasked) and the Laplace stiffness, one per package-owned point set.
+    Both assume `mesh`, `quad` and the dof arrays are never reassigned
+    after construction.
     """
 
     mesh: Mesh
@@ -364,6 +371,8 @@ class FESpace:
     quad: QuadRule = field(repr=False)
     _forcing_values: dict = field(default_factory=dict, init=False, repr=False,
                                   compare=False)
+    _operators: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     def __post_init__(self):
         for arr in (self.dof_coords, self.elem_dofs, self.boundary_dofs,
@@ -491,12 +500,16 @@ def interpolate(space, g):
     return FEFunction(space, vals)
 
 
-def tabulate(space, coeffs, ref_pts, sl=slice(None)):
+def tabulate(space, coeffs, ref_pts, sl=slice(None), gradients=True):
     """Values (ne, npts) and physical gradients (ne, npts, dim) of the
     coefficient vector `coeffs` at shared reference points on the elements
-    selected by `sl`; every FE evaluation in the package goes through here."""
+    selected by `sl`; every FE evaluation in the package goes through here.
+    Without `gradients` only the values are computed, and None stands in
+    for the gradients."""
     local = np.asarray(coeffs)[space.elem_dofs[sl]]            # (ne, nloc)
     tab = _reference_table(space.basis, ref_pts)
+    if not gradients:
+        return local @ tab[:, :, -1].T, None
     npts, nloc, m = tab.shape
     ref = (local @ tab.transpose(1, 0, 2).reshape(nloc, -1)).reshape(-1, npts, m)
     return ref[..., -1], ref[..., :-1] @ space.mesh.jac[sl]

@@ -8,7 +8,7 @@ from nitschelab.assembly import (AssemblyError, apply_third_variation,
                                  assemble_gram_h1, assemble_gram_l2,
                                  assemble_hessian, assemble_residual,
                                  energy_value, integrate, lq_norm, norms)
-from nitschelab import felement
+from nitschelab import assembly, felement
 from nitschelab.energy import (build_problem, dirichlet_potential_model,
                                minimal_surface_model, with_forcing,
                                with_zeroed_gradient_blocks)
@@ -470,3 +470,141 @@ def test_forcing_evaluated_once_per_chunk_per_space(monkeypatch):
     assert len(calls) == 4
     minimize(model, make_space(build_unit_mesh(1, 64), 1, 0.0))
     assert len(calls) == 8
+
+
+# ---------------------------------------------------------------------------
+# the semilinear split: cached stiffness plus the d2zz-weighted mass
+
+
+def _raises(*args, **kwargs):
+    raise AssertionError("the split path read a gradient block")
+
+
+@pytest.mark.parametrize("name", ["linear", "quartic", "cosine"])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_split_matches_generic_path(name, dim, order):
+    model = build_problem(name, dim).model
+    assert model.quadratic_gradient
+    generic = replace(model, quadratic_gradient=False)
+    # the split never calls the gradient blocks it replaces
+    split = replace(model, dL_dp=_raises, d2L_dpp=_raises, d2L_dpz=_raises)
+    space = make_space(build_unit_mesh(dim, 7 if dim == 1 else 3), order,
+                       build_problem(name, dim).boundary_fn)
+    for seed in (0, 1):
+        v = FEFunction(space, np.random.default_rng(seed).standard_normal(space.dim))
+        for mask in (True, False):
+            want = assemble_hessian(generic, v, mask=mask).toarray()
+            got = assemble_hessian(split, v, mask=mask).toarray()
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+            want = assemble_residual(generic, v, mask=mask)
+            got = assemble_residual(split, v, mask=mask)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_quasilinear_models_never_take_the_split(dim, monkeypatch):
+    monkeypatch.setattr(assembly, "_stiffness", _raises)
+    space = make_space(build_unit_mesh(dim, 4), 2, 0.0)
+    v = smooth_state(space, seed=3)
+    base = build_problem("minimal_surface", dim).model
+    for model in (base, with_zeroed_gradient_blocks(base)):
+        assert not model.quadratic_gradient
+        calls = []
+        counted = replace(model, d2L_dpp=lambda *a: calls.append(1) or model.d2L_dpp(*a))
+        assemble_hessian(counted, v)
+        assemble_residual(counted, v)
+        assert calls
+
+
+def test_with_zeroed_gradient_blocks_keeps_the_split_on_semilinear_models():
+    model = build_problem("quartic", 1).model
+    assert with_zeroed_gradient_blocks(model).quadratic_gradient
+
+
+# ---------------------------------------------------------------------------
+# the per-space CSR skeleton
+
+
+def coo_reference(space, loc, mask):
+    """The operator as summed through COO, masked by zeroing boundary rows
+    and columns and putting ones on the boundary diagonal."""
+    nloc, ed = space.basis.n_local, space.elem_dofs
+    mat = sp.coo_matrix(
+        (loc.ravel(), (np.repeat(ed, nloc, axis=1).ravel(), np.tile(ed, (1, nloc)).ravel())),
+        shape=(space.dim, space.dim)).tocsr()
+    if mask:
+        keep = space.interior_mask
+        mat.data *= np.repeat(keep, np.diff(mat.indptr)) & keep[mat.indices]
+        diag = mat.diagonal()
+        diag[space.boundary_dofs] = 1.0
+        mat.setdiag(diag)
+    return mat
+
+
+@pytest.mark.parametrize("dim,order", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)])
+def test_scatter_matches_coo_reference(dim, order):
+    space = make_space(build_unit_mesh(dim, 5 if dim == 1 else 3), order, 0.0)
+    rng = np.random.default_rng(order)
+    nloc = space.basis.n_local
+    # small integers sum exactly in any order; whole zero elements and
+    # entries that cancel leave exact zeros in the sum
+    loc = rng.integers(-3, 4, size=(space.mesh.num_elements, nloc, nloc)).astype(float)
+    loc[::3] = 0.0
+    loc[1, 0, 1], loc[2, 0, 1] = 1.0, -1.0
+    for mask in (False, True):
+        want = coo_reference(space, loc, mask)
+        got = assembly._scatter(space, loc, mask).matrix
+        assert np.array_equal(got.toarray(), want.toarray())
+        assert got.has_canonical_format
+        if not mask:
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.data, want.data)
+    # the masked pattern is the unmasked one less the boundary couplings
+    full = assembly._scatter(space, loc).matrix.tocoo()
+    keep = space.interior_mask
+    expected = np.count_nonzero(keep[full.row] & keep[full.col] | (full.row == full.col))
+    assert assembly._scatter(space, loc, mask=True).matrix.nnz == expected
+
+
+def test_operators_own_their_index_arrays():
+    space = make_space(build_unit_mesh(2, 3), 2, 0.0)
+    loc = np.zeros((space.mesh.num_elements, 6, 6))
+    first = assembly._scatter(space, loc, mask=True).matrix
+    first.eliminate_zeros()
+    again = assembly._scatter(space, np.ones_like(loc), mask=True).matrix
+    assert np.array_equal(again.toarray(),
+                          coo_reference(space, np.ones_like(loc), True).toarray())
+
+
+def test_skeleton_and_stiffness_built_once_per_space(monkeypatch):
+    builds = {"skeleton": 0, "stiffness": 0}
+
+    def counting(kind, build):
+        def wrapped(*args):
+            builds[kind] += 1
+            return build(*args)
+        return wrapped
+
+    monkeypatch.setattr(assembly, "_build_skeleton",
+                        counting("skeleton", assembly._build_skeleton))
+    monkeypatch.setattr(assembly, "_build_stiffness",
+                        counting("stiffness", assembly._build_stiffness))
+    model = build_problem("quartic", 2).model
+    space = make_space(build_unit_mesh(2, 4), 1, 0.0)
+    _, log = minimize(model, space)
+    assert len(log.iterations) > 2
+    assert builds == {"skeleton": 1, "stiffness": 1}
+    minimize(model, space)
+    assemble_gram_h1(space)
+    # a rule sharing the space's points and weights shares its stiffness
+    assemble_residual(model, space.zero_function(), quad=replace(space.quad))
+    assert builds == {"skeleton": 1, "stiffness": 1}
+    # another point set gets its own stiffness, the same skeleton
+    fine = felement.quadrature_rule(2, 2 * space.quad.exactness_degree)
+    assemble_hessian(model, space.zero_function(), quad=fine)
+    assemble_hessian(model, space.zero_function(), quad=fine)
+    assert builds == {"skeleton": 1, "stiffness": 2}
+    minimize(model, make_space(build_unit_mesh(2, 4), 1, 0.0))
+    assert builds == {"skeleton": 2, "stiffness": 3}

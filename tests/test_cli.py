@@ -365,3 +365,46 @@ def test_exit_code_contract(cfg):
             assert sorted(os.listdir(tmp)) == ["file", "study.yaml"]
             with open(os.path.join(tmp, "file")) as fh:
                 assert fh.read() == "data"
+
+
+# ---------------------------------------------------------------------------
+# checks that cannot pass without data
+
+@pytest.mark.parametrize("text,code,empty", [
+    # one P1 cell has no interior dofs: the study aborts at level 0
+    ("problem: linear\ndim: 1\norder: 1\ncoarse_cells: 1\n"
+     "diagnostics: [ellipticity]\n", EXIT_CHECK_FAILED, ("ellipticity",)),
+    ("problem: linear\ndim: 1\norder: 1\ncoarse_cells: 1\n"
+     "diagnostics: [galerkin, ellipticity, inverse_estimate]\n", EXIT_CHECK_FAILED,
+     ("ellipticity", "galerkin", "inverse_estimate")),
+    # a zero adjoint right-hand side at level 0
+    ("problem: linear\ndim: 1\norder: 2\ncoarse_cells: 1\nnewton_tol: 1e300\n"
+     "diagnostics: [adjoint]\n", EXIT_CHECK_FAILED, ("adjoint",)),
+    # conjugate gradients breaks down at level 0, before any diagnostic
+    ("problem: quartic\ndim: 1\norder: 3\ncoarse_cells: 2\nnewton_tol: 5.0e-324\n"
+     "linear_tol: 1.0e-300\ndiagnostics: [pq, galerkin, adjoint, ellipticity, "
+     "inverse_estimate]\n", EXIT_SOLVER, DIAGNOSTIC_NAMES),
+])
+def test_run_enabled_diagnostic_without_data_fails(tmp_path, text, code, empty):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, f"{text}levels: 3\noutput_dir: {out}\n")
+    assert run(path) == code
+    lines = (out / "report.txt").read_text().splitlines()
+    for name in empty:
+        assert f"[FAIL] {name}: no data" in lines
+        assert not any(line.startswith(f"[PASS] {name}:") for line in lines)
+    assert lines[-1] == "overall: FAIL"
+
+
+def test_run_pq_passes_when_the_third_variation_vanishes(tmp_path):
+    """The linear problem's third variation is zero, so every sampled
+    ratio is exactly 0; the gate passes and says why."""
+    out = tmp_path / "out"
+    path = write_config(tmp_path, f"problem: linear\ndim: 1\norder: 2\nlevels: 3\n"
+                                  f"coarse_cells: 2\ndiagnostics: [pq]\n"
+                                  f"output_dir: {out}\n")
+    assert run(path) == EXIT_OK
+    lines = (out / "report.txt").read_text().splitlines()
+    assert "[PASS] pq: every ratio is 0: the third variation vanishes" in lines
+    assert all(line.endswith(",pq_ratio,0.0")
+               for line in (out / "diagnostics.csv").read_text().splitlines()[1:])
