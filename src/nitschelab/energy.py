@@ -326,8 +326,8 @@ _POTENTIALS = {
     "linear": (lambda z: np.zeros_like(z), lambda z: np.zeros_like(z),
                lambda z: np.zeros_like(z), lambda z: np.zeros_like(z),
                "0.5|Du|^2"),
-    "quartic": (lambda z: 0.25 * z**4, lambda z: z**3,
-                lambda z: 3.0 * z**2, lambda z: 6.0 * z,
+    "quartic": (lambda z: 0.25 * ((z * z) * (z * z)), lambda z: z * z * z,
+                lambda z: 3.0 * (z * z), lambda z: 6.0 * z,
                 "0.5|Du|^2 + u^4/4"),
     "cosine": (lambda z: np.cos(z), lambda z: -np.sin(z),
                lambda z: -np.cos(z), lambda z: np.sin(z),

@@ -6,8 +6,9 @@ from nitschelab.analysis import (adjoint_identity_check, convergence_study,
                                  estimate_rate, galerkin_defect,
                                  h2_regularity_ratio, solve_adjoint,
                                  StudyOptions)
-from nitschelab.assembly import norms
-from nitschelab.energy import ExactSolution, build_problem
+from nitschelab.assembly import assemble_gram_h1, assemble_hessian, norms
+from nitschelab.energy import (PROBLEM_NAMES, ExactSolution, build_problem,
+                               dirichlet_potential_model)
 from nitschelab.felement import FEFunction, interpolate, make_space
 from nitschelab.mesh import build_unit_mesh, refine
 from nitschelab.solver import NewtonOptions, minimize
@@ -93,6 +94,78 @@ def test_ellipticity_iterative_matches_dense_cutover():
     ev = la.eigh(a, g, eigvals_only=True)
     assert est.lambda_min == pytest.approx(ev[0], rel=1e-5)
     assert est.lambda_max == pytest.approx(ev[-1], rel=1e-4)
+
+
+def dense_extremes(model, u):
+    """Extreme generalized eigenvalues of (d2J(u), G1) on the interior
+    dofs, by dense eigh."""
+    import scipy.linalg as la
+    idx = np.flatnonzero(u.space.interior_mask)
+    a = assemble_hessian(model, u).matrix[idx][:, idx].toarray()
+    g = assemble_gram_h1(u.space).matrix[idx][:, idx].toarray()
+    ev = la.eigh(a, g, eigvals_only=True)
+    return ev[0], ev[-1]
+
+
+def assert_matches_dense(model, u):
+    est = estimate_ellipticity(model, u)
+    assert est.solver == "lobpcg"   # above the dense cutover
+    lam_min, lam_max = dense_extremes(model, u)
+    assert est.lambda_min == pytest.approx(lam_min, rel=1e-6)
+    assert est.lambda_max == pytest.approx(lam_max, rel=1e-6)
+    return est
+
+
+@pytest.mark.parametrize("name", ["quartic", "cosine"])
+def test_ellipticity_matches_dense_in_1d_above_cutover(name):
+    """In d=1 the spectrum accumulates at 1 and the residuals of
+    G-normalized vectors are small, so LOBPCG's absolute residual test
+    can be met inside the cluster; the extremes must still be found."""
+    problem = build_problem(name, 1)
+    u, _ = solved(problem, 512, order=2)
+    assert_matches_dense(problem.model, u)
+
+
+def test_ellipticity_sees_a_non_coercive_second_variation():
+    """psi = -15 z^2 at the zero state: d2J = K - 30 M has a negative
+    lower end, which must be found and not mistaken for coercivity."""
+    model = dirichlet_potential_model(lambda z: -15.0 * z * z, lambda z: -30.0 * z,
+                                      lambda z: np.full_like(z, -30.0),
+                                      lambda z: np.zeros_like(z), name="concave")
+    space = make_space(build_unit_mesh(1, 256), 2, 0.0)
+    est = assert_matches_dense(model, space.zero_function())
+    assert est.lambda_min < 0
+
+
+@pytest.mark.parametrize("order,cells", [(1, 22), (2, 11), (3, 8)])
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+def test_ellipticity_matches_dense_just_above_cutover_2d(name, order, cells):
+    problem = build_problem(name, 2)
+    u, _ = solved(problem, cells, order=order)
+    assert_matches_dense(problem.model, u)
+
+
+def test_ellipticity_records_the_solver():
+    problem = build_problem("quartic", 2)
+    small = estimate_ellipticity(problem.model, solved(problem, 8, order=2)[0])
+    assert (small.solver, small.iters_min, small.iters_max) == ("dense", 0, 0)
+    large = estimate_ellipticity(problem.model, solved(problem, 16, order=2)[0])
+    assert large.solver == "lobpcg"
+    assert 0 < large.iters_min <= 500 and 0 < large.iters_max <= 500
+
+
+def test_ellipticity_lobpcg_iterations_do_not_grow_with_refinement():
+    """Gram-preconditioned LOBPCG needs a mesh-independent number of
+    iterations; summed over starting blocks and both ends, the finer
+    level of a nested pair takes no more than the coarser one."""
+    problem = build_problem("quartic", 2)
+    mesh = build_unit_mesh(2, 16)
+    totals = []
+    for m in (mesh, refine(mesh)):
+        u, _ = minimize(problem.model, make_space(m, 2, problem.boundary_fn))
+        ests = [estimate_ellipticity(problem.model, u, seed=s) for s in range(8)]
+        totals.append(sum(e.iters_min + e.iters_max for e in ests))
+    assert totals[1] <= totals[0]
 
 
 # ---------------------------------------------------------------------------
