@@ -6,15 +6,15 @@ the energy decreases monotonically, and the converged iterate beats the
 interpolant of the exact solution (it is the discrete minimizer).
 """
 
-from nitschelab import (NewtonOptions, build_problem, build_unit_mesh,
-                        energy_value, interpolate, make_space, minimize, norms)
+from nitschelab import (build_problem, build_unit_mesh, energy_value,
+                        interpolate, make_space, minimize, norms)
 from nitschelab.analysis import estimate_ellipticity
 
 problem = build_problem("quartic", 2)
 space = make_space(build_unit_mesh(2, 16), 2, problem.boundary_fn)
 print(f"space: order 2, {space.dim} dofs, {space.mesh.num_elements} triangles")
 
-u_h, log = minimize(problem.model, space, NewtonOptions(damping="armijo"))
+u_h, log = minimize(problem.model, space)
 print("\nNewton history (residual, energy, step):")
 for k, (r, e, a) in enumerate(log.iterations):
     print(f"  it {k}: residual {r:10.3e}   energy {e:.12f}   step {a:.3f}")

@@ -117,18 +117,21 @@ _DENSE_EIG_CUTOFF = 400
 # LOBPCG iterations preconditioned by the Gram inverse before an end that
 # has not converged goes on with the Jacobi preconditioner
 _GRAM_PHASE_ITERS = 40
+# LOBPCG residual tolerance and iteration budget of each end
+_EIG_RTOL = 1e-6
+_EIG_MAX_ITERS = 500
 
 
-def _extreme_generalized(a_mat, g_mat, g_solve, largest, seed, rtol, max_iters):
+def _extreme_generalized(a_mat, g_mat, g_solve, largest, seed):
     """Smallest (largest=False) or largest eigenvalue of the pencil (A, G),
     G SPD, by locally optimal block iteration (LOBPCG), and the number of
     preconditioned iterations it took.
 
     The first `_GRAM_PHASE_ITERS` iterations are preconditioned by G^-1
-    (`g_solve`); if the extreme's residual norm is still above `rtol` then
-    (an absolute bound on G-normalized vectors, as in LOBPCG's own test),
-    the iteration goes on from the same block with the Jacobi
-    preconditioner diag(A)^-1 for the rest of `max_iters`.
+    (`g_solve`); if the extreme's residual norm is still above `_EIG_RTOL`
+    then (an absolute bound on G-normalized vectors, as in LOBPCG's own
+    test), the iteration goes on from the same block with the Jacobi
+    preconditioner diag(A)^-1 for the rest of `_EIG_MAX_ITERS`.
     """
     import scipy.sparse.linalg as sla
 
@@ -146,19 +149,18 @@ def _extreme_generalized(a_mat, g_mat, g_solve, largest, seed, rtol, max_iters):
             return apply(r)
         return precond
 
-    gram_iters = min(_GRAM_PHASE_ITERS, max_iters)
-    phases = ((counted(g_solve), gram_iters),
-              (counted(lambda r: inv_diag * r), max_iters - gram_iters))
+    phases = ((counted(g_solve), _GRAM_PHASE_ITERS),
+              (counted(lambda r: inv_diag * r), _EIG_MAX_ITERS - _GRAM_PHASE_ITERS))
     for precond, budget in phases:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             vals, x = sla.lobpcg(a_mat, x, B=g_mat, M=precond, largest=largest,
-                                 tol=rtol, maxiter=budget)
+                                 tol=_EIG_RTOL, maxiter=budget)
         idx = int(np.argmax(vals) if largest else np.argmin(vals))
         lam, vec = float(vals[idx]), x[:, idx]
         gvec = g_mat @ vec
         resid = np.linalg.norm(a_mat @ vec - lam * gvec)
-        if resid <= rtol:
+        if resid <= _EIG_RTOL:
             break
     scale = np.linalg.norm(gvec) * max(abs(lam), 1.0)
     if not np.isfinite(lam) or resid > 1e-3 * scale:
@@ -167,7 +169,7 @@ def _extreme_generalized(a_mat, g_mat, g_solve, largest, seed, rtol, max_iters):
     return lam, iters
 
 
-def estimate_ellipticity(model, v, seed=0, rtol=1e-6, max_iters=500):
+def estimate_ellipticity(model, v, seed=0):
     """Coercivity and boundedness constants of the second variation at v.
 
     Returns the extreme generalized eigenvalues of (d2J(v), G1) on the
@@ -205,10 +207,8 @@ def estimate_ellipticity(model, v, seed=0, rtol=1e-6, max_iters=500):
         return EllipticityEstimate(float(ev[0]), float(ev[-1]), state)
     import scipy.sparse.linalg as sla
     g_solve = sla.splu(g_mat.tocsc()).solve
-    lam_min, iters_min = _extreme_generalized(a_mat, g_mat, g_solve, False,
-                                              seed, rtol, max_iters)
-    lam_max, iters_max = _extreme_generalized(a_mat, g_mat, g_solve, True,
-                                              seed + 1, rtol, max_iters)
+    lam_min, iters_min = _extreme_generalized(a_mat, g_mat, g_solve, False, seed)
+    lam_max, iters_max = _extreme_generalized(a_mat, g_mat, g_solve, True, seed + 1)
     return EllipticityEstimate(lam_min, lam_max, state, "lobpcg",
                                iters_min, iters_max)
 
@@ -417,12 +417,15 @@ def estimate_rate(pairs):
     """Fit log(error) = slope * log(h) + c by least squares.
 
     Non-positive errors (at or below the solver floor) are excluded with a
-    warning; duplicate widths violate the precondition.
+    warning; widths that are not positive and finite, or duplicated,
+    violate the precondition.
     """
     pairs = [(float(h), float(e)) for h, e in pairs]
     if len(pairs) < 3:
         raise ValueError("rate estimation needs at least 3 (h, error) pairs")
     hs = [h for h, _ in pairs]
+    if not all(0 < h < np.inf for h in hs):
+        raise ValueError("mesh widths must be positive and finite")
     if len(set(hs)) != len(hs):
         raise ValueError("duplicate mesh widths in rate data")
     kept = [(h, e) for h, e in pairs if e > 0]
@@ -455,8 +458,6 @@ class StudyOptions:
     newton: NewtonOptions = field(default_factory=NewtonOptions)
     diagnostics: tuple = ()
     seed: int = 0
-    pq_norm_pair: tuple = (1, 2)
-    t_quad_order: int = 5
     continuation: bool = False
 
     def __post_init__(self):
@@ -532,8 +533,7 @@ def convergence_study(problem, order, levels, opts=None):
             solutions.append(u_h)
 
             if "galerkin" in opts.diagnostics and level > 0:
-                defect = galerkin_defect(problem.model, u_h, solutions[-2],
-                                         t_quad_order=opts.t_quad_order)
+                defect = galerkin_defect(problem.model, u_h, solutions[-2])
                 report.diagnostics["galerkin"].append((level - 1, defect))
             if "ellipticity" in opts.diagnostics:
                 est = estimate_ellipticity(problem.model, u_h, seed=opts.seed + level)
@@ -550,7 +550,6 @@ def convergence_study(problem, order, levels, opts=None):
                 report.diagnostics["inverse_estimate"].append((level, ratio))
             if "pq" in opts.diagnostics:
                 est = estimate_pq_constant(problem.model, u_h,
-                                           norm_pair=opts.pq_norm_pair,
                                            samples=_PQ_SAMPLES, seed=opts.seed)
                 report.diagnostics["pq"].append((level, est.max_ratio))
             if "adjoint" in opts.diagnostics:

@@ -1,7 +1,10 @@
 """Quadrature assembly of the energy, its first three variations, Gram
 operators, and broken Sobolev norms.
 
-All element loops are chunked and vectorized.  Local vectors and
+Every kernel and norm integrates with the space's own rule, `space.quad`;
+integrating with another rule means another space,
+`dataclasses.replace(space, quad=rule)`, whose caches start empty.  All
+element loops are chunked and vectorized.  Local vectors and
 matrices are matrix products of per-point coefficients against tables of
 the reference basis at the quadrature points, so results are
 deterministic for a given problem size and BLAS build and reruns are
@@ -30,8 +33,7 @@ space out of the element loops; none changes a value it serves.
   * `FESpace._operators` holds the space's CSR skeleton: the unmasked
     and masked patterns and the data index of every local entry, so
     every operator is one `np.bincount` of its element matrices.  It
-    also holds the data of the unmasked stiffness K, one per
-    package-owned point set; other point sets get a fresh K per call.
+    also holds the data of the unmasked stiffness K.
 Physical points are recomputed per call.  Dirichlet conditions are
 imposed by identity-masking boundary rows and columns, which keeps the
 operators symmetric on the constrained space; a masked operator keeps
@@ -43,9 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .felement import (FEFunction, ReferenceBasis, _chunks, _is_owned,
-                       _reference_table, _rule_table, quadrature_rule,
-                       sample_lattice, tabulate)
+from .felement import (FEFunction, ReferenceBasis, _chunks, _reference_table,
+                       _rule_table, quadrature_rule, sample_lattice, tabulate)
 
 __all__ = [
     "SparseOperator",
@@ -97,7 +98,6 @@ class NormReport:
     l2: float
     h1_semi: float
     w1q: float
-    q: float
     broken_h2: float | None = None
 
     @property
@@ -135,15 +135,15 @@ def _build_outer_table(basis, points):
     return (tab[:, :, None, :, None] * tab[:, None, :, None, :]).reshape(nq, m * m, nloc * nloc)
 
 
-def _density_chunks(model, space, rule):
+def _density_chunks(model, space):
     """`_quadrature` chunks of the space, each with the keywords of its
     density calls: fx, the model's forcing at the chunk's points, when the
-    model is forced and `rule` is the space's own.  f is evaluated once per
-    (space, forcing, chunk) and kept in the space's cache, read-only."""
+    model is forced.  f is evaluated once per (space, forcing, chunk) and
+    kept in the space's cache, read-only."""
     cache = None
-    if model.forcing is not None and rule is space.quad:
+    if model.forcing is not None:
         cache = space._forcing_values.setdefault(model.forcing, {})
-    for sl, x, wq in _quadrature(space.mesh, rule.points, rule.weights):
+    for sl, x, wq in _quadrature(space.mesh, space.quad.points, space.quad.weights):
         if cache is None:
             yield sl, x, wq, {}
             continue
@@ -173,43 +173,42 @@ def _pull(a, jac):
     return out
 
 
-def energy_value(model, v, quad=None):
+def energy_value(model, v):
     """Total energy of a discrete function by element-wise quadrature.
 
     Unguarded on purpose: a non-finite trial energy fails the Armijo test
     in `minimize`, which then backtracks."""
     space = v.space
-    rule = quad or space.quad
     total = 0.0
-    for sl, x, wq, kw in _density_chunks(model, space, rule):
-        state = tabulate(space, v.coeffs, rule.points, sl)
+    for sl, x, wq, kw in _density_chunks(model, space):
+        state = tabulate(space, v.coeffs, space.quad.points, sl)
         dens = model.eval(*_batch(*state, x), **kw)
         total += float(np.sum(wq * dens.reshape(wq.shape)))
     return total
 
 
-def assemble_residual(model, v, quad=None, mask=True):
+def assemble_residual(model, v, mask=True):
     """First-variation vector; boundary test entries are masked to zero.
 
     For a `quadratic_gradient` model the gradient part is K v with the
     space's cached stiffness K, and only the values flux dL_dz enters the
     element loop."""
     space = v.space
-    rule = quad or space.quad
+    points = space.quad.points
     d, nloc = space.mesh.dim, space.basis.n_local
     split = model.quadratic_gradient
-    tab = _reference_table(space.basis, rule.points)            # (nq, nloc, d+1)
+    tab = _reference_table(space.basis, points)                 # (nq, nloc, d+1)
     if split:
         tab = tab[..., -1:]
     tab = tab.transpose(0, 2, 1).reshape(-1, nloc)              # rows (q, c)
-    out = _stiffness_product(space, rule, v.coeffs) if split else np.zeros(space.dim)
-    for sl, x, wq, kw in _density_chunks(model, space, rule):
+    out = _stiffness_product(space, v.coeffs) if split else np.zeros(space.dim)
+    for sl, x, wq, kw in _density_chunks(model, space):
         if split:
-            vals, _ = tabulate(space, v.coeffs, rule.points, sl, gradients=False)
+            vals, _ = tabulate(space, v.coeffs, points, sl, gradients=False)
             flux = model.dL_dz(None, vals.ravel(), x.reshape(-1, d), **kw).reshape(wq.shape)
         else:
             # weighted flux [dL_dp J^T, dL_dz] against the reference table
-            vals, grads = tabulate(space, v.coeffs, rule.points, sl)
+            vals, grads = tabulate(space, v.coeffs, points, sl)
             flat = _batch(vals, grads, x)
             flux = np.empty(wq.shape + (d + 1,))
             flux[..., :d] = _pull(model.dL_dp(*flat).reshape(grads.shape), space.mesh.jac[sl])
@@ -225,7 +224,7 @@ def assemble_residual(model, v, quad=None, mask=True):
     return out
 
 
-def assemble_hessian(model, v, quad=None, mask=True):
+def assemble_hessian(model, v, mask=True):
     """Second-variation operator at state v.
 
     At every point the derivative blocks form one weighted coefficient
@@ -236,7 +235,7 @@ def assemble_hessian(model, v, quad=None, mask=True):
     with the table's mass column.
     """
     space = v.space
-    rule = quad or space.quad
+    rule = space.quad
     d, nloc = space.mesh.dim, space.basis.n_local
     split = model.quadratic_gradient
     outer = _outer_table(space.basis, rule.points)
@@ -253,7 +252,7 @@ def assemble_hessian(model, v, quad=None, mask=True):
             raise AssemblyError("non-finite density derivative during hessian assembly")
         coef = coef * wq.reshape(wq.shape + (1,) * (coef.ndim - 2))
         loc[sl] = (coef.reshape(len(coef), -1) @ outer).reshape(-1, nloc, nloc)
-    return _scatter(space, loc, mask, _stiffness(space, rule) if split else None)
+    return _scatter(space, loc, mask, _stiffness(space) if split else None)
 
 
 def _coefficients(model, state, x, jac):
@@ -271,7 +270,7 @@ def _coefficients(model, state, x, jac):
     return coef
 
 
-def apply_third_variation(model, v, fu, fv, fw, quad=None):
+def apply_third_variation(model, v, fu, fv, fw):
     """Third variation at v applied to three discrete directions.
 
     Every derivative block is evaluated (never skipped via the structural
@@ -282,7 +281,7 @@ def apply_third_variation(model, v, fu, fv, fw, quad=None):
     for g in (fu, fv, fw):
         if g.space is not space:
             raise ValueError("third-variation arguments must share the state's space")
-    rule = quad or space.quad
+    rule = space.quad
     total = 0.0
     for sl, x, wq in _quadrature(space.mesh, rule.points, rule.weights):
         p, z, xx = _batch(*tabulate(space, v.coeffs, rule.points, sl), x)
@@ -303,12 +302,12 @@ def apply_third_variation(model, v, fu, fv, fw, quad=None):
     return total
 
 
-def _geometric_local(space, rule, stiffness=True, mass=True):
+def _geometric_local(space, stiffness=True, mass=True):
     """Element matrices of the Laplace stiffness, the mass or their sum:
     the per-element coefficient matrix [[J J^T, 0], [0, 1]] |T_h|/|T|,
     less the blocks left out, times the weighted outer-product table of
     the reference basis."""
-    mesh = space.mesh
+    mesh, rule = space.mesh, space.quad
     d, nloc = mesh.dim, space.basis.n_local
     table = np.tensordot(rule.weights, _outer_table(space.basis, rule.points), axes=1)
     coef = np.zeros((mesh.num_elements, d + 1, d + 1))
@@ -394,27 +393,22 @@ def _scatter(space, loc, mask=False, base=None):
                                         shape=(space.dim, space.dim)))
 
 
-def _stiffness(space, rule):
-    """Data of the unmasked Laplace stiffness of the space under `rule` on
-    its skeleton (read-only), kept on the space for each package-owned
-    point set."""
-    if not _is_owned(rule.points):
-        return _build_stiffness(space, rule)
-    cache = space._operators.setdefault("stiffness", {})
-    weights, stiffness = cache.get(id(rule.points), (None, None))
-    if weights is not rule.weights:
-        stiffness = _build_stiffness(space, rule)
-        cache[id(rule.points)] = (rule.weights, stiffness)
+def _stiffness(space):
+    """Data of the unmasked Laplace stiffness of the space on its skeleton
+    (read-only), built on first use."""
+    stiffness = space._operators.get("stiffness")
+    if stiffness is None:
+        stiffness = space._operators["stiffness"] = _build_stiffness(space)
     return stiffness
 
 
-def _build_stiffness(space, rule):
-    stiffness = _scatter_data(space, _geometric_local(space, rule, mass=False))
+def _build_stiffness(space):
+    stiffness = _scatter_data(space, _geometric_local(space, mass=False))
     stiffness.flags.writeable = False
     return stiffness
 
 
-def _stiffness_product(space, rule, coeffs):
+def _stiffness_product(space, coeffs):
     """K v, summed as sum_j K_ij (v_j - v_i): the rows of K sum to zero
     because the basis sums to one.  The plain product cancels O(1) terms
     and leaves a converged residual about ten times the rounding noise of
@@ -422,18 +416,18 @@ def _stiffness_product(space, rule, coeffs):
     size, and with it the CG iteration counts of the last Newton steps."""
     skeleton = _skeleton(space)
     diff = coeffs[skeleton.indices] - coeffs[skeleton.rows]
-    return np.bincount(skeleton.rows, weights=_stiffness(space, rule) * diff,
+    return np.bincount(skeleton.rows, weights=_stiffness(space) * diff,
                        minlength=space.dim)
 
 
-def assemble_gram_l2(space, quad=None):
+def assemble_gram_l2(space):
     """Unmasked mass matrix; row sums reproduce the basis integrals."""
-    return _scatter(space, _geometric_local(space, quad or space.quad, stiffness=False))
+    return _scatter(space, _geometric_local(space, stiffness=False))
 
 
-def assemble_gram_h1(space, quad=None):
+def assemble_gram_h1(space):
     """Unmasked H^1 Gram (mass plus Laplace stiffness)."""
-    return _scatter(space, _geometric_local(space, quad or space.quad))
+    return _scatter(space, _geometric_local(space))
 
 
 def lq_norm(v, q):
@@ -461,7 +455,7 @@ def integrate(mesh, fn, degree=6):
 # norms
 
 
-def norms(f, g, q=2, include_broken_h2=False, quad=None):
+def norms(f, g, q=2, include_broken_h2=False):
     """Broken norms of the difference f - g.
 
     f may be an exact solution (value/gradient/hessian callables), another
@@ -470,7 +464,7 @@ def norms(f, g, q=2, include_broken_h2=False, quad=None):
     documented approximation; everything else is quadrature on g's space.
     """
     space = g.space
-    rule = quad or space.quad
+    rule = space.quad
     if not (q == np.inf or q >= 1):
         raise ValueError("q must be >= 1 or inf")
     if include_broken_h2 and space.order < 2:
@@ -519,7 +513,7 @@ def norms(f, g, q=2, include_broken_h2=False, quad=None):
     else:
         w1q = float(acc_q ** (1.0 / q))
     broken = np.sqrt(acc_h2) if include_broken_h2 else None
-    return NormReport(float(l2), float(h1_semi), w1q, q, broken)
+    return NormReport(float(l2), float(h1_semi), w1q, broken)
 
 
 def _fe_hessians(space, coeffs, sl, pts):

@@ -355,15 +355,12 @@ def plot_data(rates_csv_path, output_dir=None):
         print(f"malformed rates csv: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
-    out = output_dir or os.path.dirname(os.path.abspath(rates_csv_path))
-    os.makedirs(out, exist_ok=True)
-    for fname, errs in (("l2.dat", l2), ("h1.dat", h1)):
-        with open(os.path.join(out, fname), "w") as fh:
-            for h, e in zip(hs, errs):
-                fh.write(f"{_fmt(h)} {_fmt(e)}\n")
-
-    m_fit = estimate_rate(list(zip(hs, h1))).slope
-    m = max(1, int(round(m_fit)))
+    # the fit validates the data, so it comes before any file is written
+    try:
+        m = max(1, int(round(estimate_rate(list(zip(hs, h1))).slope)))
+    except ValueError as err:   # also a NaN slope, from an infinite error
+        print(f"cannot fit a rate to the rates csv: {err}", file=sys.stderr)
+        return EXIT_CONFIG
     h0, e1_0, e2_0 = hs[0], h1[0], l2[0]
     script = "\n".join([
         "set logscale xy",
@@ -376,8 +373,18 @@ def plot_data(rates_csv_path, output_dir=None):
         f"     ref_h1(x) with lines dashtype 2 title 'h^{m}', \\",
         f"     ref_l2(x) with lines dashtype 2 title 'h^{m + 1}'",
     ]) + "\n"
-    with open(os.path.join(out, "rates.gp"), "w") as fh:
-        fh.write(script)
+    out = output_dir or os.path.dirname(os.path.abspath(rates_csv_path))
+    try:
+        os.makedirs(out, exist_ok=True)
+        for fname, errs in (("l2.dat", l2), ("h1.dat", h1)):
+            with open(os.path.join(out, fname), "w") as fh:
+                for h, e in zip(hs, errs):
+                    fh.write(f"{_fmt(h)} {_fmt(e)}\n")
+        with open(os.path.join(out, "rates.gp"), "w") as fh:
+            fh.write(script)
+    except (OSError, ValueError) as err:   # ValueError: a NUL byte in the path
+        print(f"cannot write plot data: {err}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 

@@ -43,8 +43,7 @@ class EnergyModel:
 
     d3L_dppp(p, z, x, a, b, c) contracts the third p-derivative with three
     gradient directions; d3L_dppz with two; d3L_dpzz with one; d3L_dzzz
-    takes no direction.  ppp_zero / ppz_zero are structural flags that
-    hold identically in (p, z, x), not just at sampled states.
+    takes no direction.
 
     `forcing` is the f of the -f(x) z term that `with_forcing` adds, None
     for an unforced model.  A forced model's eval and dL_dz take an
@@ -59,9 +58,7 @@ class EnergyModel:
     Hessian from the space's cached Laplace stiffness, calls dL_dz and
     d2L_dzz with p=None, and never calls dL_dp, d2L_dpp or d2L_dpz.  Only
     `dirichlet_potential_model` sets it, and a copy whose p-derivatives
-    are replaced must clear it.  It is declared, never inferred from
-    ppp_zero / ppz_zero, which `with_zeroed_gradient_blocks` also sets
-    on the quasilinear minimal-surface model.
+    are replaced must clear it.
     """
 
     name: str
@@ -76,8 +73,6 @@ class EnergyModel:
     d3L_dppz: callable
     d3L_dpzz: callable
     d3L_dzzz: callable
-    ppp_zero: bool
-    ppz_zero: bool
     forcing: callable = None
     quadratic_gradient: bool = False
 
@@ -100,13 +95,19 @@ class ManufacturedProblem:
     boundary_fn: callable
 
 
-def _zeros_like_batch(z):
+def _zero(p, z, x, *directions):
+    """A derivative block that vanishes identically, as a zero per point."""
     return np.zeros_like(np.asarray(z, dtype=float))
 
 
-def dirichlet_potential_model(psi, dpsi, d2psi, d3psi, f=None, name="potential",
-                              formula="0.5|Du|^2 + psi(u) - f u"):
-    """Density 0.5|p|^2 + psi(z) - f(x) z.
+def _zero_pz(p, z, x):
+    """The mixed block d2L_dpz of a density without p-z coupling."""
+    return np.zeros_like(p, dtype=float)
+
+
+def dirichlet_potential_model(psi, dpsi, d2psi, d3psi, name="potential",
+                              formula="0.5|Du|^2 + psi(u)"):
+    """Density 0.5|p|^2 + psi(z); `with_forcing` adds a -f(x) z term.
 
     The p-Hessian is the identity and every third derivative touching p
     vanishes, so the Euler-Lagrange system is semilinear; the model is
@@ -115,43 +116,29 @@ def dirichlet_potential_model(psi, dpsi, d2psi, d3psi, f=None, name="potential",
     inconsistent inputs early.
     """
     _check_potential_derivatives(psi, dpsi, d2psi, d3psi)
-    fz = f if f is not None else (lambda x: np.zeros(len(np.atleast_2d(x))))
 
     def ev(p, z, x):
-        return 0.5 * np.einsum("...i,...i->...", p, p) + psi(z) - fz(x) * z
+        return 0.5 * np.einsum("...i,...i->...", p, p) + psi(z)
 
     def dl_dp(p, z, x):
         return np.array(p, dtype=float, copy=True)
 
     def dl_dz(p, z, x):
-        return dpsi(z) - fz(x)
+        return dpsi(z)
 
     def d2_pp(p, z, x):
         d = p.shape[-1]
         eye = np.eye(d)
         return np.broadcast_to(eye, p.shape[:-1] + (d, d)).copy()
 
-    def d2_pz(p, z, x):
-        return np.zeros_like(p, dtype=float)
-
     def d2_zz(p, z, x):
         return d2psi(z)
-
-    def d3_zero3(p, z, x, a, b, c):
-        return _zeros_like_batch(z)
-
-    def d3_zero2(p, z, x, a, b):
-        return _zeros_like_batch(z)
-
-    def d3_zero1(p, z, x, a):
-        return _zeros_like_batch(z)
 
     def d3_zzz(p, z, x):
         return d3psi(z)
 
-    return EnergyModel(name, formula, ev, dl_dp, dl_dz, d2_pp, d2_pz, d2_zz,
-                       d3_zero3, d3_zero2, d3_zero1, d3_zzz,
-                       ppp_zero=True, ppz_zero=True, quadratic_gradient=True)
+    return EnergyModel(name, formula, ev, dl_dp, dl_dz, d2_pp, _zero_pz, d2_zz,
+                       _zero, _zero, _zero, d3_zzz, quadratic_gradient=True)
 
 
 def _check_potential_derivatives(psi, dpsi, d2psi, d3psi, tol=1e-4):
@@ -178,21 +165,12 @@ def minimal_surface_model():
     def dl_dp(p, z, x):
         return p / w(p)[..., None]
 
-    def dl_dz(p, z, x):
-        return _zeros_like_batch(z)
-
     def d2_pp(p, z, x):
         d = p.shape[-1]
         ww = w(p)
         eye = np.broadcast_to(np.eye(d), p.shape[:-1] + (d, d))
         outer = np.einsum("...i,...j->...ij", p, p)
         return eye / ww[..., None, None] - outer / (ww**3)[..., None, None]
-
-    def d2_pz(p, z, x):
-        return np.zeros_like(p, dtype=float)
-
-    def d2_zz(p, z, x):
-        return _zeros_like_batch(z)
 
     def d3_ppp(p, z, x, a, b, c):
         ww = w(p)
@@ -205,19 +183,9 @@ def minimal_surface_model():
         return (-(ab * pc + ac * pb + bc * pa) / ww**3
                 + 3.0 * pa * pb * pc / ww**5)
 
-    def d3_zero2(p, z, x, a, b):
-        return _zeros_like_batch(z)
-
-    def d3_zero1(p, z, x, a):
-        return _zeros_like_batch(z)
-
-    def d3_zzz(p, z, x):
-        return _zeros_like_batch(z)
-
     return EnergyModel("minimal_surface", "sqrt(1 + |Du|^2)",
-                       ev, dl_dp, dl_dz, d2_pp, d2_pz, d2_zz,
-                       d3_ppp, d3_zero2, d3_zero1, d3_zzz,
-                       ppp_zero=False, ppz_zero=True)
+                       ev, dl_dp, _zero, d2_pp, _zero_pz, _zero,
+                       d3_ppp, _zero, _zero, _zero)
 
 
 def with_forcing(model, f, name=None):
@@ -241,15 +209,7 @@ def with_zeroed_gradient_blocks(model):
     """Copy of the model with the third derivatives that touch two or more
     gradient slots replaced by zero.  For a semilinear density this changes
     nothing; the difference is the quasilinear content of the energy."""
-
-    def d3_zero3(p, z, x, a, b, c):
-        return _zeros_like_batch(z)
-
-    def d3_zero2(p, z, x, a, b):
-        return _zeros_like_batch(z)
-
-    return replace(model, d3L_dppp=d3_zero3, d3L_dppz=d3_zero2,
-                   ppp_zero=True, ppz_zero=True)
+    return replace(model, d3L_dppp=_zero, d3L_dppz=_zero)
 
 
 def classify(model, dim=2, samples=100, seed=0, tol=1e-12):

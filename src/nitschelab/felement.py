@@ -352,13 +352,16 @@ class FESpace:
     boundary_dofs : sorted indices of dofs on the Dirichlet boundary
     boundary_values : prescribed values at those dofs
 
-    Assembly keeps two private per-space caches, built on first use:
-    the forcing of forced energy models at the points of `quad`, one
-    entry per forcing callable, and the operator data of `assembly`: the
-    CSR skeleton shared by every operator on the space (masked and
-    unmasked) and the Laplace stiffness, one per package-owned point set.
-    Both assume `mesh`, `quad` and the dof arrays are never reassigned
-    after construction.
+    `quad` is the rule of every kernel and norm on the space.  Assembly
+    keeps two private per-space caches, built on first use: the forcing
+    of forced energy models at the points of `quad`, one entry per
+    forcing callable, and the operator data of `assembly`: the CSR
+    skeleton shared by every operator on the space (masked and unmasked)
+    and the Laplace stiffness.  Both assume `mesh`, `quad` and the dof
+    arrays are never reassigned after construction.  To integrate with
+    another rule, make another space, `dataclasses.replace(space,
+    quad=rule)`: both caches are `init=False` fields, so the copy's start
+    empty.
     """
 
     mesh: Mesh

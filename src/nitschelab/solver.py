@@ -41,9 +41,15 @@ class NewtonError(RuntimeError):
         self.log = log
 
 
+# Armijo sufficient-decrease constant and backtracking factor of the line
+# search in `minimize`
+_ARMIJO_C1 = 1e-4
+_ARMIJO_BACKTRACK = 0.5
+
+
 @dataclass
 class NewtonOptions:
-    """Controls for the damped Newton minimization.
+    """Controls for the Armijo-damped Newton minimization.
 
     initial_guess: 'zero_interior' starts from the boundary lift,
     'interpolant_of_exact' interpolates guess_fn, 'prolonged_coarse'
@@ -54,9 +60,6 @@ class NewtonOptions:
     max_iters: int = 30
     residual_tol: float = 1e-12
     linear_tol: float = 1e-12
-    damping: str = "armijo"
-    armijo_c1: float = 1e-4
-    armijo_backtrack: float = 0.5
     initial_guess: str = "zero_interior"
     guess_fn: object = None
     guess_fe: object = None
@@ -64,12 +67,6 @@ class NewtonOptions:
     def __post_init__(self):
         if self.residual_tol <= 0:
             raise ValueError("residual_tol must be positive")
-        if self.damping not in ("none", "armijo"):
-            raise ValueError(f"unknown damping {self.damping!r}")
-        if not 0 < self.armijo_c1 < 1:
-            raise ValueError("armijo c1 must be in (0, 1)")
-        if not 0 < self.armijo_backtrack < 1:
-            raise ValueError("backtrack factor must be in (0, 1)")
         if self.initial_guess not in ("zero_interior", "interpolant_of_exact",
                                       "prolonged_coarse"):
             raise ValueError(f"unknown initial_guess {self.initial_guess!r}")
@@ -187,12 +184,12 @@ def minimize(model, space, opts=None):
         slope = float(r @ step)
         # once the predicted decrease is below energy rounding, the line
         # search compares noise; take the full Newton step instead
-        if opts.damping == "armijo" and abs(slope) > 1e-14 * (1.0 + abs(energy)):
+        if abs(slope) > 1e-14 * (1.0 + abs(energy)):
             while True:
                 trial = FEFunction(space, u.coeffs + alpha * step)
-                if energy_value(model, trial) <= energy + opts.armijo_c1 * alpha * slope:
+                if energy_value(model, trial) <= energy + _ARMIJO_C1 * alpha * slope:
                     break
-                alpha *= opts.armijo_backtrack
+                alpha *= _ARMIJO_BACKTRACK
                 if alpha < 1e-14:
                     raise NewtonError("line search step underflow", log)
         u = FEFunction(space, u.coeffs + alpha * step)

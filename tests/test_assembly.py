@@ -278,12 +278,12 @@ def test_quadrature_refinement_stability(name, dim, cells, problems):
     the residual has its natural O(1) scale)."""
     problem = build_problem(name, dim)
     space = make_space(build_unit_mesh(dim, cells), 2, problem.boundary_fn)
-    from nitschelab.felement import quadrature_rule
-    fine_rule = quadrature_rule(dim, 2 * space.quad.exactness_degree)
+    fine_rule = felement.quadrature_rule(dim, 2 * space.quad.exactness_degree)
+    fine = replace(space, quad=fine_rule)
     for seed in (0, 1, 2):
         v = smooth_state(space, seed=seed)
         r1 = assemble_residual(problem.model, v)
-        r2 = assemble_residual(problem.model, v, quad=fine_rule)
+        r2 = assemble_residual(problem.model, FEFunction(fine, v.coeffs))
         assert np.abs(r1 - r2).max() <= 1e-8 * np.abs(r1).max()
 
 
@@ -428,21 +428,21 @@ def test_hessian_matches_residual_fd_with_mixed_block(dim):
 def test_forcing_cache_shared_by_two_models_is_bitwise_exact(monkeypatch):
     """Two forced models interleaved on one space, each cached under its own
     forcing over several chunks, give bitwise the values of a fresh space
-    and of the uncached path (a rule other than the space's)."""
+    and of a copy of the space under a copy of its rule."""
     monkeypatch.setattr(felement, "CHUNK", 7)
     mesh = build_unit_mesh(2, 3)
     models = [build_problem(name, 2).model for name in ("quartic", "cosine")]
     shared = make_space(mesh, 2, 0.0)
-    other_rule = replace(shared.quad)
     coeffs = 0.3 * np.random.default_rng(5).standard_normal(shared.dim)
     for model in models + models[::-1]:
         fresh = make_space(mesh, 2, 0.0)
-        v, w = FEFunction(shared, coeffs), FEFunction(fresh, coeffs)
+        other = replace(shared, quad=replace(shared.quad))
+        v, w, o = (FEFunction(s, coeffs) for s in (shared, fresh, other))
         energy = energy_value(model, v)
-        assert energy == energy_value(model, w) == energy_value(model, v, quad=other_rule)
+        assert energy == energy_value(model, w) == energy_value(model, o)
         residual = assemble_residual(model, v)
         assert np.array_equal(residual, assemble_residual(model, w))
-        assert np.array_equal(residual, assemble_residual(model, v, quad=other_rule))
+        assert np.array_equal(residual, assemble_residual(model, o))
         assert np.array_equal(assemble_hessian(model, v).toarray(),
                               assemble_hessian(model, w).toarray())
     assert set(shared._forcing_values) == {m.forcing for m in models}
@@ -598,13 +598,39 @@ def test_skeleton_and_stiffness_built_once_per_space(monkeypatch):
     assert builds == {"skeleton": 1, "stiffness": 1}
     minimize(model, space)
     assemble_gram_h1(space)
-    # a rule sharing the space's points and weights shares its stiffness
-    assemble_residual(model, space.zero_function(), quad=replace(space.quad))
     assert builds == {"skeleton": 1, "stiffness": 1}
-    # another point set gets its own stiffness, the same skeleton
-    fine = felement.quadrature_rule(2, 2 * space.quad.exactness_degree)
-    assemble_hessian(model, space.zero_function(), quad=fine)
-    assemble_hessian(model, space.zero_function(), quad=fine)
-    assert builds == {"skeleton": 1, "stiffness": 2}
     minimize(model, make_space(build_unit_mesh(2, 4), 1, 0.0))
-    assert builds == {"skeleton": 2, "stiffness": 3}
+    assert builds == {"skeleton": 2, "stiffness": 2}
+
+
+def test_space_under_another_rule_keeps_its_own_caches():
+    """A copy of a space under another rule builds its own skeleton,
+    stiffness and forcing values, at its own points, and leaves the
+    original's caches as they were."""
+    model = build_problem("quartic", 2).model
+    space = make_space(build_unit_mesh(2, 4), 2, 0.0)
+    v = smooth_state(space, seed=1)
+    hessian = assemble_hessian(model, v).toarray()
+    residual = assemble_residual(model, v)
+    before = {key: space._operators[key] for key in ("skeleton", "stiffness")}
+    forcing = dict(space._forcing_values[model.forcing])
+
+    fine_rule = felement.quadrature_rule(2, 2 * space.quad.exactness_degree)
+    fine = replace(space, quad=fine_rule)
+    assert not fine._operators and not fine._forcing_values
+    w = FEFunction(fine, v.coeffs)
+    assemble_hessian(model, w)
+    assemble_residual(model, w)
+    assert fine._operators["skeleton"] is not before["skeleton"]
+    assert fine._operators["stiffness"] is not before["stiffness"]
+    assert np.abs(fine._operators["stiffness"] - before["stiffness"]).max() < 1e-12
+    npts = len(fine_rule.weights)
+    assert all(fx.size == (sl[1] - sl[0]) * npts
+               for sl, fx in fine._forcing_values[model.forcing].items())
+
+    assert all(space._operators[key] is data for key, data in before.items())
+    cached = space._forcing_values[model.forcing]
+    assert cached.keys() == forcing.keys()
+    assert all(cached[sl] is fx for sl, fx in forcing.items())
+    assert np.array_equal(assemble_hessian(model, v).toarray(), hessian)
+    assert np.array_equal(assemble_residual(model, v), residual)

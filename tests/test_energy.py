@@ -9,10 +9,10 @@ from nitschelab.energy import (PROBLEM_NAMES, build_problem, classify,
 from nitschelab.mesh import build_unit_mesh
 
 
-def quartic_model(f=None):
+def quartic_model():
     return dirichlet_potential_model(
         lambda z: 0.25 * z**4, lambda z: z**3,
-        lambda z: 3.0 * z**2, lambda z: 6.0 * z, f=f, name="quartic")
+        lambda z: 3.0 * z**2, lambda z: 6.0 * z, name="quartic")
 
 
 def random_states(dim, n, seed=0):
@@ -28,7 +28,6 @@ def test_potential_model_structure():
     assert np.allclose(model.d2L_dpz(p, z, x), 0.0, atol=0)
     assert np.allclose(model.d2L_dzz(p, z, x), 3 * z**2, atol=1e-14)
     assert np.allclose(model.d3L_dzzz(p, z, x), 6 * z, atol=1e-14)
-    assert model.ppp_zero and model.ppz_zero
 
 
 def test_potential_model_zero_psi_is_dirichlet_form():
@@ -56,7 +55,6 @@ def test_minimal_surface_at_zero_gradient():
     x = np.zeros((5, 2))
     assert np.allclose(model.eval(p, z, x), 1.0, atol=0)
     assert np.allclose(model.d2L_dpp(p, z, x), np.eye(2)[None], atol=1e-15)
-    assert not model.ppp_zero and model.ppz_zero
 
 
 def test_minimal_surface_hessian_eigenvalues():
@@ -142,16 +140,6 @@ def test_classifier_labels():
     assert classify(build_problem("quartic", 2).model) == "semilinear"
     assert classify(build_problem("cosine", 2).model) == "semilinear"
     assert classify(build_problem("minimal_surface", 2).model) == "quasilinear"
-
-
-def test_classifier_agrees_with_flags():
-    for name in PROBLEM_NAMES:
-        model = build_problem(name, 2).model
-        kind = classify(model)
-        if kind in ("linear", "semilinear"):
-            assert model.ppp_zero and model.ppz_zero
-        else:
-            assert not (model.ppp_zero and model.ppz_zero)
 
 
 def test_zeroed_gradient_blocks_noop_for_semilinear():

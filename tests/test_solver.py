@@ -124,7 +124,7 @@ def test_minimize_unique_up_to_tolerance():
 def test_minimize_armijo_energy_monotone():
     problem = build_problem("minimal_surface", 2)
     space = make_space(build_unit_mesh(2, 8), 1, problem.boundary_fn)
-    _, log = minimize(problem.model, space, NewtonOptions(damping="armijo"))
+    _, log = minimize(problem.model, space, NewtonOptions())
     energies = log.energies
     assert all(e2 <= e1 + 1e-12 for e1, e2 in zip(energies, energies[1:]))
 
@@ -139,12 +139,6 @@ def test_minimize_iteration_cap_raises():
 def test_newton_options_validation():
     with pytest.raises(ValueError):
         NewtonOptions(residual_tol=0.0)
-    with pytest.raises(ValueError):
-        NewtonOptions(armijo_c1=1.5)
-    with pytest.raises(ValueError):
-        NewtonOptions(armijo_backtrack=0.0)
-    with pytest.raises(ValueError):
-        NewtonOptions(damping="bogus")
     with pytest.raises(ValueError):
         NewtonOptions(initial_guess="warm")
 
