@@ -286,38 +286,37 @@ def h2_regularity_ratio(w, rhs_diff):
     return (nw.l2 + nw.h1_semi + nw.broken_h2) / denom
 
 
-def _reference_solution(problem, u_h, levels_finer, newton=None):
+def _reference_solution(problem, u_h, levels_finer, newton):
     """Discrete stand-in for the continuous minimizer: `levels_finer`
-    refinements, order max(m, 2), warm-started from the given solution."""
+    refinements, order max(m, 2), warm-started from the given solution.
+    Returns it and the embedding of u_h into its space."""
     mesh = u_h.space.mesh
     for _ in range(levels_finer):
         mesh = refine(mesh)
-    order = max(u_h.space.order, 2)
-    ref_space = make_space(mesh, order, problem.boundary_fn)
-    opts = replace(newton or NewtonOptions(), initial_guess="prolonged_coarse",
-                   guess_fe=u_h)
-    u_star, _ = minimize(problem.model, ref_space, opts)
-    return u_star
+    ref_space = make_space(mesh, max(u_h.space.order, 2), problem.boundary_fn)
+    u_embedded = embed(u_h, ref_space)
+    u_star, _ = minimize(problem.model, ref_space, replace(newton, initial=u_embedded))
+    return u_star, u_embedded
 
 
-def adjoint_identity_check(problem, u_h, levels_finer=2, newton=None,
-                           linear_tol=1e-12):
+def adjoint_identity_check(problem, u_h, levels_finer=2, newton=None):
     """Duality identity residual |e_L2^2 + d2J(u)(W, u_h - u)| / e_L2^2.
 
     The continuous solution is replaced by a nested reference solution;
-    W solves the adjoint problem there.  The squared discrete difference
-    then cancels the bilinear term exactly up to linear-solver noise, so
-    the residual measures how well the reference pair reproduces the true
-    L^2 error, and tends to zero under reference refinement.  Also returns
-    the H^2-regularity ratio of W.
+    W solves the adjoint problem there (to `newton.linear_tol`).  The
+    squared discrete difference then cancels the bilinear term exactly up
+    to linear-solver noise, so the residual measures how well the
+    reference pair reproduces the true L^2 error, and tends to zero under
+    reference refinement.  Also returns the H^2-regularity ratio of W.
     """
-    u_star = _reference_solution(problem, u_h, levels_finer, newton)
+    newton = newton or NewtonOptions()
+    u_star, u_embedded = _reference_solution(problem, u_h, levels_finer, newton)
     ref_space = u_star.space
-    e = embed(u_h, ref_space).coeffs - u_star.coeffs
+    e = u_embedded.coeffs - u_star.coeffs
     e[ref_space.boundary_dofs] = 0.0
     e_fe = FEFunction(ref_space, e)
 
-    w = solve_adjoint(problem.model, u_star, e_fe, linear_tol=linear_tol)
+    w = solve_adjoint(problem.model, u_star, e_fe, linear_tol=newton.linear_tol)
     hess = assemble_hessian(problem.model, u_star)
     bil = float(w.coeffs @ hess.apply(e_fe.coeffs))
 
@@ -417,8 +416,8 @@ def estimate_rate(pairs):
     """Fit log(error) = slope * log(h) + c by least squares.
 
     Non-positive errors (at or below the solver floor) are excluded with a
-    warning; widths that are not positive and finite, or duplicated,
-    violate the precondition.
+    warning; widths that are not positive and finite, or duplicated, and
+    errors that are not finite violate the precondition.
     """
     pairs = [(float(h), float(e)) for h, e in pairs]
     if len(pairs) < 3:
@@ -428,6 +427,8 @@ def estimate_rate(pairs):
         raise ValueError("mesh widths must be positive and finite")
     if len(set(hs)) != len(hs):
         raise ValueError("duplicate mesh widths in rate data")
+    if not all(np.isfinite(e) for _, e in pairs):
+        raise ValueError("errors must be finite")
     kept = [(h, e) for h, e in pairs if e > 0]
     if len(kept) < len(pairs):
         warnings.warn("excluding non-positive errors from the rate fit "
@@ -444,7 +445,15 @@ def estimate_rate(pairs):
     return RateEstimate(tuple(kept), float(slope), float(r2))
 
 
-DIAGNOSTIC_NAMES = ("galerkin", "adjoint", "pq", "ellipticity", "inverse_estimate")
+# names of the values a study records per level for each diagnostic
+DIAGNOSTIC_COLUMNS = {
+    "galerkin": ("galerkin_defect",),
+    "adjoint": ("adjoint_identity", "h2_ratio"),
+    "pq": ("pq_ratio",),
+    "ellipticity": ("lambda_min", "lambda_max"),
+    "inverse_estimate": ("inverse_ratio",),
+}
+DIAGNOSTIC_NAMES = tuple(DIAGNOSTIC_COLUMNS)
 
 # fixed sizes of the per-level diagnostics in a study
 _PQ_SAMPLES = 4
@@ -521,8 +530,7 @@ def convergence_study(problem, order, levels, opts=None):
             space = make_space(mesh, order, problem.boundary_fn)
             newton = opts.newton
             if opts.continuation and solutions:
-                newton = replace(newton, initial_guess="prolonged_coarse",
-                                 guess_fe=solutions[-1])
+                newton = replace(newton, initial=solutions[-1])
             u_h, log = minimize(problem.model, space, newton)
 
             err_rep = norms(problem.exact, u_h)
@@ -555,8 +563,7 @@ def convergence_study(problem, order, levels, opts=None):
             if "adjoint" in opts.diagnostics:
                 check = adjoint_identity_check(problem, u_h,
                                                levels_finer=_ADJOINT_LEVELS_FINER,
-                                               newton=opts.newton,
-                                               linear_tol=opts.newton.linear_tol)
+                                               newton=opts.newton)
                 report.diagnostics["adjoint"].append(
                     (level, check.identity_residual, check.regularity_ratio))
     except (NewtonError, LinearSolveError, AssemblyError, PowerIterationError) as err:

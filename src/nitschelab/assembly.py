@@ -21,19 +21,20 @@ gradients.  Every other model takes the generic
 path, which evaluates all derivative blocks.  `energy_value` and
 `apply_third_variation` always evaluate the full density.
 
-Three caches keep data that depends only on the rule, on x or on the
+Two caches keep data that depends only on the rule, on x or on the
 space out of the element loops; none changes a value it serves.
   * The reference and outer-product tables are built once per (basis,
     point set) and process, for the rules of `quadrature_rule` and the
     sample lattices (`felement._rule_table`).
-  * The forcing of a forced model (`EnergyModel.forcing`) is evaluated
-    once per (space, forcing, chunk) at the space's own quadrature
-    points and kept in `FESpace._forcing_values`; `energy_value` and
-    `assemble_residual` pass it to `eval` and `dL_dz` as fx.
-  * `FESpace._operators` holds the space's CSR skeleton: the unmasked
-    and masked patterns and the data index of every local entry, so
-    every operator is one `np.bincount` of its element matrices.  It
-    also holds the data of the unmasked stiffness K.
+  * `FESpace._cache` holds what depends only on the space, each entry
+    made on first use by `_cached`: the CSR skeleton (the unmasked and
+    masked patterns and the data index of every local entry, so every
+    operator is one `np.bincount` of its element matrices), the data of
+    the unmasked stiffness K, and, per forcing of a forced model
+    (`EnergyModel.forcing`), its values at the quadrature points, one
+    (ne, npts) array evaluated chunk by chunk.  `energy_value` and
+    `assemble_residual` pass a chunk's forcing values to `eval` and
+    `dL_dz` as fx.
 Physical points are recomputed per call.  Dirichlet conditions are
 imposed by identity-masking boundary rows and columns, which keeps the
 operators symmetric on the constrained space; a masked operator keeps
@@ -135,24 +136,33 @@ def _build_outer_table(basis, points):
     return (tab[:, :, None, :, None] * tab[:, None, :, None, :]).reshape(nq, m * m, nloc * nloc)
 
 
+def _cached(space, key, build, *args):
+    """`space._cache[key]`, made by build(space, *args) on first use."""
+    value = space._cache.get(key)
+    if value is None:
+        value = space._cache[key] = build(space, *args)
+    return value
+
+
+def _build_forcing(space, f):
+    """f at the space's quadrature points, (ne, npts) read-only; one call
+    of f per element chunk."""
+    fx = np.empty((space.mesh.num_elements, len(space.quad.weights)))
+    for sl, x, _ in _quadrature(space.mesh, space.quad.points):
+        fx[sl] = np.reshape(f(x.reshape(-1, x.shape[-1])), x.shape[:2])
+    fx.flags.writeable = False
+    return fx
+
+
 def _density_chunks(model, space):
     """`_quadrature` chunks of the space, each with the keywords of its
     density calls: fx, the model's forcing at the chunk's points, when the
-    model is forced.  f is evaluated once per (space, forcing, chunk) and
-    kept in the space's cache, read-only."""
-    cache = None
+    model is forced, from the space's cache."""
+    fx = None
     if model.forcing is not None:
-        cache = space._forcing_values.setdefault(model.forcing, {})
+        fx = _cached(space, ("forcing", model.forcing), _build_forcing, model.forcing)
     for sl, x, wq in _quadrature(space.mesh, space.quad.points, space.quad.weights):
-        if cache is None:
-            yield sl, x, wq, {}
-            continue
-        fx = cache.get((sl.start, sl.stop))
-        if fx is None:
-            fx = np.array(model.forcing(x.reshape(-1, x.shape[-1])))
-            fx.flags.writeable = False
-            cache[sl.start, sl.stop] = fx
-        yield sl, x, wq, {"fx": fx}
+        yield sl, x, wq, {} if fx is None else {"fx": fx[sl].ravel()}
 
 
 def _batch(vals, grads, x):
@@ -346,10 +356,7 @@ class _Skeleton:
 
 def _skeleton(space):
     """The space's skeleton, built on first use."""
-    skeleton = space._operators.get("skeleton")
-    if skeleton is None:
-        skeleton = space._operators["skeleton"] = _build_skeleton(space)
-    return skeleton
+    return _cached(space, "skeleton", _build_skeleton)
 
 
 def _build_skeleton(space):
@@ -396,10 +403,7 @@ def _scatter(space, loc, mask=False, base=None):
 def _stiffness(space):
     """Data of the unmasked Laplace stiffness of the space on its skeleton
     (read-only), built on first use."""
-    stiffness = space._operators.get("stiffness")
-    if stiffness is None:
-        stiffness = space._operators["stiffness"] = _build_stiffness(space)
-    return stiffness
+    return _cached(space, "stiffness", _build_stiffness)
 
 
 def _build_stiffness(space):

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from .analysis import (_ADJOINT_LEVELS_FINER, DIAGNOSTIC_NAMES, StudyOptions,
-                       convergence_study, estimate_rate)
+from .analysis import (_ADJOINT_LEVELS_FINER, DIAGNOSTIC_COLUMNS, DIAGNOSTIC_NAMES,
+                       StudyOptions, convergence_study, estimate_rate)
 from .energy import PROBLEM_NAMES, build_problem, classify
 from .solver import NewtonOptions
 
@@ -187,21 +187,12 @@ def _write_rates_csv(path, report):
                              _fmt(lr.err_h1), _fmt(s2), _fmt(s1), lr.newton_iters])
 
 
-_DIAG_ROW_NAMES = {
-    "galerkin": ("galerkin_defect",),
-    "adjoint": ("adjoint_identity", "h2_ratio"),
-    "pq": ("pq_ratio",),
-    "ellipticity": ("lambda_min", "lambda_max"),
-    "inverse_estimate": ("inverse_ratio",),
-}
-
-
 def _write_diagnostics_csv(path, report):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["level", "name", "value"])
         for diag in sorted(report.diagnostics):
-            names = _DIAG_ROW_NAMES[diag]
+            names = DIAGNOSTIC_COLUMNS[diag]
             for entry in report.diagnostics[diag]:
                 level, values = entry[0], entry[1:]
                 for name, value in zip(names, values):
@@ -358,7 +349,7 @@ def plot_data(rates_csv_path, output_dir=None):
     # the fit validates the data, so it comes before any file is written
     try:
         m = max(1, int(round(estimate_rate(list(zip(hs, h1))).slope)))
-    except ValueError as err:   # also a NaN slope, from an infinite error
+    except ValueError as err:
         print(f"cannot fit a rate to the rates csv: {err}", file=sys.stderr)
         return EXIT_CONFIG
     h0, e1_0, e2_0 = hs[0], h1[0], l2[0]

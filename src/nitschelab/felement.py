@@ -105,30 +105,13 @@ class ReferenceBasis:
     def n_local(self):
         return len(self.nodes)
 
-    def _monomials(self, pts, dx=(0, 0)):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = np.empty((len(pts), len(self.exponents)))
-        for k, exps in enumerate(self.exponents):
-            col = np.ones(len(pts))
-            for axis, e in enumerate(exps):
-                d = dx[axis]
-                if e < d:
-                    col = np.zeros(len(pts))
-                    break
-                fac = 1.0
-                for j in range(d):
-                    fac *= e - j
-                col = col * fac * pts[:, axis] ** (e - d)
-            out[:, k] = col
-        return out
-
     def values(self, pts):
         """(npts, n_local) basis values."""
-        return self._monomials(pts) @ self.coeffs
+        return _monomials(self.exponents, pts) @ self.coeffs
 
     def gradients(self, pts):
         """(npts, n_local, dim) reference gradients."""
-        cols = [self._monomials(pts, dx=_unit(d, self.dim)) @ self.coeffs
+        cols = [_monomials(self.exponents, pts, dx=_unit(d, self.dim)) @ self.coeffs
                 for d in range(self.dim)]
         return np.stack(cols, axis=-1)
 
@@ -141,10 +124,30 @@ class ReferenceBasis:
                 dx = [0] * self.dim
                 dx[a] += 1
                 dx[b] += 1
-                vals = self._monomials(pts, dx=tuple(dx)) @ self.coeffs
+                vals = _monomials(self.exponents, pts, dx=tuple(dx)) @ self.coeffs
                 out[:, :, a, b] = vals
                 out[:, :, b, a] = vals
         return out
+
+
+def _monomials(exponents, pts, dx=(0, 0)):
+    """(npts, len(exponents)) table of the dx-derivative of every monomial
+    at every point."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    out = np.empty((len(pts), len(exponents)))
+    for k, exps in enumerate(exponents):
+        col = np.ones(len(pts))
+        for axis, e in enumerate(exps):
+            d = dx[axis]
+            if e < d:
+                col = np.zeros(len(pts))
+                break
+            fac = 1.0
+            for j in range(d):
+                fac *= e - j
+            col = col * fac * pts[:, axis] ** (e - d)
+        out[:, k] = col
+    return out
 
 
 def _unit(axis, dim):
@@ -164,13 +167,7 @@ def reference_basis(dim, order):
             raise ValueError(f"order must be in 1..{MAX_ORDER}, got {order}")
         nodes, entities = _reference_nodes(dim, order)
         exponents = tuple(_monomial_exponents(dim, order))
-        vand = np.empty((len(nodes), len(exponents)))
-        for k, exps in enumerate(exponents):
-            col = np.ones(len(nodes))
-            for axis, e in enumerate(exps):
-                col = col * nodes[:, axis] ** e
-            vand[:, k] = col
-        coeffs = np.linalg.inv(vand)
+        coeffs = np.linalg.inv(_monomials(exponents, nodes))
         basis = ReferenceBasis(dim, order, nodes, tuple(entities), exponents, coeffs)
         _BASIS_CACHE[key] = basis
     return basis
@@ -352,35 +349,35 @@ class FESpace:
     boundary_dofs : sorted indices of dofs on the Dirichlet boundary
     boundary_values : prescribed values at those dofs
 
-    `quad` is the rule of every kernel and norm on the space.  Assembly
-    keeps two private per-space caches, built on first use: the forcing
-    of forced energy models at the points of `quad`, one entry per
-    forcing callable, and the operator data of `assembly`: the CSR
-    skeleton shared by every operator on the space (masked and unmasked)
-    and the Laplace stiffness.  Both assume `mesh`, `quad` and the dof
-    arrays are never reassigned after construction.  To integrate with
-    another rule, make another space, `dataclasses.replace(space,
-    quad=rule)`: both caches are `init=False` fields, so the copy's start
-    empty.
+    `quad` is the rule of every kernel and norm on the space.  The order
+    is the basis's.  `_cache` belongs to `assembly`, which fills it on
+    first use with data that depends only on the space: the CSR skeleton
+    shared by every operator on the space (masked and unmasked), the
+    Laplace stiffness, and the forcing of forced energy models at the
+    points of `quad`, one array per forcing callable.  It assumes `mesh`,
+    `quad` and the dof arrays are never reassigned after construction.
+    To integrate with another rule, make another space,
+    `dataclasses.replace(space, quad=rule)`: `_cache` is an `init=False`
+    field, so the copy's starts empty.
     """
 
     mesh: Mesh
-    order: int
     basis: ReferenceBasis
     dof_coords: np.ndarray
     elem_dofs: np.ndarray
     boundary_dofs: np.ndarray
     boundary_values: np.ndarray
     quad: QuadRule = field(repr=False)
-    _forcing_values: dict = field(default_factory=dict, init=False, repr=False,
-                                  compare=False)
-    _operators: dict = field(default_factory=dict, init=False, repr=False,
-                             compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for arr in (self.dof_coords, self.elem_dofs, self.boundary_dofs,
                     self.boundary_values):
             arr.flags.writeable = False
+
+    @property
+    def order(self):
+        return self.basis.order
 
     @property
     def dim(self):
@@ -474,8 +471,8 @@ def make_space(mesh, order, boundary_fn=0.0):
     boundary_values = np.asarray(fn(dof_coords[boundary_dofs]), dtype=float).reshape(-1)
 
     quad = quadrature_rule(mesh.dim, max(2 * order + 2, 8))
-    return FESpace(mesh, order, basis, dof_coords, elem_dofs,
-                   boundary_dofs, boundary_values, quad)
+    return FESpace(mesh, basis, dof_coords, elem_dofs, boundary_dofs,
+                   boundary_values, quad)
 
 
 def _interior_count(dim, order):

@@ -41,10 +41,11 @@ class Mesh:
     elements : (ne, dim+1) int array of vertex indices
     boundary_facets : (nb, dim) int array; vertices for d=1, edges for d=2
     boundary_markers : (nb,) int array
-    level : refinement level, 0 for a freshly built mesh
     parent : the coarser mesh this one refines, or None
     parent_elements : (ne,) int array mapping each element to its parent
         element id, or None on level 0
+    level : refinement level, the length of the parent chain (a property;
+        0 for a mesh without parent)
     """
 
     dim: int
@@ -52,7 +53,6 @@ class Mesh:
     elements: np.ndarray
     boundary_facets: np.ndarray
     boundary_markers: np.ndarray
-    level: int = 0
     parent: "Mesh | None" = None
     parent_elements: np.ndarray | None = None
 
@@ -92,6 +92,10 @@ class Mesh:
                     self.boundary_markers, self.jac, self.inv_jac,
                     self.det_jac, self.volumes):
             arr.flags.writeable = False
+
+    @property
+    def level(self):
+        return 0 if self.parent is None else self.parent.level + 1
 
     @property
     def num_vertices(self):
@@ -221,7 +225,6 @@ def _refine_interval(mesh):
         elements.reshape(-1, 2),
         mesh.boundary_facets.copy(),
         mesh.boundary_markers.copy(),
-        level=mesh.level + 1,
         parent=mesh,
         parent_elements=np.repeat(np.arange(ne), 2),
     )
@@ -251,7 +254,6 @@ def _refine_triangles(mesh):
         elements.reshape(-1, 3),
         facets.reshape(-1, 2),
         np.repeat(mesh.boundary_markers, 2),
-        level=mesh.level + 1,
         parent=mesh,
         parent_elements=np.repeat(np.arange(ne), 4),
     )

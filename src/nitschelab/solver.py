@@ -51,25 +51,24 @@ _ARMIJO_BACKTRACK = 0.5
 class NewtonOptions:
     """Controls for the Armijo-damped Newton minimization.
 
-    initial_guess: 'zero_interior' starts from the boundary lift,
-    'interpolant_of_exact' interpolates guess_fn, 'prolonged_coarse'
-    embeds guess_fe from a coarser space.  Boundary coefficients are
-    always reset to the prescribed data, so iterates stay admissible.
+    initial: None starts from the boundary lift, a callable from its
+    interpolant, an FEFunction on the same space from a copy of it, one
+    on a coarser nested space from its embedding.  Boundary coefficients
+    are always reset to the prescribed data, so iterates stay admissible.
     """
 
     max_iters: int = 30
     residual_tol: float = 1e-12
     linear_tol: float = 1e-12
-    initial_guess: str = "zero_interior"
-    guess_fn: object = None
-    guess_fe: object = None
+    initial: object = None
 
     def __post_init__(self):
         if self.residual_tol <= 0:
             raise ValueError("residual_tol must be positive")
-        if self.initial_guess not in ("zero_interior", "interpolant_of_exact",
-                                      "prolonged_coarse"):
-            raise ValueError(f"unknown initial_guess {self.initial_guess!r}")
+        if not (self.initial is None or callable(self.initial)
+                or isinstance(self.initial, FEFunction)):
+            raise ValueError("initial must be None, a callable or an FEFunction, "
+                             f"got {type(self.initial).__name__}")
 
 
 @dataclass
@@ -139,17 +138,13 @@ def linear_solve(op, b, tol=1e-12, max_iters=None):
         residual=rnorm / bnorm, iterations=cap)
 
 
-def _initial_iterate(space, opts):
-    if opts.initial_guess == "zero_interior":
+def _initial_iterate(space, initial):
+    if initial is None:
         u = space.with_boundary_values(0.0)
-    elif opts.initial_guess == "interpolant_of_exact":
-        if opts.guess_fn is None:
-            raise ValueError("initial_guess='interpolant_of_exact' needs guess_fn")
-        u = interpolate(space, opts.guess_fn)
+    elif isinstance(initial, FEFunction):
+        u = initial.copy() if initial.space is space else embed(initial, space)
     else:
-        if opts.guess_fe is None:
-            raise ValueError("initial_guess='prolonged_coarse' needs guess_fe")
-        u = embed(opts.guess_fe, space)
+        u = interpolate(space, initial)
     u.coeffs[space.boundary_dofs] = space.boundary_values
     return u
 
@@ -162,13 +157,14 @@ def minimize(model, space, opts=None):
     line-search underflow, or the iteration cap.
     """
     opts = opts or NewtonOptions()
-    u = _initial_iterate(space, opts)
+    u, energy = _initial_iterate(space, opts.initial), None
     log = SolveLog()
 
     for _ in range(opts.max_iters):
         r = assemble_residual(model, u)
         rnorm = float(np.abs(r).max())
-        energy = energy_value(model, u)
+        if energy is None:
+            energy = energy_value(model, u)
         if rnorm <= opts.residual_tol:
             log.iterations.append((rnorm, energy, 0.0))
             log.converged = True
@@ -180,20 +176,23 @@ def minimize(model, space, opts=None):
         except LinearSolveError as err:
             raise NewtonError(f"Hessian solve failed: {err}", log) from err
 
-        alpha = 1.0
+        alpha, trial_energy = 1.0, None
         slope = float(r @ step)
         # once the predicted decrease is below energy rounding, the line
         # search compares noise; take the full Newton step instead
         if abs(slope) > 1e-14 * (1.0 + abs(energy)):
             while True:
                 trial = FEFunction(space, u.coeffs + alpha * step)
-                if energy_value(model, trial) <= energy + _ARMIJO_C1 * alpha * slope:
+                trial_energy = energy_value(model, trial)
+                if trial_energy <= energy + _ARMIJO_C1 * alpha * slope:
                     break
                 alpha *= _ARMIJO_BACKTRACK
                 if alpha < 1e-14:
                     raise NewtonError("line search step underflow", log)
         u = FEFunction(space, u.coeffs + alpha * step)
         log.iterations.append((rnorm, energy, alpha))
+        # u is bitwise the accepted trial, whose energy is known already
+        energy = trial_energy
 
     raise NewtonError(f"no convergence within {opts.max_iters} Newton iterations "
                       f"(last residual {log.iterations[-1][0]:.3e})", log)

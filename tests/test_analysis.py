@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nitschelab import analysis, solver
 from nitschelab.analysis import (adjoint_identity_check, convergence_study,
                                  estimate_ellipticity, estimate_pq_constant,
                                  estimate_rate, galerkin_defect,
@@ -258,6 +259,32 @@ def test_adjoint_identity_residual_decreases_with_reference():
     assert residuals[1] < 0.05
 
 
+def test_adjoint_check_embeds_once_and_solves_to_the_newton_tolerance(monkeypatch):
+    """The reference solve starts from the embedding of u_h, and the
+    check's error term is that same embedding; the adjoint solve runs to
+    the linear tolerance of the Newton options."""
+    problem = build_problem("quartic", 1)
+    u, _ = solved(problem, 8)
+    calls, tols = [], []
+    original_matrix, original_solve = solver.embedding_matrix, analysis.linear_solve
+
+    def counting(src, dst):
+        calls.append((src, dst))
+        return original_matrix(src, dst)
+
+    def recording(op, b, tol):
+        tols.append(tol)
+        return original_solve(op, b, tol=tol)
+
+    monkeypatch.setattr(solver, "embedding_matrix", counting)
+    monkeypatch.setattr(analysis, "embedding_matrix", counting)
+    monkeypatch.setattr(analysis, "linear_solve", recording)
+    check = adjoint_identity_check(problem, u, newton=NewtonOptions(linear_tol=1e-11))
+    assert len(calls) == 1 and calls[0][0] is u.space
+    assert tols == [1e-11]
+    assert check.identity_residual < 0.05
+
+
 def test_h2_ratio_scaling_invariance():
     problem = build_problem("linear", 1)
     u, _ = solved(problem, 32, order=2)
@@ -364,6 +391,12 @@ def test_estimate_rate_excludes_nonpositive_with_warning():
     assert est.slope == pytest.approx(2.0, abs=1e-12)
     with pytest.raises(ValueError):
         estimate_rate([(0.5, 1.0), (0.25, 1.0)])
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_estimate_rate_rejects_errors_that_are_not_finite(bad):
+    with pytest.raises(ValueError, match="errors must be finite"):
+        estimate_rate([(0.5, 0.1), (0.25, bad), (0.125, 0.02)])
 
 
 # ---------------------------------------------------------------------------

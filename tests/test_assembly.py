@@ -445,8 +445,10 @@ def test_forcing_cache_shared_by_two_models_is_bitwise_exact(monkeypatch):
         assert np.array_equal(residual, assemble_residual(model, o))
         assert np.array_equal(assemble_hessian(model, v).toarray(),
                               assemble_hessian(model, w).toarray())
-    assert set(shared._forcing_values) == {m.forcing for m in models}
-    assert all(len(chunks) == 3 for chunks in shared._forcing_values.values())  # 18 elements
+    forcings = {key[1]: fx for key, fx in shared._cache.items() if isinstance(key, tuple)}
+    assert forcings.keys() == {m.forcing for m in models}
+    npts = len(shared.quad.weights)
+    assert all(fx.shape == (18, npts) and not fx.flags.writeable for fx in forcings.values())
 
 
 def test_forcing_evaluated_once_per_chunk_per_space(monkeypatch):
@@ -612,25 +614,22 @@ def test_space_under_another_rule_keeps_its_own_caches():
     v = smooth_state(space, seed=1)
     hessian = assemble_hessian(model, v).toarray()
     residual = assemble_residual(model, v)
-    before = {key: space._operators[key] for key in ("skeleton", "stiffness")}
-    forcing = dict(space._forcing_values[model.forcing])
+    before = dict(space._cache)
+    assert before.keys() == {"skeleton", "stiffness", ("forcing", model.forcing)}
 
     fine_rule = felement.quadrature_rule(2, 2 * space.quad.exactness_degree)
     fine = replace(space, quad=fine_rule)
-    assert not fine._operators and not fine._forcing_values
+    assert not fine._cache
     w = FEFunction(fine, v.coeffs)
     assemble_hessian(model, w)
     assemble_residual(model, w)
-    assert fine._operators["skeleton"] is not before["skeleton"]
-    assert fine._operators["stiffness"] is not before["stiffness"]
-    assert np.abs(fine._operators["stiffness"] - before["stiffness"]).max() < 1e-12
+    assert fine._cache.keys() == before.keys()
+    assert all(fine._cache[key] is not data for key, data in before.items())
+    assert np.abs(fine._cache["stiffness"] - before["stiffness"]).max() < 1e-12
     npts = len(fine_rule.weights)
-    assert all(fx.size == (sl[1] - sl[0]) * npts
-               for sl, fx in fine._forcing_values[model.forcing].items())
+    assert fine._cache["forcing", model.forcing].shape == (space.mesh.num_elements, npts)
 
-    assert all(space._operators[key] is data for key, data in before.items())
-    cached = space._forcing_values[model.forcing]
-    assert cached.keys() == forcing.keys()
-    assert all(cached[sl] is fx for sl, fx in forcing.items())
+    assert space._cache.keys() == before.keys()
+    assert all(space._cache[key] is data for key, data in before.items())
     assert np.array_equal(assemble_hessian(model, v).toarray(), hessian)
     assert np.array_equal(assemble_residual(model, v), residual)

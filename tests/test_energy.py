@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from nitschelab import energy
 from nitschelab.assembly import integrate
-from nitschelab.energy import (PROBLEM_NAMES, build_problem, classify,
-                               dirichlet_potential_model, el_residual,
+from nitschelab.energy import (PROBLEM_NAMES, ManufacturedProblem, build_problem,
+                               classify, dirichlet_potential_model, el_residual,
                                minimal_surface_model, with_forcing,
                                with_zeroed_gradient_blocks)
 from nitschelab.mesh import build_unit_mesh
@@ -158,6 +161,19 @@ def test_manufactured_el_residual(name, dim):
     rng = np.random.default_rng(11)
     pts = rng.uniform(0.02, 0.98, size=(50, dim))
     assert np.abs(el_residual(problem, pts)).max() < 1e-10
+
+
+def test_el_residual_sees_an_inconsistent_second_derivative():
+    """A model whose d2L_dpp is twice the derivative of its dL_dp gets a
+    forcing built from the wrong d2L_dpp; the residual, which
+    differentiates the flux itself, sees the Laplacian left over."""
+    exact = energy._sine_product(2)
+    base = quartic_model()
+    doubled = replace(base, d2L_dpp=lambda p, z, x: 2.0 * base.d2L_dpp(p, z, x))
+    model = with_forcing(doubled, energy._manufactured_forcing(doubled, exact))
+    problem = ManufacturedProblem("quartic", 2, model, exact, exact.value)
+    pts = np.random.default_rng(11).uniform(0.02, 0.98, size=(50, 2))
+    assert np.abs(el_residual(problem, pts)).max() > 1.0
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from math import factorial
 
 import numpy as np
@@ -54,6 +55,14 @@ def test_make_space_interval_m1():
     assert space.dim == 9
     assert len(space.boundary_dofs) == 2
     assert np.all(space.boundary_values == 0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_space_order_is_the_basis_order(dim, order):
+    space = make_space(build_unit_mesh(dim, 2), order, 0.0)
+    assert space.order == space.basis.order == order
+    assert replace(space, quad=felement.quadrature_rule(dim, 12)).order == order
 
 
 def test_make_space_square_m2_dim():

@@ -48,6 +48,18 @@ def test_refine_interval():
     assert m.level == 1 and m.parent is not None
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_level_is_the_length_of_the_parent_chain(dim):
+    m = build_unit_mesh(dim, 2)
+    assert m.level == 0
+    for level in (1, 2, 3):
+        m = refine(m)
+        assert m.level == level
+    # the same data without a parent is a level-0 mesh
+    assert Mesh(dim, m.vertices, m.elements, m.boundary_facets,
+                m.boundary_markers).level == 0
+
+
 def test_refine_triangles_count_and_area():
     m0 = build_unit_mesh(2, 2)
     m1 = refine(m0)
@@ -246,8 +258,7 @@ def test_nestedness_detects_child_outside_parent():
     parents = fine.parent_elements.copy()
     parents[:4], parents[4:8] = 1, 0
     swapped = Mesh(2, fine.vertices, fine.elements, fine.boundary_facets,
-                   fine.boundary_markers, level=1, parent=coarse,
-                   parent_elements=parents)
+                   fine.boundary_markers, parent=coarse, parent_elements=parents)
     with pytest.raises(MeshError, match="outside parent"):
         check_nested(swapped)
 

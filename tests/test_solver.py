@@ -8,6 +8,7 @@ from nitschelab.assembly import (SparseOperator, assemble_gram_l2,
 from nitschelab.energy import build_problem
 from nitschelab.felement import FEFunction, interpolate, make_space
 from nitschelab.mesh import build_unit_mesh, refine
+from nitschelab import solver
 from nitschelab.solver import (LinearSolveError, NewtonError, NewtonOptions,
                                embed, linear_solve, minimize, prolong)
 
@@ -75,10 +76,10 @@ def test_minimize_linear_problem_single_step():
     space = make_space(build_unit_mesh(1, 16), 1, problem.boundary_fn)
     rng = np.random.default_rng(2)
     wild = FEFunction(space, rng.standard_normal(space.dim))
-    opts = NewtonOptions(initial_guess="prolonged_coarse", guess_fe=wild)
-    # embed of same-space function is the identity; the wild start still
-    # converges in one Newton step because the energy is quadratic
-    opts.guess_fe = FEFunction(space, rng.standard_normal(space.dim))
+    opts = NewtonOptions(initial=wild)
+    # a same-space start is copied; the wild start still converges in one
+    # Newton step because the energy is quadratic
+    opts.initial = FEFunction(space, rng.standard_normal(space.dim))
     u, log = minimize(problem.model, space, opts)
     steps = [it for it in log.iterations if it[2] > 0]
     assert log.converged and len(steps) == 1
@@ -116,9 +117,69 @@ def test_minimize_unique_up_to_tolerance():
     problem = build_problem("quartic", 1)
     space = make_space(build_unit_mesh(1, 16), 1, problem.boundary_fn)
     u1, _ = minimize(problem.model, space, NewtonOptions())
-    u2, _ = minimize(problem.model, space, NewtonOptions(
-        initial_guess="interpolant_of_exact", guess_fn=problem.exact.value))
+    u2, _ = minimize(problem.model, space, NewtonOptions(initial=problem.exact.value))
     assert np.abs(u1.coeffs - u2.coeffs).max() < 1e-10
+
+
+def test_initial_dispatches_on_its_type():
+    """None starts from the boundary lift, a callable from its interpolant,
+    an FEFunction on the same space from its coefficients and one on a
+    coarser nested space from its embedding; the boundary data is always
+    reset."""
+    problem = build_problem("quartic", 1)
+    coarse = make_space(build_unit_mesh(1, 4), 1, problem.boundary_fn)
+    space = make_space(refine(coarse.mesh), 2, problem.boundary_fn)
+    rng = np.random.default_rng(7)
+    on_coarse = FEFunction(coarse, rng.standard_normal(coarse.dim))
+    on_space = FEFunction(space, rng.standard_normal(space.dim))
+    interior = space.interior_mask
+    cases = [(None, np.zeros(space.dim)),
+             (problem.exact.value, interpolate(space, problem.exact.value).coeffs),
+             (on_space, on_space.coeffs),
+             (on_coarse, embed(on_coarse, space).coeffs)]
+    for initial, want in cases:
+        got = solver._initial_iterate(space, initial).coeffs
+        assert np.array_equal(got[interior], want[interior])
+        assert np.array_equal(got[space.boundary_dofs], space.boundary_values)
+    on_fine_p1 = make_space(space.mesh, 1, problem.boundary_fn).zero_function()
+    with pytest.raises(ValueError, match="not a refinement descendant"):
+        solver._initial_iterate(coarse, on_fine_p1)
+
+
+def test_minimize_leaves_a_same_space_start_unchanged():
+    problem = build_problem("quartic", 1)
+    space = make_space(build_unit_mesh(1, 16), 1, problem.boundary_fn)
+    start = FEFunction(space, np.random.default_rng(3).standard_normal(space.dim))
+    before = start.coeffs.copy()
+    u, log = minimize(problem.model, space, NewtonOptions(initial=start))
+    assert log.converged and u is not start
+    assert np.array_equal(start.coeffs, before)
+
+
+@pytest.mark.parametrize("name", ["quartic", "minimal_surface"])
+def test_minimize_evaluates_each_energy_once(name, monkeypatch):
+    """The accepted line-search trial is the next iterate, with its energy:
+    no coefficient vector is evaluated twice, and every logged energy is
+    bitwise the energy of its iterate."""
+    problem = build_problem(name, 2)
+    space = make_space(build_unit_mesh(2, 4), 1, problem.boundary_fn)
+    evaluated, iterates = [], []
+
+    def counting_energy(model, v):
+        evaluated.append(v.coeffs.tobytes())
+        return energy_value(model, v)
+
+    def recording_residual(model, v):
+        iterates.append(v.coeffs.copy())
+        return assemble_residual(model, v)
+
+    monkeypatch.setattr(solver, "energy_value", counting_energy)
+    monkeypatch.setattr(solver, "assemble_residual", recording_residual)
+    _, log = minimize(problem.model, space)
+    assert log.converged and len(iterates) == len(log.iterations) > 2
+    assert len(set(evaluated)) == len(evaluated)
+    for coeffs, (_, logged, _) in zip(iterates, log.iterations):
+        assert logged == energy_value(problem.model, FEFunction(space, coeffs))
 
 
 def test_minimize_armijo_energy_monotone():
@@ -139,8 +200,10 @@ def test_minimize_iteration_cap_raises():
 def test_newton_options_validation():
     with pytest.raises(ValueError):
         NewtonOptions(residual_tol=0.0)
-    with pytest.raises(ValueError):
-        NewtonOptions(initial_guess="warm")
+    with pytest.raises(ValueError, match="initial"):
+        NewtonOptions(initial="warm")
+    with pytest.raises(ValueError, match="initial"):
+        NewtonOptions(initial=0.0)
 
 
 @pytest.mark.parametrize("dim,order", [(1, 1), (1, 3), (2, 1), (2, 2)])
