@@ -217,6 +217,18 @@ def estimate_ellipticity(model, v, seed=0):
 # integrated Galerkin orthogonality
 
 
+def _prolongation(coarse, fine):
+    """`embedding_matrix(coarse, fine)`, kept in the fine space's cache
+    together with its source space and rebuilt only for another source:
+    a study's level pair builds it once for the Newton start of the fine
+    level and for the Galerkin defect between the two."""
+    source, matrix = fine._cache.get("prolongation", (None, None))
+    if source is not coarse:
+        matrix = embedding_matrix(coarse, fine)
+        fine._cache["prolongation"] = (coarse, matrix)
+    return matrix
+
+
 def galerkin_defect(model, u_fine, u_h, t_quad_order=5):
     """Defect in the integrated first-order conditions between nested levels.
 
@@ -233,7 +245,7 @@ def galerkin_defect(model, u_fine, u_h, t_quad_order=5):
                          "once-refined mesh with the same order")
     if t_quad_order < 1:
         raise ValueError("t_quad_order must be >= 1")
-    prolongation = embedding_matrix(coarse, fine)
+    prolongation = _prolongation(coarse, fine)
     pu = prolongation @ u_h.coeffs
     diff = pu - u_fine.coeffs
     diff[fine.boundary_dofs] = 0.0
@@ -259,6 +271,11 @@ def solve_adjoint(model, u_ref, rhs_diff, linear_tol=1e-12):
     The reference order must be at least 2 so the solution supports the
     broken-H^2 diagnostics downstream.  W carries zero boundary values.
     """
+    return _adjoint_solution(model, u_ref, rhs_diff, linear_tol)[0]
+
+
+def _adjoint_solution(model, u_ref, rhs_diff, linear_tol):
+    """`solve_adjoint`'s W and the operator d2J(u_ref) it solved with."""
     space = u_ref.space
     if space.order < 2:
         raise ValueError("adjoint solves need a reference space of order >= 2")
@@ -268,7 +285,7 @@ def solve_adjoint(model, u_ref, rhs_diff, linear_tol=1e-12):
     b = -assemble_gram_l2(space).apply(rhs_diff.coeffs)
     b[space.boundary_dofs] = 0.0
     w = linear_solve(hess, b, tol=linear_tol)
-    return FEFunction(space, w)
+    return FEFunction(space, w), hess
 
 
 def h2_regularity_ratio(w, rhs_diff):
@@ -279,11 +296,16 @@ def h2_regularity_ratio(w, rhs_diff):
     """
     if w.space.order < 2:
         raise ValueError("H^2 ratio needs order >= 2")
-    denom = norms(None, rhs_diff).l2
-    if denom == 0.0:
+    return _h2_ratio(w, norms(None, rhs_diff).l2)
+
+
+def _h2_ratio(w, rhs_l2):
+    """`h2_regularity_ratio` of W, of order >= 2, with ||rhs||_{L^2}
+    already taken."""
+    if rhs_l2 == 0.0:
         raise _UndefinedDiagnostic("zero right-hand side")
     nw = norms(None, w, include_broken_h2=True)
-    return (nw.l2 + nw.h1_semi + nw.broken_h2) / denom
+    return (nw.l2 + nw.h1_semi + nw.broken_h2) / rhs_l2
 
 
 def _reference_solution(problem, u_h, levels_finer, newton):
@@ -309,22 +331,24 @@ def adjoint_identity_check(problem, u_h, levels_finer=2, newton=None):
     reference pair reproduces the true L^2 error, and tends to zero under
     reference refinement.  Also returns the H^2-regularity ratio of W.
     """
-    newton = newton or NewtonOptions()
+    return _adjoint_check(problem, u_h, norms(problem.exact, u_h).l2,
+                          levels_finer, newton or NewtonOptions())
+
+
+def _adjoint_check(problem, u_h, l2_exact, levels_finer, newton):
+    """`adjoint_identity_check` with ||u - u_h||_{L^2} already taken."""
     u_star, u_embedded = _reference_solution(problem, u_h, levels_finer, newton)
     ref_space = u_star.space
     e = u_embedded.coeffs - u_star.coeffs
     e[ref_space.boundary_dofs] = 0.0
     e_fe = FEFunction(ref_space, e)
 
-    w = solve_adjoint(problem.model, u_star, e_fe, linear_tol=newton.linear_tol)
-    hess = assemble_hessian(problem.model, u_star)
+    w, hess = _adjoint_solution(problem.model, u_star, e_fe, newton.linear_tol)
     bil = float(w.coeffs @ hess.apply(e_fe.coeffs))
 
-    l2_exact = norms(problem.exact, u_h).l2
     l2_disc = norms(None, e_fe).l2
     residual = abs(l2_exact**2 + bil) / l2_exact**2
-    ratio = h2_regularity_ratio(w, e_fe)
-    return AdjointCheck(residual, l2_exact, l2_disc, ratio)
+    return AdjointCheck(residual, l2_exact, l2_disc, _h2_ratio(w, l2_disc))
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +491,6 @@ class StudyOptions:
     newton: NewtonOptions = field(default_factory=NewtonOptions)
     diagnostics: tuple = ()
     seed: int = 0
-    continuation: bool = False
 
     def __post_init__(self):
         unknown = set(self.diagnostics) - set(DIAGNOSTIC_NAMES)
@@ -510,6 +533,12 @@ def convergence_study(problem, order, levels, opts=None):
     state aborts with abort_kind "ellipticity", and a diagnostic that is
     undefined at a level with abort_kind "diagnostic".  The Galerkin defect
     between levels l-1 and l is taken as soon as level l is solved.
+
+    Level 0's Newton iteration starts from `opts.newton.initial`; every
+    later level's starts from the previous level's minimizer, prolonged
+    (nested iteration), so its `newton_iters` counts the steps from there.
+    The prolongation of each level pair is built once and serves both
+    that start and the Galerkin defect.
     """
     if not isinstance(problem, ManufacturedProblem):
         raise TypeError("convergence_study needs a ManufacturedProblem")
@@ -529,8 +558,10 @@ def convergence_study(problem, order, levels, opts=None):
                 mesh = refine(mesh)
             space = make_space(mesh, order, problem.boundary_fn)
             newton = opts.newton
-            if opts.continuation and solutions:
-                newton = replace(newton, initial=solutions[-1])
+            if solutions:
+                coarse = solutions[-1]
+                start = _prolongation(coarse.space, space) @ coarse.coeffs
+                newton = replace(newton, initial=FEFunction(space, start))
             u_h, log = minimize(problem.model, space, newton)
 
             err_rep = norms(problem.exact, u_h)
@@ -561,9 +592,8 @@ def convergence_study(problem, order, levels, opts=None):
                                            samples=_PQ_SAMPLES, seed=opts.seed)
                 report.diagnostics["pq"].append((level, est.max_ratio))
             if "adjoint" in opts.diagnostics:
-                check = adjoint_identity_check(problem, u_h,
-                                               levels_finer=_ADJOINT_LEVELS_FINER,
-                                               newton=opts.newton)
+                check = _adjoint_check(problem, u_h, err_rep.l2,
+                                       _ADJOINT_LEVELS_FINER, opts.newton)
                 report.diagnostics["adjoint"].append(
                     (level, check.identity_residual, check.regularity_ratio))
     except (NewtonError, LinearSolveError, AssemblyError, PowerIterationError) as err:

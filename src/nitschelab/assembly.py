@@ -172,7 +172,7 @@ def _batch(vals, grads, x):
 
 
 def _pull(a, jac):
-    """a J^T on every element, for a (e, q, ..., d) and J (e, d, d): d
+    """a J^T on every element, for a (e, ..., d) and J (e, d, d): d
     broadcast products, where a batched matmul would make one tiny BLAS
     call per element."""
     d = jac.shape[-1]

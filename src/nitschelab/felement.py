@@ -350,12 +350,14 @@ class FESpace:
     boundary_values : prescribed values at those dofs
 
     `quad` is the rule of every kernel and norm on the space.  The order
-    is the basis's.  `_cache` belongs to `assembly`, which fills it on
-    first use with data that depends only on the space: the CSR skeleton
-    shared by every operator on the space (masked and unmasked), the
-    Laplace stiffness, and the forcing of forced energy models at the
-    points of `quad`, one array per forcing callable.  It assumes `mesh`,
-    `quad` and the dof arrays are never reassigned after construction.
+    is the basis's.  `_cache` holds data that depends only on the space,
+    made on first use: `assembly` keeps there the CSR skeleton shared by
+    every operator on the space (masked and unmasked), the Laplace
+    stiffness, and the forcing of forced energy models at the points of
+    `quad`, one array per forcing callable; `analysis` keeps the
+    prolongation from a study's coarser level, tagged with its source
+    space.  It assumes `mesh`, `quad` and the dof arrays are never
+    reassigned after construction.
     To integrate with another rule, make another space,
     `dataclasses.replace(space, quad=rule)`: `_cache` is an `init=False`
     field, so the copy's starts empty.

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import assemble_hessian, assemble_residual, energy_value
+from .assembly import _pull, assemble_hessian, assemble_residual, energy_value
 from .felement import FEFunction, interpolate
 
 __all__ = [
@@ -228,25 +228,31 @@ def embedding_matrix(src_space, dst_space):
         ancestor = parent_elements[ancestor]
 
     src_mesh = src_space.mesh
-    nodes = dst_space.basis.nodes
-    phys = (dst_mesh.vertices[dst_mesh.elements[:, 0]][:, None, :]
-            + np.einsum("eij,lj->eli", dst_mesh.inv_jac, nodes))
-    v0 = src_mesh.vertices[src_mesh.elements[ancestor, 0]]
-    ref = np.einsum("eij,elj->eli", src_mesh.jac[ancestor], phys - v0[:, None, :])
-
     nloc_d = dst_space.basis.n_local
     nloc_s = src_space.basis.n_local
-    vals = src_space.basis.values(ref.reshape(-1, src_mesh.dim))
+    # each dst node once, on the first element that holds it: its physical
+    # point, then the reference point in that element's source ancestor,
+    # as d broadcast products each (a batched matmul would make one tiny
+    # BLAS call per node)
+    _, first = np.unique(dst_space.elem_dofs.ravel(), return_index=True)
+    owner, local = np.divmod(first, nloc_d)
+    anc = ancestor[owner]
+    phys = (dst_mesh.vertices[dst_mesh.elements[owner, 0]]
+            + _pull(dst_space.basis.nodes[local], dst_mesh.inv_jac[owner]))
+    ref = _pull(phys - src_mesh.vertices[src_mesh.elements[anc, 0]],
+                src_mesh.jac[anc])
+    vals = src_space.basis.values(ref)
 
-    flat_dofs = dst_space.elem_dofs.ravel()
-    uniq, first = np.unique(flat_dofs, return_index=True)
-    rows = np.repeat(uniq, nloc_s)
-    owner = first // nloc_d
-    cols = src_space.elem_dofs[ancestor[owner]].ravel()
-    data = vals[first].ravel()
-    mat = sp.coo_matrix((data, (rows, cols)),
-                        shape=(dst_space.dim, src_space.dim)).tocsr()
-    return mat
+    # row i holds the values at node i of the nloc_s basis functions of its
+    # source element, columns ascending as a COO to CSR conversion would
+    # leave them; built as CSR directly, since that conversion's first
+    # use maps about 0.5 MB more of scipy's compiled code into memory
+    cols = src_space.elem_dofs[anc]
+    order = np.argsort(cols, axis=1, kind="stable")
+    return sp.csr_matrix((np.take_along_axis(vals, order, axis=1).ravel(),
+                          np.take_along_axis(cols, order, axis=1).ravel(),
+                          nloc_s * np.arange(dst_space.dim + 1)),
+                         shape=(dst_space.dim, src_space.dim))
 
 
 def embed(f, dst_space):

@@ -12,7 +12,7 @@ from nitschelab.energy import (PROBLEM_NAMES, ExactSolution, build_problem,
                                dirichlet_potential_model)
 from nitschelab.felement import FEFunction, interpolate, make_space
 from nitschelab.mesh import build_unit_mesh, refine
-from nitschelab.solver import NewtonOptions, minimize
+from nitschelab.solver import NewtonOptions, minimize, prolong
 
 
 def solved(problem, cells, order=1, **kw):
@@ -421,12 +421,62 @@ def test_convergence_study_with_diagnostics():
     assert all(b == pytest.approx(a / 2) for a, b in zip(hs, hs[1:]))
 
 
-def test_convergence_study_continuation():
-    problem = build_problem("minimal_surface", 1)
-    report = convergence_study(problem, 1, 3,
-                               StudyOptions(coarse_cells=8, continuation=True))
+def recorded_study(monkeypatch, problem, order, levels, opts):
+    """The study's report, with the start and the solution of every
+    level's Newton solve."""
+    starts, solutions = [], []
+    original = analysis.minimize
+
+    def recording(model, space, newton):
+        starts.append(newton.initial)
+        u, log = original(model, space, newton)
+        solutions.append(u)
+        return u, log
+
+    monkeypatch.setattr(analysis, "minimize", recording)
+    return convergence_study(problem, order, levels, opts), starts, solutions
+
+
+@pytest.mark.parametrize("name, dim, cells, max_iters", [
+    ("minimal_surface", 1, 8, [8, 8, 8]),
+    ("quartic", 2, 4, [4, 3, 3, 2]),
+], ids=["minimal_surface-d1", "quartic-d2"])
+def test_convergence_study_nested_iteration(monkeypatch, name, dim, cells, max_iters):
+    """Level 0 starts from the boundary lift, every later level from the
+    previous level's minimizer prolonged, which saves Newton steps."""
+    report, starts, solutions = recorded_study(
+        monkeypatch, build_problem(name, dim), 1, len(max_iters),
+        StudyOptions(coarse_cells=cells))
     assert report.aborted is None
-    assert all(lr.newton_iters <= 8 for lr in report.levels)
+    assert starts[0] is None
+    for start, coarse, fine in zip(starts[1:], solutions, solutions[1:]):
+        assert start.space is fine.space
+        np.testing.assert_array_equal(start.coeffs, prolong(coarse, fine.space).coeffs)
+    iters = [lr.newton_iters for lr in report.levels]
+    assert all(it <= cap for it, cap in zip(iters, max_iters)), iters
+
+
+def test_convergence_study_builds_each_prolongation_once(monkeypatch):
+    """One embedding per level pair serves both the Newton start of the
+    fine level and the Galerkin defect."""
+    calls = []
+    original = solver.embedding_matrix
+
+    def counting(src, dst):
+        calls.append((src, dst))
+        return original(src, dst)
+
+    monkeypatch.setattr(solver, "embedding_matrix", counting)
+    monkeypatch.setattr(analysis, "embedding_matrix", counting)
+    levels = 4
+    report, _, solutions = recorded_study(
+        monkeypatch, build_problem("quartic", 2), 1, levels,
+        StudyOptions(coarse_cells=2, diagnostics=("galerkin",)))
+    assert report.aborted is None
+    assert len(report.diagnostics["galerkin"]) == levels - 1
+    assert len(calls) == levels - 1
+    for (src, dst), coarse, fine in zip(calls, solutions, solutions[1:]):
+        assert src is coarse.space and dst is fine.space
 
 
 def test_convergence_study_marks_solver_abort():

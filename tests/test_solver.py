@@ -288,6 +288,46 @@ def test_prolong_space_mismatch_errors():
         embed(f, other)
 
 
+def einsum_embedding_matrix(src_space, dst_space):
+    """The embedding as first written: every dst node of every element
+    mapped with two einsums, then the first occurrence of each dof kept."""
+    dst_mesh, src_mesh = dst_space.mesh, src_space.mesh
+    ancestor = np.arange(dst_mesh.num_elements)
+    mesh = dst_mesh
+    while mesh is not src_mesh:
+        ancestor = mesh.parent_elements[ancestor]
+        mesh = mesh.parent
+    phys = (dst_mesh.vertices[dst_mesh.elements[:, 0]][:, None, :]
+            + np.einsum("eij,lj->eli", dst_mesh.inv_jac, dst_space.basis.nodes))
+    v0 = src_mesh.vertices[src_mesh.elements[ancestor, 0]]
+    ref = np.einsum("eij,elj->eli", src_mesh.jac[ancestor], phys - v0[:, None, :])
+    vals = src_space.basis.values(ref.reshape(-1, src_mesh.dim))
+    uniq, first = np.unique(dst_space.elem_dofs.ravel(), return_index=True)
+    nloc_s = src_space.basis.n_local
+    rows = np.repeat(uniq, nloc_s)
+    cols = src_space.elem_dofs[ancestor[first // dst_space.basis.n_local]].ravel()
+    return sp.coo_matrix((vals[first].ravel(), (rows, cols)),
+                         shape=(dst_space.dim, src_space.dim)).tocsr()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("finer", [1, 2])
+def test_embedding_matrix_matches_the_einsum_formula(dim, order, finer):
+    coarse_mesh = build_unit_mesh(dim, 3)
+    fine_mesh = coarse_mesh
+    for _ in range(finer):
+        fine_mesh = refine(fine_mesh)
+    coarse = make_space(coarse_mesh, order, 0.0)
+    fine = make_space(fine_mesh, order, 0.0)
+    expected = einsum_embedding_matrix(coarse, fine)
+    got = solver.embedding_matrix(coarse, fine)
+    # the same stored entries in the same order, so products sum alike
+    np.testing.assert_array_equal(got.indptr, expected.indptr)
+    np.testing.assert_array_equal(got.indices, expected.indices)
+    assert np.abs(got.data - expected.data).max() <= 1e-15 * np.abs(expected.data).max()
+
+
 def test_embed_order_raise_two_levels():
     from nitschelab.felement import evaluate
     coarse_mesh = build_unit_mesh(1, 4)
