@@ -2,11 +2,16 @@
 quadratic energies.
 
 The continuous minimizer entering the identities is replaced either by
-the manufactured exact solution (norms) or by a nested reference solution
-on a finer, possibly higher-order space (orthogonality and adjoint
-diagnostics); nestedness makes those identities exact up to solver
-tolerances, and the replacement error is itself what the adjoint
-identity check measures.
+the manufactured exact solution (norms) or by a nested discrete
+minimizer on a finer, possibly higher-order space (orthogonality and
+adjoint diagnostics); nestedness makes those identities exact up to
+solver tolerances, and the replacement error is itself what the adjoint
+identity check measures.  A study's levels, Galerkin pairs and adjoint
+references all read one `_Hierarchy` of meshes, spaces, prolongations
+and minimizers.  The reference of level l is the minimizer two levels up
+at order max(m, 2): for m >= 2 the study's own level l+2; for m = 1 the
+P2 minimizer on level l+2's mesh, solved from the embedded level-0
+minimizer for l = 0 and from the previous reference, prolonged, after.
 
 Provided checks
   * coercivity and boundedness constants of the second variation,
@@ -109,10 +114,6 @@ class AdjointCheck:
 # ellipticity
 
 
-def _interior_submatrix(matrix, interior):
-    return matrix[interior][:, interior]
-
-
 _DENSE_EIG_CUTOFF = 400
 # LOBPCG iterations preconditioned by the Gram inverse before an end that
 # has not converged goes on with the Jacobi preconditioner
@@ -196,10 +197,8 @@ def estimate_ellipticity(model, v, seed=0):
     interior = np.flatnonzero(space.interior_mask)
     if not len(interior):
         raise _UndefinedDiagnostic("ellipticity needs interior dofs; the space has none")
-    a_mat = _interior_submatrix(assemble_hessian(model, v).matrix,
-                                interior).tocsr()
-    g_mat = _interior_submatrix(assemble_gram_h1(space).matrix,
-                                interior).tocsr()
+    a_mat = assemble_hessian(model, v).matrix[interior][:, interior].tocsr()
+    g_mat = assemble_gram_h1(space).matrix[interior][:, interior].tocsr()
     state = f"{model.name} at discrete state, {len(interior)} interior dofs"
     if len(interior) <= _DENSE_EIG_CUTOFF:
         import scipy.linalg as la
@@ -214,19 +213,47 @@ def estimate_ellipticity(model, v, seed=0):
 
 
 # ---------------------------------------------------------------------------
+# level hierarchy
+
+
+@dataclass
+class _Hierarchy:
+    """Nested meshes refined from `meshes[0]`; per (level, order) the space
+    and the minimizer with its Newton count, made on first use and kept.
+    A minimizer starts from the one below, prolonged (the prolongation is
+    kept too), when that is held; else from `start` or `newton.initial`."""
+
+    problem: ManufacturedProblem
+    newton: NewtonOptions
+    meshes: list
+    spaces: dict = field(default_factory=dict)
+    prolongations: dict = field(default_factory=dict)
+    minimizers: dict = field(default_factory=dict)
+
+    def space(self, level, order):
+        while len(self.meshes) <= level:
+            self.meshes.append(refine(self.meshes[-1]))
+        if (level, order) not in self.spaces:
+            self.spaces[level, order] = make_space(self.meshes[level], order,
+                                                   self.problem.boundary_fn)
+        return self.spaces[level, order]
+
+    def minimizer(self, level, order, start=None):
+        if (level, order) not in self.minimizers:
+            space = self.space(level, order)
+            coarse = self.minimizers.get((level - 1, order))
+            if coarse is not None:
+                prolongation = embedding_matrix(coarse[0].space, space)
+                self.prolongations[level, order] = prolongation
+                start = FEFunction(space, prolongation @ coarse[0].coeffs)
+            newton = self.newton if start is None else replace(self.newton, initial=start)
+            u, log = minimize(self.problem.model, space, newton)
+            self.minimizers[level, order] = (u, len(log.iterations) - 1)
+        return self.minimizers[level, order]
+
+
+# ---------------------------------------------------------------------------
 # integrated Galerkin orthogonality
-
-
-def _prolongation(coarse, fine):
-    """`embedding_matrix(coarse, fine)`, kept in the fine space's cache
-    together with its source space and rebuilt only for another source:
-    a study's level pair builds it once for the Newton start of the fine
-    level and for the Galerkin defect between the two."""
-    source, matrix = fine._cache.get("prolongation", (None, None))
-    if source is not coarse:
-        matrix = embedding_matrix(coarse, fine)
-        fine._cache["prolongation"] = (coarse, matrix)
-    return matrix
 
 
 def galerkin_defect(model, u_fine, u_h, t_quad_order=5):
@@ -245,7 +272,13 @@ def galerkin_defect(model, u_fine, u_h, t_quad_order=5):
                          "once-refined mesh with the same order")
     if t_quad_order < 1:
         raise ValueError("t_quad_order must be >= 1")
-    prolongation = _prolongation(coarse, fine)
+    return _galerkin_defect(model, u_fine, u_h, embedding_matrix(coarse, fine),
+                            t_quad_order)
+
+
+def _galerkin_defect(model, u_fine, u_h, prolongation, t_quad_order=5):
+    """`galerkin_defect` with the prolongation of the level pair at hand."""
+    fine, coarse = u_fine.space, u_h.space
     pu = prolongation @ u_h.coeffs
     diff = pu - u_fine.coeffs
     diff[fine.boundary_dofs] = 0.0
@@ -305,45 +338,44 @@ def _h2_ratio(w, rhs_l2):
     if rhs_l2 == 0.0:
         raise _UndefinedDiagnostic("zero right-hand side")
     nw = norms(None, w, include_broken_h2=True)
-    return (nw.l2 + nw.h1_semi + nw.broken_h2) / rhs_l2
-
-
-def _reference_solution(problem, u_h, levels_finer, newton):
-    """Discrete stand-in for the continuous minimizer: `levels_finer`
-    refinements, order max(m, 2), warm-started from the given solution.
-    Returns it and the embedding of u_h into its space."""
-    mesh = u_h.space.mesh
-    for _ in range(levels_finer):
-        mesh = refine(mesh)
-    ref_space = make_space(mesh, max(u_h.space.order, 2), problem.boundary_fn)
-    u_embedded = embed(u_h, ref_space)
-    u_star, _ = minimize(problem.model, ref_space, replace(newton, initial=u_embedded))
-    return u_star, u_embedded
+    return float((nw.l2 + nw.h1_semi + nw.broken_h2) / rhs_l2)
 
 
 def adjoint_identity_check(problem, u_h, levels_finer=2, newton=None):
     """Duality identity residual |e_L2^2 + d2J(u)(W, u_h - u)| / e_L2^2.
 
-    The continuous solution is replaced by a nested reference solution;
-    W solves the adjoint problem there (to `newton.linear_tol`).  The
-    squared discrete difference then cancels the bilinear term exactly up
-    to linear-solver noise, so the residual measures how well the
-    reference pair reproduces the true L^2 error, and tends to zero under
-    reference refinement.  Also returns the H^2-regularity ratio of W.
+    The continuous solution is replaced by a nested reference solution,
+    `levels_finer` (> 0 for m >= 2) refinements up at order max(m, 2),
+    solved from the embedded u_h; W solves the adjoint problem there (to
+    `newton.linear_tol`).  The squared discrete difference then cancels
+    the bilinear term exactly up to linear-solver noise, so the residual
+    measures how well the reference pair reproduces the true L^2 error,
+    and tends to zero under reference refinement.  Also returns the
+    H^2-regularity ratio of W.
     """
-    return _adjoint_check(problem, u_h, norms(problem.exact, u_h).l2,
-                          levels_finer, newton or NewtonOptions())
+    lowest = 1 if u_h.space.order >= 2 else 0
+    if (isinstance(levels_finer, bool) or not isinstance(levels_finer, (int, np.integer))
+            or levels_finer < lowest):
+        raise ValueError(f"levels_finer must be an integer >= {lowest} for order "
+                         f"{u_h.space.order}, got {levels_finer!r}")
+    hierarchy = _Hierarchy(problem, newton or NewtonOptions(), [u_h.space.mesh])
+    return _adjoint_check(hierarchy, 0, u_h, norms(problem.exact, u_h).l2, levels_finer)
 
 
-def _adjoint_check(problem, u_h, l2_exact, levels_finer, newton):
-    """`adjoint_identity_check` with ||u - u_h||_{L^2} already taken."""
-    u_star, u_embedded = _reference_solution(problem, u_h, levels_finer, newton)
+def _adjoint_check(hierarchy, level, u_h, l2_exact, levels_finer):
+    """`adjoint_identity_check` of u_h on the hierarchy's `level`, with
+    ||u - u_h||_{L^2} already taken; the reference u* is the hierarchy's
+    minimizer `levels_finer` levels up at order max(m, 2)."""
+    ref_level, ref_order = level + levels_finer, max(u_h.space.order, 2)
+    u_embedded = embed(u_h, hierarchy.space(ref_level, ref_order))
+    u_star, _ = hierarchy.minimizer(ref_level, ref_order, u_embedded)
     ref_space = u_star.space
     e = u_embedded.coeffs - u_star.coeffs
     e[ref_space.boundary_dofs] = 0.0
     e_fe = FEFunction(ref_space, e)
 
-    w, hess = _adjoint_solution(problem.model, u_star, e_fe, newton.linear_tol)
+    w, hess = _adjoint_solution(hierarchy.problem.model, u_star, e_fe,
+                                hierarchy.newton.linear_tol)
     bil = float(w.coeffs @ hess.apply(e_fe.coeffs))
 
     l2_disc = norms(None, e_fe).l2
@@ -537,8 +569,13 @@ def convergence_study(problem, order, levels, opts=None):
     Level 0's Newton iteration starts from `opts.newton.initial`; every
     later level's starts from the previous level's minimizer, prolonged
     (nested iteration), so its `newton_iters` counts the steps from there.
-    The prolongation of each level pair is built once and serves both
-    that start and the Galerkin defect.
+    Every level comes from one `_Hierarchy`, which builds each level
+    pair's prolongation once for that start and the Galerkin defect.  For
+    m >= 2 the adjoint of level l solves levels l+1 and l+2 as it runs,
+    each as above, and takes level l+2 as its reference (the study then
+    reads them); a solve that fails there aborts at its own level, and
+    level l's adjoint entry is not recorded.  For m = 1 the references
+    are P2 minimizers, chained as the module docstring says.
     """
     if not isinstance(problem, ManufacturedProblem):
         raise TypeError("convergence_study needs a ManufacturedProblem")
@@ -550,29 +587,24 @@ def convergence_study(problem, order, levels, opts=None):
 
     report = ConvergenceReport(problem.name, problem.dim, order, [],
                                None, None, {name: [] for name in opts.diagnostics})
-    solutions = []
-    mesh = build_unit_mesh(problem.dim, opts.coarse_cells)
+    hierarchy = _Hierarchy(problem, opts.newton,
+                           [build_unit_mesh(problem.dim, opts.coarse_cells)])
     try:
         for level in range(levels):
-            if level > 0:
-                mesh = refine(mesh)
-            space = make_space(mesh, order, problem.boundary_fn)
-            newton = opts.newton
-            if solutions:
-                coarse = solutions[-1]
-                start = _prolongation(coarse.space, space) @ coarse.coeffs
-                newton = replace(newton, initial=FEFunction(space, start))
-            u_h, log = minimize(problem.model, space, newton)
+            at = level  # the level an abort names
+            u_h, iters = hierarchy.minimizer(level, order)
+            space = u_h.space
 
             err_rep = norms(problem.exact, u_h)
             monitor = norms(None, u_h, q=4).w1q
             report.levels.append(LevelResult(
-                level, width(mesh), space.dim, err_rep.l2, err_rep.h1,
-                len(log.iterations) - 1, monitor))
-            solutions.append(u_h)
+                level, width(space.mesh), space.dim, err_rep.l2, err_rep.h1,
+                iters, monitor))
 
             if "galerkin" in opts.diagnostics and level > 0:
-                defect = galerkin_defect(problem.model, u_h, solutions[-2])
+                defect = _galerkin_defect(problem.model, u_h,
+                                          hierarchy.minimizer(level - 1, order)[0],
+                                          hierarchy.prolongations[level, order])
                 report.diagnostics["galerkin"].append((level - 1, defect))
             if "ellipticity" in opts.diagnostics:
                 est = estimate_ellipticity(problem.model, u_h, seed=opts.seed + level)
@@ -592,19 +624,22 @@ def convergence_study(problem, order, levels, opts=None):
                                            samples=_PQ_SAMPLES, seed=opts.seed)
                 report.diagnostics["pq"].append((level, est.max_ratio))
             if "adjoint" in opts.diagnostics:
-                check = _adjoint_check(problem, u_h, err_rep.l2,
-                                       _ADJOINT_LEVELS_FINER, opts.newton)
+                if order >= 2:
+                    # the reference is a later study level: solve up to it now
+                    for at in range(level + 1, level + _ADJOINT_LEVELS_FINER + 1):
+                        hierarchy.minimizer(at, order)
+                    at = level
+                check = _adjoint_check(hierarchy, level, u_h, err_rep.l2,
+                                       _ADJOINT_LEVELS_FINER)
                 report.diagnostics["adjoint"].append(
                     (level, check.identity_residual, check.regularity_ratio))
-    except (NewtonError, LinearSolveError, AssemblyError, PowerIterationError) as err:
-        report.aborted = f"level {level}: {err}"
-        report.abort_kind = "solver"
-    except _UndefinedDiagnostic as err:
-        report.aborted = f"level {level}: {err}"
-        report.abort_kind = "diagnostic"
+    except (NewtonError, LinearSolveError, AssemblyError, PowerIterationError,
+            _UndefinedDiagnostic) as err:
+        report.aborted = f"level {at}: {err}"
+        report.abort_kind = ("diagnostic" if isinstance(err, _UndefinedDiagnostic)
+                             else "solver")
 
     if len(report.levels) >= 3:
-        data = [(lr.h, lr.err_l2) for lr in report.levels]
-        report.rate_l2 = estimate_rate(data)
+        report.rate_l2 = estimate_rate([(lr.h, lr.err_l2) for lr in report.levels])
         report.rate_h1 = estimate_rate([(lr.h, lr.err_h1) for lr in report.levels])
     return report

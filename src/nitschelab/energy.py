@@ -17,6 +17,8 @@ matching forcing analytically, so the exact solution and all its
 derivatives are available to the error studies.
 """
 
+import functools
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -174,12 +176,8 @@ def minimal_surface_model():
 
     def d3_ppp(p, z, x, a, b, c):
         ww = w(p)
-        pa = np.einsum("...i,...i->...", p, a)
-        pb = np.einsum("...i,...i->...", p, b)
-        pc = np.einsum("...i,...i->...", p, c)
-        ab = np.einsum("...i,...i->...", a, b)
-        ac = np.einsum("...i,...i->...", a, c)
-        bc = np.einsum("...i,...i->...", b, c)
+        pa, pb, pc, ab, ac, bc = (np.einsum("...i,...i->...", u, v) for u, v in
+                                  ((p, a), (p, b), (p, c), (a, b), (a, c), (b, c)))
         return (-(ab * pc + ac * pb + bc * pa) / ww**3
                 + 3.0 * pa * pb * pc / ww**5)
 
@@ -254,10 +252,7 @@ def _sine_product(dim):
         return np.sin(px), np.cos(px)
 
     def prod(cols):
-        out = cols[0]
-        for col in cols[1:]:
-            out = out * col
-        return out
+        return functools.reduce(operator.mul, cols)
 
     def value(x):
         return prod(np.sin(np.pi * np.atleast_2d(x)).T)

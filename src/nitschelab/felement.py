@@ -12,6 +12,8 @@ ordered along ascending global vertex index so shared dofs match across
 elements without coordinate hashing.
 """
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,23 +113,17 @@ class ReferenceBasis:
 
     def gradients(self, pts):
         """(npts, n_local, dim) reference gradients."""
-        cols = [_monomials(self.exponents, pts, dx=_unit(d, self.dim)) @ self.coeffs
-                for d in range(self.dim)]
-        return np.stack(cols, axis=-1)
+        return np.stack([self._derivative(pts, a) for a in range(self.dim)], axis=-1)
 
     def hessians(self, pts):
         """(npts, n_local, dim, dim) reference second derivatives."""
-        npts = len(np.atleast_2d(pts))
-        out = np.empty((npts, self.n_local, self.dim, self.dim))
-        for a in range(self.dim):
-            for b in range(a, self.dim):
-                dx = [0] * self.dim
-                dx[a] += 1
-                dx[b] += 1
-                vals = _monomials(self.exponents, pts, dx=tuple(dx)) @ self.coeffs
-                out[:, :, a, b] = vals
-                out[:, :, b, a] = vals
-        return out
+        return np.stack([np.stack([self._derivative(pts, a, b) for b in range(self.dim)],
+                                  axis=-1) for a in range(self.dim)], axis=-2)
+
+    def _derivative(self, pts, *axes):
+        """(npts, n_local) derivative of the basis along `axes`."""
+        dx = tuple(axes.count(a) for a in range(self.dim))
+        return _monomials(self.exponents, pts, dx=dx) @ self.coeffs
 
 
 def _monomials(exponents, pts, dx=(0, 0)):
@@ -142,18 +138,9 @@ def _monomials(exponents, pts, dx=(0, 0)):
             if e < d:
                 col = np.zeros(len(pts))
                 break
-            fac = 1.0
-            for j in range(d):
-                fac *= e - j
-            col = col * fac * pts[:, axis] ** (e - d)
+            col = col * math.perm(e, d) * pts[:, axis] ** (e - d)
         out[:, k] = col
     return out
-
-
-def _unit(axis, dim):
-    dx = [0] * dim
-    dx[axis] = 1
-    return tuple(dx)
 
 
 _BASIS_CACHE = {}
@@ -214,23 +201,19 @@ def _triangle_rule(degree):
     if table_deg is None:
         return _collapsed_triangle_rule(degree)
     points, weights = [], []
-    for orbit in _TRI_ORBITS[table_deg]:
-        kind = orbit[0]
+    for kind, *data in _TRI_ORBITS[table_deg]:
         if kind == "center":
-            points.append((1 / 3, 1 / 3))
-            weights.append(orbit[1])
+            bary, w = (1 / 3, 1 / 3, 1 / 3), data[0]
         elif kind == "s3":
-            a, w = orbit[1], orbit[2]
-            b = 1.0 - 2.0 * a
-            for bary in ((a, a, b), (a, b, a), (b, a, a)):
-                points.append((bary[1], bary[2]))
-                weights.append(w)
-        else:  # s6
-            a, b, w = orbit[1], orbit[2], orbit[3]
-            c = 1.0 - a - b
-            for bary in ((a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)):
-                points.append((bary[1], bary[2]))
-                weights.append(w)
+            a, w = data
+            bary = (a, a, 1.0 - 2.0 * a)
+        else:
+            a, b, w = data
+            bary = (a, b, 1.0 - a - b)
+        # each distinct ordering of the orbit's barycentric coordinates
+        for perm in dict.fromkeys(itertools.permutations(bary)):
+            points.append(perm[1:])
+            weights.append(w)
     return QuadRule(2, np.array(points), 0.5 * np.array(weights), table_deg)
 
 
@@ -354,10 +337,8 @@ class FESpace:
     made on first use: `assembly` keeps there the CSR skeleton shared by
     every operator on the space (masked and unmasked), the Laplace
     stiffness, and the forcing of forced energy models at the points of
-    `quad`, one array per forcing callable; `analysis` keeps the
-    prolongation from a study's coarser level, tagged with its source
-    space.  It assumes `mesh`, `quad` and the dof arrays are never
-    reassigned after construction.
+    `quad`, one array per forcing callable.  It assumes `mesh`, `quad`
+    and the dof arrays are never reassigned after construction.
     To integrate with another rule, make another space,
     `dataclasses.replace(space, quad=rule)`: `_cache` is an `init=False`
     field, so the copy's starts empty.

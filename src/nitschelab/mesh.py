@@ -261,15 +261,9 @@ def _refine_triangles(mesh):
 
 def width(mesh):
     """Longest edge over all elements."""
+    i, j = np.triu_indices(mesh.dim + 1, 1)                 # vertex pairs
     verts = mesh.vertices[mesh.elements]                    # (ne, dim+1, dim)
-    if mesh.dim == 1:
-        return float(np.abs(verts[:, 1, 0] - verts[:, 0, 0]).max())
-    edges = np.stack([
-        verts[:, 1] - verts[:, 0],
-        verts[:, 2] - verts[:, 1],
-        verts[:, 2] - verts[:, 0],
-    ])
-    return float(np.linalg.norm(edges, axis=-1).max())
+    return float(np.linalg.norm(verts[:, j] - verts[:, i], axis=-1).max())
 
 
 def element_map(mesh, element_id):

@@ -213,19 +213,14 @@ def embedding_matrix(src_space, dst_space):
     if dst_space.order < src_space.order:
         raise ValueError("target order is lower than source order; embedding "
                          "would not be exact")
-    chain = []
-    mesh = dst_space.mesh
+    dst_mesh = mesh = dst_space.mesh
+    ancestor = np.arange(dst_mesh.num_elements)
     while mesh is not src_space.mesh:
         if mesh.parent is None or mesh.parent_elements is None:
             raise ValueError("target mesh is not a refinement descendant of the "
                              "source mesh")
-        chain.append(mesh.parent_elements)
+        ancestor = mesh.parent_elements[ancestor]
         mesh = mesh.parent
-
-    dst_mesh = dst_space.mesh
-    ancestor = np.arange(dst_mesh.num_elements)
-    for parent_elements in chain:
-        ancestor = parent_elements[ancestor]
 
     src_mesh = src_space.mesh
     nloc_d = dst_space.basis.n_local

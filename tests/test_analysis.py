@@ -12,7 +12,7 @@ from nitschelab.energy import (PROBLEM_NAMES, ExactSolution, build_problem,
                                dirichlet_potential_model)
 from nitschelab.felement import FEFunction, interpolate, make_space
 from nitschelab.mesh import build_unit_mesh, refine
-from nitschelab.solver import NewtonOptions, minimize, prolong
+from nitschelab.solver import NewtonOptions, embed, minimize, prolong
 
 
 def solved(problem, cells, order=1, **kw):
@@ -285,6 +285,33 @@ def test_adjoint_check_embeds_once_and_solves_to_the_newton_tolerance(monkeypatc
     assert check.identity_residual < 0.05
 
 
+@pytest.mark.parametrize("order, bad", [
+    (1, True), (1, 1.5), (1, -1), (1, "2"), (2, 0), (2, -1), (2, False),
+])
+def test_adjoint_identity_check_validates_levels_finer(order, bad):
+    problem = build_problem("quartic", 1)
+    u, _ = solved(problem, 4, order=order)
+    with pytest.raises(ValueError, match="levels_finer must be an integer"):
+        adjoint_identity_check(problem, u, levels_finer=bad)
+
+
+def test_adjoint_identity_check_accepts_the_same_space_at_order_1():
+    """For m = 1, levels_finer = 0 puts the P2 reference on u_h's mesh."""
+    problem = build_problem("quartic", 1)
+    u, _ = solved(problem, 8)
+    check = adjoint_identity_check(problem, u, levels_finer=np.int64(0))
+    assert all(np.isfinite(value) for value in vars(check).values())
+    assert check.identity_residual < 0.05
+
+
+def test_adjoint_check_fields_are_plain_floats():
+    problem = build_problem("quartic", 1)
+    u, _ = solved(problem, 8)
+    check = adjoint_identity_check(problem, u)
+    for name, value in vars(check).items():
+        assert type(value) is float, (name, type(value))
+
+
 def test_h2_ratio_scaling_invariance():
     problem = build_problem("linear", 1)
     u, _ = solved(problem, 32, order=2)
@@ -477,6 +504,117 @@ def test_convergence_study_builds_each_prolongation_once(monkeypatch):
     assert len(calls) == levels - 1
     for (src, dst), coarse, fine in zip(calls, solutions, solutions[1:]):
         assert src is coarse.space and dst is fine.space
+
+
+def counted_calls(monkeypatch, *names):
+    """Patch analysis's bindings of `names` to record every call's result;
+    returns {name: [results]}."""
+    calls = {name: [] for name in names}
+    for name in names:
+        def recording(*args, _name=name, _original=getattr(analysis, name), **kwargs):
+            out = _original(*args, **kwargs)
+            calls[_name].append(out)
+            return out
+
+        monkeypatch.setattr(analysis, name, recording)
+    return calls
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_study_levels_do_not_depend_on_the_adjoint(order):
+    """The adjoint's references come from the study's own hierarchy
+    without changing a level's solve: every level value is bitwise equal
+    with and without the diagnostic."""
+    problem = build_problem("quartic", 2)
+    plain, with_adjoint = (
+        convergence_study(problem, order, 3,
+                          StudyOptions(coarse_cells=2, diagnostics=diagnostics))
+        for diagnostics in ((), ("adjoint",)))
+    assert with_adjoint.aborted is None
+    assert len(with_adjoint.diagnostics["adjoint"]) == 3
+    assert [(lr.dofs, lr.err_l2, lr.err_h1, lr.newton_iters) for lr in plain.levels] == \
+        [(lr.dofs, lr.err_l2, lr.err_h1, lr.newton_iters) for lr in with_adjoint.levels]
+
+
+def test_adjoint_references_are_later_study_levels(monkeypatch):
+    """For m >= 2 the reference of level l is the study's level l+2
+    minimizer; only the two levels past the last are solved in addition
+    (4 refinements, 5 spaces and 5 Newton solves for 3 levels)."""
+    calls = counted_calls(monkeypatch, "refine", "make_space", "minimize")
+    refs = []
+    original = analysis._adjoint_solution
+
+    def recording(model, u_ref, rhs, tol):
+        refs.append(u_ref)
+        return original(model, u_ref, rhs, tol)
+
+    monkeypatch.setattr(analysis, "_adjoint_solution", recording)
+    report = convergence_study(build_problem("quartic", 2), 2, 3,
+                               StudyOptions(coarse_cells=2, diagnostics=("adjoint",)))
+    assert report.aborted is None
+    assert [len(calls[name]) for name in ("refine", "make_space", "minimize")] == [4, 5, 5]
+    solutions = [u for u, _ in calls["minimize"]]
+    assert [u.space.mesh.level for u in solutions] == [0, 1, 2, 3, 4]
+    assert [u.space.dim for u in solutions[:3]] == [lr.dofs for lr in report.levels]
+    for level, ref in enumerate(refs):
+        assert ref is solutions[level + 2]
+
+
+def test_order_1_references_form_a_p2_chain(monkeypatch):
+    """For m = 1 the P2 references sit on the study's meshes; the first
+    starts from the embedded level-0 minimizer, each later one from the
+    previous reference, prolonged."""
+    report, starts, solutions = recorded_study(
+        monkeypatch, build_problem("quartic", 2), 1, 3,
+        StudyOptions(coarse_cells=2, diagnostics=("adjoint",)))
+    assert report.aborted is None
+    p1 = [u for u in solutions if u.space.order == 1]
+    refs = [(start, u) for start, u in zip(starts, solutions) if u.space.order == 2]
+    assert all(u.space.mesh is ref.space.mesh.parent.parent for u, (_, ref) in zip(p1, refs))
+    assert [u.space.mesh.level for _, u in refs] == [2, 3, 4]
+    first_start, first = refs[0]
+    np.testing.assert_array_equal(first_start.coeffs, embed(p1[0], first.space).coeffs)
+    for (_, coarse), (start, fine) in zip(refs, refs[1:]):
+        assert fine.space.mesh.parent is coarse.space.mesh
+        np.testing.assert_array_equal(start.coeffs, prolong(coarse, fine.space).coeffs)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_largest_hierarchy_space_is_the_config_bound(monkeypatch, order):
+    from nitschelab.cli import _largest_space_dofs
+
+    calls = counted_calls(monkeypatch, "make_space")
+    convergence_study(build_problem("quartic", 2), order, 3,
+                      StudyOptions(coarse_cells=2, diagnostics=("adjoint",)))
+    assert max(space.dim for space in calls["make_space"]) == \
+        _largest_space_dofs(2, order, 3, 2, ("adjoint",))
+
+
+def fail_minimize_call(monkeypatch, failing):
+    """Make analysis's `minimize` raise a NewtonError on call `failing`
+    (counted from 0)."""
+    original, count = analysis.minimize, []
+
+    def flaky(model, space, newton):
+        count.append(space)
+        if len(count) - 1 == failing:
+            raise solver.NewtonError("no convergence (forced)")
+        return original(model, space, newton)
+
+    monkeypatch.setattr(analysis, "minimize", flaky)
+
+
+def test_a_failed_extension_names_the_level_whose_solve_failed(monkeypatch):
+    """The adjoint of level 0 solves level 1 (the second Newton solve)
+    first; its failure aborts at level 1, and level 0 keeps no adjoint
+    entry."""
+    fail_minimize_call(monkeypatch, 1)
+    report = convergence_study(build_problem("quartic", 2), 2, 3,
+                               StudyOptions(coarse_cells=2, diagnostics=("adjoint",)))
+    assert report.aborted == "level 1: no convergence (forced)"
+    assert report.abort_kind == "solver"
+    assert len(report.levels) == 1
+    assert report.diagnostics["adjoint"] == []
 
 
 def test_convergence_study_marks_solver_abort():

@@ -245,6 +245,31 @@ def test_run_diagnostic_failure_exits_solver(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_run_failed_adjoint_extension_exits_solver(tmp_path, monkeypatch, capsys):
+    """For m >= 2 the adjoint of level 0 solves level 1 first; a Newton
+    failure there is a solver failure at level 1."""
+    from nitschelab import analysis, solver
+
+    original, calls = analysis.minimize, []
+
+    def flaky(model, space, newton):
+        calls.append(space)
+        if len(calls) == 2:
+            raise solver.NewtonError("no convergence (forced)")
+        return original(model, space, newton)
+
+    monkeypatch.setattr(analysis, "minimize", flaky)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, f"problem: quartic\ndim: 2\norder: 2\nlevels: 3\n"
+                                  f"coarse_cells: 2\ndiagnostics: [adjoint]\n"
+                                  f"output_dir: {out}\n")
+    assert main(["run", path]) == EXIT_SOLVER
+    report = (out / "report.txt").read_text()
+    assert "aborted: level 1: no convergence (forced)" in report
+    assert "[FAIL] adjoint: no data" in report
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("dim,order,cells,levels,diagnostics,accepted", [
     # d=1: 4 * cells * order + 1 dofs after two refinements
     (1, 1, (MAX_DOFS - 1) // 4, 3, "[]", True),
