@@ -36,7 +36,7 @@ from .assembly import (AssemblyError, assemble_gram_h1, assemble_gram_l2,
 from .energy import ManufacturedProblem
 from .felement import FEFunction, check_inverse_estimate, interpolate, make_space
 from .mesh import build_unit_mesh, refine, width
-from .solver import (LinearSolveError, NewtonError, NewtonOptions,
+from .solver import (LinearSolveError, NewtonError, NewtonOptions, _v_cycle,
                      embed, embedding_matrix, linear_solve, minimize)
 
 __all__ = [
@@ -216,12 +216,31 @@ def estimate_ellipticity(model, v, seed=0):
 # level hierarchy
 
 
+# damping of the V-cycle's Jacobi smoother by polynomial order.  The
+# smoother needs damping < 2 / lambda_max(D^-1 A); on minimal_surface d=2
+# lambda_max grows under refinement to 2.50, 2.72 and 3.01 (P1 and P2 at
+# 16 641 dofs, P3 at 9409), so 0.8 for P1 would sit at the limit
+_JACOBI_DAMPING = {1: 0.7, 2: 0.6, 3: 0.5}
+
+
 @dataclass
 class _Hierarchy:
     """Nested meshes refined from `meshes[0]`; per (level, order) the space
     and the minimizer with its Newton count, made on first use and kept.
     A minimizer starts from the one below, prolonged (the prolongation is
-    kept too), when that is held; else from `start` or `newton.initial`."""
+    kept too), when that is held; else from `start` or `newton.initial`.
+
+    The Hessian solves on a level l >= 1 are preconditioned by a V-cycle
+    (`solver._v_cycle`) over the levels below, down to the root (level 0)
+    of the same order.  A level's operator in the cycle is the last
+    Hessian that its own `minimize` assembled, kept in `hessians`; the
+    transfers are the kept prolongations with boundary rows and columns
+    zeroed; the root is solved by a dense inverse of its interior block,
+    made once.  A solve stays Jacobi-preconditioned when the root has
+    more than `_DENSE_EIG_CUTOFF` interior dofs, or when a level below it
+    lacks a Hessian or a prolongation: level 0, a minimizer started from
+    `start` and any level above one.
+    """
 
     problem: ManufacturedProblem
     newton: NewtonOptions
@@ -229,6 +248,9 @@ class _Hierarchy:
     spaces: dict = field(default_factory=dict)
     prolongations: dict = field(default_factory=dict)
     minimizers: dict = field(default_factory=dict)
+    hessians: dict = field(default_factory=dict)
+    transfers: dict = field(default_factory=dict)
+    roots: dict = field(default_factory=dict)
 
     def space(self, level, order):
         while len(self.meshes) <= level:
@@ -247,9 +269,69 @@ class _Hierarchy:
                 self.prolongations[level, order] = prolongation
                 start = FEFunction(space, prolongation @ coarse[0].coeffs)
             newton = self.newton if start is None else replace(self.newton, initial=start)
-            u, log = minimize(self.problem.model, space, newton)
+            cycle_for = self.preconditioner_for(level, order)
+
+            def keep(hess):
+                self.hessians[level, order] = hess
+                return cycle_for(hess)
+
+            u, log = minimize(self.problem.model, space, newton, preconditioner_for=keep)
             self.minimizers[level, order] = (u, len(log.iterations) - 1)
         return self.minimizers[level, order]
+
+    def preconditioner_for(self, level, order):
+        """Map from a Hessian on (level, order) to the V-cycle over the
+        levels below, or to None (Jacobi) where the class docstring says."""
+        below = range(level - 1, -1, -1)
+        if (level == 0 or self._root(order) is None
+                or any((k, order) not in self.hessians for k in below)
+                or any((k, order) not in self.prolongations for k in range(1, level + 1))):
+            return lambda hess: None
+        omega = _JACOBI_DAMPING[order]
+        coarse = [(self.hessians[k, order].matrix,
+                   omega / self.hessians[k, order].diagonal(),
+                   *self._transfer(k, order)) for k in below[:-1]]
+        transfer = self._transfer(level, order)
+
+        def cycle(hess):
+            levels = [(hess.matrix, omega / hess.diagonal(), *transfer), *coarse]
+            root_solve = self.roots[order]
+            return lambda r: _v_cycle(levels, root_solve, r)
+        return cycle
+
+    def _transfer(self, level, order):
+        """The prolongation into (level, order) with the rows of the fine
+        and the columns of the coarse boundary dofs zeroed, and its
+        transpose; made once."""
+        if (level, order) not in self.transfers:
+            prolongation = self.prolongations[level, order].copy()
+            fine, coarse = self.space(level, order), self.space(level - 1, order)
+            rows = np.repeat(np.arange(fine.dim), np.diff(prolongation.indptr))
+            prolongation.data[~(fine.interior_mask[rows]
+                                & coarse.interior_mask[prolongation.indices])] = 0.0
+            prolongation.eliminate_zeros()
+            self.transfers[level, order] = (prolongation, prolongation.T.tocsr())
+        return self.transfers[level, order]
+
+    def _root(self, order):
+        """Exact solve on the root's interior dofs by a dense inverse of its
+        last Hessian, made on first use once that Hessian is held; None
+        while it is not, and above `_DENSE_EIG_CUTOFF` interior dofs."""
+        if self.roots.get(order) is None and (0, order) in self.hessians:
+            interior = np.flatnonzero(self.space(0, order).interior_mask)
+            if len(interior) > _DENSE_EIG_CUTOFF:
+                return None
+            inverse = np.linalg.inv(
+                self.hessians[0, order].matrix[interior][:, interior].toarray())
+            inverse = 0.5 * (inverse + inverse.T)
+
+            def root_solve(r):
+                x = np.zeros_like(r)
+                x[interior] = inverse @ r[interior]
+                return x
+
+            self.roots[order] = root_solve
+        return self.roots.get(order)
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +389,10 @@ def solve_adjoint(model, u_ref, rhs_diff, linear_tol=1e-12):
     return _adjoint_solution(model, u_ref, rhs_diff, linear_tol)[0]
 
 
-def _adjoint_solution(model, u_ref, rhs_diff, linear_tol):
-    """`solve_adjoint`'s W and the operator d2J(u_ref) it solved with."""
+def _adjoint_solution(model, u_ref, rhs_diff, linear_tol, preconditioner_for=None):
+    """`solve_adjoint`'s W and the operator d2J(u_ref) it solved with;
+    `preconditioner_for` maps that operator to the solve's preconditioner,
+    as in `minimize`."""
     space = u_ref.space
     if space.order < 2:
         raise ValueError("adjoint solves need a reference space of order >= 2")
@@ -317,7 +401,8 @@ def _adjoint_solution(model, u_ref, rhs_diff, linear_tol):
     hess = assemble_hessian(model, u_ref)
     b = -assemble_gram_l2(space).apply(rhs_diff.coeffs)
     b[space.boundary_dofs] = 0.0
-    w = linear_solve(hess, b, tol=linear_tol)
+    w = linear_solve(hess, b, tol=linear_tol,
+                     preconditioner=preconditioner_for and preconditioner_for(hess))
     return FEFunction(space, w), hess
 
 
@@ -365,17 +450,29 @@ def adjoint_identity_check(problem, u_h, levels_finer=2, newton=None):
 def _adjoint_check(hierarchy, level, u_h, l2_exact, levels_finer):
     """`adjoint_identity_check` of u_h on the hierarchy's `level`, with
     ||u - u_h||_{L^2} already taken; the reference u* is the hierarchy's
-    minimizer `levels_finer` levels up at order max(m, 2)."""
+    minimizer `levels_finer` levels up at order max(m, 2).  u_h is
+    embedded by the kept prolongations when the hierarchy holds them
+    (a study of order m >= 2), else by its own embedding matrix."""
     ref_level, ref_order = level + levels_finer, max(u_h.space.order, 2)
-    u_embedded = embed(u_h, hierarchy.space(ref_level, ref_order))
+    ref_space = hierarchy.space(ref_level, ref_order)
+    chain = [hierarchy.prolongations.get((k, ref_order))
+             for k in range(level + 1, ref_level + 1)]
+    if u_h.space is hierarchy.spaces.get((level, ref_order)) and None not in chain:
+        coeffs = u_h.coeffs
+        for prolongation in chain:
+            coeffs = prolongation @ coeffs
+        u_embedded = FEFunction(ref_space, coeffs)
+    else:
+        u_embedded = embed(u_h, ref_space)
     u_star, _ = hierarchy.minimizer(ref_level, ref_order, u_embedded)
-    ref_space = u_star.space
     e = u_embedded.coeffs - u_star.coeffs
     e[ref_space.boundary_dofs] = 0.0
     e_fe = FEFunction(ref_space, e)
 
     w, hess = _adjoint_solution(hierarchy.problem.model, u_star, e_fe,
-                                hierarchy.newton.linear_tol)
+                                hierarchy.newton.linear_tol,
+                                preconditioner_for=hierarchy.preconditioner_for(
+                                    ref_level, ref_order))
     bil = float(w.coeffs @ hess.apply(e_fe.coeffs))
 
     l2_disc = norms(None, e_fe).l2

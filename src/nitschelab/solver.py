@@ -4,7 +4,10 @@ and exact embedding between nested spaces.
 Newton iterates the first-order condition (masked residual = 0) with the
 assembled second variation, so a converged iterate is a discrete critical
 point; positive definiteness is checked implicitly by the conjugate
-gradient solve at every step.  All solves are deterministic.
+gradient solve at every step.  The solves are Jacobi-preconditioned
+unless the caller passes another preconditioner: a study's level
+hierarchy passes a geometric V-cycle (`_v_cycle`) over its coarser
+levels.  All solves are deterministic.
 """
 
 from dataclasses import dataclass, field
@@ -63,8 +66,11 @@ class NewtonOptions:
     initial: object = None
 
     def __post_init__(self):
-        if self.residual_tol <= 0:
-            raise ValueError("residual_tol must be positive")
+        if not self.max_iters >= 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters!r}")
+        for name in ("residual_tol", "linear_tol"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
         if not (self.initial is None or callable(self.initial)
                 or isinstance(self.initial, FEFunction)):
             raise ValueError("initial must be None, a callable or an FEFunction, "
@@ -85,14 +91,18 @@ class SolveLog:
         return [it[1] for it in self.iterations]
 
 
-def linear_solve(op, b, tol=1e-12, max_iters=None):
-    """Jacobi-preconditioned conjugate gradients for SPD operators.
+def linear_solve(op, b, tol=1e-12, max_iters=None, preconditioner=None):
+    """Preconditioned conjugate gradients for SPD operators.
 
-    Terminates when the 2-norm residual drops below tol * ||b||; raises
+    `preconditioner` maps a residual to the preconditioned residual and
+    must be symmetric positive definite; None is Jacobi, diag(op)^-1.  The
+    operator is applied once per iteration and nowhere else.  Terminates
+    when the 2-norm residual drops below tol * ||b||; raises
     LinearSolveError with the final relative residual if the iteration cap
     is reached, or immediately if the operator is found indefinite or
     non-finite (a diagonal entry or a curvature p.Ap that is not a
-    positive finite number) or the preconditioned residual r.z underflows.
+    positive finite number), the preconditioner is found not positive
+    definite (r.z negative or not a number) or r.z underflows.
     """
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
@@ -103,13 +113,17 @@ def linear_solve(op, b, tol=1e-12, max_iters=None):
     if not np.all((diag > 0) & (diag < np.inf)):
         raise LinearSolveError("operator diagonal not positive and finite; not SPD",
                                iterations=0)
+    if preconditioner is None:
+        def preconditioner(r):
+            return r / diag
     cap = max_iters or 10 * n + 100
 
     x = np.zeros(n)
     r = b.copy()
-    z = r / diag
+    z = preconditioner(r)
     p = z.copy()
     rz = float(r @ z)
+    _check_rz(rz, 1.0, 0)
     for it in range(cap):
         ap = op.apply(p)
         pap = float(p @ ap)
@@ -123,19 +137,67 @@ def linear_solve(op, b, tol=1e-12, max_iters=None):
         rnorm = float(np.linalg.norm(r))
         if rnorm <= tol * bnorm:
             return x
-        z = r / diag
+        z = preconditioner(r)
         rz_new = float(r @ z)
-        if not rz_new > 0:
-            # r.z underflows to zero long before the residual meets a
-            # tolerance near the bottom of the float range
-            raise LinearSolveError("conjugate gradients broke down: the preconditioned "
-                                   "residual norm underflowed",
-                                   residual=rnorm / bnorm, iterations=it + 1)
+        _check_rz(rz_new, rnorm / bnorm, it + 1)
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise LinearSolveError(
         f"conjugate gradients did not reach tol={tol:g} within {cap} iterations",
         residual=rnorm / bnorm, iterations=cap)
+
+
+def _check_rz(rz, residual, iterations):
+    """Raise unless the preconditioned residual product r.z is positive."""
+    if rz > 0:
+        return
+    if rz == 0:
+        # r.z underflows to zero long before the residual meets a
+        # tolerance near the bottom of the float range
+        raise LinearSolveError("conjugate gradients broke down: the preconditioned "
+                               "residual norm underflowed",
+                               residual=residual, iterations=iterations)
+    raise LinearSolveError(f"preconditioner not positive definite: r.z = {rz:.3e}",
+                           residual=residual, iterations=iterations)
+
+
+# damped-Jacobi sweeps of `_v_cycle` before and after each coarse correction
+_SMOOTHING_SWEEPS = 2
+
+
+def _v_cycle(levels, root_solve, r):
+    """One symmetric geometric V-cycle applied to r: a preconditioner for
+    `linear_solve` once levels and root_solve are bound.
+
+    `levels` holds, finest first, one (matrix, weights, prolongation,
+    restriction) per level above the root: the level's CSR operator, its
+    damped inverse diagonal, the prolongation from the level below and
+    its transpose.  Each level smooths by `_SMOOTHING_SWEEPS`
+    damped-Jacobi sweeps before and after the correction from the level
+    below; `root_solve` solves on the root exactly.  With symmetric
+    positive definite operators, a symmetric positive definite root solve
+    and a damping below 2 / lambda_max(D^-1 A), the cycle is symmetric
+    positive definite.
+    """
+    if not levels:
+        return root_solve(r)
+    a, weights, prolongation, restriction = levels[0]
+    x = weights * r
+    _smooth(a, weights, x, r, _SMOOTHING_SWEEPS - 1)
+    defect = a @ x
+    np.subtract(r, defect, out=defect)
+    x += prolongation @ _v_cycle(levels[1:], root_solve, restriction @ defect)
+    _smooth(a, weights, x, r, _SMOOTHING_SWEEPS)
+    return x
+
+
+def _smooth(a, weights, x, r, sweeps):
+    """Damped-Jacobi sweeps on a x = r, updating x in place."""
+    for _ in range(sweeps):
+        defect = a @ x
+        np.subtract(r, defect, out=defect)
+        defect *= weights
+        x += defect
 
 
 def _initial_iterate(space, initial):
@@ -149,12 +211,14 @@ def _initial_iterate(space, initial):
     return u
 
 
-def minimize(model, space, opts=None):
+def minimize(model, space, opts=None, preconditioner_for=None):
     """Damped Newton minimization of the energy over the space.
 
     Returns (u_h, SolveLog) once the masked residual sup-norm is at or
     below residual_tol.  Raises NewtonError on Hessian solve failure,
-    line-search underflow, or the iteration cap.
+    line-search underflow, or the iteration cap.  `preconditioner_for`
+    maps each assembled Hessian to the preconditioner of its solve (None
+    for Jacobi); without it every solve is Jacobi-preconditioned.
     """
     opts = opts or NewtonOptions()
     u, energy = _initial_iterate(space, opts.initial), None
@@ -171,8 +235,10 @@ def minimize(model, space, opts=None):
             return u, log
 
         hess = assemble_hessian(model, u)
+        preconditioner = preconditioner_for and preconditioner_for(hess)
         try:
-            step = linear_solve(hess, -r, tol=opts.linear_tol)
+            step = linear_solve(hess, -r, tol=opts.linear_tol,
+                                preconditioner=preconditioner)
         except LinearSolveError as err:
             raise NewtonError(f"Hessian solve failed: {err}", log) from err
 

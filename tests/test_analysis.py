@@ -12,7 +12,7 @@ from nitschelab.energy import (PROBLEM_NAMES, ExactSolution, build_problem,
                                dirichlet_potential_model)
 from nitschelab.felement import FEFunction, interpolate, make_space
 from nitschelab.mesh import build_unit_mesh, refine
-from nitschelab.solver import NewtonOptions, embed, minimize, prolong
+from nitschelab.solver import NewtonOptions, embed, linear_solve, minimize, prolong
 
 
 def solved(problem, cells, order=1, **kw):
@@ -272,9 +272,9 @@ def test_adjoint_check_embeds_once_and_solves_to_the_newton_tolerance(monkeypatc
         calls.append((src, dst))
         return original_matrix(src, dst)
 
-    def recording(op, b, tol):
+    def recording(op, b, tol, **kwargs):
         tols.append(tol)
-        return original_solve(op, b, tol=tol)
+        return original_solve(op, b, tol=tol, **kwargs)
 
     monkeypatch.setattr(solver, "embedding_matrix", counting)
     monkeypatch.setattr(analysis, "embedding_matrix", counting)
@@ -330,6 +330,170 @@ def test_h2_ratio_validates_input():
     u, _ = solved(problem, 16, order=2)
     with pytest.raises(ValueError, match="zero right-hand side"):
         h2_regularity_ratio(u, u.space.zero_function())
+
+
+# ---------------------------------------------------------------------------
+# V-cycle preconditioned solves on the level hierarchy
+
+
+class CountingOperator:
+    """Stands in for a SparseOperator and counts `apply`, as the
+    benchmark's tracer does."""
+
+    def __init__(self, op):
+        self.op = op
+        self.applies = 0
+
+    def apply(self, x):
+        self.applies += 1
+        return self.op.apply(x)
+
+    def diagonal(self):
+        return self.op.diagonal()
+
+
+def counted_solves(monkeypatch, modules=(solver, analysis)):
+    """Wrap each module's `linear_solve` binding to record, per solve, the
+    operator's size, whether a preconditioner was passed and the CG
+    iterations (operator applications)."""
+    solves = []
+
+    def counting(op, b, *args, **kwargs):
+        proxy = CountingOperator(op)
+        try:
+            return linear_solve(proxy, b, *args, **kwargs)
+        finally:
+            solves.append((op.dim, kwargs.get("preconditioner") is not None,
+                           proxy.applies))
+
+    for module in modules:
+        monkeypatch.setattr(module, "linear_solve", counting)
+    return solves
+
+
+def hierarchy_of(name, cells, order, levels):
+    """A d=2 hierarchy from `cells` coarse cells with `levels` minimizers."""
+    hierarchy = analysis._Hierarchy(build_problem(name, 2), NewtonOptions(),
+                                    [build_unit_mesh(2, cells)])
+    for level in range(levels):
+        hierarchy.minimizer(level, order)
+    return hierarchy
+
+
+@pytest.mark.parametrize("name, order, levels, cap", [
+    ("quartic", 1, 6, 20), ("quartic", 2, 5, 20), ("quartic", 3, 4, 20),
+    ("cosine", 1, 6, 20), ("cosine", 2, 5, 20), ("cosine", 3, 4, 20),
+    ("minimal_surface", 1, 6, 40), ("minimal_surface", 2, 5, 40),
+    ("minimal_surface", 3, 4, 40),
+])
+def test_v_cycle_bounds_the_cg_iterations_of_every_hessian_solve(
+        monkeypatch, name, order, levels, cap):
+    """From 4 coarse cells up to 16 641 dofs (P1, P2) or 9409 (P3), every
+    Newton solve on a level of 1089 dofs or more is V-cycle preconditioned
+    and takes at most `cap` CG iterations, where Jacobi-PCG's count grows
+    like 1/h."""
+    solves = counted_solves(monkeypatch)
+    hierarchy_of(name, 4, order, levels)
+    sized = [(preconditioned, iters) for dim, preconditioned, iters in solves
+             if dim >= 1089]
+    assert len(sized) >= levels - 3
+    assert all(preconditioned for preconditioned, _ in sized)
+    assert max(iters for _, iters in sized) <= cap, solves
+
+
+def cycle_at_the_top(name, cells, order, levels):
+    """The finest minimizer's Hessian of a hierarchy, its V-cycle and a
+    random right-hand side with zero boundary entries."""
+    hierarchy = hierarchy_of(name, cells, order, levels)
+    u, _ = hierarchy.minimizers[levels - 1, order]
+    hess = assemble_hessian(hierarchy.problem.model, u)
+    cycle = hierarchy.preconditioner_for(levels - 1, order)(hess)
+    b = np.random.default_rng(order).standard_normal(u.space.dim)
+    b[u.space.boundary_dofs] = 0.0
+    return hess, cycle, b
+
+
+@pytest.mark.parametrize("name, order, levels", [
+    ("quartic", 1, 4), ("quartic", 2, 3), ("quartic", 3, 3), ("minimal_surface", 2, 3),
+])
+def test_v_cycle_solution_agrees_with_jacobi_pcg(name, order, levels):
+    hess, cycle, b = cycle_at_the_top(name, 4, order, levels)
+    assert hess.dim >= 1089
+    x_jacobi = linear_solve(hess, b, tol=1e-12)
+    x_cycle = linear_solve(hess, b, tol=1e-12, preconditioner=cycle)
+    assert np.linalg.norm(x_cycle - x_jacobi) <= 1e-10 * np.linalg.norm(x_jacobi)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_v_cycle_is_symmetric_positive_definite(order):
+    hess, cycle, b = cycle_at_the_top("quartic", 2, order, 3)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        u, v = rng.standard_normal((2, hess.dim))
+        uv, vu = u @ cycle(v), v @ cycle(u)
+        assert abs(uv - vu) <= 1e-12 * np.sqrt((u @ cycle(u)) * (v @ cycle(v)))
+        assert u @ cycle(u) > 0
+
+
+@pytest.mark.parametrize("cells, cycle", [(21, True), (22, False)])
+def test_a_root_above_the_dense_cap_keeps_jacobi_pcg(monkeypatch, cells, cycle):
+    """P1 on 21 x 21 cells has 400 interior dofs, at the dense cap; on
+    22 x 22, 441, above it.  Level 0 is Jacobi-preconditioned either way."""
+    solves = counted_solves(monkeypatch)
+    hierarchy = hierarchy_of("quartic", cells, 1, 2)
+    dims = [hierarchy.space(level, 1).dim for level in (0, 1)]
+    assert {preconditioned for dim, preconditioned, _ in solves if dim == dims[0]} == {False}
+    assert {preconditioned for dim, preconditioned, _ in solves if dim == dims[1]} == {cycle}
+
+
+def test_a_minimizer_started_without_the_level_below_keeps_jacobi_pcg(monkeypatch):
+    """A level whose minimizer did not start from the one below has no
+    prolongation into it, so neither it nor the levels above it have a
+    chain down to the root."""
+    solves = counted_solves(monkeypatch)
+    problem = build_problem("quartic", 2)
+    hierarchy = analysis._Hierarchy(problem, NewtonOptions(), [build_unit_mesh(2, 4)])
+    hierarchy.minimizer(1, 1, start=problem.exact.value)
+    hierarchy.minimizer(2, 1)
+    assert solves and not any(preconditioned for _, preconditioned, _ in solves)
+
+
+@pytest.mark.parametrize("order, cycle", [(1, False), (2, True)])
+def test_adjoint_solve_is_preconditioned_where_its_reference_has_a_chain(
+        monkeypatch, order, cycle):
+    """For m >= 2 the reference is a study level, so its adjoint solve runs
+    the V-cycle; for m = 1 the P2 references have no P2 root."""
+    solves = counted_solves(monkeypatch, modules=(analysis,))
+    report = convergence_study(build_problem("quartic", 2), order, 3,
+                               StudyOptions(coarse_cells=2, diagnostics=("adjoint",)))
+    assert report.aborted is None
+    assert len(solves) == 3
+    assert {preconditioned for _, preconditioned, _ in solves} == {cycle}
+
+
+def test_adjoint_embeds_by_the_held_prolongations(monkeypatch):
+    """For m >= 2 the embedding of u_h into its reference is the product of
+    the two prolongations the hierarchy holds, which equals the two-level
+    embedding matrix to rounding; no embedding matrix is built for it."""
+    calls = counted_calls(monkeypatch, "embedding_matrix")
+    embedded = []
+    original = analysis._adjoint_solution
+
+    def recording(model, u_ref, rhs, tol, **kwargs):
+        embedded.append(rhs.coeffs + u_ref.coeffs)
+        return original(model, u_ref, rhs, tol, **kwargs)
+
+    monkeypatch.setattr(analysis, "_adjoint_solution", recording)
+    report, _, solutions = recorded_study(
+        monkeypatch, build_problem("quartic", 2), 2, 3,
+        StudyOptions(coarse_cells=2, diagnostics=("adjoint",)))
+    assert report.aborted is None
+    assert len(calls["embedding_matrix"]) == 4  # the prolongations into levels 1-4
+    for level, e in enumerate(embedded):
+        u_h, ref = solutions[level], solutions[level + 2]
+        direct = solver.embedding_matrix(u_h.space, ref.space) @ u_h.coeffs
+        interior = ref.space.interior_mask
+        np.testing.assert_allclose(e[interior], direct[interior], rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -454,9 +618,9 @@ def recorded_study(monkeypatch, problem, order, levels, opts):
     starts, solutions = [], []
     original = analysis.minimize
 
-    def recording(model, space, newton):
+    def recording(model, space, newton, **kwargs):
         starts.append(newton.initial)
-        u, log = original(model, space, newton)
+        u, log = original(model, space, newton, **kwargs)
         solutions.append(u)
         return u, log
 
@@ -544,9 +708,9 @@ def test_adjoint_references_are_later_study_levels(monkeypatch):
     refs = []
     original = analysis._adjoint_solution
 
-    def recording(model, u_ref, rhs, tol):
+    def recording(model, u_ref, rhs, tol, **kwargs):
         refs.append(u_ref)
-        return original(model, u_ref, rhs, tol)
+        return original(model, u_ref, rhs, tol, **kwargs)
 
     monkeypatch.setattr(analysis, "_adjoint_solution", recording)
     report = convergence_study(build_problem("quartic", 2), 2, 3,
@@ -595,11 +759,11 @@ def fail_minimize_call(monkeypatch, failing):
     (counted from 0)."""
     original, count = analysis.minimize, []
 
-    def flaky(model, space, newton):
+    def flaky(model, space, newton, **kwargs):
         count.append(space)
         if len(count) - 1 == failing:
             raise solver.NewtonError("no convergence (forced)")
-        return original(model, space, newton)
+        return original(model, space, newton, **kwargs)
 
     monkeypatch.setattr(analysis, "minimize", flaky)
 

@@ -252,11 +252,11 @@ def test_run_failed_adjoint_extension_exits_solver(tmp_path, monkeypatch, capsys
 
     original, calls = analysis.minimize, []
 
-    def flaky(model, space, newton):
+    def flaky(model, space, newton, **kwargs):
         calls.append(space)
         if len(calls) == 2:
             raise solver.NewtonError("no convergence (forced)")
-        return original(model, space, newton)
+        return original(model, space, newton, **kwargs)
 
     monkeypatch.setattr(analysis, "minimize", flaky)
     out = tmp_path / "out"

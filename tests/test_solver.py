@@ -61,6 +61,35 @@ def test_linear_solve_rejects_nan_operator_at_once(entry):
     assert err.value.iterations == 0
 
 
+def test_linear_solve_rejects_an_indefinite_preconditioner_at_once():
+    """A preconditioner that returns -r makes r.z negative before the first
+    iteration; the error names the preconditioner, not the operator."""
+    a = sp.csr_matrix(np.array([[4.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 4.0]]))
+    with pytest.raises(LinearSolveError, match="preconditioner not positive definite") as err:
+        linear_solve(SparseOperator(a), np.ones(3), preconditioner=lambda r: -r)
+    assert err.value.iterations == 0
+
+
+class CountingOperator(SparseOperator):
+    applies = 0
+
+    def apply(self, x):
+        self.applies += 1
+        return super().apply(x)
+
+
+def test_linear_solve_with_the_exact_inverse_takes_one_iteration():
+    rng = np.random.default_rng(2)
+    b_mat = rng.standard_normal((30, 30))
+    a = b_mat @ b_mat.T + 30 * np.eye(30)
+    inverse = np.linalg.inv(a)
+    op = CountingOperator(sp.csr_matrix(a))
+    b = rng.standard_normal(30)
+    x = linear_solve(op, b, tol=1e-10, preconditioner=lambda r: inverse @ r)
+    assert op.applies == 1
+    assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
 def test_linear_solve_iteration_cap_reports_residual():
     rng = np.random.default_rng(1)
     b_mat = rng.standard_normal((40, 40))
@@ -197,9 +226,19 @@ def test_minimize_iteration_cap_raises():
         minimize(problem.model, space, NewtonOptions(max_iters=1))
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("max_iters", 0), ("max_iters", -1),
+    ("residual_tol", 0.0), ("residual_tol", float("nan")),
+    ("linear_tol", 0.0), ("linear_tol", -1e-12), ("linear_tol", float("nan")),
+])
+def test_newton_options_reject_a_cap_or_tolerance_that_is_not_positive(field, bad):
+    """At max_iters=0 `minimize` would index an empty log, and a linear_tol
+    that is not positive would fail every solve as an underflow."""
+    with pytest.raises(ValueError, match=field):
+        NewtonOptions(**{field: bad})
+
+
 def test_newton_options_validation():
-    with pytest.raises(ValueError):
-        NewtonOptions(residual_tol=0.0)
     with pytest.raises(ValueError, match="initial"):
         NewtonOptions(initial="warm")
     with pytest.raises(ValueError, match="initial"):
