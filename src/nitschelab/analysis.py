@@ -8,10 +8,8 @@ adjoint diagnostics); nestedness makes those identities exact up to
 solver tolerances, and the replacement error is itself what the adjoint
 identity check measures.  A study's levels, Galerkin pairs and adjoint
 references all read one `_Hierarchy` of meshes, spaces, prolongations
-and minimizers.  The reference of level l is the minimizer two levels up
-at order max(m, 2): for m >= 2 the study's own level l+2; for m = 1 the
-P2 minimizer on level l+2's mesh, solved from the embedded level-0
-minimizer for l = 0 and from the previous reference, prolonged, after.
+and minimizers, each level solved from the one below, prolonged.  The
+reference of level l is the hierarchy's level l+2 at order max(m, 2).
 
 Provided checks
   * coercivity and boundedness constants of the second variation,
@@ -227,8 +225,8 @@ _JACOBI_DAMPING = {1: 0.7, 2: 0.6, 3: 0.5}
 class _Hierarchy:
     """Nested meshes refined from `meshes[0]`; per (level, order) the space
     and the minimizer with its Newton count, made on first use and kept.
-    A minimizer starts from the one below, prolonged (the prolongation is
-    kept too), when that is held; else from `start` or `newton.initial`.
+    Level 0 starts from `newton.initial`, every level above from the
+    minimizer below, prolonged (nested iteration; the prolongation is kept).
 
     The Hessian solves on a level l >= 1 are preconditioned by a V-cycle
     (`solver._v_cycle`) over the levels below, down to the root (level 0)
@@ -236,10 +234,9 @@ class _Hierarchy:
     Hessian that its own `minimize` assembled, kept in `hessians`; the
     transfers are the kept prolongations with boundary rows and columns
     zeroed; the root is solved by a dense inverse of its interior block,
-    made once.  A solve stays Jacobi-preconditioned when the root has
-    more than `_DENSE_EIG_CUTOFF` interior dofs, or when a level below it
-    lacks a Hessian or a prolongation: level 0, a minimizer started from
-    `start` and any level above one.
+    made once.  A solve stays Jacobi-preconditioned on level 0, when the
+    root has more than `_DENSE_EIG_CUTOFF` interior dofs, or when a level
+    below it kept no Hessian (its Newton start was already converged).
     """
 
     problem: ManufacturedProblem
@@ -260,15 +257,14 @@ class _Hierarchy:
                                                    self.problem.boundary_fn)
         return self.spaces[level, order]
 
-    def minimizer(self, level, order, start=None):
+    def minimizer(self, level, order):
         if (level, order) not in self.minimizers:
-            space = self.space(level, order)
-            coarse = self.minimizers.get((level - 1, order))
-            if coarse is not None:
-                prolongation = embedding_matrix(coarse[0].space, space)
+            space, newton = self.space(level, order), self.newton
+            if level > 0:
+                coarse, _ = self.minimizer(level - 1, order)
+                prolongation = embedding_matrix(coarse.space, space)
                 self.prolongations[level, order] = prolongation
-                start = FEFunction(space, prolongation @ coarse[0].coeffs)
-            newton = self.newton if start is None else replace(self.newton, initial=start)
+                newton = replace(newton, initial=FEFunction(space, prolongation @ coarse.coeffs))
             cycle_for = self.preconditioner_for(level, order)
 
             def keep(hess):
@@ -284,8 +280,7 @@ class _Hierarchy:
         levels below, or to None (Jacobi) where the class docstring says."""
         below = range(level - 1, -1, -1)
         if (level == 0 or self._root(order) is None
-                or any((k, order) not in self.hessians for k in below)
-                or any((k, order) not in self.prolongations for k in range(1, level + 1))):
+                or any((k, order) not in self.hessians for k in below)):
             return lambda hess: None
         omega = _JACOBI_DAMPING[order]
         coarse = [(self.hessians[k, order].matrix,
@@ -430,9 +425,9 @@ def adjoint_identity_check(problem, u_h, levels_finer=2, newton=None):
     """Duality identity residual |e_L2^2 + d2J(u)(W, u_h - u)| / e_L2^2.
 
     The continuous solution is replaced by a nested reference solution,
-    `levels_finer` (> 0 for m >= 2) refinements up at order max(m, 2),
-    solved from the embedded u_h; W solves the adjoint problem there (to
-    `newton.linear_tol`).  The squared discrete difference then cancels
+    `levels_finer` (> 0 for m >= 2) refinements up at order max(m, 2), on
+    a hierarchy rooted at u_h's space; W solves the adjoint problem there
+    (to `newton.linear_tol`).  The squared discrete difference then cancels
     the bilinear term exactly up to linear-solver noise, so the residual
     measures how well the reference pair reproduces the true L^2 error,
     and tends to zero under reference refinement.  Also returns the
@@ -443,31 +438,26 @@ def adjoint_identity_check(problem, u_h, levels_finer=2, newton=None):
             or levels_finer < lowest):
         raise ValueError(f"levels_finer must be an integer >= {lowest} for order "
                          f"{u_h.space.order}, got {levels_finer!r}")
-    hierarchy = _Hierarchy(problem, newton or NewtonOptions(), [u_h.space.mesh])
+    hierarchy = _Hierarchy(problem, newton or NewtonOptions(), [u_h.space.mesh],
+                           spaces={(0, u_h.space.order): u_h.space})
     return _adjoint_check(hierarchy, 0, u_h, norms(problem.exact, u_h).l2, levels_finer)
 
 
 def _adjoint_check(hierarchy, level, u_h, l2_exact, levels_finer):
-    """`adjoint_identity_check` of u_h on the hierarchy's `level`, with
-    ||u - u_h||_{L^2} already taken; the reference u* is the hierarchy's
-    minimizer `levels_finer` levels up at order max(m, 2).  u_h is
-    embedded by the kept prolongations when the hierarchy holds them
-    (a study of order m >= 2), else by its own embedding matrix."""
+    """`adjoint_identity_check` of u_h, the hierarchy's (level, m)
+    function, with ||u - u_h||_{L^2} already taken.  The reference u* is
+    the hierarchy's minimizer `levels_finer` levels up at order max(m, 2);
+    u_h is embedded by the held prolongations into it, for m = 1 after one
+    embedding into P2 on its own mesh."""
     ref_level, ref_order = level + levels_finer, max(u_h.space.order, 2)
-    ref_space = hierarchy.space(ref_level, ref_order)
-    chain = [hierarchy.prolongations.get((k, ref_order))
-             for k in range(level + 1, ref_level + 1)]
-    if u_h.space is hierarchy.spaces.get((level, ref_order)) and None not in chain:
-        coeffs = u_h.coeffs
-        for prolongation in chain:
-            coeffs = prolongation @ coeffs
-        u_embedded = FEFunction(ref_space, coeffs)
-    else:
-        u_embedded = embed(u_h, ref_space)
-    u_star, _ = hierarchy.minimizer(ref_level, ref_order, u_embedded)
-    e = u_embedded.coeffs - u_star.coeffs
-    e[ref_space.boundary_dofs] = 0.0
-    e_fe = FEFunction(ref_space, e)
+    u_star, _ = hierarchy.minimizer(ref_level, ref_order)
+    coeffs = (u_h.coeffs if u_h.space.order == ref_order
+              else embed(u_h, hierarchy.space(level, ref_order)).coeffs)
+    for k in range(level + 1, ref_level + 1):
+        coeffs = hierarchy.prolongations[k, ref_order] @ coeffs
+    e = coeffs - u_star.coeffs
+    e[u_star.space.boundary_dofs] = 0.0
+    e_fe = FEFunction(u_star.space, e)
 
     w, hess = _adjoint_solution(hierarchy.problem.model, u_star, e_fe,
                                 hierarchy.newton.linear_tol,
@@ -523,7 +513,7 @@ def _directional_norm(v, norm_pair, h1):
             raise ValueError("first-order directional norm supports r=2 only")
         return h1
     if o == 0:
-        if not np.isfinite(r):
+        if r == np.inf:
             return norms(None, v, q=np.inf).w1q
         return lq_norm(v, r)
     raise ValueError(f"unsupported norm pair {norm_pair}")
@@ -671,8 +661,8 @@ def convergence_study(problem, order, levels, opts=None):
     m >= 2 the adjoint of level l solves levels l+1 and l+2 as it runs,
     each as above, and takes level l+2 as its reference (the study then
     reads them); a solve that fails there aborts at its own level, and
-    level l's adjoint entry is not recorded.  For m = 1 the references
-    are P2 minimizers, chained as the module docstring says.
+    level l's adjoint entry is not recorded.  For m = 1 the reference is
+    the P2 level l+2, solved likewise from P2 level 0 up.
     """
     if not isinstance(problem, ManufacturedProblem):
         raise TypeError("convergence_study needs a ManufacturedProblem")

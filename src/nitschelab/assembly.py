@@ -436,6 +436,8 @@ def assemble_gram_h1(space):
 
 def lq_norm(v, q):
     """Plain L^q norm of an FE function (no gradient part), q finite."""
+    if not (np.isfinite(q) and q >= 1):
+        raise ValueError(f"lq_norm needs a finite q >= 1, got {q!r}")
     space = v.space
     rule = space.quad
     acc = 0.0

@@ -66,8 +66,7 @@ class NewtonOptions:
     initial: object = None
 
     def __post_init__(self):
-        if not self.max_iters >= 1:
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters!r}")
+        _check_cap(self.max_iters)
         for name in ("residual_tol", "linear_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
@@ -91,6 +90,14 @@ class SolveLog:
         return [it[1] for it in self.iterations]
 
 
+def _check_cap(max_iters):
+    """An iteration cap, once checked to be an integer >= 1, not a bool."""
+    if (isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer))
+            or max_iters < 1):
+        raise ValueError(f"max_iters must be an integer >= 1, got {max_iters!r}")
+    return max_iters
+
+
 def linear_solve(op, b, tol=1e-12, max_iters=None, preconditioner=None):
     """Preconditioned conjugate gradients for SPD operators.
 
@@ -106,6 +113,7 @@ def linear_solve(op, b, tol=1e-12, max_iters=None, preconditioner=None):
     """
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
+    cap = 10 * n + 100 if max_iters is None else _check_cap(max_iters)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros(n)
@@ -116,7 +124,6 @@ def linear_solve(op, b, tol=1e-12, max_iters=None, preconditioner=None):
     if preconditioner is None:
         def preconditioner(r):
             return r / diag
-    cap = max_iters or 10 * n + 100
 
     x = np.zeros(n)
     r = b.copy()

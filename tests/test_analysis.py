@@ -12,7 +12,7 @@ from nitschelab.energy import (PROBLEM_NAMES, ExactSolution, build_problem,
                                dirichlet_potential_model)
 from nitschelab.felement import FEFunction, interpolate, make_space
 from nitschelab.mesh import build_unit_mesh, refine
-from nitschelab.solver import NewtonOptions, embed, linear_solve, minimize, prolong
+from nitschelab.solver import NewtonOptions, linear_solve, minimize, prolong
 
 
 def solved(problem, cells, order=1, **kw):
@@ -260,9 +260,10 @@ def test_adjoint_identity_residual_decreases_with_reference():
 
 
 def test_adjoint_check_embeds_once_and_solves_to_the_newton_tolerance(monkeypatch):
-    """The reference solve starts from the embedding of u_h, and the
-    check's error term is that same embedding; the adjoint solve runs to
-    the linear tolerance of the Newton options."""
+    """The standalone check solves its P2 reference by nested iteration
+    from P2 on u_h's own mesh up, and embeds u_h into P2 once; the other
+    embedding matrices are the two prolongations.  The adjoint solve runs
+    to the linear tolerance of the Newton options."""
     problem = build_problem("quartic", 1)
     u, _ = solved(problem, 8)
     calls, tols = [], []
@@ -279,8 +280,14 @@ def test_adjoint_check_embeds_once_and_solves_to_the_newton_tolerance(monkeypatc
     monkeypatch.setattr(solver, "embedding_matrix", counting)
     monkeypatch.setattr(analysis, "embedding_matrix", counting)
     monkeypatch.setattr(analysis, "linear_solve", recording)
+    starts, solutions = recorded_minimize(monkeypatch)
     check = adjoint_identity_check(problem, u, newton=NewtonOptions(linear_tol=1e-11))
-    assert len(calls) == 1 and calls[0][0] is u.space
+    assert len(calls) == 3
+    [(src, dst)] = [(src, dst) for src, dst in calls if src is u.space]
+    assert dst is solutions[0].space
+    assert [(v.space.mesh.level, v.space.order) for v in solutions] == [(0, 2), (1, 2), (2, 2)]
+    assert solutions[0].space.mesh is u.space.mesh
+    assert_nested_iteration(starts, solutions)
     assert tols == [1e-11]
     assert check.identity_residual < 0.05
 
@@ -446,23 +453,12 @@ def test_a_root_above_the_dense_cap_keeps_jacobi_pcg(monkeypatch, cells, cycle):
     assert {preconditioned for dim, preconditioned, _ in solves if dim == dims[1]} == {cycle}
 
 
-def test_a_minimizer_started_without_the_level_below_keeps_jacobi_pcg(monkeypatch):
-    """A level whose minimizer did not start from the one below has no
-    prolongation into it, so neither it nor the levels above it have a
-    chain down to the root."""
-    solves = counted_solves(monkeypatch)
-    problem = build_problem("quartic", 2)
-    hierarchy = analysis._Hierarchy(problem, NewtonOptions(), [build_unit_mesh(2, 4)])
-    hierarchy.minimizer(1, 1, start=problem.exact.value)
-    hierarchy.minimizer(2, 1)
-    assert solves and not any(preconditioned for _, preconditioned, _ in solves)
-
-
-@pytest.mark.parametrize("order, cycle", [(1, False), (2, True)])
+@pytest.mark.parametrize("order, cycle", [(1, True), (2, True)])
 def test_adjoint_solve_is_preconditioned_where_its_reference_has_a_chain(
         monkeypatch, order, cycle):
-    """For m >= 2 the reference is a study level, so its adjoint solve runs
-    the V-cycle; for m = 1 the P2 references have no P2 root."""
+    """Every reference sits on a chain of prolongations down to level 0 of
+    its order, so every adjoint solve runs the V-cycle: for m >= 2 the
+    reference is a study level, for m = 1 the top of the P2 levels."""
     solves = counted_solves(monkeypatch, modules=(analysis,))
     report = convergence_study(build_problem("quartic", 2), order, 3,
                                StudyOptions(coarse_cells=2, diagnostics=("adjoint",)))
@@ -522,6 +518,18 @@ def test_pq_norm_pairs():
         assert np.isfinite(est.max_ratio) and est.max_ratio > 0
     with pytest.raises(ValueError):
         estimate_pq_constant(problem.model, u, norm_pair=(2, 2), samples=2)
+
+
+@pytest.mark.parametrize("r", [0, 0.5, -1, np.nan, -np.inf])
+def test_pq_rejects_an_invalid_lr_exponent(r):
+    """(0, inf) keeps its path through `norms(q=inf)`; any other r that is
+    not finite and >= 1 is rejected, nan included."""
+    problem = build_problem("quartic", 1)
+    u, _ = solved(problem, 8, order=2)
+    assert estimate_pq_constant(problem.model, u, norm_pair=(0, np.inf),
+                                samples=1).max_ratio > 0
+    with pytest.raises(ValueError, match="finite q >= 1"):
+        estimate_pq_constant(problem.model, u, norm_pair=(0, r), samples=1)
 
 
 def test_pq_takes_each_norm_once(monkeypatch):
@@ -612,9 +620,9 @@ def test_convergence_study_with_diagnostics():
     assert all(b == pytest.approx(a / 2) for a, b in zip(hs, hs[1:]))
 
 
-def recorded_study(monkeypatch, problem, order, levels, opts):
-    """The study's report, with the start and the solution of every
-    level's Newton solve."""
+def recorded_minimize(monkeypatch):
+    """Patch analysis's `minimize` to record the start and the solution of
+    every Newton solve; returns (starts, solutions)."""
     starts, solutions = [], []
     original = analysis.minimize
 
@@ -625,7 +633,23 @@ def recorded_study(monkeypatch, problem, order, levels, opts):
         return u, log
 
     monkeypatch.setattr(analysis, "minimize", recording)
+    return starts, solutions
+
+
+def recorded_study(monkeypatch, problem, order, levels, opts):
+    """The study's report, with the start and the solution of every
+    level's Newton solve."""
+    starts, solutions = recorded_minimize(monkeypatch)
     return convergence_study(problem, order, levels, opts), starts, solutions
+
+
+def assert_nested_iteration(starts, solutions):
+    """The first solve started from the boundary lift, every later one
+    from the solution before it, prolonged."""
+    assert starts[0] is None
+    for start, coarse, fine in zip(starts[1:], solutions, solutions[1:]):
+        assert start.space is fine.space
+        np.testing.assert_array_equal(start.coeffs, prolong(coarse, fine.space).coeffs)
 
 
 @pytest.mark.parametrize("name, dim, cells, max_iters", [
@@ -639,10 +663,7 @@ def test_convergence_study_nested_iteration(monkeypatch, name, dim, cells, max_i
         monkeypatch, build_problem(name, dim), 1, len(max_iters),
         StudyOptions(coarse_cells=cells))
     assert report.aborted is None
-    assert starts[0] is None
-    for start, coarse, fine in zip(starts[1:], solutions, solutions[1:]):
-        assert start.space is fine.space
-        np.testing.assert_array_equal(start.coeffs, prolong(coarse, fine.space).coeffs)
+    assert_nested_iteration(starts, solutions)
     iters = [lr.newton_iters for lr in report.levels]
     assert all(it <= cap for it, cap in zip(iters, max_iters)), iters
 
@@ -725,22 +746,46 @@ def test_adjoint_references_are_later_study_levels(monkeypatch):
 
 
 def test_order_1_references_form_a_p2_chain(monkeypatch):
-    """For m = 1 the P2 references sit on the study's meshes; the first
-    starts from the embedded level-0 minimizer, each later one from the
-    previous reference, prolonged."""
+    """For m = 1 the P2 references sit on the study's meshes two levels up.
+    The hierarchy solves P2 from level 0 up by nested iteration, so the
+    first reference's solve is preceded by those of P2 levels 0 and 1."""
+    refs = []
+    original = analysis._adjoint_solution
+
+    def recording(model, u_ref, rhs, tol, **kwargs):
+        refs.append(u_ref)
+        return original(model, u_ref, rhs, tol, **kwargs)
+
+    monkeypatch.setattr(analysis, "_adjoint_solution", recording)
     report, starts, solutions = recorded_study(
         monkeypatch, build_problem("quartic", 2), 1, 3,
         StudyOptions(coarse_cells=2, diagnostics=("adjoint",)))
     assert report.aborted is None
     p1 = [u for u in solutions if u.space.order == 1]
-    refs = [(start, u) for start, u in zip(starts, solutions) if u.space.order == 2]
-    assert all(u.space.mesh is ref.space.mesh.parent.parent for u, (_, ref) in zip(p1, refs))
-    assert [u.space.mesh.level for _, u in refs] == [2, 3, 4]
-    first_start, first = refs[0]
-    np.testing.assert_array_equal(first_start.coeffs, embed(p1[0], first.space).coeffs)
-    for (_, coarse), (start, fine) in zip(refs, refs[1:]):
-        assert fine.space.mesh.parent is coarse.space.mesh
-        np.testing.assert_array_equal(start.coeffs, prolong(coarse, fine.space).coeffs)
+    p2 = [(start, u) for start, u in zip(starts, solutions) if u.space.order == 2]
+    assert [u.space.mesh.level for _, u in p2] == [0, 1, 2, 3, 4]
+    assert all(u.space.mesh is v.space.mesh for u, (_, v) in zip(p1, p2))
+    assert_nested_iteration(*zip(*p2))
+    assert len(refs) == 3 and all(ref is u for ref, (_, u) in zip(refs, p2[2:]))
+
+
+@pytest.mark.parametrize("name, cap", [
+    ("quartic", 20), ("cosine", 20), ("minimal_surface", 40),
+])
+def test_order_1_adjoint_studies_cycle_every_large_solve(monkeypatch, name, cap):
+    """In a P1 adjoint study from 4 cells every solve of 1089 dofs or more
+    (the Newton and the adjoint solves on P2 levels 2-4) runs the V-cycle
+    and takes at most `cap` CG iterations; Jacobi-PCG took up to 418
+    (quartic), 419 (cosine) and 637 (minimal_surface)."""
+    solves = counted_solves(monkeypatch)
+    report = convergence_study(build_problem(name, 2), 1, 3,
+                               StudyOptions(coarse_cells=4, diagnostics=("adjoint",)))
+    assert report.aborted is None
+    sized = [(preconditioned, iters) for dim, preconditioned, iters in solves
+             if dim >= 1089]
+    assert len(sized) >= 6
+    assert all(preconditioned for preconditioned, _ in sized)
+    assert max(iters for _, iters in sized) <= cap, solves
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -756,7 +801,7 @@ def test_largest_hierarchy_space_is_the_config_bound(monkeypatch, order):
 
 def fail_minimize_call(monkeypatch, failing):
     """Make analysis's `minimize` raise a NewtonError on call `failing`
-    (counted from 0)."""
+    (counted from 0); returns the spaces of the calls."""
     original, count = analysis.minimize, []
 
     def flaky(model, space, newton, **kwargs):
@@ -766,6 +811,7 @@ def fail_minimize_call(monkeypatch, failing):
         return original(model, space, newton, **kwargs)
 
     monkeypatch.setattr(analysis, "minimize", flaky)
+    return count
 
 
 def test_a_failed_extension_names_the_level_whose_solve_failed(monkeypatch):
@@ -776,6 +822,19 @@ def test_a_failed_extension_names_the_level_whose_solve_failed(monkeypatch):
     report = convergence_study(build_problem("quartic", 2), 2, 3,
                                StudyOptions(coarse_cells=2, diagnostics=("adjoint",)))
     assert report.aborted == "level 1: no convergence (forced)"
+    assert report.abort_kind == "solver"
+    assert len(report.levels) == 1
+    assert report.diagnostics["adjoint"] == []
+
+
+def test_a_failed_p2_root_aborts_an_order_1_study_at_its_level(monkeypatch):
+    """The adjoint of P1 level 0 first solves P2 level 0 (the second Newton
+    solve); its failure aborts at level 0, which keeps no adjoint entry."""
+    spaces = fail_minimize_call(monkeypatch, 1)
+    report = convergence_study(build_problem("quartic", 2), 1, 3,
+                               StudyOptions(coarse_cells=2, diagnostics=("adjoint",)))
+    assert (spaces[1].mesh.level, spaces[1].order) == (0, 2)
+    assert report.aborted == "level 0: no convergence (forced)"
     assert report.abort_kind == "solver"
     assert len(report.levels) == 1
     assert report.diagnostics["adjoint"] == []

@@ -300,6 +300,16 @@ def test_lq_norm_sine():
     assert lq_norm(v, 2) == pytest.approx(np.sqrt(0.5), abs=1e-6)
 
 
+@pytest.mark.parametrize("q", [np.inf, -np.inf, 0, 0.5, -1, np.nan])
+def test_lq_norm_rejects_q_that_is_not_finite_and_at_least_1(q):
+    """q = inf used to return 1 for any v, q = 0 to divide by zero, and
+    q = -1 and q = nan to return numbers."""
+    space = make_space(build_unit_mesh(1, 8), 1, 0.0)
+    v = interpolate(space, lambda x: np.sin(np.pi * x[:, 0]))
+    with pytest.raises(ValueError, match="finite q >= 1"):
+        lq_norm(v, q)
+
+
 def test_hessian_rejects_nonfinite_zz_block(problems):
     model = replace(problems["quartic"].model,
                     d2L_dzz=lambda p, z, x: np.full(len(z), np.nan))

@@ -93,10 +93,23 @@ def test_run_happy_path(tmp_path):
     assert sum("galerkin_defect" in line for line in diag) == 3
 
 
-def test_run_deterministic_outputs(tmp_path):
-    """Byte-identical CSVs on rerun of the same config."""
+ADJOINT_P1 = """\
+problem: quartic
+dim: 2
+order: 1
+levels: 3
+coarse_cells: 2
+diagnostics: [adjoint]
+output_dir: {out}
+"""
+
+
+@pytest.mark.parametrize("config", [BASE, ADJOINT_P1], ids=["galerkin-p1-d1", "adjoint-p1-d2"])
+def test_run_deterministic_outputs(tmp_path, config):
+    """Byte-identical CSVs on rerun of the same config; the adjoint config
+    runs the V-cycled P2 levels of its references."""
     out = tmp_path / "out"
-    path = write_config(tmp_path, BASE.format(out=out))
+    path = write_config(tmp_path, config.format(out=out))
     assert run(path) == EXIT_OK
     first = {name: (out / name).read_bytes()
              for name in ("rates.csv", "diagnostics.csv", "report.txt")}

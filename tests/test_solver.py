@@ -100,6 +100,23 @@ def test_linear_solve_iteration_cap_reports_residual():
     assert err.value.residual is not None
 
 
+@pytest.mark.parametrize("bad", [0, -1, 2.5, 3.0, True, "7"])
+def test_linear_solve_rejects_a_cap_that_is_not_a_positive_integer(bad):
+    """0 used to fall back to the default cap, -1 to fail with an unbound
+    residual; the cap is checked before a zero right-hand side returns."""
+    a = SparseOperator(sp.csr_matrix(np.diag([2.0, 3.0])))
+    for b in (np.ones(2), np.zeros(2)):
+        with pytest.raises(ValueError, match="max_iters"):
+            linear_solve(a, b, max_iters=bad)
+
+
+@pytest.mark.parametrize("cap", [1, np.int64(1)])
+def test_linear_solve_accepts_an_integer_cap(cap):
+    a = SparseOperator(sp.csr_matrix(np.diag([2.0, 3.0])))
+    np.testing.assert_allclose(linear_solve(a, np.array([2.0, 3.0]), max_iters=cap),
+                               [1.0, 1.0])
+
+
 def test_minimize_linear_problem_single_step():
     problem = build_problem("linear", 1)
     space = make_space(build_unit_mesh(1, 16), 1, problem.boundary_fn)
@@ -227,13 +244,14 @@ def test_minimize_iteration_cap_raises():
 
 
 @pytest.mark.parametrize("field, bad", [
-    ("max_iters", 0), ("max_iters", -1),
+    ("max_iters", 0), ("max_iters", -1), ("max_iters", 2.5), ("max_iters", True),
     ("residual_tol", 0.0), ("residual_tol", float("nan")),
     ("linear_tol", 0.0), ("linear_tol", -1e-12), ("linear_tol", float("nan")),
 ])
 def test_newton_options_reject_a_cap_or_tolerance_that_is_not_positive(field, bad):
-    """At max_iters=0 `minimize` would index an empty log, and a linear_tol
-    that is not positive would fail every solve as an underflow."""
+    """At max_iters=0 `minimize` would index an empty log, one that is not
+    an integer would fail in `range`, and a linear_tol that is not
+    positive would fail every solve as an underflow."""
     with pytest.raises(ValueError, match=field):
         NewtonOptions(**{field: bad})
 
