@@ -10,6 +10,10 @@ identity check measures.  A study's levels, Galerkin pairs and adjoint
 references all read one `_Hierarchy` of meshes, spaces, prolongations
 and minimizers, each level solved from the one below, prolonged.  The
 reference of level l is the hierarchy's level l+2 at order max(m, 2).
+The hierarchy also keeps one preconditioner cycle per level, bound when
+the level is solved: the root's exact solve, or one V-cycle level on
+top of the cycle below.  A level's Newton solves and the adjoint solve
+on a reference run it.
 
 Provided checks
   * coercivity and boundedness constants of the second variation,
@@ -23,8 +27,10 @@ Provided checks
   * manufactured-solution convergence studies with log-log rate fits.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -32,7 +38,8 @@ from numpy.polynomial.legendre import leggauss
 from .assembly import (AssemblyError, assemble_gram_h1, assemble_gram_l2,
                        assemble_hessian, apply_third_variation, lq_norm, norms)
 from .energy import ManufacturedProblem
-from .felement import FEFunction, check_inverse_estimate, interpolate, make_space
+from .felement import (FEFunction, _chunks, check_inverse_estimate, interpolate,
+                       make_space, sample_lattice, tabulate)
 from .mesh import build_unit_mesh, refine, width
 from .solver import (LinearSolveError, NewtonError, NewtonOptions, _v_cycle,
                      embed, embedding_matrix, linear_solve, minimize)
@@ -223,20 +230,23 @@ _JACOBI_DAMPING = {1: 0.7, 2: 0.6, 3: 0.5}
 
 @dataclass
 class _Hierarchy:
-    """Nested meshes refined from `meshes[0]`; per (level, order) the space
-    and the minimizer with its Newton count, made on first use and kept.
-    Level 0 starts from `newton.initial`, every level above from the
-    minimizer below, prolonged (nested iteration; the prolongation is kept).
+    """Nested meshes refined from `meshes[0]`; per (level, order) the
+    space, and the minimizer with its Newton count and the level's cycle,
+    made on first use and kept.  Level 0 starts from `newton.initial`,
+    every level above from the minimizer below, prolonged (nested
+    iteration; the prolongation is kept).
 
-    The Hessian solves on a level l >= 1 are preconditioned by a V-cycle
-    (`solver._v_cycle`) over the levels below, down to the root (level 0)
-    of the same order.  A level's operator in the cycle is the last
-    Hessian that its own `minimize` assembled, kept in `hessians`; the
-    transfers are the kept prolongations with boundary rows and columns
-    zeroed; the root is solved by a dense inverse of its interior block,
-    made once.  A solve stays Jacobi-preconditioned on level 0, when the
-    root has more than `_DENSE_EIG_CUTOFF` interior dofs, or when a level
-    below it kept no Hessian (its Newton start was already converged).
+    A level's cycle, `cycles[level, order]`, maps a residual r to its
+    preconditioned z.  It is bound when the level's `minimize` returns,
+    to the last Hessian that `minimize` assembled, or to d2J at the
+    minimizer when Newton took no step: on level 0, the root, an exact
+    solve by a dense inverse of the Hessian's interior block; above it,
+    one `solver._v_cycle` level with the Hessian on top of the cycle
+    below.  Each Newton step on a level l >= 1 is preconditioned by the
+    same binding of its own Hessian, and an adjoint solve on a level by
+    the level's kept cycle.  Solves stay Jacobi-preconditioned on level
+    0, and on every level of an order whose root has more than
+    `_DENSE_EIG_CUTOFF` interior dofs, where the cycles are None.
     """
 
     problem: ManufacturedProblem
@@ -245,9 +255,7 @@ class _Hierarchy:
     spaces: dict = field(default_factory=dict)
     prolongations: dict = field(default_factory=dict)
     minimizers: dict = field(default_factory=dict)
-    hessians: dict = field(default_factory=dict)
-    transfers: dict = field(default_factory=dict)
-    roots: dict = field(default_factory=dict)
+    cycles: dict = field(default_factory=dict)
 
     def space(self, level, order):
         while len(self.meshes) <= level:
@@ -259,74 +267,64 @@ class _Hierarchy:
 
     def minimizer(self, level, order):
         if (level, order) not in self.minimizers:
-            space, newton = self.space(level, order), self.newton
-            if level > 0:
+            space, newton, kept = self.space(level, order), self.newton, []
+            if level == 0:
+                interior = np.flatnonzero(space.interior_mask)
+                bind = (partial(_root_solve, interior)
+                        if len(interior) <= _DENSE_EIG_CUTOFF else None)
+            else:
                 coarse, _ = self.minimizer(level - 1, order)
                 prolongation = embedding_matrix(coarse.space, space)
                 self.prolongations[level, order] = prolongation
                 newton = replace(newton, initial=FEFunction(space, prolongation @ coarse.coeffs))
-            cycle_for = self.preconditioner_for(level, order)
-
-            def keep(hess):
-                self.hessians[level, order] = hess
-                return cycle_for(hess)
-
-            u, log = minimize(self.problem.model, space, newton, preconditioner_for=keep)
+                below = self.cycles[level - 1, order]
+                bind = below and partial(
+                    _level_cycle, _JACOBI_DAMPING[order],
+                    *_interior_transfers(prolongation, space, coarse.space), below)
+            # the root's Newton solves stay Jacobi-preconditioned
+            step = bind and partial(_keep_last, kept, bind if level else None)
+            u, log = minimize(self.problem.model, space, newton, preconditioner_for=step)
+            self.cycles[level, order] = bind and bind(
+                kept[0] if kept else assemble_hessian(self.problem.model, u))
             self.minimizers[level, order] = (u, len(log.iterations) - 1)
         return self.minimizers[level, order]
 
-    def preconditioner_for(self, level, order):
-        """Map from a Hessian on (level, order) to the V-cycle over the
-        levels below, or to None (Jacobi) where the class docstring says."""
-        below = range(level - 1, -1, -1)
-        if (level == 0 or self._root(order) is None
-                or any((k, order) not in self.hessians for k in below)):
-            return lambda hess: None
-        omega = _JACOBI_DAMPING[order]
-        coarse = [(self.hessians[k, order].matrix,
-                   omega / self.hessians[k, order].diagonal(),
-                   *self._transfer(k, order)) for k in below[:-1]]
-        transfer = self._transfer(level, order)
 
-        def cycle(hess):
-            levels = [(hess.matrix, omega / hess.diagonal(), *transfer), *coarse]
-            root_solve = self.roots[order]
-            return lambda r: _v_cycle(levels, root_solve, r)
-        return cycle
+def _keep_last(kept, bind, hess):
+    """`bind(hess)`, or None (Jacobi) without `bind`, with `hess` kept as
+    `kept[0]`: the preconditioner of a hierarchy level's Newton step."""
+    kept[:] = [hess]
+    return bind and bind(hess)
 
-    def _transfer(self, level, order):
-        """The prolongation into (level, order) with the rows of the fine
-        and the columns of the coarse boundary dofs zeroed, and its
-        transpose; made once."""
-        if (level, order) not in self.transfers:
-            prolongation = self.prolongations[level, order].copy()
-            fine, coarse = self.space(level, order), self.space(level - 1, order)
-            rows = np.repeat(np.arange(fine.dim), np.diff(prolongation.indptr))
-            prolongation.data[~(fine.interior_mask[rows]
-                                & coarse.interior_mask[prolongation.indices])] = 0.0
-            prolongation.eliminate_zeros()
-            self.transfers[level, order] = (prolongation, prolongation.T.tocsr())
-        return self.transfers[level, order]
 
-    def _root(self, order):
-        """Exact solve on the root's interior dofs by a dense inverse of its
-        last Hessian, made on first use once that Hessian is held; None
-        while it is not, and above `_DENSE_EIG_CUTOFF` interior dofs."""
-        if self.roots.get(order) is None and (0, order) in self.hessians:
-            interior = np.flatnonzero(self.space(0, order).interior_mask)
-            if len(interior) > _DENSE_EIG_CUTOFF:
-                return None
-            inverse = np.linalg.inv(
-                self.hessians[0, order].matrix[interior][:, interior].toarray())
-            inverse = 0.5 * (inverse + inverse.T)
+def _interior_transfers(prolongation, fine, coarse):
+    """The prolongation with the rows of the fine and the columns of the
+    coarse boundary dofs zeroed, and its transpose."""
+    prolongation = prolongation.copy()
+    rows = np.repeat(np.arange(fine.dim), np.diff(prolongation.indptr))
+    prolongation.data[~(fine.interior_mask[rows]
+                        & coarse.interior_mask[prolongation.indices])] = 0.0
+    prolongation.eliminate_zeros()
+    return prolongation, prolongation.T.tocsr()
 
-            def root_solve(r):
-                x = np.zeros_like(r)
-                x[interior] = inverse @ r[interior]
-                return x
 
-            self.roots[order] = root_solve
-        return self.roots.get(order)
+def _level_cycle(omega, prolongation, restriction, coarse_solve, hess):
+    """`solver._v_cycle` with `hess` on top of `coarse_solve`, bound."""
+    return partial(_v_cycle, hess.matrix, omega / hess.diagonal(), prolongation,
+                   restriction, coarse_solve)
+
+
+def _root_solve(interior, hess):
+    """Exact solve on the `interior` dofs by a dense inverse of `hess`'s
+    interior block, bound."""
+    inverse = np.linalg.inv(hess.matrix[interior][:, interior].toarray())
+    return partial(_dense_solve, interior, 0.5 * (inverse + inverse.T))
+
+
+def _dense_solve(interior, inverse, r):
+    x = np.zeros_like(r)
+    x[interior] = inverse @ r[interior]
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +382,9 @@ def solve_adjoint(model, u_ref, rhs_diff, linear_tol=1e-12):
     return _adjoint_solution(model, u_ref, rhs_diff, linear_tol)[0]
 
 
-def _adjoint_solution(model, u_ref, rhs_diff, linear_tol, preconditioner_for=None):
-    """`solve_adjoint`'s W and the operator d2J(u_ref) it solved with;
-    `preconditioner_for` maps that operator to the solve's preconditioner,
-    as in `minimize`."""
+def _adjoint_solution(model, u_ref, rhs_diff, linear_tol, preconditioner=None):
+    """`solve_adjoint`'s W and the operator d2J(u_ref) it solved with, the
+    solve preconditioned by `preconditioner` (None for Jacobi)."""
     space = u_ref.space
     if space.order < 2:
         raise ValueError("adjoint solves need a reference space of order >= 2")
@@ -396,8 +393,7 @@ def _adjoint_solution(model, u_ref, rhs_diff, linear_tol, preconditioner_for=Non
     hess = assemble_hessian(model, u_ref)
     b = -assemble_gram_l2(space).apply(rhs_diff.coeffs)
     b[space.boundary_dofs] = 0.0
-    w = linear_solve(hess, b, tol=linear_tol,
-                     preconditioner=preconditioner_for and preconditioner_for(hess))
+    w = linear_solve(hess, b, tol=linear_tol, preconditioner=preconditioner)
     return FEFunction(space, w), hess
 
 
@@ -438,7 +434,10 @@ def adjoint_identity_check(problem, u_h, levels_finer=2, newton=None):
             or levels_finer < lowest):
         raise ValueError(f"levels_finer must be an integer >= {lowest} for order "
                          f"{u_h.space.order}, got {levels_finer!r}")
-    hierarchy = _Hierarchy(problem, newton or NewtonOptions(), [u_h.space.mesh],
+    newton = newton or NewtonOptions()
+    if u_h.space.order >= 2:  # level 0 is u_h's own space: start it at u_h
+        newton = replace(newton, initial=u_h)
+    hierarchy = _Hierarchy(problem, newton, [u_h.space.mesh],
                            spaces={(0, u_h.space.order): u_h.space})
     return _adjoint_check(hierarchy, 0, u_h, norms(problem.exact, u_h).l2, levels_finer)
 
@@ -461,8 +460,7 @@ def _adjoint_check(hierarchy, level, u_h, l2_exact, levels_finer):
 
     w, hess = _adjoint_solution(hierarchy.problem.model, u_star, e_fe,
                                 hierarchy.newton.linear_tol,
-                                preconditioner_for=hierarchy.preconditioner_for(
-                                    ref_level, ref_order))
+                                preconditioner=hierarchy.cycles[ref_level, ref_order])
     bil = float(w.coeffs @ hess.apply(e_fe.coeffs))
 
     l2_disc = norms(None, e_fe).l2
@@ -474,26 +472,16 @@ def _adjoint_check(hierarchy, level, u_h, l2_exact, levels_finer):
 # predominant quadraticity
 
 
-def _random_smooth(space, rng, modes=3):
-    """Interpolant of a random low-frequency sine combination."""
-    dim = space.mesh.dim
-    if dim == 1:
-        coeff = rng.standard_normal(modes)
+def _random_smooth(space, rng):
+    """Interpolant of a random low-frequency sine combination,
+    sum_k c_k prod_a sin((k_a + 1) pi x_a) over three modes for d = 1 and
+    two per axis for d = 2."""
+    coeff = rng.standard_normal((3,) if space.mesh.dim == 1 else (2, 2))
 
-        def fn(x):
-            return sum(c * np.sin((k + 1) * np.pi * x[:, 0])
-                       for k, c in enumerate(coeff))
-    else:
-        kmax = 2
-        coeff = rng.standard_normal((kmax, kmax))
-
-        def fn(x):
-            total = np.zeros(len(x))
-            for i in range(kmax):
-                for j in range(kmax):
-                    total += coeff[i, j] * (np.sin((i + 1) * np.pi * x[:, 0])
-                                            * np.sin((j + 1) * np.pi * x[:, 1]))
-            return total
+    def fn(x):
+        return sum(coeff[k] * math.prod(np.sin((ka + 1) * np.pi * x[:, a])
+                                        for a, ka in enumerate(k))
+                   for k in np.ndindex(coeff.shape))
 
     return interpolate(space, fn)
 
@@ -514,7 +502,11 @@ def _directional_norm(v, norm_pair, h1):
         return h1
     if o == 0:
         if r == np.inf:
-            return norms(None, v, q=np.inf).w1q
+            # sup|v| on the lattice that `norms(q=inf)` samples, values only
+            lattice = sample_lattice(v.space.mesh.dim)
+            return max(float(np.abs(tabulate(v.space, v.coeffs, lattice, sl,
+                                             gradients=False)[0]).max())
+                       for sl in _chunks(v.space.mesh.num_elements, len(lattice)))
         return lq_norm(v, r)
     raise ValueError(f"unsupported norm pair {norm_pair}")
 

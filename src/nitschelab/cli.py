@@ -16,6 +16,7 @@ import argparse
 import csv
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -346,12 +347,17 @@ def plot_data(rates_csv_path, output_dir=None):
         print(f"malformed rates csv: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
-    # the fit validates the data, so it comes before any file is written
+    # the fit validates the data, so it comes before any file is written;
+    # its warnings reach the user as notes, not as library warnings
     try:
-        m = max(1, int(round(estimate_rate(list(zip(hs, h1))).slope)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            m = max(1, int(round(estimate_rate(list(zip(hs, h1))).slope)))
     except ValueError as err:
         print(f"cannot fit a rate to the rates csv: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    for warning in caught:
+        print(f"note: {warning.message}", file=sys.stderr)
     h0, e1_0, e2_0 = hs[0], h1[0], l2[0]
     script = "\n".join([
         "set logscale xy",

@@ -6,8 +6,9 @@ assembled second variation, so a converged iterate is a discrete critical
 point; positive definiteness is checked implicitly by the conjugate
 gradient solve at every step.  The solves are Jacobi-preconditioned
 unless the caller passes another preconditioner: a study's level
-hierarchy passes a geometric V-cycle (`_v_cycle`) over its coarser
-levels.  All solves are deterministic.
+hierarchy passes a geometric V-cycle, one `_v_cycle` level bound on
+top of the cycle kept for the level below.  All solves are
+deterministic.
 """
 
 from dataclasses import dataclass, field
@@ -172,28 +173,25 @@ def _check_rz(rz, residual, iterations):
 _SMOOTHING_SWEEPS = 2
 
 
-def _v_cycle(levels, root_solve, r):
-    """One symmetric geometric V-cycle applied to r: a preconditioner for
-    `linear_solve` once levels and root_solve are bound.
+def _v_cycle(a, weights, prolongation, restriction, coarse_solve, r):
+    """One level of a symmetric geometric V-cycle applied to r: a
+    preconditioner for `linear_solve` once all but r are bound.
 
-    `levels` holds, finest first, one (matrix, weights, prolongation,
-    restriction) per level above the root: the level's CSR operator, its
-    damped inverse diagonal, the prolongation from the level below and
-    its transpose.  Each level smooths by `_SMOOTHING_SWEEPS`
-    damped-Jacobi sweeps before and after the correction from the level
-    below; `root_solve` solves on the root exactly.  With symmetric
-    positive definite operators, a symmetric positive definite root solve
-    and a damping below 2 / lambda_max(D^-1 A), the cycle is symmetric
-    positive definite.
+    `a` is the level's CSR operator, `weights` its damped inverse
+    diagonal, `prolongation` the map from the level below and
+    `restriction` its transpose; `coarse_solve` is the cycle of the level
+    below, bound the same way, or at the root an exact solve.  The level
+    smooths by `_SMOOTHING_SWEEPS` damped-Jacobi sweeps before and after
+    the correction from the level below.  With symmetric positive
+    definite operators, a symmetric positive definite root solve and a
+    damping below 2 / lambda_max(D^-1 A) on every level, the cycle is
+    symmetric positive definite.
     """
-    if not levels:
-        return root_solve(r)
-    a, weights, prolongation, restriction = levels[0]
     x = weights * r
     _smooth(a, weights, x, r, _SMOOTHING_SWEEPS - 1)
     defect = a @ x
     np.subtract(r, defect, out=defect)
-    x += prolongation @ _v_cycle(levels[1:], root_solve, restriction @ defect)
+    x += prolongation @ coarse_solve(restriction @ defect)
     _smooth(a, weights, x, r, _SMOOTHING_SWEEPS)
     return x
 

@@ -409,12 +409,13 @@ def test_v_cycle_bounds_the_cg_iterations_of_every_hessian_solve(
 
 
 def cycle_at_the_top(name, cells, order, levels):
-    """The finest minimizer's Hessian of a hierarchy, its V-cycle and a
-    random right-hand side with zero boundary entries."""
+    """The finest minimizer's Hessian of a hierarchy, the cycle the
+    hierarchy keeps for that level and a random right-hand side with zero
+    boundary entries."""
     hierarchy = hierarchy_of(name, cells, order, levels)
     u, _ = hierarchy.minimizers[levels - 1, order]
     hess = assemble_hessian(hierarchy.problem.model, u)
-    cycle = hierarchy.preconditioner_for(levels - 1, order)(hess)
+    cycle = hierarchy.cycles[levels - 1, order]
     b = np.random.default_rng(order).standard_normal(u.space.dim)
     b[u.space.boundary_dofs] = 0.0
     return hess, cycle, b
@@ -451,6 +452,38 @@ def test_a_root_above_the_dense_cap_keeps_jacobi_pcg(monkeypatch, cells, cycle):
     dims = [hierarchy.space(level, 1).dim for level in (0, 1)]
     assert {preconditioned for dim, preconditioned, _ in solves if dim == dims[0]} == {False}
     assert {preconditioned for dim, preconditioned, _ in solves if dim == dims[1]} == {cycle}
+
+
+def test_a_converged_root_still_cycles_the_levels_above(monkeypatch):
+    """Level 0 given with its minimizer as the Newton start takes no step;
+    its cycle is then bound to d2J at that minimizer, and every Newton
+    solve on the levels above still runs the V-cycle."""
+    problem = build_problem("quartic", 2)
+    u0, _ = solved(problem, 4)
+    hierarchy = analysis._Hierarchy(problem, NewtonOptions(initial=u0),
+                                    [u0.space.mesh], spaces={(0, 1): u0.space})
+    solves = counted_solves(monkeypatch)
+    assert hierarchy.minimizer(0, 1)[1] == 0
+    hierarchy.minimizer(2, 1)
+    steps = sum(hierarchy.minimizers[level, 1][1] for level in (1, 2))
+    assert len(solves) == steps > 0
+    assert all(preconditioned for _, preconditioned, _ in solves)
+
+
+def test_standalone_adjoint_check_starts_its_root_at_u_h(monkeypatch):
+    """For m >= 2 the hierarchy's level 0 is u_h's own space: Newton starts
+    there at u_h and takes no step, and every solve of the reference
+    levels (Newton and adjoint) runs the V-cycle."""
+    problem = build_problem("quartic", 2)
+    u_h, _ = solved(problem, 4, order=2)
+    calls = counted_calls(monkeypatch, "minimize")
+    solves = counted_solves(monkeypatch)
+    check = adjoint_identity_check(problem, u_h)
+    assert np.isfinite(check.identity_residual)
+    (u0, log0), *references = calls["minimize"]
+    assert len(log0.iterations) == 1 and np.array_equal(u0.coeffs, u_h.coeffs)
+    assert len(references) == 2
+    assert solves and all(preconditioned for _, preconditioned, _ in solves)
 
 
 @pytest.mark.parametrize("order, cycle", [(1, True), (2, True)])
@@ -520,10 +553,18 @@ def test_pq_norm_pairs():
         estimate_pq_constant(problem.model, u, norm_pair=(2, 2), samples=2)
 
 
+def test_directional_sup_norm_is_the_sampled_sup_of_the_values():
+    """The pair (0, inf) names L^inf: sup|v| = 1 for sin(pi x), where
+    the W^{1,inf} value would be sup|v'| = pi."""
+    space = make_space(build_unit_mesh(1, 64), 2, 0.0)
+    v = interpolate(space, lambda x: np.sin(np.pi * x[:, 0]))
+    assert abs(analysis._directional_norm(v, (0, np.inf), None) - 1.0) <= 1e-3
+
+
 @pytest.mark.parametrize("r", [0, 0.5, -1, np.nan, -np.inf])
 def test_pq_rejects_an_invalid_lr_exponent(r):
-    """(0, inf) keeps its path through `norms(q=inf)`; any other r that is
-    not finite and >= 1 is rejected, nan included."""
+    """(0, inf) is the sampled sup norm; any other r that is not finite
+    and >= 1 is rejected, nan included."""
     problem = build_problem("quartic", 1)
     u, _ = solved(problem, 8, order=2)
     assert estimate_pq_constant(problem.model, u, norm_pair=(0, np.inf),

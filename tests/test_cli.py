@@ -1,7 +1,10 @@
 import contextlib
 import io
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 import yaml
@@ -216,6 +219,24 @@ def test_plot_bad_input_exits_config_and_writes_nothing(tmp_path, capsys, hs, h1
     err = capsys.readouterr().err
     assert err.strip() and "Traceback" not in err
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_plot_notes_an_excluded_error_without_a_library_warning(tmp_path):
+    """A zero error is left out of the fit with a one-line note on stderr;
+    no Python warning, with its source file and line, reaches the user."""
+    csv_path = tmp_path / "rates.csv"
+    csv_path.write_text(RATES_HEADER + "".join(
+        f"{k},{h},9,{e},{e},,,3\n" for k, (h, e) in enumerate(
+            zip(("0.5", "0.25", "0.125", "0.0625"), ("0.1", "0.05", "0.025", "0.0")))))
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-m", "nitschelab.cli", "plot", str(csv_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_OK
+    assert proc.stderr.strip() == ("note: excluding non-positive errors from the rate "
+                                   "fit (at or below solver tolerance)")
+    assert (tmp_path / "rates.gp").exists()
 
 
 def test_main_subcommands(tmp_path, capsys):
