@@ -76,8 +76,11 @@ class _UndefinedDiagnostic(ValueError):
 @dataclass(frozen=True)
 class EllipticityEstimate:
     """Extremes of d2J(v) against the H^1 Gram on interior dofs, with the
-    eigen-solver that found them ("dense" or "lobpcg") and its LOBPCG
-    iterations at the lower and the upper end (0 for "dense")."""
+    eigen-solver that found them ("dense", "lanczos", or "lanczos+lobpcg"
+    when an end went on with LOBPCG) and the iterations of the lower and
+    the upper end: the Lanczos steps run when the end passed its residual
+    test, or all steps of the run plus the LOBPCG iterations for an end
+    that went on (0 for "dense")."""
 
     lambda_min: float
     lambda_max: float
@@ -120,54 +123,97 @@ class AdjointCheck:
 
 
 _DENSE_EIG_CUTOFF = 400
-# LOBPCG iterations preconditioned by the Gram inverse before an end that
-# has not converged goes on with the Jacobi preconditioner
-_GRAM_PHASE_ITERS = 40
-# LOBPCG residual tolerance and iteration budget of each end
+# steps of the Lanczos run that serves both ends, one G solve each; the
+# LOBPCG phase it replaces could make 320 (40 iterations of a 4-vector
+# block per end).  An end that has not passed the residual test by then
+# goes on with LOBPCG
+_LANCZOS_STEPS = 200
+# steps between residual tests of the ends; a test solves a tridiagonal
+# eigenproblem per end, which costs about as much as a step
+_LANCZOS_TEST_EVERY = 4
+# residual tolerance, and iteration budget of each end (Lanczos steps
+# plus LOBPCG iterations)
 _EIG_RTOL = 1e-6
 _EIG_MAX_ITERS = 500
+# the message of every LOBPCG warning that it stopped above the tolerance
+_LOBPCG_NOT_CONVERGED = r"(?s).*not reaching the requested tolerance"
 
 
-def _extreme_generalized(a_mat, g_mat, g_solve, largest, seed):
-    """Smallest (largest=False) or largest eigenvalue of the pencil (A, G),
-    G SPD, by locally optimal block iteration (LOBPCG), and the number of
-    preconditioned iterations it took.
+def _lanczos_extremes(a_mat, g_mat, g_solve, seed):
+    """Both extremes of the pencil (A, G), G SPD, from one Lanczos run on
+    G^-1 A, which is self-adjoint in the G inner product.  Each step
+    applies A and `g_solve` once, and after the three-term recurrence
+    G-orthogonalizes against every earlier Lanczos vector.
 
-    The first `_GRAM_PHASE_ITERS` iterations are preconditioned by G^-1
-    (`g_solve`); if the extreme's residual norm is still above `_EIG_RTOL`
-    then (an absolute bound on G-normalized vectors, as in LOBPCG's own
-    test), the iteration goes on from the same block with the Jacobi
-    preconditioner diag(A)^-1 for the rest of `_EIG_MAX_ITERS`.
+    An end is done at the first test at which its extreme Ritz pair
+    (theta, y), y G-normalized, passes ||A y - theta G y|| <= `_EIG_RTOL`.
+    Returns, for the lower and then the upper end, (theta, steps, y): the
+    end's extreme Ritz value, the steps run when it passed or the run
+    ended, and its Ritz vector y if it did not pass (None if it did).
     """
-    import scipy.sparse.linalg as sla
+    import scipy.linalg as la
 
     n = a_mat.shape[0]
-    rng = np.random.default_rng(seed)
-    block = min(4, max(1, n // 8))
-    x = rng.standard_normal((n, block))
+    basis = np.empty((_LANCZOS_STEPS, n))
+    alpha, beta = np.empty(_LANCZOS_STEPS), np.empty(_LANCZOS_STEPS)
+    q = np.random.default_rng(seed).standard_normal(n)
+    q /= math.sqrt(q @ (g_mat @ q))
+    done = [False, False]
+    ritz = [None, None]   # per end: theta, steps and the coefficients s of y = Q s
+    for j in range(_LANCZOS_STEPS):
+        basis[j] = q
+        krylov = basis[:j + 1]
+        aq = a_mat @ q
+        alpha[j] = q @ aq
+        w = g_solve(aq) - alpha[j] * q
+        if j:
+            w -= beta[j - 1] * basis[j - 1]
+        w -= (krylov @ (g_mat @ w)) @ krylov
+        gw = g_mat @ w
+        beta[j] = math.sqrt(max(w @ gw, 0.0))
+        if (j + 1) % _LANCZOS_TEST_EVERY == 0 or j + 1 == _LANCZOS_STEPS or beta[j] == 0.0:
+            # A y - theta G y = s[-1] G w for every Ritz pair (theta, y = Q s)
+            gw_norm = np.linalg.norm(gw)
+            for end, k in enumerate((0, j)):
+                if done[end]:
+                    continue
+                theta, s = la.eigh_tridiagonal(alpha[:j + 1], beta[:j], select="i",
+                                               select_range=(k, k))
+                ritz[end] = (float(theta[0]), j + 1, s[:, 0])
+                if abs(s[-1, 0]) * gw_norm <= _EIG_RTOL:
+                    y = s[:, 0] @ krylov
+                    done[end] = np.linalg.norm(a_mat @ y - theta[0] * (g_mat @ y)) <= _EIG_RTOL
+            if all(done) or beta[j] == 0.0:
+                break
+        q = w / beta[j]
+    return [(theta, steps, None if ok else s @ basis[:steps])
+            for (theta, steps, s), ok in zip(ritz, done)]
+
+
+def _lobpcg_extreme(a_mat, g_mat, x, largest, budget):
+    """Smallest (largest=False) or largest eigenvalue of the pencil (A, G)
+    by LOBPCG from the block x, preconditioned by diag(A)^-1, within
+    `budget` iterations, and the number of iterations it took.  Raises
+    PowerIterationError when the extreme's residual stays above 1e-3
+    relative."""
+    import scipy.sparse.linalg as sla
+
     inv_diag = (1.0 / a_mat.diagonal())[:, None]
     iters = 0
 
-    def counted(apply):
-        def precond(r):
-            nonlocal iters
-            iters += 1
-            return apply(r)
-        return precond
+    def precond(r):
+        nonlocal iters
+        iters += 1
+        return inv_diag * r
 
-    phases = ((counted(g_solve), _GRAM_PHASE_ITERS),
-              (counted(lambda r: inv_diag * r), _EIG_MAX_ITERS - _GRAM_PHASE_ITERS))
-    for precond, budget in phases:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            vals, x = sla.lobpcg(a_mat, x, B=g_mat, M=precond, largest=largest,
-                                 tol=_EIG_RTOL, maxiter=budget)
-        idx = int(np.argmax(vals) if largest else np.argmin(vals))
-        lam, vec = float(vals[idx]), x[:, idx]
-        gvec = g_mat @ vec
-        resid = np.linalg.norm(a_mat @ vec - lam * gvec)
-        if resid <= _EIG_RTOL:
-            break
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", _LOBPCG_NOT_CONVERGED, UserWarning)
+        vals, x = sla.lobpcg(a_mat, x, B=g_mat, M=precond, largest=largest,
+                             tol=_EIG_RTOL, maxiter=budget)
+    idx = int(np.argmax(vals) if largest else np.argmin(vals))
+    lam, vec = float(vals[idx]), x[:, idx]
+    gvec = g_mat @ vec
+    resid = np.linalg.norm(a_mat @ vec - lam * gvec)
     scale = np.linalg.norm(gvec) * max(abs(lam), 1.0)
     if not np.isfinite(lam) or resid > 1e-3 * scale:
         raise PowerIterationError(
@@ -183,20 +229,25 @@ def estimate_ellipticity(model, v, seed=0):
     discrete coercivity at the linearization point; lambda_max estimates
     the boundedness constant.
 
-    Small systems are solved densely.  Above `_DENSE_EIG_CUTOFF` interior
-    dofs both ends come from LOBPCG on the pencil (d2J(v), G1) itself,
-    smallest and largest, with G1 factored once per call (sparse LU) and
-    shared by both.  The pencil is never swapped: (G1, d2J(v)) has an
-    indefinite inner product exactly when coercivity fails, which is the
-    case the check exists to see.  G1^-1 is the natural preconditioner:
-    d2J(v) is spectrally close to G1 (for the semilinear models
-    d2J(v) = K + psi'' M against G1 = K + M), so the iteration count does
-    not grow with the mesh and depends far less on the starting block.
-    It cannot separate an extreme in the cluster of high-frequency
-    eigenvalues near 1, so an end that has not converged after
-    `_GRAM_PHASE_ITERS` iterations goes on from the same block with the
-    Jacobi preconditioner diag(d2J(v))^-1, which does.  An end whose
-    residual stays above 1e-3 relative raises PowerIterationError.
+    Small systems are solved densely ("dense").  Above `_DENSE_EIG_CUTOFF`
+    interior dofs both ends come from one Lanczos run on the pencil
+    (d2J(v), G1) itself, in the G1 inner product, with G1 factored once
+    per call (sparse LU) and the run started from a random vector drawn
+    from `seed` ("lanczos").  The pencil is never swapped: (G1, d2J(v))
+    has an indefinite inner product exactly when coercivity fails, which
+    is the case the check exists to see.  G1^-1 d2J(v) is the natural
+    operator: d2J(v) is spectrally close to G1 (for the semilinear models
+    d2J(v) = K + psi'' M against G1 = K + M), so an extreme away from 1
+    converges in a number of steps that does not grow with the mesh.
+    Each end stops on its own, at the first test with
+    ||d2J(v) y - theta G1 y|| <= `_EIG_RTOL` for G1-normalized y.  An
+    extreme where the spectrum accumulates (at 1, or at an end of the
+    range of a variable coefficient) may not pass within `_LANCZOS_STEPS`
+    steps; such an end goes on with LOBPCG from its Ritz vector,
+    preconditioned by diag(d2J(v))^-1 ("lanczos+lobpcg"), within
+    `_EIG_MAX_ITERS` Lanczos steps and LOBPCG iterations in all.  An end
+    whose LOBPCG residual stays above 1e-3 relative raises
+    PowerIterationError.
     """
     space = v.space
     interior = np.flatnonzero(space.interior_mask)
@@ -211,10 +262,17 @@ def estimate_ellipticity(model, v, seed=0):
         return EllipticityEstimate(float(ev[0]), float(ev[-1]), state)
     import scipy.sparse.linalg as sla
     g_solve = sla.splu(g_mat.tocsc()).solve
-    lam_min, iters_min = _extreme_generalized(a_mat, g_mat, g_solve, False, seed)
-    lam_max, iters_max = _extreme_generalized(a_mat, g_mat, g_solve, True, seed + 1)
-    return EllipticityEstimate(lam_min, lam_max, state, "lobpcg",
-                               iters_min, iters_max)
+    ends, solver = [], "lanczos"
+    for largest, (lam, steps, y) in zip((False, True),
+                                        _lanczos_extremes(a_mat, g_mat, g_solve, seed)):
+        if y is not None:
+            lam, iters = _lobpcg_extreme(a_mat, g_mat, y[:, None], largest,
+                                         _EIG_MAX_ITERS - steps)
+            steps += iters
+            solver = "lanczos+lobpcg"
+        ends.append((lam, steps))
+    (lam_min, iters_min), (lam_max, iters_max) = ends
+    return EllipticityEstimate(lam_min, lam_max, state, solver, iters_min, iters_max)
 
 
 # ---------------------------------------------------------------------------

@@ -274,6 +274,16 @@ def sample_lattice(dim):
     return pts
 
 
+def _squared_norms(vecs):
+    """Squared Euclidean norm of each vector along the last (length-d)
+    axis, summed component by component in the order np.linalg.norm sums
+    them; numpy reduces a length-d axis one point at a time."""
+    sq = vecs[..., 0] * vecs[..., 0]
+    for i in range(1, vecs.shape[-1]):
+        sq += vecs[..., i] * vecs[..., i]
+    return sq
+
+
 # ---------------------------------------------------------------------------
 # reference tables
 
@@ -527,7 +537,7 @@ def check_inverse_estimate(space, trials, seed=0):
         for sl in _chunks(mesh.num_elements, len(lattice)):
             vals_l, grads_l = tabulate(space, coeffs, lattice, sl)
             sup = np.maximum(np.abs(vals_l).max(axis=1),
-                             np.linalg.norm(grads_l, axis=2).max(axis=1))
+                             np.sqrt(_squared_norms(grads_l).max(axis=1)))
 
             vals_q, grads_q = tabulate(space, coeffs, qpts, sl)
             dens = vals_q**2 + np.einsum("eqi,eqi->eq", grads_q, grads_q)
