@@ -81,11 +81,16 @@ class EnergyModel:
 
 @dataclass(frozen=True)
 class ExactSolution:
-    """A manufactured solution with analytic gradient and Hessian."""
+    """A manufactured solution with analytic gradient and Hessian.
+
+    `jet`, when given, returns (value, gradient, hessian) at once, bitwise
+    what the three callables return, sharing the work they have in common;
+    None means the three are called one by one."""
 
     value: callable       # (n, d) -> (n,)
     gradient: callable    # (n, d) -> (n, d)
     hessian: callable     # (n, d) -> (n, d, d)
+    jet: callable = None  # (n, d) -> (value, gradient, hessian)
 
 
 @dataclass(frozen=True)
@@ -245,7 +250,8 @@ def _sine_product(dim):
     """u(x) = prod_i sin(pi x_i) on (0,1)^dim, vanishing on the boundary.
 
     sin and cos are taken once per call and every derivative multiplies
-    its factors left to right, axis by axis."""
+    its factors left to right, axis by axis; the jet takes them once for
+    all three."""
 
     def trig(x):
         px = np.pi * np.atleast_2d(x)
@@ -254,18 +260,16 @@ def _sine_product(dim):
     def prod(cols):
         return functools.reduce(operator.mul, cols)
 
-    def value(x):
-        return prod(np.sin(np.pi * np.atleast_2d(x)).T)
+    def value_of(s):
+        return prod(s.T)
 
-    def gradient(x):
-        s, c = trig(x)
+    def gradient_of(s, c):
         grad = np.empty_like(s)
         for i in range(dim):
             grad[:, i] = np.pi * prod([c[:, k] if k == i else s[:, k] for k in range(dim)])
         return grad
 
-    def hessian(x):
-        s, c = trig(x)
+    def hessian_of(s, c):
         hess = np.empty(s.shape + (dim,))
         for i in range(dim):
             for j in range(dim):
@@ -276,7 +280,20 @@ def _sine_product(dim):
                 hess[:, i, j] = np.pi**2 * prod(cols)
         return hess
 
-    return ExactSolution(value, gradient, hessian)
+    def value(x):
+        return value_of(np.sin(np.pi * np.atleast_2d(x)))
+
+    def gradient(x):
+        return gradient_of(*trig(x))
+
+    def hessian(x):
+        return hessian_of(*trig(x))
+
+    def jet(x):
+        s, c = trig(x)
+        return value_of(s), gradient_of(s, c), hessian_of(s, c)
+
+    return ExactSolution(value, gradient, hessian, jet)
 
 
 _POTENTIALS = {
@@ -297,9 +314,10 @@ def _manufactured_forcing(base_model, exact):
 
     def f(x):
         x = np.atleast_2d(x)
-        u = exact.value(x)
-        du = exact.gradient(x)
-        h = exact.hessian(x)
+        if exact.jet is None:
+            u, du, h = exact.value(x), exact.gradient(x), exact.hessian(x)
+        else:
+            u, du, h = exact.jet(x)
         div_flux = (np.einsum("nij,nij->n", base_model.d2L_dpp(du, u, x), h)
                     + np.einsum("ni,ni->n", base_model.d2L_dpz(du, u, x), du))
         return -div_flux + base_model.dL_dz(du, u, x)

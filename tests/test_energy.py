@@ -2,6 +2,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nitschelab import energy
 from nitschelab.assembly import integrate
@@ -201,6 +204,22 @@ def test_sine_product_bitwise_equal_to_prod_formulation(dim):
     assert np.array_equal(exact.value(x), np.prod(s, axis=1))
     assert np.array_equal(exact.gradient(x), grad)
     assert np.array_equal(exact.hessian(x), hess)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@settings(deadline=None, max_examples=50, database=None, derandomize=True)
+@given(data=st.data())
+def test_sine_product_jet_bitwise_equal_to_its_parts(dim, data):
+    """The jet returns bit for bit what value, gradient and hessian return
+    one by one, at any points, inside (0,1)^dim or not."""
+    x = data.draw(hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2, max_side=40)
+                             .map(lambda s: (s[0], dim)),
+                             elements=st.floats(-2.0, 3.0, allow_subnormal=False)))
+    exact = energy._sine_product(dim)
+    value, gradient, hessian = exact.jet(x)
+    assert np.array_equal(value, exact.value(x))
+    assert np.array_equal(gradient, exact.gradient(x))
+    assert np.array_equal(hessian, exact.hessian(x))
 
 
 def test_manufactured_quartic_forcing_closed_form():
