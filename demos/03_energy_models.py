@@ -14,7 +14,6 @@ from nitschelab.energy import PROBLEM_NAMES
 rng = np.random.default_rng(0)
 p = rng.standard_normal((5, 2))
 z = rng.standard_normal(5)
-x = rng.uniform(size=(5, 2))
 
 print("built-in problems:")
 for name in PROBLEM_NAMES:
@@ -25,15 +24,15 @@ for name in PROBLEM_NAMES:
 print("\nfinite-difference check of d2L/dz2 for the quartic potential:")
 model = build_problem("quartic", 2).model
 eps = 1e-6
-fd = (model.dL_dz(p, z + eps, x) - model.dL_dz(p, z - eps, x)) / (2 * eps)
-an = model.d2L_dzz(p, z, x)
+fd = (model.dL_dz(p, z + eps) - model.dL_dz(p, z - eps)) / (2 * eps)
+an = model.d2L_dzz(p, z)
 print(f"  max relative mismatch: {np.abs(fd - an).max() / np.abs(an).max():.2e}")
 
 print("\nminimal-surface p-Hessian eigenvalues at a random gradient:")
 ms = build_problem("minimal_surface", 2).model
 p0 = np.array([[1.5, -0.7]])
 w = np.sqrt(1 + (p0**2).sum())
-eig = np.sort(np.linalg.eigvalsh(ms.d2L_dpp(p0, np.zeros(1), np.zeros((1, 2)))[0]))
+eig = np.sort(np.linalg.eigvalsh(ms.d2L_dpp(p0, np.zeros(1))[0]))
 print(f"  computed {eig}, closed form [w^-3, 1/w] = "
       f"[{w**-3:.6f}, {1 / w:.6f}]")
 

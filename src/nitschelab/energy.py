@@ -1,15 +1,17 @@
-"""Energy densities L(p, z, x) with analytic derivatives through third order.
+"""Energy densities L(p, z) with analytic derivatives through third order.
 
-An EnergyModel bundles vectorized callables for L and its partial
-derivatives: all callables accept batched arguments, p of shape (n, d),
-z of shape (n,), x of shape (n, d), and return arrays over the batch.
+The energies are J(u) = int L(Du, u) dx - <f, u>: the density never
+reads the physical point, and a forcing f is a linear functional kept
+beside it.  An EnergyModel bundles vectorized callables for L and its
+partial derivatives: all callables accept batched arguments, p of shape
+(n, d) and z of shape (n,), and return arrays over the batch.
 Third-order blocks are exposed as directional contractions (the only
 form assembly and the third-variation estimates ever need), so no
 rank-3 tensors are stored.
 
 Built-in models:
-  * quadratic-plus-potential density 0.5|p|^2 + psi(z) - f(x) z, whose
-    Euler-Lagrange system -laplace(u) + psi'(u) = f is semilinear;
+  * quadratic-plus-potential density 0.5|p|^2 + psi(z) with forcing f,
+    whose Euler-Lagrange system -laplace(u) + psi'(u) = f is semilinear;
   * the minimal surface density sqrt(1 + |p|^2), a quasilinear example.
 
 Manufactured problems pick u(x) = prod_i sin(pi x_i) and compute the
@@ -43,24 +45,24 @@ PROBLEM_NAMES = ("linear", "quartic", "cosine", "minimal_surface")
 class EnergyModel:
     """Batched density callables; immutable and stateless.
 
-    d3L_dppp(p, z, x, a, b, c) contracts the third p-derivative with three
+    d3L_dppp(p, z, a, b, c) contracts the third p-derivative with three
     gradient directions; d3L_dppz with two; d3L_dpzz with one; d3L_dzzz
     takes no direction.
 
-    `forcing` is the f of the -f(x) z term that `with_forcing` adds, None
-    for an unforced model.  A forced model's eval and dL_dz take an
-    optional keyword fx, f already evaluated at x, and evaluate f(x)
-    themselves without it.  Assembly passes fx on the space's own rule,
-    from a per-space cache of f at its quadrature points, so an eval or
-    dL_dz replaced on a forced model must accept fx as well.
+    `forcing` is the f of the energy's linear term -<f, u> that
+    `with_forcing` sets, a callable of points (n, d) -> (n,), or None for
+    an unforced model.  No density callable sees it: assembly subtracts
+    the space's load vector int f phi_i from the residual, and its dot
+    product with the coefficients from the energy.
 
-    `quadratic_gradient` declares L = 0.5|p|^2 + G(z, x): dL_dp is p,
+    `quadratic_gradient` declares L = 0.5|p|^2 + G(z): dL_dp is p,
     d2L_dpp the identity, d2L_dpz zero, and dL_dz and d2L_dzz never read
-    p.  Assembly then takes the gradient part of the residual and the
-    Hessian from the space's cached Laplace stiffness, calls dL_dz and
-    d2L_dzz with p=None, and never calls dL_dp, d2L_dpp or d2L_dpz.  Only
+    p, while eval(None, z) returns G(z) alone.  Assembly then takes the
+    gradient part of the energy, the residual and the Hessian from the
+    space's cached Laplace stiffness, calls eval, dL_dz and d2L_dzz with
+    p=None, and never calls dL_dp, d2L_dpp or d2L_dpz.  Only
     `dirichlet_potential_model` sets it, and a copy whose p-derivatives
-    are replaced must clear it.
+    or eval are replaced must keep to this protocol or clear it.
     """
 
     name: str
@@ -83,9 +85,10 @@ class EnergyModel:
 class ExactSolution:
     """A manufactured solution with analytic gradient and Hessian.
 
-    `jet`, when given, returns (value, gradient, hessian) at once, bitwise
-    what the three callables return, sharing the work they have in common;
-    None means the three are called one by one."""
+    `jet` returns (value, gradient, hessian) at once, bitwise what the
+    three callables return, sharing the work they have in common; the
+    manufactured forcing reads it, and a solution that is only a norms
+    target may leave it None."""
 
     value: callable       # (n, d) -> (n,)
     gradient: callable    # (n, d) -> (n, d)
@@ -102,46 +105,48 @@ class ManufacturedProblem:
     boundary_fn: callable
 
 
-def _zero(p, z, x, *directions):
+def _zero(p, z, *directions):
     """A derivative block that vanishes identically, as a zero per point."""
     return np.zeros_like(np.asarray(z, dtype=float))
 
 
-def _zero_pz(p, z, x):
+def _zero_pz(p, z):
     """The mixed block d2L_dpz of a density without p-z coupling."""
     return np.zeros_like(p, dtype=float)
 
 
 def dirichlet_potential_model(psi, dpsi, d2psi, d3psi, name="potential",
                               formula="0.5|Du|^2 + psi(u)"):
-    """Density 0.5|p|^2 + psi(z); `with_forcing` adds a -f(x) z term.
+    """Density 0.5|p|^2 + psi(z); `with_forcing` adds a forcing.
 
     The p-Hessian is the identity and every third derivative touching p
     vanishes, so the Euler-Lagrange system is semilinear; the model is
-    marked `quadratic_gradient`.  The psi derivatives are cross-checked
-    against finite differences of psi at construction to catch
-    inconsistent inputs early.
+    marked `quadratic_gradient`, and eval(None, z) is psi(z).  The psi
+    derivatives are cross-checked against finite differences of psi at
+    construction to catch inconsistent inputs early.
     """
     _check_potential_derivatives(psi, dpsi, d2psi, d3psi)
 
-    def ev(p, z, x):
+    def ev(p, z):
+        if p is None:
+            return psi(z)
         return 0.5 * np.einsum("...i,...i->...", p, p) + psi(z)
 
-    def dl_dp(p, z, x):
+    def dl_dp(p, z):
         return np.array(p, dtype=float, copy=True)
 
-    def dl_dz(p, z, x):
+    def dl_dz(p, z):
         return dpsi(z)
 
-    def d2_pp(p, z, x):
+    def d2_pp(p, z):
         d = p.shape[-1]
         eye = np.eye(d)
         return np.broadcast_to(eye, p.shape[:-1] + (d, d)).copy()
 
-    def d2_zz(p, z, x):
+    def d2_zz(p, z):
         return d2psi(z)
 
-    def d3_zzz(p, z, x):
+    def d3_zzz(p, z):
         return d3psi(z)
 
     return EnergyModel(name, formula, ev, dl_dp, dl_dz, d2_pp, _zero_pz, d2_zz,
@@ -166,20 +171,20 @@ def minimal_surface_model():
     def w(p):
         return np.sqrt(1.0 + np.einsum("...i,...i->...", p, p))
 
-    def ev(p, z, x):
+    def ev(p, z):
         return w(p)
 
-    def dl_dp(p, z, x):
+    def dl_dp(p, z):
         return p / w(p)[..., None]
 
-    def d2_pp(p, z, x):
+    def d2_pp(p, z):
         d = p.shape[-1]
         ww = w(p)
         eye = np.broadcast_to(np.eye(d), p.shape[:-1] + (d, d))
         outer = np.einsum("...i,...j->...ij", p, p)
         return eye / ww[..., None, None] - outer / (ww**3)[..., None, None]
 
-    def d3_ppp(p, z, x, a, b, c):
+    def d3_ppp(p, z, a, b, c):
         ww = w(p)
         pa, pb, pc, ab, ac, bc = (np.einsum("...i,...i->...", u, v) for u, v in
                                   ((p, a), (p, b), (p, c), (a, b), (a, c), (b, c)))
@@ -192,19 +197,18 @@ def minimal_surface_model():
 
 
 def with_forcing(model, f, name=None):
-    """Add a -f(x) z term; only the z-derivative of first order changes.
+    """Add the linear term -<f, u> to the energy; the density is unchanged.
 
-    The result's `forcing` is f; its eval and dL_dz use fx, f already
-    evaluated at x, when the caller passes it."""
+    The result's `forcing` is f, or, on a model already forced by g, the
+    sum x -> g(x) + f(x)."""
+    forcing = f
+    if model.forcing is not None:
+        inner = model.forcing
 
-    def ev(p, z, x, fx=None):
-        return model.eval(p, z, x) - (f(x) if fx is None else fx) * z
+        def forcing(x):
+            return inner(x) + f(x)
 
-    def dl_dz(p, z, x, fx=None):
-        return model.dL_dz(p, z, x) - (f(x) if fx is None else fx)
-
-    return replace(model, eval=ev, dL_dz=dl_dz, forcing=f,
-                   name=name or model.name,
+    return replace(model, forcing=forcing, name=name or model.name,
                    formula=model.formula + " - f u")
 
 
@@ -227,13 +231,12 @@ def classify(model):
     rng = np.random.default_rng(0)
     p = rng.standard_normal((samples, dim))
     z = rng.standard_normal(samples)
-    x = rng.uniform(size=(samples, dim))
     a, b, c = (rng.standard_normal((samples, dim)) for _ in range(3))
 
-    ppp = np.max(np.abs(model.d3L_dppp(p, z, x, a, b, c)))
-    ppz = np.max(np.abs(model.d3L_dppz(p, z, x, a, b)))
-    pzz = np.max(np.abs(model.d3L_dpzz(p, z, x, a)))
-    zzz = np.max(np.abs(model.d3L_dzzz(p, z, x)))
+    ppp = np.max(np.abs(model.d3L_dppp(p, z, a, b, c)))
+    ppz = np.max(np.abs(model.d3L_dppz(p, z, a, b)))
+    pzz = np.max(np.abs(model.d3L_dpzz(p, z, a)))
+    zzz = np.max(np.abs(model.d3L_dzzz(p, z)))
 
     if max(ppp, ppz, pzz, zzz) < tol:
         return "linear"
@@ -314,13 +317,10 @@ def _manufactured_forcing(base_model, exact):
 
     def f(x):
         x = np.atleast_2d(x)
-        if exact.jet is None:
-            u, du, h = exact.value(x), exact.gradient(x), exact.hessian(x)
-        else:
-            u, du, h = exact.jet(x)
-        div_flux = (np.einsum("nij,nij->n", base_model.d2L_dpp(du, u, x), h)
-                    + np.einsum("ni,ni->n", base_model.d2L_dpz(du, u, x), du))
-        return -div_flux + base_model.dL_dz(du, u, x)
+        u, du, h = exact.jet(x)
+        div_flux = (np.einsum("nij,nij->n", base_model.d2L_dpp(du, u), h)
+                    + np.einsum("ni,ni->n", base_model.d2L_dpz(du, u), du))
+        return -div_flux + base_model.dL_dz(du, u)
 
     return f
 
@@ -349,11 +349,11 @@ _CENTRAL8 = (4.0 / 5.0, -1.0 / 5.0, 4.0 / 105.0, -1.0 / 280.0)
 
 
 def el_residual(problem, points):
-    """Pointwise Euler-Lagrange residual -div dL_dp + dL_dz of the exact
-    solution at given points, forcing included; vanishes for manufactured
-    problems up to rounding (about 1e-12).
+    """Pointwise Euler-Lagrange residual -div dL_dp + dL_dz - f of the
+    exact solution at given points; vanishes for manufactured problems up
+    to rounding (about 1e-12).
 
-    The divergence of the flux dL_dp(Du(x), u(x), x) is taken by
+    The divergence of the flux dL_dp(Du(x), u(x)) is taken by
     eighth-order central differences in x with step 1e-3, so the check
     does not use d2L_dpp or d2L_dpz, from which the forcing is built."""
     h = 1e-3
@@ -361,7 +361,7 @@ def el_residual(problem, points):
     x = np.atleast_2d(np.asarray(points, dtype=float))
 
     def flux(y, axis):
-        return model.dL_dp(exact.gradient(y), exact.value(y), y)[:, axis]
+        return model.dL_dp(exact.gradient(y), exact.value(y))[:, axis]
 
     div = np.zeros(len(x))
     for axis in range(x.shape[1]):
@@ -369,4 +369,5 @@ def el_residual(problem, points):
             shift = np.zeros(x.shape[1])
             shift[axis] = k * h
             div += weight * (flux(x + shift, axis) - flux(x - shift, axis)) / h
-    return -div + model.dL_dz(exact.gradient(x), exact.value(x), x)
+    residual = -div + model.dL_dz(exact.gradient(x), exact.value(x))
+    return residual if model.forcing is None else residual - model.forcing(x)

@@ -346,8 +346,8 @@ class FESpace:
     is the basis's.  `_cache` holds data that depends only on the space,
     made on first use: `assembly` keeps there the CSR skeleton shared by
     every operator on the space (masked and unmasked), the Laplace
-    stiffness, and the forcing of forced energy models at the points of
-    `quad`, one array per forcing callable.  It assumes `mesh`, `quad`
+    stiffness, and the load vector int f phi_i of each forcing f of a
+    forced energy model.  It assumes `mesh`, `quad`
     and the dof arrays are never reassigned after construction.
     To integrate with another rule, make another space,
     `dataclasses.replace(space, quad=rule)`: `_cache` is an `init=False`

@@ -165,7 +165,7 @@ def test_hessian_p_block_state_independent_semilinear(problems):
     density."""
     from dataclasses import replace
     model = problems["quartic"].model
-    p_only = replace(model, d2L_dzz=lambda p, z, x: np.zeros_like(z))
+    p_only = replace(model, d2L_dzz=lambda p, z: np.zeros_like(z))
     space = make_space(build_unit_mesh(1, 8), 2, 0.0)
     a1 = assemble_hessian(p_only, smooth_state(space, seed=1)).toarray()
     a2 = assemble_hessian(p_only, smooth_state(space, seed=2)).toarray()
@@ -312,7 +312,7 @@ def test_lq_norm_rejects_q_that_is_not_finite_and_at_least_1(q):
 
 def test_hessian_rejects_nonfinite_zz_block(problems):
     model = replace(problems["quartic"].model,
-                    d2L_dzz=lambda p, z, x: np.full(len(z), np.nan))
+                    d2L_dzz=lambda p, z: np.full(len(z), np.nan))
     space = make_space(build_unit_mesh(2, 4), 1, 0.0)
     with pytest.raises(AssemblyError, match="hessian"):
         assemble_hessian(model, smooth_state(space))
@@ -320,7 +320,7 @@ def test_hessian_rejects_nonfinite_zz_block(problems):
 
 def test_third_variation_rejects_nonfinite_integrand(problems):
     model = replace(problems["quartic"].model,
-                    d3L_dzzz=lambda p, z, x: np.full(len(z), np.inf))
+                    d3L_dzzz=lambda p, z: np.full(len(z), np.inf))
     space = make_space(build_unit_mesh(1, 6), 1, 0.0)
     v = smooth_state(space)
     with pytest.raises(AssemblyError, match="third-variation"):
@@ -339,10 +339,10 @@ def mixed_model(dim):
     b = np.array([0.7, -0.4])[:dim]
     return replace(
         base, name="minimal_surface_mixed",
-        eval=lambda p, z, x: base.eval(p, z, x) + z * (p @ b),
-        dL_dp=lambda p, z, x: base.dL_dp(p, z, x) + z[:, None] * b,
-        dL_dz=lambda p, z, x: p @ b,
-        d2L_dpz=lambda p, z, x: np.broadcast_to(b, p.shape).copy())
+        eval=lambda p, z: base.eval(p, z) + z * (p @ b),
+        dL_dp=lambda p, z: base.dL_dp(p, z) + z[:, None] * b,
+        dL_dz=lambda p, z: p @ b,
+        d2L_dpz=lambda p, z: np.broadcast_to(b, p.shape).copy())
 
 
 def _oracle_state(space, coeffs):
@@ -351,11 +351,8 @@ def _oracle_state(space, coeffs):
     vals = local @ space.basis.values(rule.points).T
     ref = np.einsum("el,qlk->eqk", local, space.basis.gradients(rule.points))
     grads = np.einsum("eki,eqk->eqi", mesh.jac, ref)
-    x = (mesh.vertices[mesh.elements[:, 0]][:, None, :]
-         + np.einsum("eij,qj->eqi", mesh.inv_jac, rule.points))
     wq = (np.abs(mesh.det_jac) ** -1)[:, None] * rule.weights
-    d = mesh.dim
-    return (grads.reshape(-1, d), vals.ravel(), x.reshape(-1, d)), grads.shape, wq
+    return (grads.reshape(-1, mesh.dim), vals.ravel()), grads.shape, wq
 
 
 def oracle_residual(model, v):
@@ -403,7 +400,7 @@ def test_kernels_match_einsum_oracle_with_mixed_block(dim, order):
     space = make_space(build_unit_mesh(dim, 7 if dim == 1 else 3), order, 0.0)
     v = FEFunction(space, 0.5 * np.random.default_rng(order).standard_normal(space.dim))
     # the mixed blocks carry weight in the oracle itself
-    no_pz = replace(model, d2L_dpz=lambda p, z, x: np.zeros_like(p))
+    no_pz = replace(model, d2L_dpz=lambda p, z: np.zeros_like(p))
     assert np.abs(oracle_hessian(model, v, False) - oracle_hessian(no_pz, v, False)).max() > 1e-2
 
     for mask in (True, False):
@@ -432,16 +429,20 @@ def test_hessian_matches_residual_fd_with_mixed_block(dim):
 
 
 # ---------------------------------------------------------------------------
-# the per-space forcing cache
+# the per-space load vector of a forcing
 
 
 def test_forcing_cache_shared_by_two_models_is_bitwise_exact(monkeypatch):
-    """Two forced models interleaved on one space, each cached under its own
-    forcing over several chunks, give bitwise the values of a fresh space
-    and of a copy of the space under a copy of its rule."""
+    """Forced models interleaved on one space, each load vector built over
+    several chunks and cached under its forcing, give bitwise the values of
+    a fresh space and of a copy of the space under a copy of its rule; a
+    model with the same forcing reads the same entry."""
     monkeypatch.setattr(felement, "CHUNK", 7)
     mesh = build_unit_mesh(2, 3)
-    models = [build_problem(name, 2).model for name in ("quartic", "cosine")]
+    quartic, cosine = (build_problem(name, 2).model for name in ("quartic", "cosine"))
+    twin = with_zeroed_gradient_blocks(quartic)
+    assert twin.forcing is quartic.forcing
+    models = [quartic, cosine, twin]
     shared = make_space(mesh, 2, 0.0)
     coeffs = 0.3 * np.random.default_rng(5).standard_normal(shared.dim)
     for model in models + models[::-1]:
@@ -455,10 +456,12 @@ def test_forcing_cache_shared_by_two_models_is_bitwise_exact(monkeypatch):
         assert np.array_equal(residual, assemble_residual(model, o))
         assert np.array_equal(assemble_hessian(model, v).toarray(),
                               assemble_hessian(model, w).toarray())
-    forcings = {key[1]: fx for key, fx in shared._cache.items() if isinstance(key, tuple)}
-    assert forcings.keys() == {m.forcing for m in models}
-    npts = len(shared.quad.weights)
-    assert all(fx.shape == (18, npts) and not fx.flags.writeable for fx in forcings.values())
+    loads = {key: b for key, b in shared._cache.items() if isinstance(key, tuple)}
+    assert loads.keys() == {("load", quartic.forcing), ("load", cosine.forcing)}
+    assert all(b.shape == (shared.dim,) and not b.flags.writeable for b in loads.values())
+    v = FEFunction(shared, coeffs)
+    assert energy_value(twin, v) == energy_value(quartic, v)
+    assert np.array_equal(assemble_residual(twin, v), assemble_residual(quartic, v))
 
 
 def test_forcing_evaluated_once_per_chunk_per_space(monkeypatch):
@@ -499,12 +502,16 @@ def test_split_matches_generic_path(name, dim, order):
     model = build_problem(name, dim).model
     assert model.quadratic_gradient
     generic = replace(model, quadratic_gradient=False)
-    # the split never calls the gradient blocks it replaces
-    split = replace(model, dL_dp=_raises, d2L_dpp=_raises, d2L_dpz=_raises)
+    # the split never calls the gradient blocks it replaces, nor the
+    # density with a gradient
+    split = replace(model, dL_dp=_raises, d2L_dpp=_raises, d2L_dpz=_raises,
+                    eval=lambda p, z: _raises() if p is not None else model.eval(p, z))
     space = make_space(build_unit_mesh(dim, 7 if dim == 1 else 3), order,
                        build_problem(name, dim).boundary_fn)
     for seed in (0, 1):
         v = FEFunction(space, np.random.default_rng(seed).standard_normal(space.dim))
+        want = energy_value(generic, v)
+        assert abs(energy_value(split, v) - want) <= 1e-13 * abs(want)
         for mask in (True, False):
             want = assemble_hessian(generic, v, mask=mask).toarray()
             got = assemble_hessian(split, v, mask=mask).toarray()
@@ -617,7 +624,7 @@ def test_skeleton_and_stiffness_built_once_per_space(monkeypatch):
 
 def test_space_under_another_rule_keeps_its_own_caches():
     """A copy of a space under another rule builds its own skeleton,
-    stiffness and forcing values, at its own points, and leaves the
+    stiffness and load vector, with its own points, and leaves the
     original's caches as they were."""
     model = build_problem("quartic", 2).model
     space = make_space(build_unit_mesh(2, 4), 2, 0.0)
@@ -625,7 +632,8 @@ def test_space_under_another_rule_keeps_its_own_caches():
     hessian = assemble_hessian(model, v).toarray()
     residual = assemble_residual(model, v)
     before = dict(space._cache)
-    assert before.keys() == {"skeleton", "stiffness", ("forcing", model.forcing)}
+    load = ("load", model.forcing)
+    assert before.keys() == {"skeleton", "stiffness", load}
 
     fine_rule = felement.quadrature_rule(2, 2 * space.quad.exactness_degree)
     fine = replace(space, quad=fine_rule)
@@ -636,8 +644,9 @@ def test_space_under_another_rule_keeps_its_own_caches():
     assert fine._cache.keys() == before.keys()
     assert all(fine._cache[key] is not data for key, data in before.items())
     assert np.abs(fine._cache["stiffness"] - before["stiffness"]).max() < 1e-12
-    npts = len(fine_rule.weights)
-    assert fine._cache["forcing", model.forcing].shape == (space.mesh.num_elements, npts)
+    # the finer rule moves the load vector by its quadrature error only
+    assert not np.array_equal(fine._cache[load], before[load])
+    assert np.abs(fine._cache[load] - before[load]).max() < 1e-6 * np.abs(before[load]).max()
 
     assert space._cache.keys() == before.keys()
     assert all(space._cache[key] is data for key, data in before.items())

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from nitschelab import energy
-from nitschelab.assembly import integrate
+from nitschelab.assembly import assemble_residual, energy_value, integrate
 from nitschelab.energy import (PROBLEM_NAMES, ManufacturedProblem, build_problem,
                                classify, dirichlet_potential_model, el_residual,
                                minimal_surface_model, with_forcing,
                                with_zeroed_gradient_blocks)
+from nitschelab.felement import FEFunction, make_space
 from nitschelab.mesh import build_unit_mesh
 
 
@@ -23,27 +24,26 @@ def quartic_model():
 
 def random_states(dim, n, seed=0):
     rng = np.random.default_rng(seed)
-    return (rng.standard_normal((n, dim)), rng.standard_normal(n),
-            rng.uniform(size=(n, dim)), rng)
+    return rng.standard_normal((n, dim)), rng.standard_normal(n), rng
 
 
 def test_potential_model_structure():
     model = quartic_model()
-    p, z, x, _ = random_states(2, 20)
-    assert np.allclose(model.d2L_dpp(p, z, x), np.eye(2)[None], atol=0)
-    assert np.allclose(model.d2L_dpz(p, z, x), 0.0, atol=0)
-    assert np.allclose(model.d2L_dzz(p, z, x), 3 * z**2, atol=1e-14)
-    assert np.allclose(model.d3L_dzzz(p, z, x), 6 * z, atol=1e-14)
+    p, z, _ = random_states(2, 20)
+    assert np.allclose(model.d2L_dpp(p, z), np.eye(2)[None], atol=0)
+    assert np.allclose(model.d2L_dpz(p, z), 0.0, atol=0)
+    assert np.allclose(model.d2L_dzz(p, z), 3 * z**2, atol=1e-14)
+    assert np.allclose(model.d3L_dzzz(p, z), 6 * z, atol=1e-14)
 
 
 def test_potential_model_zero_psi_is_dirichlet_form():
     model = dirichlet_potential_model(*(lambda z: np.zeros_like(z),) * 4)
-    p, z, x, rng = random_states(2, 10)
+    p, z, rng = random_states(2, 10)
     a, b, c = (rng.standard_normal((10, 2)) for _ in range(3))
-    assert np.allclose(model.eval(p, z, x),
+    assert np.allclose(model.eval(p, z),
                        0.5 * np.einsum("ni,ni->n", p, p), atol=1e-14)
-    assert np.abs(model.d3L_dppp(p, z, x, a, b, c)).max() == 0.0
-    assert np.abs(model.d3L_dzzz(p, z, x)).max() == 0.0
+    assert np.abs(model.d3L_dppp(p, z, a, b, c)).max() == 0.0
+    assert np.abs(model.d3L_dzzz(p, z)).max() == 0.0
 
 
 def test_potential_rejects_inconsistent_derivatives():
@@ -58,9 +58,8 @@ def test_minimal_surface_at_zero_gradient():
     model = minimal_surface_model()
     p = np.zeros((5, 2))
     z = np.zeros(5)
-    x = np.zeros((5, 2))
-    assert np.allclose(model.eval(p, z, x), 1.0, atol=0)
-    assert np.allclose(model.d2L_dpp(p, z, x), np.eye(2)[None], atol=1e-15)
+    assert np.allclose(model.eval(p, z), 1.0, atol=0)
+    assert np.allclose(model.d2L_dpp(p, z), np.eye(2)[None], atol=1e-15)
 
 
 def test_minimal_surface_hessian_eigenvalues():
@@ -69,8 +68,7 @@ def test_minimal_surface_hessian_eigenvalues():
     rng = np.random.default_rng(1)
     p = rng.standard_normal((30, 2)) * 2.0
     z = np.zeros(30)
-    x = rng.uniform(size=(30, 2))
-    mats = model.d2L_dpp(p, z, x)
+    mats = model.d2L_dpp(p, z)
     w = np.sqrt(1 + np.einsum("ni,ni->n", p, p))
     for k in range(30):
         eig = np.sort(np.linalg.eigvalsh(mats[k]))
@@ -88,7 +86,7 @@ def test_derivative_ladder_pointwise(name, dim):
     """dL_dp/dL_dz vs FD of eval, d2 blocks vs FD of d1, directional d3
     blocks vs FD of d2, at 100 random states, relative 1e-6."""
     model = build_problem(name, dim).model
-    p, z, x, rng = random_states(dim, 100, seed=5)
+    p, z, rng = random_states(dim, 100, seed=5)
     eps = 1e-6
 
     def rel_ok(fd, an, tol=1e-6):
@@ -99,45 +97,45 @@ def test_derivative_ladder_pointwise(name, dim):
     for i in range(dim):
         e = np.zeros((1, dim))
         e[0, i] = eps
-        fd = (model.eval(p + e, z, x) - model.eval(p - e, z, x)) / (2 * eps)
-        assert rel_ok(fd, model.dL_dp(p, z, x)[:, i])
-    fd = (model.eval(p, z + eps, x) - model.eval(p, z - eps, x)) / (2 * eps)
-    assert rel_ok(fd, model.dL_dz(p, z, x))
+        fd = (model.eval(p + e, z) - model.eval(p - e, z)) / (2 * eps)
+        assert rel_ok(fd, model.dL_dp(p, z)[:, i])
+    fd = (model.eval(p, z + eps) - model.eval(p, z - eps)) / (2 * eps)
+    assert rel_ok(fd, model.dL_dz(p, z))
 
     # second derivatives
     for i in range(dim):
         e = np.zeros((1, dim))
         e[0, i] = eps
-        fd = (model.dL_dp(p + e, z, x) - model.dL_dp(p - e, z, x)) / (2 * eps)
-        assert rel_ok(fd, model.d2L_dpp(p, z, x)[:, :, i])
-        fdz = (model.dL_dz(p + e, z, x) - model.dL_dz(p - e, z, x)) / (2 * eps)
-        assert rel_ok(fdz, model.d2L_dpz(p, z, x)[:, i])
-    fd = (model.dL_dz(p, z + eps, x) - model.dL_dz(p, z - eps, x)) / (2 * eps)
-    assert rel_ok(fd, model.d2L_dzz(p, z, x))
+        fd = (model.dL_dp(p + e, z) - model.dL_dp(p - e, z)) / (2 * eps)
+        assert rel_ok(fd, model.d2L_dpp(p, z)[:, :, i])
+        fdz = (model.dL_dz(p + e, z) - model.dL_dz(p - e, z)) / (2 * eps)
+        assert rel_ok(fdz, model.d2L_dpz(p, z)[:, i])
+    fd = (model.dL_dz(p, z + eps) - model.dL_dz(p, z - eps)) / (2 * eps)
+    assert rel_ok(fd, model.d2L_dzz(p, z))
 
     # third-order directional contractions
     a, b, c = (rng.standard_normal((100, dim)) for _ in range(3))
     fd = np.einsum("nij,ni,nj->n",
-                   (model.d2L_dpp(p + eps * c, z, x)
-                    - model.d2L_dpp(p - eps * c, z, x)) / (2 * eps), a, b)
-    assert rel_ok(fd, model.d3L_dppp(p, z, x, a, b, c))
+                   (model.d2L_dpp(p + eps * c, z)
+                    - model.d2L_dpp(p - eps * c, z)) / (2 * eps), a, b)
+    assert rel_ok(fd, model.d3L_dppp(p, z, a, b, c))
     fd = np.einsum("nij,ni,nj->n",
-                   (model.d2L_dpp(p, z + eps, x)
-                    - model.d2L_dpp(p, z - eps, x)) / (2 * eps), a, b)
-    assert rel_ok(fd, model.d3L_dppz(p, z, x, a, b))
+                   (model.d2L_dpp(p, z + eps)
+                    - model.d2L_dpp(p, z - eps)) / (2 * eps), a, b)
+    assert rel_ok(fd, model.d3L_dppz(p, z, a, b))
     fd = np.einsum("ni,ni->n",
-                   (model.d2L_dpz(p, z + eps, x)
-                    - model.d2L_dpz(p, z - eps, x)) / (2 * eps), a)
-    assert rel_ok(fd, model.d3L_dpzz(p, z, x, a))
-    fd = (model.d2L_dzz(p, z + eps, x) - model.d2L_dzz(p, z - eps, x)) / (2 * eps)
-    assert rel_ok(fd, model.d3L_dzzz(p, z, x))
+                   (model.d2L_dpz(p, z + eps)
+                    - model.d2L_dpz(p, z - eps)) / (2 * eps), a)
+    assert rel_ok(fd, model.d3L_dpzz(p, z, a))
+    fd = (model.d2L_dzz(p, z + eps) - model.d2L_dzz(p, z - eps)) / (2 * eps)
+    assert rel_ok(fd, model.d3L_dzzz(p, z))
 
 
 def test_d2pp_symmetry():
     for name in PROBLEM_NAMES:
         model = build_problem(name, 2).model
-        p, z, x, _ = random_states(2, 50, seed=9)
-        mats = model.d2L_dpp(p, z, x)
+        p, z, _ = random_states(2, 50, seed=9)
+        mats = model.d2L_dpp(p, z)
         assert np.abs(mats - np.swapaxes(mats, 1, 2)).max() < 1e-14
 
 
@@ -151,10 +149,10 @@ def test_classifier_labels():
 def test_zeroed_gradient_blocks_noop_for_semilinear():
     model = build_problem("quartic", 2).model
     zeroed = with_zeroed_gradient_blocks(model)
-    p, z, x, rng = random_states(2, 50, seed=3)
+    p, z, rng = random_states(2, 50, seed=3)
     a, b, c = (rng.standard_normal((50, 2)) for _ in range(3))
-    assert np.abs(zeroed.d3L_dppp(p, z, x, a, b, c)
-                  - model.d3L_dppp(p, z, x, a, b, c)).max() == 0.0
+    assert np.abs(zeroed.d3L_dppp(p, z, a, b, c)
+                  - model.d3L_dppp(p, z, a, b, c)).max() == 0.0
 
 
 @pytest.mark.parametrize("name", PROBLEM_NAMES)
@@ -172,7 +170,7 @@ def test_el_residual_sees_an_inconsistent_second_derivative():
     differentiates the flux itself, sees the Laplacian left over."""
     exact = energy._sine_product(2)
     base = quartic_model()
-    doubled = replace(base, d2L_dpp=lambda p, z, x: 2.0 * base.d2L_dpp(p, z, x))
+    doubled = replace(base, d2L_dpp=lambda p, z: 2.0 * base.d2L_dpp(p, z))
     model = with_forcing(doubled, energy._manufactured_forcing(doubled, exact))
     problem = ManufacturedProblem("quartic", 2, model, exact, exact.value)
     pts = np.random.default_rng(11).uniform(0.02, 0.98, size=(50, 2))
@@ -228,8 +226,7 @@ def test_manufactured_quartic_forcing_closed_form():
     s = np.sin(np.pi * x[:, 0])
     # -u'' + psi'(u) = f with u = sin(pi x): f = pi^2 sin + sin^3
     expected = np.pi**2 * s + s**3
-    fd_lz = problem.model.dL_dz(np.zeros((17, 1)), np.zeros(17), x)
-    assert np.allclose(-fd_lz, expected, atol=1e-12)
+    assert np.allclose(problem.model.forcing(x), expected, atol=1e-12)
 
 
 def test_manufactured_boundary_trace_vanishes_2d():
@@ -251,7 +248,7 @@ def test_energy_value_of_exact_solution_closed_form():
     def density(x):
         u = exact.value(x)
         du = exact.gradient(x)
-        return model.eval(du, u, x)
+        return model.eval(du, u) - model.forcing(x) * u
 
     value = integrate(mesh, density, degree=12)
     assert value == pytest.approx(-np.pi**2 / 4, abs=1e-10)
@@ -268,20 +265,51 @@ def test_manufactured_semilinear_api():
         build_problem("quartic", 3)
 
 
+def pointwise_reference(model, v):
+    """Energy and unmasked residual of v, each one sum over every
+    quadrature point of L(p, z) - fx z and of its first variation, fx the
+    forcing at the physical point, with basis tables and points made here."""
+    space = v.space
+    mesh, rule = space.mesh, space.quad
+    d = mesh.dim
+    phi = space.basis.values(rule.points)                                   # (nq, nloc)
+    gphi = np.einsum("eki,qlk->eqli", mesh.jac, space.basis.gradients(rule.points))
+    local = v.coeffs[space.elem_dofs]
+    vals = local @ phi.T
+    grads = np.einsum("el,eqli->eqi", local, gphi)
+    x = (mesh.vertices[mesh.elements[:, 0]][:, None, :]
+         + np.einsum("eij,qj->eqi", mesh.inv_jac, rule.points))
+    wq = ((np.abs(mesh.det_jac) ** -1)[:, None] * rule.weights).ravel()
+    p, z, fx = grads.reshape(-1, d), vals.ravel(), model.forcing(x.reshape(-1, d))
+    energy = np.sum(wq * (model.eval(p, z) - fx * z))
+    flux_p = (wq[:, None] * model.dL_dp(p, z)).reshape(grads.shape)
+    flux_z = (wq * (model.dL_dz(p, z) - fx)).reshape(vals.shape)
+    residual = np.zeros(space.dim)
+    np.add.at(residual, space.elem_dofs,
+              np.einsum("eqi,eqli->el", flux_p, gphi) + flux_z @ phi)
+    return energy, residual
+
+
 @pytest.mark.parametrize("name", PROBLEM_NAMES)
 @pytest.mark.parametrize("dim", [1, 2])
 def test_forced_model_takes_its_forcing_as_fx(name, dim):
-    """fx = forcing(x) gives bitwise what eval and dL_dz compute alone."""
+    """The energy and residual of a forced model, which take the forcing
+    as a load vector, match the pointwise integral of L - fx z, fx = f(x),
+    and its first variation, to 1e-13 relative on P1-P3."""
     model = build_problem(name, dim).model
-    p, z, x, _ = random_states(dim, 50, seed=9)
-    fx = model.forcing(x)
-    assert np.array_equal(model.eval(p, z, x, fx=fx), model.eval(p, z, x))
-    assert np.array_equal(model.dL_dz(p, z, x, fx=fx), model.dL_dz(p, z, x))
+    mesh = build_unit_mesh(dim, 7 if dim == 1 else 3)
+    for order in (1, 2, 3):
+        space = make_space(mesh, order, 0.0)
+        v = FEFunction(space, 0.5 * np.random.default_rng(order).standard_normal(space.dim))
+        energy_want, residual_want = pointwise_reference(model, v)
+        assert abs(energy_value(model, v) - energy_want) <= 1e-13 * abs(energy_want)
+        residual = assemble_residual(model, v, mask=False)
+        assert np.abs(residual - residual_want).max() <= 1e-13 * np.abs(residual_want).max()
 
 
 def test_forcing_field_of_nested_forcings():
-    """Only the outer forcing is the model's; the inner one stays inside
-    the inner eval and dL_dz."""
+    """Forcing a forced model sums both forcings into the model's one; the
+    density stays the unforced one."""
     def f1(x):
         return np.cos(x[:, 0])
 
@@ -290,11 +318,11 @@ def test_forcing_field_of_nested_forcings():
 
     base = quartic_model()
     assert base.forcing is None
+    assert with_forcing(base, f1).forcing is f1
     model = with_forcing(with_forcing(base, f1), f2)
-    assert model.forcing is f2
-    p, z, x, _ = random_states(1, 30, seed=4)
-    want = base.dL_dz(p, z, x) - f1(x) - f2(x)
-    assert np.array_equal(model.dL_dz(p, z, x, fx=f2(x)), want)
-    assert np.array_equal(model.dL_dz(p, z, x), want)
-    assert np.array_equal(model.eval(p, z, x, fx=f2(x)), model.eval(p, z, x))
-    assert with_zeroed_gradient_blocks(model).forcing is f2
+    p, z, rng = random_states(1, 30, seed=4)
+    x = rng.uniform(size=(30, 1))
+    assert np.array_equal(model.forcing(x), f1(x) + f2(x))
+    assert np.array_equal(model.eval(p, z), base.eval(p, z))
+    assert np.array_equal(model.dL_dz(p, z), base.dL_dz(p, z))
+    assert with_zeroed_gradient_blocks(model).forcing is model.forcing
