@@ -6,6 +6,9 @@ Outputs (rates.csv, diagnostics.csv, report.txt) are written with
 shortest round-trip float formatting, so reruns of the same config are
 byte-identical.
 
+`main` runs the BLAS bundled with numpy and with scipy on one thread,
+so the outputs are the same bytes at any BLAS thread count.
+
 Exit codes: 0 all enabled checks pass, 1 a rate or diagnostic check
 failed, 2 config error (no files written), 3 solver failure.  A config
 whose largest space would exceed MAX_DOFS, or whose output_dir cannot be
@@ -14,6 +17,7 @@ created, is a config error found before any study work.
 
 import argparse
 import csv
+import functools
 import os
 import sys
 import warnings
@@ -385,7 +389,40 @@ def plot_data(rates_csv_path, output_dir=None):
     return EXIT_OK
 
 
+# the OpenBLAS copies that numpy and scipy wheels bundle: (package, file
+# pattern in the package's `<package>.libs` folder, thread-count setter)
+_OPENBLAS = (("numpy", "libscipy_openblas64_*.so", "scipy_openblas_set_num_threads64_"),
+             ("scipy", "libscipy_openblas*.so", "scipy_openblas_set_num_threads"))
+
+
+@functools.cache
+def _pin_blas_threads():
+    """Run every bundled OpenBLAS copy on one thread, once per process.
+
+    Threaded BLAS kernels split their sums by thread count, so with more
+    than one thread the bytes of a study's outputs depend on it (the
+    dense root inverse of the multigrid cycle, for one).  A copy already
+    loaded is set through its own setter; one loaded later (scipy's,
+    imported by the diagnostics that need it) reads OPENBLAS_NUM_THREADS
+    when it starts, so that is set first.  Loading a copy here would cost
+    its memory in studies that never use it.  A copy or setter that is
+    not there is skipped."""
+    import ctypes
+    import glob
+    import importlib
+
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    for package, pattern, setter in _OPENBLAS:
+        site = os.path.dirname(os.path.dirname(importlib.import_module(package).__file__))
+        for path in sorted(glob.glob(os.path.join(site, f"{package}.libs", pattern))):
+            try:
+                getattr(ctypes.CDLL(path, mode=os.RTLD_NOLOAD), setter)(1)
+            except (OSError, AttributeError):
+                pass
+
+
 def main(argv=None):
+    _pin_blas_threads()
     parser = argparse.ArgumentParser(
         prog="nitschelab",
         description="convergence-rate laboratory for energy minimization by "

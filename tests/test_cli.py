@@ -239,6 +239,27 @@ def test_plot_notes_an_excluded_error_without_a_library_warning(tmp_path):
     assert (tmp_path / "rates.gp").exists()
 
 
+def test_outputs_same_bytes_at_any_blas_thread_count(tmp_path):
+    """The Galerkin study below (16 641 P2 dofs at its finest level) writes
+    different bytes at one and at two BLAS threads unless the CLI pins the
+    BLAS to one thread."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        path = write_config(tmp_path, "problem: quartic\ndim: 2\norder: 2\nlevels: 4\n"
+                            f"coarse_cells: 8\ndiagnostics: [galerkin]\noutput_dir: {out}\n",
+                            name=f"threads{threads}.yaml")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run([sys.executable, "-m", "nitschelab.cli", "run", path],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        outputs.append({name: (out / name).read_bytes()
+                        for name in ("rates.csv", "diagnostics.csv", "report.txt")})
+    assert outputs[0] == outputs[1]
+
+
 def test_main_subcommands(tmp_path, capsys):
     out = tmp_path / "out"
     path = write_config(tmp_path, BASE.format(out=out))
