@@ -24,6 +24,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 import yaml
 
 from .analysis import (_ADJOINT_LEVELS_FINER, DIAGNOSTIC_COLUMNS, DIAGNOSTIC_NAMES,
@@ -391,8 +392,8 @@ def plot_data(rates_csv_path, output_dir=None):
 
 # the OpenBLAS copies that numpy and scipy wheels bundle: (package, file
 # pattern in the package's `<package>.libs` folder, thread-count setter)
-_OPENBLAS = (("numpy", "libscipy_openblas64_*.so", "scipy_openblas_set_num_threads64_"),
-             ("scipy", "libscipy_openblas*.so", "scipy_openblas_set_num_threads"))
+_OPENBLAS = ((np, "libscipy_openblas64_*.so", "scipy_openblas_set_num_threads64_"),
+             (scipy, "libscipy_openblas*.so", "scipy_openblas_set_num_threads"))
 
 
 @functools.cache
@@ -409,12 +410,11 @@ def _pin_blas_threads():
     not there is skipped."""
     import ctypes
     import glob
-    import importlib
 
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     for package, pattern, setter in _OPENBLAS:
-        site = os.path.dirname(os.path.dirname(importlib.import_module(package).__file__))
-        for path in sorted(glob.glob(os.path.join(site, f"{package}.libs", pattern))):
+        site = os.path.dirname(os.path.dirname(package.__file__))
+        for path in sorted(glob.glob(os.path.join(site, f"{package.__name__}.libs", pattern))):
             try:
                 getattr(ctypes.CDLL(path, mode=os.RTLD_NOLOAD), setter)(1)
             except (OSError, AttributeError):

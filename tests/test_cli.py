@@ -260,6 +260,17 @@ def test_outputs_same_bytes_at_any_blas_thread_count(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_blas_pin_skips_a_missing_library_or_setter(monkeypatch):
+    monkeypatch.setattr(cli, "_OPENBLAS", (
+        (cli.np, "libscipy_openblas64_*.so", "no_such_setter"),
+        (cli.np, "no_such_library*.so", "scipy_openblas_set_num_threads64_")))
+    # the pin sets the variable for the rest of the process; monkeypatch
+    # restores it
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    cli._pin_blas_threads.__wrapped__()
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+
+
 def test_main_subcommands(tmp_path, capsys):
     out = tmp_path / "out"
     path = write_config(tmp_path, BASE.format(out=out))
