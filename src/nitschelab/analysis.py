@@ -38,8 +38,8 @@ from numpy.polynomial.legendre import leggauss
 from .assembly import (AssemblyError, assemble_gram_h1, assemble_gram_l2,
                        assemble_hessian, apply_third_variation, lq_norm, norms)
 from .energy import ManufacturedProblem
-from .felement import (FEFunction, _chunks, check_inverse_estimate, interpolate,
-                       make_space, sample_lattice, tabulate)
+from .felement import (FEFunction, _check_count, _chunks, check_inverse_estimate,
+                       interpolate, make_space, sample_lattice, tabulate)
 from .mesh import build_unit_mesh, refine, width
 from .solver import (LinearSolveError, NewtonError, NewtonOptions, _v_cycle,
                      embed, embedding_matrix, linear_solve, minimize)
@@ -389,7 +389,7 @@ def _dense_solve(interior, inverse, r):
 # integrated Galerkin orthogonality
 
 
-def galerkin_defect(model, u_fine, u_h, t_quad_order=5):
+def galerkin_defect(model, u_fine, u_h, t_quad_order=5, *, prolongation=None):
     """Defect in the integrated first-order conditions between nested levels.
 
     Tests, against every coarse interior basis function V_h, the t-integral
@@ -398,20 +398,16 @@ def galerkin_defect(model, u_fine, u_h, t_quad_order=5):
     minimizers on nested spaces the value is zero up to solver tolerances;
     the t-rule (Gauss, `t_quad_order` points) is exact whenever the density
     is polynomial in the state and far below solver noise otherwise.
+    `prolongation` is the embedding matrix of the level pair, built here
+    when None (a study passes the one its hierarchy holds).
     """
     coarse, fine = u_h.space, u_fine.space
     if fine.mesh.parent is not coarse.mesh or fine.order != coarse.order:
         raise ValueError("galerkin_defect needs the fine solution on the "
                          "once-refined mesh with the same order")
-    if t_quad_order < 1:
-        raise ValueError("t_quad_order must be >= 1")
-    return _galerkin_defect(model, u_fine, u_h, embedding_matrix(coarse, fine),
-                            t_quad_order)
-
-
-def _galerkin_defect(model, u_fine, u_h, prolongation, t_quad_order=5):
-    """`galerkin_defect` with the prolongation of the level pair at hand."""
-    fine, coarse = u_fine.space, u_h.space
+    _check_count("t_quad_order", t_quad_order)
+    if prolongation is None:
+        prolongation = embedding_matrix(coarse, fine)
     pu = prolongation @ u_h.coeffs
     diff = pu - u_fine.coeffs
     diff[fine.boundary_dofs] = 0.0
@@ -431,18 +427,14 @@ def _galerkin_defect(model, u_fine, u_h, prolongation, t_quad_order=5):
 # adjoint problem and regularity
 
 
-def solve_adjoint(model, u_ref, rhs_diff, linear_tol=1e-12):
+def solve_adjoint(model, u_ref, rhs_diff, linear_tol=1e-12, *, preconditioner=None):
     """Solve d2J(u_ref)(W, .) = -(., rhs_diff)_{L^2} on the reference space.
 
     The reference order must be at least 2 so the solution supports the
     broken-H^2 diagnostics downstream.  W carries zero boundary values.
+    The CG solve is preconditioned by `preconditioner`, as in
+    `linear_solve` (None for Jacobi).
     """
-    return _adjoint_solution(model, u_ref, rhs_diff, linear_tol)[0]
-
-
-def _adjoint_solution(model, u_ref, rhs_diff, linear_tol, preconditioner=None):
-    """`solve_adjoint`'s W and the operator d2J(u_ref) it solved with, the
-    solve preconditioned by `preconditioner` (None for Jacobi)."""
     space = u_ref.space
     if space.order < 2:
         raise ValueError("adjoint solves need a reference space of order >= 2")
@@ -452,7 +444,7 @@ def _adjoint_solution(model, u_ref, rhs_diff, linear_tol, preconditioner=None):
     b = -assemble_gram_l2(space).apply(rhs_diff.coeffs)
     b[space.boundary_dofs] = 0.0
     w = linear_solve(hess, b, tol=linear_tol, preconditioner=preconditioner)
-    return FEFunction(space, w), hess
+    return FEFunction(space, w)
 
 
 def h2_regularity_ratio(w, rhs_diff):
@@ -463,12 +455,7 @@ def h2_regularity_ratio(w, rhs_diff):
     """
     if w.space.order < 2:
         raise ValueError("H^2 ratio needs order >= 2")
-    return _h2_ratio(w, norms(None, rhs_diff).l2)
-
-
-def _h2_ratio(w, rhs_l2):
-    """`h2_regularity_ratio` of W, of order >= 2, with ||rhs||_{L^2}
-    already taken."""
+    rhs_l2 = norms(None, rhs_diff).l2
     if rhs_l2 == 0.0:
         raise _UndefinedDiagnostic("zero right-hand side")
     nw = norms(None, w, include_broken_h2=True)
@@ -487,11 +474,7 @@ def adjoint_identity_check(problem, u_h, levels_finer=2, newton=None):
     and tends to zero under reference refinement.  Also returns the
     H^2-regularity ratio of W.
     """
-    lowest = 1 if u_h.space.order >= 2 else 0
-    if (isinstance(levels_finer, bool) or not isinstance(levels_finer, (int, np.integer))
-            or levels_finer < lowest):
-        raise ValueError(f"levels_finer must be an integer >= {lowest} for order "
-                         f"{u_h.space.order}, got {levels_finer!r}")
+    _check_count("levels_finer", levels_finer, lowest=1 if u_h.space.order >= 2 else 0)
     newton = newton or NewtonOptions()
     if u_h.space.order >= 2:  # level 0 is u_h's own space: start it at u_h
         newton = replace(newton, initial=u_h)
@@ -516,14 +499,14 @@ def _adjoint_check(hierarchy, level, u_h, l2_exact, levels_finer):
     e[u_star.space.boundary_dofs] = 0.0
     e_fe = FEFunction(u_star.space, e)
 
-    w, hess = _adjoint_solution(hierarchy.problem.model, u_star, e_fe,
-                                hierarchy.newton.linear_tol,
-                                preconditioner=hierarchy.cycles[ref_level, ref_order])
-    bil = float(w.coeffs @ hess.apply(e_fe.coeffs))
+    model = hierarchy.problem.model
+    w = solve_adjoint(model, u_star, e_fe, hierarchy.newton.linear_tol,
+                      preconditioner=hierarchy.cycles[ref_level, ref_order])
+    bil = float(w.coeffs @ assemble_hessian(model, u_star).apply(e_fe.coeffs))
 
     l2_disc = norms(None, e_fe).l2
     residual = abs(l2_exact**2 + bil) / l2_exact**2
-    return AdjointCheck(residual, l2_exact, l2_disc, _h2_ratio(w, l2_disc))
+    return AdjointCheck(residual, l2_exact, l2_disc, h2_regularity_ratio(w, e_fe))
 
 
 # ---------------------------------------------------------------------------
@@ -582,8 +565,7 @@ def estimate_pq_constant(model, u, norm_pair=(1, 2), samples=8, seed=0):
     if space.order < 2:
         raise ValueError("the W^{2,2} factor needs order >= 2 for a "
                          "non-degenerate broken H^2 norm")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    _check_count("samples", samples)
     max_ratio = 0.0
     for k in range(samples):
         # per-sample seed streams keep the smooth draws identical across
@@ -739,9 +721,9 @@ def convergence_study(problem, order, levels, opts=None):
                 iters, monitor))
 
             if "galerkin" in opts.diagnostics and level > 0:
-                defect = _galerkin_defect(problem.model, u_h,
-                                          hierarchy.minimizer(level - 1, order)[0],
-                                          hierarchy.prolongations[level, order])
+                defect = galerkin_defect(
+                    problem.model, u_h, hierarchy.minimizer(level - 1, order)[0],
+                    prolongation=hierarchy.prolongations[level, order])
                 report.diagnostics["galerkin"].append((level - 1, defect))
             if "ellipticity" in opts.diagnostics:
                 est = estimate_ellipticity(problem.model, u_h, seed=opts.seed + level)

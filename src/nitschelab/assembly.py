@@ -472,7 +472,7 @@ def lq_norm(v, q):
     rule = space.quad
     acc = 0.0
     for sl, wq in _quadrature(space.mesh, rule.weights):
-        vals, _ = tabulate(space, v.coeffs, rule.points, sl)
+        vals, _ = tabulate(space, v.coeffs, rule.points, sl, gradients=False)
         acc += float(np.sum(wq * np.abs(vals) ** q))
     return acc ** (1.0 / q)
 

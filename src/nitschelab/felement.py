@@ -51,6 +51,14 @@ def _chunks(n, npts):
         yield slice(start, min(start + size, n))
 
 
+def _check_count(name, value, lowest=1):
+    """`value`, once checked to be an integer >= `lowest`, not a bool."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < lowest):
+        raise ValueError(f"{name} must be an integer >= {lowest}, got {value!r}")
+    return value
+
+
 # local vertex pairs forming the reference triangle's edges, lexicographic
 _TRI_EDGES = ((0, 1), (0, 2), (1, 2))
 
@@ -522,8 +530,7 @@ def check_inverse_estimate(space, trials, seed=0):
     uses the space's quadrature.  The ratio is bounded uniformly in h for
     shape-regular meshes, which the level-stability tests verify.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_count("trials", trials)
     rng = np.random.default_rng(seed)
     mesh = space.mesh
     d = mesh.dim

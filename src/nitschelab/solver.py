@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import _pull, assemble_hessian, assemble_residual, energy_value
-from .felement import FEFunction, interpolate
+from .felement import FEFunction, _check_count, interpolate
 
 __all__ = [
     "NewtonOptions",
@@ -67,7 +67,7 @@ class NewtonOptions:
     initial: object = None
 
     def __post_init__(self):
-        _check_cap(self.max_iters)
+        _check_count("max_iters", self.max_iters)
         for name in ("residual_tol", "linear_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
@@ -91,14 +91,6 @@ class SolveLog:
         return [it[1] for it in self.iterations]
 
 
-def _check_cap(max_iters):
-    """An iteration cap, once checked to be an integer >= 1, not a bool."""
-    if (isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer))
-            or max_iters < 1):
-        raise ValueError(f"max_iters must be an integer >= 1, got {max_iters!r}")
-    return max_iters
-
-
 def linear_solve(op, b, tol=1e-12, max_iters=None, preconditioner=None):
     """Preconditioned conjugate gradients for SPD operators.
 
@@ -114,7 +106,7 @@ def linear_solve(op, b, tol=1e-12, max_iters=None, preconditioner=None):
     """
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
-    cap = 10 * n + 100 if max_iters is None else _check_cap(max_iters)
+    cap = 10 * n + 100 if max_iters is None else _check_count("max_iters", max_iters)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros(n)

@@ -10,7 +10,7 @@ from nitschelab.analysis import (adjoint_identity_check, convergence_study,
 from nitschelab.assembly import assemble_gram_h1, assemble_hessian, norms
 from nitschelab.energy import (PROBLEM_NAMES, ExactSolution, build_problem,
                                dirichlet_potential_model)
-from nitschelab.felement import FEFunction, interpolate, make_space
+from nitschelab.felement import FEFunction, check_inverse_estimate, interpolate, make_space
 from nitschelab.mesh import build_unit_mesh, refine
 from nitschelab.solver import NewtonOptions, linear_solve, minimize, prolong
 
@@ -554,18 +554,19 @@ def test_adjoint_embeds_by_the_held_prolongations(monkeypatch):
     embedding matrix to rounding; no embedding matrix is built for it."""
     calls = counted_calls(monkeypatch, "embedding_matrix")
     embedded = []
-    original = analysis._adjoint_solution
+    original = analysis.solve_adjoint
 
     def recording(model, u_ref, rhs, tol, **kwargs):
         embedded.append(rhs.coeffs + u_ref.coeffs)
         return original(model, u_ref, rhs, tol, **kwargs)
 
-    monkeypatch.setattr(analysis, "_adjoint_solution", recording)
+    monkeypatch.setattr(analysis, "solve_adjoint", recording)
     report, _, solutions = recorded_study(
         monkeypatch, build_problem("quartic", 2), 2, 3,
         StudyOptions(coarse_cells=2, diagnostics=("adjoint",)))
     assert report.aborted is None
     assert len(calls["embedding_matrix"]) == 4  # the prolongations into levels 1-4
+    assert len(embedded) == 3
     for level, e in enumerate(embedded):
         u_h, ref = solutions[level], solutions[level + 2]
         direct = solver.embedding_matrix(u_h.space, ref.space) @ u_h.coeffs
@@ -780,6 +781,25 @@ def test_convergence_study_builds_each_prolongation_once(monkeypatch):
         assert src is coarse.space and dst is fine.space
 
 
+def test_study_takes_its_diagnostics_through_the_public_functions(monkeypatch):
+    """A study calls `galerkin_defect`, `solve_adjoint` and
+    `h2_regularity_ratio` by name, so a binding of those names sees every
+    defect and adjoint solve; the defect with the hierarchy's prolongation
+    is bitwise the one built from scratch."""
+    problem = build_problem("quartic", 2)
+    calls = counted_calls(monkeypatch, "galerkin_defect", "solve_adjoint",
+                          "h2_regularity_ratio")
+    report, _, solutions = recorded_study(
+        monkeypatch, problem, 2, 3,
+        StudyOptions(coarse_cells=2, diagnostics=("galerkin", "adjoint")))
+    assert report.aborted is None
+    assert [len(calls[name]) for name in calls] == [2, 3, 3]
+    for (level, defect), recorded in zip(report.diagnostics["galerkin"],
+                                         calls["galerkin_defect"]):
+        u_h, u_fine = solutions[level], solutions[level + 1]
+        assert defect == recorded == galerkin_defect(problem.model, u_fine, u_h)
+
+
 def counted_calls(monkeypatch, *names):
     """Patch analysis's bindings of `names` to record every call's result;
     returns {name: [results]}."""
@@ -816,13 +836,13 @@ def test_adjoint_references_are_later_study_levels(monkeypatch):
     (4 refinements, 5 spaces and 5 Newton solves for 3 levels)."""
     calls = counted_calls(monkeypatch, "refine", "make_space", "minimize")
     refs = []
-    original = analysis._adjoint_solution
+    original = analysis.solve_adjoint
 
     def recording(model, u_ref, rhs, tol, **kwargs):
         refs.append(u_ref)
         return original(model, u_ref, rhs, tol, **kwargs)
 
-    monkeypatch.setattr(analysis, "_adjoint_solution", recording)
+    monkeypatch.setattr(analysis, "solve_adjoint", recording)
     report = convergence_study(build_problem("quartic", 2), 2, 3,
                                StudyOptions(coarse_cells=2, diagnostics=("adjoint",)))
     assert report.aborted is None
@@ -830,6 +850,7 @@ def test_adjoint_references_are_later_study_levels(monkeypatch):
     solutions = [u for u, _ in calls["minimize"]]
     assert [u.space.mesh.level for u in solutions] == [0, 1, 2, 3, 4]
     assert [u.space.dim for u in solutions[:3]] == [lr.dofs for lr in report.levels]
+    assert len(refs) == 3
     for level, ref in enumerate(refs):
         assert ref is solutions[level + 2]
 
@@ -839,13 +860,13 @@ def test_order_1_references_form_a_p2_chain(monkeypatch):
     The hierarchy solves P2 from level 0 up by nested iteration, so the
     first reference's solve is preceded by those of P2 levels 0 and 1."""
     refs = []
-    original = analysis._adjoint_solution
+    original = analysis.solve_adjoint
 
     def recording(model, u_ref, rhs, tol, **kwargs):
         refs.append(u_ref)
         return original(model, u_ref, rhs, tol, **kwargs)
 
-    monkeypatch.setattr(analysis, "_adjoint_solution", recording)
+    monkeypatch.setattr(analysis, "solve_adjoint", recording)
     report, starts, solutions = recorded_study(
         monkeypatch, build_problem("quartic", 2), 1, 3,
         StudyOptions(coarse_cells=2, diagnostics=("adjoint",)))
@@ -963,6 +984,31 @@ def test_convergence_study_validates_inputs():
         StudyOptions(diagnostics=("bogus",))
     with pytest.raises(TypeError):
         convergence_study(problem.model, 1, 3)
+
+
+# `max_iters` and `levels_finer` go through the same check, pinned by
+# test_solver.py and `test_adjoint_identity_check_validates_levels_finer`
+COUNT_ARGUMENTS = {
+    "t_quad_order": lambda problem, u, bad: galerkin_defect(
+        problem.model, make_space(refine(u.space.mesh), 2, problem.boundary_fn).zero_function(),
+        u, t_quad_order=bad),
+    "samples": lambda problem, u, bad: estimate_pq_constant(problem.model, u, samples=bad),
+    "trials": lambda problem, u, bad: check_inverse_estimate(u.space, bad),
+}
+
+
+@pytest.mark.parametrize("bad", [0, -1, 2.5, True, "3"])
+@pytest.mark.parametrize("name", list(COUNT_ARGUMENTS))
+def test_counts_must_be_integers_of_at_least_1(name, bad):
+    """Every count of an iteration, a rule or a sample set is checked the
+    same way: t_quad_order=2.5 used to raise a TypeError from `leggauss`
+    and True to run a 1-point rule, samples=True to be returned as the
+    estimate's sample count, and samples=2.5 or trials=2.5 to raise a
+    TypeError from `range`."""
+    problem = build_problem("quartic", 1)
+    u = make_space(build_unit_mesh(1, 4), 2, problem.boundary_fn).zero_function()
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= 1, got "):
+        COUNT_ARGUMENTS[name](problem, u, bad)
 
 
 def test_stability_monitor_reported():

@@ -298,6 +298,7 @@ def test_lq_norm_sine():
     v = interpolate(space, lambda x: np.sin(np.pi * x[:, 0]))
     assert lq_norm(v, 1) == pytest.approx(2 / np.pi, abs=1e-6)
     assert lq_norm(v, 2) == pytest.approx(np.sqrt(0.5), abs=1e-6)
+    assert lq_norm(v, 2) == pytest.approx(norms(None, v).l2, rel=1e-12)
 
 
 @pytest.mark.parametrize("q", [np.inf, -np.inf, 0, 0.5, -1, np.nan])
