@@ -10,10 +10,10 @@ identity check measures.  A study's levels, Galerkin pairs and adjoint
 references all read one `_Hierarchy` of meshes, spaces, prolongations
 and minimizers, each level solved from the one below, prolonged.  The
 reference of level l is the hierarchy's level l+2 at order max(m, 2).
-The hierarchy also keeps one preconditioner cycle per level, bound when
-the level is solved: the root's exact solve, or one V-cycle level on
-top of the cycle below.  A level's Newton solves and the adjoint solve
-on a reference run it.
+The hierarchy also keeps one preconditioner cycle per level, bound to
+the Hessian of the level's last Newton solve: the root's exact solve, or
+one V-cycle level on top of the cycle below.  A level's Newton solves
+and the adjoint solve on a reference run it.
 
 Provided checks
   * coercivity and boundedness constants of the second variation,
@@ -284,6 +284,9 @@ def estimate_ellipticity(model, v, seed=0):
 # lambda_max grows under refinement to 2.50, 2.72 and 3.01 (P1 and P2 at
 # 16 641 dofs, P3 at 9409), so 0.8 for P1 would sit at the limit
 _JACOBI_DAMPING = {1: 0.7, 2: 0.6, 3: 0.5}
+# largest root, in interior dofs, that the V-cycle inverts densely; every
+# level of an order with a larger root runs Jacobi-PCG
+_ROOT_DOFS = 400
 
 
 @dataclass
@@ -296,15 +299,17 @@ class _Hierarchy:
 
     A level's cycle, `cycles[level, order]`, maps a residual r to its
     preconditioned z.  It is bound when the level's `minimize` returns,
-    to the last Hessian that `minimize` assembled, or to d2J at the
-    minimizer when Newton took no step: on level 0, the root, an exact
-    solve by a dense inverse of the Hessian's interior block; above it,
-    one `solver._v_cycle` level with the Hessian on top of the cycle
-    below.  Each Newton step on a level l >= 1 is preconditioned by the
-    same binding of its own Hessian, and an adjoint solve on a level by
-    the level's kept cycle.  Solves stay Jacobi-preconditioned on level
-    0, and on every level of an order whose root has more than
-    `_DENSE_EIG_CUTOFF` interior dofs, where the cycles are None.
+    to the operator of its last Newton solve, `SolveLog.hessian`, or to
+    d2J at the minimizer when Newton took no step: on level 0, the root,
+    an exact solve by a dense inverse of the Hessian's interior block;
+    above it, one `solver._v_cycle` level with the Hessian on top of the
+    cycle below.  A level l >= 1 passes the same binding to `minimize` as
+    `preconditioner_for`, so each of its Newton steps is preconditioned
+    by the binding of its own Hessian; an adjoint solve on a level is
+    preconditioned by the level's kept cycle.  Solves stay
+    Jacobi-preconditioned on level 0, and on every level of an order
+    whose root has more than `_ROOT_DOFS` interior dofs, where the cycles
+    are None.
     """
 
     problem: ManufacturedProblem
@@ -325,11 +330,11 @@ class _Hierarchy:
 
     def minimizer(self, level, order):
         if (level, order) not in self.minimizers:
-            space, newton, kept = self.space(level, order), self.newton, []
+            space, newton = self.space(level, order), self.newton
             if level == 0:
                 interior = np.flatnonzero(space.interior_mask)
                 bind = (partial(_root_solve, interior)
-                        if len(interior) <= _DENSE_EIG_CUTOFF else None)
+                        if len(interior) <= _ROOT_DOFS else None)
             else:
                 coarse, _ = self.minimizer(level - 1, order)
                 prolongation = embedding_matrix(coarse.space, space)
@@ -340,19 +345,12 @@ class _Hierarchy:
                     _level_cycle, _JACOBI_DAMPING[order],
                     *_interior_transfers(prolongation, space, coarse.space), below)
             # the root's Newton solves stay Jacobi-preconditioned
-            step = bind and partial(_keep_last, kept, bind if level else None)
-            u, log = minimize(self.problem.model, space, newton, preconditioner_for=step)
+            u, log = minimize(self.problem.model, space, newton,
+                              preconditioner_for=bind if level else None)
             self.cycles[level, order] = bind and bind(
-                kept[0] if kept else assemble_hessian(self.problem.model, u))
+                log.hessian or assemble_hessian(self.problem.model, u))
             self.minimizers[level, order] = (u, len(log.iterations) - 1)
         return self.minimizers[level, order]
-
-
-def _keep_last(kept, bind, hess):
-    """`bind(hess)`, or None (Jacobi) without `bind`, with `hess` kept as
-    `kept[0]`: the preconditioner of a hierarchy level's Newton step."""
-    kept[:] = [hess]
-    return bind and bind(hess)
 
 
 def _interior_transfers(prolongation, fine, coarse):

@@ -177,9 +177,12 @@ def _build_load(space, f):
     return load
 
 
-def _batch(vals, grads):
-    """(p, z) flattened over elements and points, as densities take them."""
-    return grads.reshape(-1, grads.shape[-1]), vals.ravel()
+def _state(space, coeffs, sl, gradients=True):
+    """(p, z) of the coefficients at the points of `space.quad` on the
+    elements `sl`, flattened over elements and points as densities take
+    them; p is None without `gradients`."""
+    vals, grads = tabulate(space, coeffs, space.quad.points, sl, gradients)
+    return (None if grads is None else grads.reshape(-1, grads.shape[-1])), vals.ravel()
 
 
 def _pull(a, jac):
@@ -204,16 +207,11 @@ def energy_value(model, v):
     non-finite trial energy fails the Armijo test in `minimize`, which
     then backtracks."""
     space = v.space
-    points = space.quad.points
     split = model.quadratic_gradient
     load = _load(model, space)
     total = 0.5 * float(v.coeffs @ _stiffness_product(space, v.coeffs)) if split else 0.0
     for sl, wq in _quadrature(space.mesh, space.quad.weights):
-        if split:
-            vals, _ = tabulate(space, v.coeffs, points, sl, gradients=False)
-            dens = model.eval(None, vals.ravel())
-        else:
-            dens = model.eval(*_batch(*tabulate(space, v.coeffs, points, sl)))
+        dens = model.eval(*_state(space, v.coeffs, sl, gradients=not split))
         total += float(np.sum(wq * dens.reshape(wq.shape)))
     if load is not None:
         total -= float(load @ v.coeffs)
@@ -229,31 +227,27 @@ def assemble_residual(model, v, mask=True):
     space's cached stiffness K, and only the values flux dL_dz enters the
     element loop."""
     space = v.space
-    points = space.quad.points
     d, nloc = space.mesh.dim, space.basis.n_local
     split = model.quadratic_gradient
     # built before the element loop, whose arrays would otherwise still be
     # alive while it is built
     load = _load(model, space)
-    tab = _reference_table(space.basis, points)                 # (nq, nloc, d+1)
+    tab = _reference_table(space.basis, space.quad.points)      # (nq, nloc, d+1)
     if split:
         tab = tab[..., -1:]
     tab = tab.transpose(0, 2, 1).reshape(-1, nloc)              # rows (q, c)
     out = _stiffness_product(space, v.coeffs) if split else np.zeros(space.dim)
     for sl, wq in _quadrature(space.mesh, space.quad.weights):
-        if split:
-            vals, _ = tabulate(space, v.coeffs, points, sl, gradients=False)
-            flux = model.dL_dz(None, vals.ravel()).reshape(wq.shape)
-        else:
-            # weighted flux [dL_dp J^T, dL_dz] against the reference table
-            vals, grads = tabulate(space, v.coeffs, points, sl)
-            flat = _batch(vals, grads)
-            flux = np.empty(wq.shape + (d + 1,))
-            flux[..., :d] = _pull(model.dL_dp(*flat).reshape(grads.shape), space.mesh.jac[sl])
-            flux[..., d] = model.dL_dz(*flat).reshape(wq.shape)
+        # the weighted flux [dL_dp J^T, dL_dz] against the reference table,
+        # dL_dz alone for a split model
+        p, z = _state(space, v.coeffs, sl, gradients=not split)
+        flux = model.dL_dz(p, z).reshape(wq.shape + (1,))
+        if not split:
+            dl_dp = _pull(model.dL_dp(p, z).reshape(wq.shape + (d,)), space.mesh.jac[sl])
+            flux = np.concatenate((dl_dp, flux), axis=-1)
         if not np.all(np.isfinite(flux)):
             raise AssemblyError("non-finite density derivative during residual assembly")
-        flux = flux * wq.reshape(wq.shape + (1,) * (flux.ndim - 2))
+        flux = flux * wq[..., None]
         r_loc = flux.reshape(len(flux), -1) @ tab
         out += np.bincount(space.elem_dofs[sl].ravel(), weights=r_loc.ravel(),
                            minlength=space.dim)
@@ -282,12 +276,9 @@ def assemble_hessian(model, v, mask=True):
     outer = outer[:, -1] if split else outer.reshape(-1, nloc * nloc)
     loc = np.empty((space.mesh.num_elements, nloc, nloc))
     for sl, wq in _quadrature(space.mesh, rule.weights):
-        if split:
-            vals, _ = tabulate(space, v.coeffs, rule.points, sl, gradients=False)
-            coef = model.d2L_dzz(None, vals.ravel()).reshape(wq.shape)
-        else:
-            coef = _coefficients(model, tabulate(space, v.coeffs, rule.points, sl),
-                                 space.mesh.jac[sl])
+        p, z = _state(space, v.coeffs, sl, gradients=not split)
+        coef = (model.d2L_dzz(p, z).reshape(wq.shape) if split
+                else _coefficients(model, p, z, space.mesh.jac[sl]))
         if not np.all(np.isfinite(coef)):
             raise AssemblyError("non-finite density derivative during hessian assembly")
         coef = coef * wq.reshape(wq.shape + (1,) * (coef.ndim - 2))
@@ -295,18 +286,18 @@ def assemble_hessian(model, v, mask=True):
     return _scatter(space, loc, mask, _stiffness(space) if split else None)
 
 
-def _coefficients(model, state, jac):
-    """(e, q, d+1, d+1) unweighted coefficient matrices of every block."""
-    vals, grads = state
-    flat = _batch(vals, grads)
-    d = jac.shape[-1]
-    coef = np.empty(vals.shape + (d + 1, d + 1))
+def _coefficients(model, p, z, jac):
+    """(e, q, d+1, d+1) unweighted coefficient matrices of every block at
+    the state (p, z) of `_state` on the elements of the Jacobians jac."""
+    e, d = jac.shape[:2]
+    coef = np.empty((e, len(z) // e, d + 1, d + 1))
+    shape = coef.shape[:2]
     # J d2pp J^T = (J (d2pp J^T)^T)^T
-    pp = _pull(model.d2L_dpp(*flat).reshape(grads.shape + (d,)), jac)
+    pp = _pull(model.d2L_dpp(p, z).reshape(shape + (d, d)), jac)
     coef[..., :d, :d] = _pull(pp.swapaxes(2, 3), jac).swapaxes(2, 3)
-    coef[..., :d, d] = _pull(model.d2L_dpz(*flat).reshape(grads.shape), jac)
+    coef[..., :d, d] = _pull(model.d2L_dpz(p, z).reshape(shape + (d,)), jac)
     coef[..., d, :d] = coef[..., :d, d]
-    coef[..., d, d] = model.d2L_dzz(*flat).reshape(vals.shape)
+    coef[..., d, d] = model.d2L_dzz(p, z).reshape(shape)
     return coef
 
 
@@ -321,12 +312,10 @@ def apply_third_variation(model, v, fu, fv, fw):
     for g in (fu, fv, fw):
         if g.space is not space:
             raise ValueError("third-variation arguments must share the state's space")
-    rule = space.quad
     total = 0.0
-    for sl, wq in _quadrature(space.mesh, rule.weights):
-        p, z = _batch(*tabulate(space, v.coeffs, rule.points, sl))
-        (gu, vu), (gv, vv), (gw, vw) = (
-            _batch(*tabulate(space, g.coeffs, rule.points, sl)) for g in (fu, fv, fw))
+    for sl, wq in _quadrature(space.mesh, space.quad.weights):
+        p, z = _state(space, v.coeffs, sl)
+        (gu, vu), (gv, vv), (gw, vw) = (_state(space, g.coeffs, sl) for g in (fu, fv, fw))
 
         s = model.d3L_dppp(p, z, gu, gv, gw)
         s = s + (model.d3L_dppz(p, z, gu, gv) * vw

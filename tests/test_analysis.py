@@ -493,13 +493,44 @@ def test_v_cycle_is_symmetric_positive_definite(order):
 
 @pytest.mark.parametrize("cells, cycle", [(21, True), (22, False)])
 def test_a_root_above_the_dense_cap_keeps_jacobi_pcg(monkeypatch, cells, cycle):
-    """P1 on 21 x 21 cells has 400 interior dofs, at the dense cap; on
-    22 x 22, 441, above it.  Level 0 is Jacobi-preconditioned either way."""
+    """P1 on 21 x 21 cells has 400 interior dofs, at the root cap
+    `_ROOT_DOFS`; on 22 x 22, 441, above it.  Level 0 is
+    Jacobi-preconditioned either way."""
     solves = counted_solves(monkeypatch)
     hierarchy = hierarchy_of("quartic", cells, 1, 2)
     dims = [hierarchy.space(level, 1).dim for level in (0, 1)]
     assert {preconditioned for dim, preconditioned, _ in solves if dim == dims[0]} == {False}
     assert {preconditioned for dim, preconditioned, _ in solves if dim == dims[1]} == {cycle}
+
+
+def test_the_root_cap_is_not_the_ellipticity_cutover(monkeypatch):
+    """The V-cycle root is capped by `_ROOT_DOFS` alone: with the dense
+    ellipticity cutover at 0 the root still binds its cycle, and every
+    level-1 Newton solve runs it."""
+    monkeypatch.setattr(analysis, "_DENSE_EIG_CUTOFF", 0)
+    solves = counted_solves(monkeypatch)
+    hierarchy = hierarchy_of("quartic", 4, 1, 2)
+    assert hierarchy.cycles[0, 1] is not None
+    fine = hierarchy.space(1, 1).dim
+    level1 = [preconditioned for dim, preconditioned, _ in solves if dim == fine]
+    assert len(level1) == hierarchy.minimizers[1, 1][1] > 0
+    assert all(level1)
+
+
+def test_a_level_cycle_is_bound_to_its_last_newton_hessian(monkeypatch):
+    """The cycle kept for a level above the root carries the matrix of the
+    Hessian that the level's last Newton solve ran on."""
+    assembled = []
+
+    def recording_hessian(model, v):
+        assembled.append((v.space, assemble_hessian(model, v)))
+        return assembled[-1][1]
+
+    monkeypatch.setattr(solver, "assemble_hessian", recording_hessian)
+    hierarchy = hierarchy_of("quartic", 4, 2, 3)
+    top = [hess for space, hess in assembled if space is hierarchy.space(2, 2)]
+    assert len(top) == hierarchy.minimizers[2, 2][1] > 0
+    assert hierarchy.cycles[2, 2].args[0] is top[-1].matrix
 
 
 def test_a_converged_root_still_cycles_the_levels_above(monkeypatch):
