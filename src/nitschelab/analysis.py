@@ -76,11 +76,9 @@ class _UndefinedDiagnostic(ValueError):
 @dataclass(frozen=True)
 class EllipticityEstimate:
     """Extremes of d2J(v) against the H^1 Gram on interior dofs, with the
-    eigen-solver that found them ("dense", "lanczos", or "lanczos+lobpcg"
-    when an end went on with LOBPCG) and the iterations of the lower and
-    the upper end: the Lanczos steps run when the end passed its residual
-    test, or all steps of the run plus the LOBPCG iterations for an end
-    that went on (0 for "dense")."""
+    eigen-solver that found them ("dense" or "lanczos") and the Lanczos
+    steps run when the lower and the upper end passed their residual test
+    (0 for "dense")."""
 
     lambda_min: float
     lambda_max: float
@@ -123,20 +121,15 @@ class AdjointCheck:
 
 
 _DENSE_EIG_CUTOFF = 400
-# steps of the Lanczos run that serves both ends, one G solve each; the
-# LOBPCG phase it replaces could make 320 (40 iterations of a 4-vector
-# block per end).  An end that has not passed the residual test by then
-# goes on with LOBPCG
-_LANCZOS_STEPS = 200
+# steps of the Lanczos run that serves both ends, one G solve each, and the
+# budget of each end: an end that has not passed the residual test by the
+# last step raises PowerIterationError
+_LANCZOS_STEPS = 500
 # steps between residual tests of the ends; a test solves a tridiagonal
 # eigenproblem per end, which costs about as much as a step
 _LANCZOS_TEST_EVERY = 4
-# residual tolerance, and iteration budget of each end (Lanczos steps
-# plus LOBPCG iterations)
+# absolute residual tolerance of a G-normalized Ritz vector
 _EIG_RTOL = 1e-6
-_EIG_MAX_ITERS = 500
-# the message of every LOBPCG warning that it stopped above the tolerance
-_LOBPCG_NOT_CONVERGED = r"(?s).*not reaching the requested tolerance"
 
 
 def _lanczos_extremes(a_mat, g_mat, g_solve, seed):
@@ -147,9 +140,10 @@ def _lanczos_extremes(a_mat, g_mat, g_solve, seed):
 
     An end is done at the first test at which its extreme Ritz pair
     (theta, y), y G-normalized, passes ||A y - theta G y|| <= `_EIG_RTOL`.
-    Returns, for the lower and then the upper end, (theta, steps, y): the
-    end's extreme Ritz value, the steps run when it passed or the run
-    ended, and its Ritz vector y if it did not pass (None if it did).
+    Returns, for the lower and then the upper end, (theta, steps): the
+    end's extreme Ritz value and the steps run when it passed.  Raises
+    PowerIterationError when an end has not passed by the last of
+    `_LANCZOS_STEPS` steps.
     """
     import scipy.linalg as la
 
@@ -159,7 +153,7 @@ def _lanczos_extremes(a_mat, g_mat, g_solve, seed):
     q = np.random.default_rng(seed).standard_normal(n)
     q /= math.sqrt(q @ (g_mat @ q))
     done = [False, False]
-    ritz = [None, None]   # per end: theta, steps and the coefficients s of y = Q s
+    ritz = [None, None]   # per end: theta and the steps run
     for j in range(_LANCZOS_STEPS):
         basis[j] = q
         krylov = basis[:j + 1]
@@ -179,46 +173,18 @@ def _lanczos_extremes(a_mat, g_mat, g_solve, seed):
                     continue
                 theta, s = la.eigh_tridiagonal(alpha[:j + 1], beta[:j], select="i",
                                                select_range=(k, k))
-                ritz[end] = (float(theta[0]), j + 1, s[:, 0])
+                ritz[end] = (float(theta[0]), j + 1)
                 if abs(s[-1, 0]) * gw_norm <= _EIG_RTOL:
                     y = s[:, 0] @ krylov
                     done[end] = np.linalg.norm(a_mat @ y - theta[0] * (g_mat @ y)) <= _EIG_RTOL
             if all(done) or beta[j] == 0.0:
                 break
         q = w / beta[j]
-    return [(theta, steps, None if ok else s @ basis[:steps])
-            for (theta, steps, s), ok in zip(ritz, done)]
-
-
-def _lobpcg_extreme(a_mat, g_mat, x, largest, budget):
-    """Smallest (largest=False) or largest eigenvalue of the pencil (A, G)
-    by LOBPCG from the block x, preconditioned by diag(A)^-1, within
-    `budget` iterations, and the number of iterations it took.  Raises
-    PowerIterationError when the extreme's residual stays above 1e-3
-    relative."""
-    import scipy.sparse.linalg as sla
-
-    inv_diag = (1.0 / a_mat.diagonal())[:, None]
-    iters = 0
-
-    def precond(r):
-        nonlocal iters
-        iters += 1
-        return inv_diag * r
-
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", _LOBPCG_NOT_CONVERGED, UserWarning)
-        vals, x = sla.lobpcg(a_mat, x, B=g_mat, M=precond, largest=largest,
-                             tol=_EIG_RTOL, maxiter=budget)
-    idx = int(np.argmax(vals) if largest else np.argmin(vals))
-    lam, vec = float(vals[idx]), x[:, idx]
-    gvec = g_mat @ vec
-    resid = np.linalg.norm(a_mat @ vec - lam * gvec)
-    scale = np.linalg.norm(gvec) * max(abs(lam), 1.0)
-    if not np.isfinite(lam) or resid > 1e-3 * scale:
-        raise PowerIterationError(
-            f"eigenvalue iteration stagnated (relative residual {resid / scale:.2e})")
-    return lam, iters
+    if not all(done):
+        ends = " and ".join(e for e, ok in zip(("lower", "upper"), done) if not ok)
+        raise PowerIterationError(f"eigenvalue iteration did not settle: {ends} end above "
+                                  f"the residual tolerance after {j + 1} Lanczos steps")
+    return ritz
 
 
 def estimate_ellipticity(model, v, seed=0):
@@ -242,12 +208,8 @@ def estimate_ellipticity(model, v, seed=0):
     Each end stops on its own, at the first test with
     ||d2J(v) y - theta G1 y|| <= `_EIG_RTOL` for G1-normalized y.  An
     extreme where the spectrum accumulates (at 1, or at an end of the
-    range of a variable coefficient) may not pass within `_LANCZOS_STEPS`
-    steps; such an end goes on with LOBPCG from its Ritz vector,
-    preconditioned by diag(d2J(v))^-1 ("lanczos+lobpcg"), within
-    `_EIG_MAX_ITERS` Lanczos steps and LOBPCG iterations in all.  An end
-    whose LOBPCG residual stays above 1e-3 relative raises
-    PowerIterationError.
+    range of a variable coefficient) takes more steps; an end that has
+    not passed within `_LANCZOS_STEPS` steps raises PowerIterationError.
     """
     space = v.space
     interior = np.flatnonzero(space.interior_mask)
@@ -262,17 +224,8 @@ def estimate_ellipticity(model, v, seed=0):
         return EllipticityEstimate(float(ev[0]), float(ev[-1]), state)
     import scipy.sparse.linalg as sla
     g_solve = sla.splu(g_mat.tocsc()).solve
-    ends, solver = [], "lanczos"
-    for largest, (lam, steps, y) in zip((False, True),
-                                        _lanczos_extremes(a_mat, g_mat, g_solve, seed)):
-        if y is not None:
-            lam, iters = _lobpcg_extreme(a_mat, g_mat, y[:, None], largest,
-                                         _EIG_MAX_ITERS - steps)
-            steps += iters
-            solver = "lanczos+lobpcg"
-        ends.append((lam, steps))
-    (lam_min, iters_min), (lam_max, iters_max) = ends
-    return EllipticityEstimate(lam_min, lam_max, state, solver, iters_min, iters_max)
+    (lam_min, iters_min), (lam_max, iters_max) = _lanczos_extremes(a_mat, g_mat, g_solve, seed)
+    return EllipticityEstimate(lam_min, lam_max, state, "lanczos", iters_min, iters_max)
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,10 @@ def run(config_path):
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    for name in ("rates.csv", "diagnostics.csv", "report.txt"):
+        if os.path.isdir(os.path.join(cfg.output_dir, name)):
+            print(f"config error: output file {name} is a directory", file=sys.stderr)
+            return EXIT_CONFIG
     try:
         os.makedirs(cfg.output_dir, exist_ok=True)
     except (OSError, ValueError) as err:   # ValueError: a NUL byte in the path
@@ -338,7 +342,7 @@ def plot_data(rates_csv_path, output_dir=None):
     try:
         with open(rates_csv_path) as fh:
             rows = list(csv.DictReader(fh))
-    except OSError as err:
+    except (OSError, UnicodeDecodeError, csv.Error) as err:
         print(f"cannot read rates csv: {err}", file=sys.stderr)
         return EXIT_CONFIG
     if len(rows) < 3:
@@ -348,7 +352,7 @@ def plot_data(rates_csv_path, output_dir=None):
         hs = [float(r["h"]) for r in rows]
         l2 = [float(r["err_l2"]) for r in rows]
         h1 = [float(r["err_h1"]) for r in rows]
-    except (KeyError, ValueError) as err:
+    except (KeyError, ValueError, TypeError) as err:   # TypeError: a short row
         print(f"malformed rates csv: {err}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -107,10 +107,25 @@ output_dir: {out}
 """
 
 
-@pytest.mark.parametrize("config", [BASE, ADJOINT_P1], ids=["galerkin-p1-d1", "adjoint-p1-d2"])
+# the benchmark's sampled leg: its top level (961 interior dofs) is above
+# the dense ellipticity cutover, so its extremes come from the Lanczos run
+SAMPLED_P2 = """\
+problem: quartic
+dim: 2
+order: 2
+levels: 3
+coarse_cells: 4
+diagnostics: [ellipticity, inverse_estimate]
+output_dir: {out}
+"""
+
+
+@pytest.mark.parametrize("config", [BASE, ADJOINT_P1, SAMPLED_P2],
+                         ids=["galerkin-p1-d1", "adjoint-p1-d2", "sampled-p2-d2"])
 def test_run_deterministic_outputs(tmp_path, config):
     """Byte-identical CSVs on rerun of the same config; the adjoint config
-    runs the V-cycled P2 levels of its references."""
+    runs the V-cycled P2 levels of its references, and the sampled config
+    the Lanczos ellipticity path."""
     out = tmp_path / "out"
     path = write_config(tmp_path, config.format(out=out))
     assert run(path) == EXIT_OK
@@ -218,6 +233,22 @@ def test_plot_bad_input_exits_config_and_writes_nothing(tmp_path, capsys, hs, h1
     assert main(["plot", str(csv_path), "--output-dir", str(tmp_path / subdir)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.strip() and "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("blob", [
+    b"level,h,dofs,err_l2,err_h1\n0,0.5,9,0.1,0.2\n\xff\xfe,0.25\n",   # not UTF-8
+    (RATES_HEADER + "0,0.5,9,0.1,0.1,,,3\n1,0.25,9,0.05\n"
+     "2,0.125,9,0.025,0.025,,,3\n").encode(),                              # a short row
+    RATES_HEADER.encode() + b"0," + b"9" * 200_000 + b"\n",   # over the csv field limit
+], ids=["not_utf8", "short_row", "huge_field"])
+def test_plot_malformed_csv_exits_config_and_writes_nothing(tmp_path, capsys, blob):
+    csv_path = tmp_path / "rates.csv"
+    csv_path.write_bytes(blob)
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["plot", str(csv_path), "--output-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
     assert sorted(tmp_path.rglob("*")) == before
 
 
@@ -375,6 +406,25 @@ def test_run_unwritable_output_dir_is_config_error(tmp_path, monkeypatch, capsys
     assert sorted(os.listdir(tmp_path)) == ["file", "study.yaml"]
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["rates.csv", "diagnostics.csv", "report.txt"])
+def test_run_output_file_taken_by_a_directory_is_config_error(tmp_path, monkeypatch,
+                                                              capsys, name):
+    """An output file whose name a directory holds exits 2 before any study
+    work, and writes nothing."""
+    def no_study(*args, **kwargs):
+        raise AssertionError("the study ran")
+
+    monkeypatch.setattr(cli, "convergence_study", no_study)
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    path = write_config(tmp_path, BASE.format(out=out))
+    assert main(["run", path]) == EXIT_CONFIG
+    assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == [
+        Path("out"), Path("out") / name, Path("study.yaml")]
+    err = capsys.readouterr().err
+    assert "config error" in err and name in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("text,reason", [
