@@ -19,7 +19,7 @@ Provided checks
   * coercivity and boundedness constants of the second variation,
     as generalized eigenvalue extremes against the H^1 Gram;
   * the defect in the integrated (nonlinear) Galerkin orthogonality
-    between nested discrete minimizers;
+    between nested minimizers, as a difference of two residuals;
   * the linearized adjoint solve with L^2 right-hand side, the duality
     identity residual, and the H^2-regularity ratio of its solution;
   * a sampled lower estimate of the third-variation constant
@@ -33,10 +33,10 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .assembly import (AssemblyError, assemble_gram_h1, assemble_gram_l2,
-                       assemble_hessian, apply_third_variation, lq_norm, norms)
+                       assemble_hessian, assemble_residual, apply_third_variation,
+                       lq_norm, norms)
 from .energy import ManufacturedProblem
 from .felement import (FEFunction, _check_count, _chunks, check_inverse_estimate,
                        interpolate, make_space, sample_lattice, tabulate)
@@ -340,15 +340,17 @@ def _dense_solve(interior, inverse, r):
 # integrated Galerkin orthogonality
 
 
-def galerkin_defect(model, u_fine, u_h, t_quad_order=5, *, prolongation=None):
+def galerkin_defect(model, u_fine, u_h, *, prolongation=None):
     """Defect in the integrated first-order conditions between nested levels.
 
     Tests, against every coarse interior basis function V_h, the t-integral
-    of d2J evaluated along the segment from the fine solution to the
-    embedded coarse one, applied to (V_h, u_h - u_fine).  For discrete
-    minimizers on nested spaces the value is zero up to solver tolerances;
-    the t-rule (Gauss, `t_quad_order` points) is exact whenever the density
-    is polynomial in the state and far below solver noise otherwise.
+    of d2J along the segment from the fine solution to the embedded coarse
+    one P u_h, applied to (V_h, P u_h - u_fine).  By the fundamental
+    theorem of calculus that integral is dJ(P u_h)(V_h) - dJ(u_fine)(V_h),
+    so it is taken in closed form, exactly for every density, from the
+    fine residuals at the two ends.  P u_h takes u_fine's boundary values,
+    so the direction has zero boundary data.  For discrete minimizers on
+    nested spaces the value is zero up to solver tolerances.
     `prolongation` is the embedding matrix of the level pair, built here
     when None (a study passes the one its hierarchy holds).
     """
@@ -356,20 +358,12 @@ def galerkin_defect(model, u_fine, u_h, t_quad_order=5, *, prolongation=None):
     if fine.mesh.parent is not coarse.mesh or fine.order != coarse.order:
         raise ValueError("galerkin_defect needs the fine solution on the "
                          "once-refined mesh with the same order")
-    _check_count("t_quad_order", t_quad_order)
     if prolongation is None:
         prolongation = embedding_matrix(coarse, fine)
     pu = prolongation @ u_h.coeffs
-    diff = pu - u_fine.coeffs
-    diff[fine.boundary_dofs] = 0.0
-
-    tg, tw = leggauss(t_quad_order)
-    tg, tw = 0.5 * (tg + 1.0), 0.5 * tw
-    y = np.zeros(fine.dim)
-    for t, w in zip(tg, tw):
-        gamma = FEFunction(fine, (1.0 - t) * u_fine.coeffs + t * pu)
-        y += w * assemble_hessian(model, gamma).apply(diff)
-    defect = prolongation.T @ y
+    pu[fine.boundary_dofs] = u_fine.coeffs[fine.boundary_dofs]
+    defect = prolongation.T @ (assemble_residual(model, FEFunction(fine, pu))
+                               - assemble_residual(model, u_fine))
     defect[coarse.boundary_dofs] = 0.0
     return float(np.abs(defect).max())
 

@@ -294,8 +294,9 @@ def run(config_path):
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     for name in ("rates.csv", "diagnostics.csv", "report.txt"):
-        if os.path.isdir(os.path.join(cfg.output_dir, name)):
-            print(f"config error: output file {name} is a directory", file=sys.stderr)
+        path = os.path.join(cfg.output_dir, name)
+        if os.path.lexists(path) and not os.path.isfile(path):
+            print(f"config error: output file {name} is not a regular file", file=sys.stderr)
             return EXIT_CONFIG
     try:
         os.makedirs(cfg.output_dir, exist_ok=True)

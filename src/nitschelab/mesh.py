@@ -362,25 +362,29 @@ def dump_mesh(mesh, path):
 
 
 def load_mesh(path):
-    """Read the plain-text format written by dump_mesh."""
-    vertices, elements, facets, markers = [], [], [], []
+    """Read the plain-text format written by dump_mesh.  A malformed record
+    raises MeshError naming its line; the first vertex sets the dimension."""
+    records = {"v": [], "e": [], "b": []}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             parts = line.split()
             if not parts:
                 continue
             tag, data = parts[0], parts[1:]
-            if tag == "v":
-                vertices.append([float(c) for c in data])
-            elif tag == "e":
-                elements.append([int(i) for i in data])
-            elif tag == "b":
-                facets.append([int(i) for i in data[:-1]])
-                markers.append(int(data[-1]))
-            else:
+            if tag not in records:
                 raise MeshError(f"{path}:{lineno}: unknown record {tag!r}")
-    if not vertices or not elements:
+            try:
+                records[tag].append((lineno, [(float if tag == "v" else int)(c) for c in data]))
+            except ValueError:
+                raise MeshError(f"{path}:{lineno}: non-numeric field in {tag!r} record") from None
+    if not records["v"] or not records["e"]:
         raise MeshError(f"{path}: no vertices or elements")
-    dim = len(vertices[0])
-    return Mesh(dim, np.array(vertices), np.array(elements),
-                np.array(facets), np.array(markers))
+    dim = len(records["v"][0][1])
+    widths = {"v": dim, "e": dim + 1, "b": dim + 1}
+    for tag, width in widths.items():
+        for lineno, row in records[tag]:
+            if len(row) != width:
+                raise MeshError(f"{path}:{lineno}: {tag!r} record: {len(row)} fields, not {width}")
+    v, e, b = ([row for _, row in records[tag]] for tag in "veb")
+    return Mesh(dim, np.array(v), np.array(e), np.array([row[:-1] for row in b]),
+                np.array([row[-1] for row in b]))

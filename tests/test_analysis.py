@@ -7,7 +7,8 @@ from nitschelab.analysis import (adjoint_identity_check, convergence_study,
                                  estimate_rate, galerkin_defect,
                                  h2_regularity_ratio, solve_adjoint,
                                  StudyOptions)
-from nitschelab.assembly import assemble_gram_h1, assemble_hessian, norms
+from nitschelab.assembly import (assemble_gram_h1, assemble_hessian, assemble_residual,
+                                norms)
 from nitschelab.energy import (PROBLEM_NAMES, ExactSolution, build_problem,
                                dirichlet_potential_model)
 from nitschelab.felement import FEFunction, check_inverse_estimate, interpolate, make_space
@@ -212,19 +213,53 @@ def test_ellipticity_iterations_do_not_grow_with_refinement():
 def test_galerkin_defect_quadratic_energy_any_t_order():
     problem = build_problem("linear", 1)
     uc, uf = solved_pair(problem, 16)
-    for t_order in (1, 2, 5):
-        assert galerkin_defect(problem.model, uf, uc, t_quad_order=t_order) < 1e-10
+    assert galerkin_defect(problem.model, uf, uc) < 1e-10
 
 
-def test_galerkin_defect_quartic_t_rule_exactness():
-    """The segment Hessian is quadratic in t for the quartic potential, so
-    2-point Gauss already integrates it exactly."""
-    problem = build_problem("quartic", 1)
-    uc, uf = solved_pair(problem, 16)
-    d2 = galerkin_defect(problem.model, uf, uc, t_quad_order=2)
-    d5 = galerkin_defect(problem.model, uf, uc, t_quad_order=5)
-    assert abs(d2 - d5) < 1e-13
-    assert d2 < 2e-10
+def _t_integral_defect(model, uf, uc):
+    """The integrated orthogonality by its definition: a 12-point Gauss
+    rule in t of d2J along the segment from uf to the embedded uc, applied
+    to the direction P uc - uf and tested against the coarse interior
+    basis."""
+    prolongation = solver.embedding_matrix(uc.space, uf.space)
+    pu = prolongation @ uc.coeffs
+    pu[uf.space.boundary_dofs] = uf.coeffs[uf.space.boundary_dofs]
+    direction = pu - uf.coeffs
+    tg, tw = np.polynomial.legendre.leggauss(12)
+    y = sum(0.5 * w * assemble_hessian(model, FEFunction(uf.space, (1 - t) * uf.coeffs + t * pu))
+            .apply(direction) for t, w in zip(0.5 * (tg + 1), tw))
+    defect = prolongation.T @ y
+    defect[uc.space.boundary_dofs] = 0.0
+    return float(np.abs(defect).max())
+
+
+@pytest.mark.parametrize("name,order,cells", [
+    ("quartic", 1, 16), ("cosine", 2, 8), ("minimal_surface", 1, 8)])
+def test_galerkin_defect_is_the_t_integral_of_the_second_variation(name, order, cells):
+    """The closed form dJ(P u_h) - dJ(u_fine) equals the t-integral of d2J
+    it replaces, to rounding, on densities that are polynomial (quartic)
+    and not (cosine, minimal_surface) in the state."""
+    problem = build_problem(name, 1)
+    uc, uf = solved_pair(problem, cells, order)
+    assert abs(galerkin_defect(problem.model, uf, uc)
+               - _t_integral_defect(problem.model, uf, uc)) < 1e-13
+
+
+@pytest.mark.parametrize("order,cells,table", [
+    (2, 4, 2.283e-8), (2, 8, 2.177e-11), (1, 4, 7.305e-11), (3, 2, 2.420e-5)])
+def test_galerkin_defect_is_the_integration_crime_on_quartic(order, cells, table):
+    """Between minimizers, r_fine(u_fine) ~ 0 and r_coarse(u_h) ~ 0, so the
+    defect is what the coarse and the fine rule integrate differently,
+    |P^T r_fine(P u_h) - r_coarse(u_h)|: the values of the ROADMAP table."""
+    problem = build_problem("quartic", 2)
+    uc, uf = solved_pair(problem, cells, order)
+    prolongation = solver.embedding_matrix(uc.space, uf.space)
+    crime = (prolongation.T @ assemble_residual(problem.model, FEFunction(
+        uf.space, prolongation @ uc.coeffs)) - assemble_residual(problem.model, uc))
+    crime[uc.space.boundary_dofs] = 0.0
+    defect = galerkin_defect(problem.model, uf, uc)
+    assert abs(defect - np.abs(crime).max()) < 1e-12
+    assert defect == pytest.approx(table, rel=1e-3)
 
 
 def test_galerkin_defect_detects_unconverged_solution():
@@ -1008,9 +1043,6 @@ def test_convergence_study_validates_inputs():
 # `max_iters` and `levels_finer` go through the same check, pinned by
 # test_solver.py and `test_adjoint_identity_check_validates_levels_finer`
 COUNT_ARGUMENTS = {
-    "t_quad_order": lambda problem, u, bad: galerkin_defect(
-        problem.model, make_space(refine(u.space.mesh), 2, problem.boundary_fn).zero_function(),
-        u, t_quad_order=bad),
     "samples": lambda problem, u, bad: estimate_pq_constant(problem.model, u, samples=bad),
     "trials": lambda problem, u, bad: check_inverse_estimate(u.space, bad),
 }
@@ -1019,11 +1051,10 @@ COUNT_ARGUMENTS = {
 @pytest.mark.parametrize("bad", [0, -1, 2.5, True, "3"])
 @pytest.mark.parametrize("name", list(COUNT_ARGUMENTS))
 def test_counts_must_be_integers_of_at_least_1(name, bad):
-    """Every count of an iteration, a rule or a sample set is checked the
-    same way: t_quad_order=2.5 used to raise a TypeError from `leggauss`
-    and True to run a 1-point rule, samples=True to be returned as the
-    estimate's sample count, and samples=2.5 or trials=2.5 to raise a
-    TypeError from `range`."""
+    """Every count of an iteration or a sample set is checked the
+    same way: samples=True used to be returned as the estimate's sample
+    count, and samples=2.5 or trials=2.5 to raise a TypeError from
+    `range`."""
     problem = build_problem("quartic", 1)
     u = make_space(build_unit_mesh(1, 4), 2, problem.boundary_fn).zero_function()
     with pytest.raises(ValueError, match=f"{name} must be an integer >= 1, got "):

@@ -408,17 +408,25 @@ def test_run_unwritable_output_dir_is_config_error(tmp_path, monkeypatch, capsys
     assert "config error" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("name", ["rates.csv", "diagnostics.csv", "report.txt"])
+@pytest.mark.parametrize("name,dangling", [
+    ("rates.csv", False), ("diagnostics.csv", False), ("report.txt", False),
+    ("report.txt", True)], ids=["rates.csv", "diagnostics.csv", "report.txt",
+                                "report.txt-dangling-symlink"])
 def test_run_output_file_taken_by_a_directory_is_config_error(tmp_path, monkeypatch,
-                                                              capsys, name):
-    """An output file whose name a directory holds exits 2 before any study
-    work, and writes nothing."""
+                                                              capsys, name, dangling):
+    """An output file whose name a directory or a dangling symlink holds
+    exits 2 before any study work, and writes nothing.  A dangling symlink
+    used to let the study run and write through it."""
     def no_study(*args, **kwargs):
         raise AssertionError("the study ran")
 
     monkeypatch.setattr(cli, "convergence_study", no_study)
     out = tmp_path / "out"
-    (out / name).mkdir(parents=True)
+    if dangling:
+        out.mkdir()
+        (out / name).symlink_to(tmp_path / "missing")
+    else:
+        (out / name).mkdir(parents=True)
     path = write_config(tmp_path, BASE.format(out=out))
     assert main(["run", path]) == EXIT_CONFIG
     assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == [

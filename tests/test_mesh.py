@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -191,6 +192,19 @@ def test_load_rejects_garbage(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("v 0.0\nq 1 2\n")
     with pytest.raises(MeshError):
+        load_mesh(path)
+
+
+@pytest.mark.parametrize("text,lineno", [
+    ("v 0\nv 1\ne 0 1\nb\n", 4),           # a facet with neither vertex nor marker
+    ("v 0\nv one\ne 0 1\n", 2),             # a non-numeric field
+    ("v 0 0\nv 1\nv 0 1\ne 0 1 2\n", 2),   # vertex rows of unequal length
+], ids=["bare-b", "non-numeric", "ragged-vertices"])
+def test_load_names_the_line_of_a_malformed_record(tmp_path, text, lineno):
+    """Used to raise IndexError or a ValueError with no location."""
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(MeshError, match=re.escape(f"{path}:{lineno}: ")):
         load_mesh(path)
 
 
