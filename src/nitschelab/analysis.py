@@ -38,9 +38,9 @@ from .assembly import (AssemblyError, assemble_gram_h1, assemble_gram_l2,
                        assemble_hessian, assemble_residual, apply_third_variation,
                        lq_norm, norms)
 from .energy import ManufacturedProblem
-from .felement import (FEFunction, _check_count, _chunks, check_inverse_estimate,
-                       interpolate, make_space, sample_lattice, tabulate)
-from .mesh import build_unit_mesh, refine, width
+from .felement import (FEFunction, _chunks, check_inverse_estimate, interpolate,
+                       make_space, reference_basis, sample_lattice, tabulate)
+from .mesh import _check_count, build_unit_mesh, refine, width
 from .solver import (LinearSolveError, NewtonError, NewtonOptions, _v_cycle,
                      embed, embedding_matrix, linear_solve, minimize)
 
@@ -583,15 +583,22 @@ _ADJOINT_LEVELS_FINER = 2
 
 @dataclass
 class StudyOptions:
+    """Options of `convergence_study`; construction raises ValueError
+    unless coarse_cells is an integer >= 1, seed an integer >= 0 (neither
+    a bool) and every diagnostic one of DIAGNOSTIC_NAMES."""
+
     coarse_cells: int = 8
     newton: NewtonOptions = field(default_factory=NewtonOptions)
     diagnostics: tuple = ()
     seed: int = 0
 
     def __post_init__(self):
+        _check_count("coarse_cells", self.coarse_cells)
+        _check_count("seed", self.seed, lowest=0)
         unknown = set(self.diagnostics) - set(DIAGNOSTIC_NAMES)
         if unknown:
-            raise ValueError(f"unknown diagnostics {sorted(unknown)}")
+            raise ValueError(f"unknown diagnostics {sorted(unknown)}; "
+                             f"available: {DIAGNOSTIC_NAMES}")
 
 
 @dataclass
@@ -618,6 +625,21 @@ class ConvergenceReport:
     abort_kind: str | None = None
 
 
+def _check_study(problem, order, levels, opts):
+    """`opts` or the default options, once `convergence_study`'s arguments
+    are checked: order an integer in 1..MAX_ORDER, levels an integer >= 3,
+    order >= 2 for the pq diagnostic.  `cli.load_config` calls it too."""
+    if not isinstance(problem, ManufacturedProblem):
+        raise TypeError("convergence_study needs a ManufacturedProblem")
+    reference_basis(problem.dim, order)   # checks the order
+    if _check_count("levels", levels) < 3:
+        raise ValueError(f"a study needs at least 3 levels, got {levels}")
+    opts = opts or StudyOptions()
+    if "pq" in opts.diagnostics and order < 2:
+        raise ValueError("the pq diagnostic needs order >= 2")
+    return opts
+
+
 def convergence_study(problem, order, levels, opts=None):
     """Solve the manufactured problem on a nested mesh hierarchy and fit
     error rates; optional per-level diagnostics as configured.
@@ -639,16 +661,10 @@ def convergence_study(problem, order, levels, opts=None):
     each as above, and takes level l+2 as its reference (the study then
     reads them); a solve that fails there aborts at its own level, and
     level l's adjoint entry is not recorded.  For m = 1 the reference is
-    the P2 level l+2, solved likewise from P2 level 0 up.
+    the P2 level l+2, solved likewise from P2 level 0 up.  Every argument
+    is checked before any mesh is built (`_check_study`, `StudyOptions`).
     """
-    if not isinstance(problem, ManufacturedProblem):
-        raise TypeError("convergence_study needs a ManufacturedProblem")
-    if levels < 3:
-        raise ValueError("a study needs at least 3 levels")
-    opts = opts or StudyOptions()
-    if "pq" in opts.diagnostics and order < 2:
-        raise ValueError("the pq diagnostic needs order >= 2")
-
+    opts = _check_study(problem, order, levels, opts)
     report = ConvergenceReport(problem.name, problem.dim, order, [],
                                None, None, {name: [] for name in opts.diagnostics})
     hierarchy = _Hierarchy(problem, opts.newton,

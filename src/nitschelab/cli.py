@@ -27,8 +27,8 @@ import numpy as np
 import scipy
 import yaml
 
-from .analysis import (_ADJOINT_LEVELS_FINER, DIAGNOSTIC_COLUMNS, DIAGNOSTIC_NAMES,
-                       StudyOptions, convergence_study, estimate_rate)
+from .analysis import (_ADJOINT_LEVELS_FINER, DIAGNOSTIC_COLUMNS, StudyOptions,
+                       _check_study, convergence_study, estimate_rate)
 from .energy import PROBLEM_NAMES, build_problem, classify
 from .solver import NewtonOptions
 
@@ -87,43 +87,22 @@ def load_config(path):
     if missing:
         raise ConfigError(f"missing required config keys: {missing}")
 
-    def as_int(key, value):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{key} must be an integer, got {value!r}")
-        return value
-
-    problem = data["problem"]
-    if problem not in PROBLEM_NAMES:
-        raise ConfigError(f"problem must be one of {PROBLEM_NAMES}, got {problem!r}")
-    dim = as_int("dim", data["dim"])
-    if dim not in (1, 2):
-        raise ConfigError(f"dim must be 1 or 2, got {dim}")
-    order = as_int("order", data["order"])
-    if not 1 <= order <= 3:
-        raise ConfigError(f"order must be in 1..3, got {order}")
-    levels = as_int("levels", data["levels"])
-    if levels < 3:
-        raise ConfigError(f"levels must be >= 3, got {levels}")
-    coarse_cells = as_int("coarse_cells", data.get("coarse_cells", 8))
-    if coarse_cells < 1:
-        raise ConfigError("coarse_cells must be >= 1")
-    seed = as_int("seed", data.get("seed", 0))
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-
     diagnostics = data.get("diagnostics", ())
     if isinstance(diagnostics, str):
         diagnostics = [s.strip() for s in diagnostics.split(",") if s.strip()]
+    # a name that is not a string would reach the library as a TypeError
     if (not isinstance(diagnostics, (list, tuple))
             or not all(isinstance(name, str) for name in diagnostics)):
         raise ConfigError("diagnostics must be a list or comma-separated names")
-    bad = set(diagnostics) - set(DIAGNOSTIC_NAMES)
-    if bad:
-        raise ConfigError(f"unknown diagnostics {sorted(bad)}; "
-                          f"available: {DIAGNOSTIC_NAMES}")
-    if "pq" in diagnostics and order < 2:
-        raise ConfigError("the pq diagnostic needs order >= 2")
-    dofs = _largest_space_dofs(dim, order, levels, coarse_cells, diagnostics)
+    problem, dim, order, levels = (data[key] for key in _REQUIRED)
+    # the library checks every study input; each message names its key
+    try:
+        opts = StudyOptions(coarse_cells=data.get("coarse_cells", 8),
+                            diagnostics=tuple(diagnostics), seed=data.get("seed", 0))
+        _check_study(build_problem(problem, dim), order, levels, opts)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+    dofs = _largest_space_dofs(dim, order, levels, opts.coarse_cells, opts.diagnostics)
     if dofs > MAX_DOFS:
         raise ConfigError(f"study too large: its largest space has at least {dofs} "
                           f"dofs, above the limit of {MAX_DOFS}")
@@ -146,9 +125,8 @@ def load_config(path):
     if not isinstance(output_dir, str):
         raise ConfigError("output_dir must be a string path")
 
-    return StudyConfig(problem, dim, order, levels, coarse_cells,
-                       tuple(diagnostics), seed, tols["newton_tol"],
-                       tols["linear_tol"], output_dir)
+    return StudyConfig(problem, dim, order, levels, opts.coarse_cells, opts.diagnostics,
+                       opts.seed, tols["newton_tol"], tols["linear_tol"], output_dir)
 
 
 def _largest_space_dofs(dim, order, levels, coarse_cells, diagnostics):
@@ -256,7 +234,7 @@ def _evaluate_checks(cfg, report):
     return checks
 
 
-def _write_report_txt(path, cfg, report, checks):
+def _write_report_txt(path, cfg, report, checks, overall):
     lines = [
         f"problem: {cfg.problem} (dim {cfg.dim}, order {cfg.order})",
         f"levels: {cfg.levels} from {cfg.coarse_cells} cells per side",
@@ -277,11 +255,8 @@ def _write_report_txt(path, cfg, report, checks):
     if report.aborted:
         lines.append(f"aborted: {report.aborted}")
     lines.append("")
-    for name, ok, detail in checks:
-        lines.append(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
-    overall = all(ok for _, ok, _ in checks) and not report.aborted
-    lines.append("")
-    lines.append(f"overall: {'PASS' if overall else 'FAIL'}")
+    lines += [f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}" for name, ok, detail in checks]
+    lines += ["", f"overall: {'PASS' if overall else 'FAIL'}"]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -311,16 +286,16 @@ def run(config_path):
     report = convergence_study(problem, cfg.order, cfg.levels, opts)
 
     checks = _evaluate_checks(cfg, report)
+    overall = all(ok for _, ok, _ in checks) and not report.aborted
     _write_rates_csv(os.path.join(cfg.output_dir, "rates.csv"), report)
     _write_diagnostics_csv(os.path.join(cfg.output_dir, "diagnostics.csv"), report)
-    _write_report_txt(os.path.join(cfg.output_dir, "report.txt"), cfg, report, checks)
+    _write_report_txt(os.path.join(cfg.output_dir, "report.txt"), cfg, report, checks,
+                      overall)
 
     if report.abort_kind == "solver":
         print(f"solver failure: {report.aborted}", file=sys.stderr)
         return EXIT_SOLVER
-    if report.aborted or not all(ok for _, ok, _ in checks):
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    return EXIT_OK if overall else EXIT_CHECK_FAILED
 
 
 def list_problems(stream=None):

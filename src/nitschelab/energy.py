@@ -25,6 +25,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .mesh import _check_dim
+
 __all__ = [
     "EnergyModel",
     "ExactSolution",
@@ -326,18 +328,17 @@ def _manufactured_forcing(base_model, exact):
 
 
 def build_problem(name, dim):
-    """One of the built-in manufactured problems on (0,1)^dim."""
-    if dim not in (1, 2):
-        raise ValueError(f"dim must be 1 or 2, got {dim}")
-    exact = _sine_product(dim)
-    if name in _POTENTIALS:
+    """One of the built-in manufactured problems on (0,1)^dim; raises
+    ValueError unless `name` is in PROBLEM_NAMES and `dim` the integer 1 or 2."""
+    if name not in PROBLEM_NAMES:
+        raise ValueError(f"unknown problem {name!r}; choose from {PROBLEM_NAMES}")
+    exact = _sine_product(_check_dim(dim))
+    if name == "minimal_surface":
+        base = minimal_surface_model()
+    else:
         psi, dpsi, d2psi, d3psi, formula = _POTENTIALS[name]
         base = dirichlet_potential_model(psi, dpsi, d2psi, d3psi,
                                          name=name, formula=formula)
-    elif name == "minimal_surface":
-        base = minimal_surface_model()
-    else:
-        raise ValueError(f"unknown problem {name!r}; choose from {PROBLEM_NAMES}")
     f = _manufactured_forcing(base, exact)
     model = with_forcing(base, f, name=name)
     return ManufacturedProblem(name, dim, model, exact, exact.value)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .mesh import _LOCAL_FACETS, Mesh, _facet_ids, _facet_table, width
+from .mesh import _LOCAL_FACETS, Mesh, _check_count, _check_dim, _facet_ids, _facet_table, width
 
 __all__ = [
     "ReferenceBasis",
@@ -49,14 +49,6 @@ def _chunks(n, npts):
     size = max(1, min(CHUNK, CHUNK * 16 // npts))
     for start in range(0, n, size):
         yield slice(start, min(start + size, n))
-
-
-def _check_count(name, value, lowest=1):
-    """`value`, once checked to be an integer >= `lowest`, not a bool."""
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or value < lowest):
-        raise ValueError(f"{name} must be an integer >= {lowest}, got {value!r}")
-    return value
 
 
 # local vertex pairs forming the reference triangle's edges, lexicographic
@@ -155,11 +147,13 @@ _BASIS_CACHE = {}
 
 
 def reference_basis(dim, order):
+    """Lagrange basis of `order` on the reference simplex, one per (dim, order);
+    ValueError unless `order` is an integer in 1..MAX_ORDER, not a bool."""
+    if _check_count("order", order) > MAX_ORDER:
+        raise ValueError(f"order must be in 1..{MAX_ORDER}, got {order}")
     key = (dim, order)
     basis = _BASIS_CACHE.get(key)
     if basis is None:
-        if not 1 <= order <= MAX_ORDER:
-            raise ValueError(f"order must be in 1..{MAX_ORDER}, got {order}")
         nodes, entities = _reference_nodes(dim, order)
         exponents = tuple(_monomial_exponents(dim, order))
         coeffs = np.linalg.inv(_monomials(exponents, nodes))
@@ -248,14 +242,12 @@ def quadrature_rule(dim, degree):
     degree = max(int(degree), 1)
     rule = _RULES.get((dim, degree))
     if rule is None:
-        if dim == 1:
+        if _check_dim(dim) == 1:
             n = (degree + 2) // 2
             x, w = leggauss(n)
             rule = QuadRule(1, (0.5 * (x + 1.0))[:, None], 0.5 * w, 2 * n - 1)
-        elif dim == 2:
-            rule = _triangle_rule(degree)
         else:
-            raise ValueError(f"dim must be 1 or 2, got {dim}")
+            rule = _triangle_rule(degree)
         _owned(rule.points)
         rule.weights.flags.writeable = False
         _RULES[dim, degree] = rule
@@ -427,11 +419,10 @@ def make_space(mesh, order, boundary_fn=0.0):
     exactness over 2m+2 keeps the quadrature error of smooth
     non-polynomial data (forcing, potential terms) below solver tolerance
     even on coarse meshes, so integrated-orthogonality identities between
-    nested discrete minimizers hold at solver precision.
+    nested discrete minimizers hold at solver precision.  Raises
+    ValueError unless `order` is an integer in 1..MAX_ORDER, not a bool; a
+    float is not truncated.
     """
-    order = int(order)
-    if not 1 <= order <= MAX_ORDER:
-        raise ValueError(f"order must be in 1..{MAX_ORDER}, got {order}")
     basis = reference_basis(mesh.dim, order)
     elements, ne = mesh.elements, mesh.num_elements
     dof_coords = [mesh.vertices]

@@ -33,6 +33,21 @@ class MeshError(ValueError):
     """Raised for invalid or degenerate mesh data."""
 
 
+def _check_count(name, value, lowest=1, error=ValueError):
+    """`value`, once checked to be an integer >= `lowest` (not a bool), or `error`."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < lowest):
+        raise error(f"{name} must be an integer >= {lowest}, got {value!r}")
+    return value
+
+
+def _check_dim(dim):
+    """`dim`, once checked to be the integer 1 or 2, not a bool."""
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim not in (1, 2):
+        raise MeshError(f"dim must be 1 or 2, got {dim!r}")
+    return dim
+
+
 @dataclass
 class Mesh:
     """Simplicial partition of a polygonal domain.
@@ -67,8 +82,7 @@ class Mesh:
         self.elements = np.ascontiguousarray(self.elements, dtype=np.int64)
         self.boundary_facets = np.ascontiguousarray(self.boundary_facets, dtype=np.int64)
         self.boundary_markers = np.ascontiguousarray(self.boundary_markers, dtype=np.int64)
-        if self.dim not in (1, 2):
-            raise MeshError(f"dim must be 1 or 2, got {self.dim}")
+        _check_dim(self.dim)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != self.dim:
             raise MeshError("vertices must have shape (nv, dim)")
         if self.elements.ndim != 2 or self.elements.shape[1] != self.dim + 1:
@@ -135,13 +149,12 @@ def build_unit_mesh(dim, cells_per_side):
 
     d=1 gives equal intervals; d=2 splits each grid square into two
     triangles along the same diagonal, so all elements are congruent
-    up to reflection and the width is the diagonal length.
+    up to reflection and the width is the diagonal length.  Raises
+    MeshError unless `dim` is 1 or 2 and `cells_per_side` an integer >= 1,
+    neither a bool; a float is not truncated.
     """
-    if dim not in (1, 2):
-        raise MeshError(f"dim must be 1 or 2, got {dim}")
-    n = int(cells_per_side)
-    if n < 1:
-        raise MeshError("cells_per_side must be >= 1")
+    _check_dim(dim)
+    n = _check_count("cells_per_side", cells_per_side, error=MeshError)
 
     if dim == 1:
         vertices = np.linspace(0.0, 1.0, n + 1)[:, None]

@@ -18,7 +18,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import _pull, assemble_hessian, assemble_residual, energy_value
-from .felement import FEFunction, _check_count, interpolate
+from .felement import FEFunction, interpolate
+from .mesh import _check_count
 
 __all__ = [
     "NewtonOptions",
@@ -60,6 +61,8 @@ class NewtonOptions:
     interpolant, an FEFunction on the same space from a copy of it, one
     on a coarser nested space from its embedding.  Boundary coefficients
     are always reset to the prescribed data, so iterates stay admissible.
+    Construction raises ValueError unless max_iters is an integer >= 1 (not
+    a bool), both tolerances are positive and finite, and initial as above.
     """
 
     max_iters: int = 30
@@ -69,9 +72,9 @@ class NewtonOptions:
 
     def __post_init__(self):
         _check_count("max_iters", self.max_iters)
-        for name in ("residual_tol", "linear_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        for name, tol in (("residual_tol", self.residual_tol), ("linear_tol", self.linear_tol)):
+            if not 0 < tol < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {tol!r}")
         if not (self.initial is None or callable(self.initial)
                 or isinstance(self.initial, FEFunction)):
             raise ValueError("initial must be None, a callable or an FEFunction, "

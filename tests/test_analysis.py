@@ -1017,7 +1017,7 @@ def test_convergence_study_aborts_on_lost_coercivity(monkeypatch):
     from nitschelab import analysis as an
     from nitschelab.analysis import EllipticityEstimate
 
-    def fake(model, v, seed=0, rtol=1e-6, max_iters=500):
+    def fake(model, v, seed=0):
         return EllipticityEstimate(-1.0, 2.0, "forced")
 
     monkeypatch.setattr(an, "estimate_ellipticity", fake)
@@ -1045,20 +1045,48 @@ def test_convergence_study_validates_inputs():
 COUNT_ARGUMENTS = {
     "samples": lambda problem, u, bad: estimate_pq_constant(problem.model, u, samples=bad),
     "trials": lambda problem, u, bad: check_inverse_estimate(u.space, bad),
+    "coarse_cells": lambda problem, u, bad: StudyOptions(coarse_cells=bad),
+    "levels": lambda problem, u, bad: convergence_study(problem, 1, bad),
+    "order": lambda problem, u, bad: make_space(u.space.mesh, bad),
+    "cells_per_side": lambda problem, u, bad: build_unit_mesh(1, bad),
 }
 
 
 @pytest.mark.parametrize("bad", [0, -1, 2.5, True, "3"])
 @pytest.mark.parametrize("name", list(COUNT_ARGUMENTS))
 def test_counts_must_be_integers_of_at_least_1(name, bad):
-    """Every count of an iteration or a sample set is checked the
-    same way: samples=True used to be returned as the estimate's sample
-    count, and samples=2.5 or trials=2.5 to raise a TypeError from
-    `range`."""
+    """Every count of an iteration, a sample set, cells, levels or an
+    order is checked the same way: samples=True used to be returned as
+    the estimate's sample count, samples=2.5 or trials=2.5 to raise a
+    TypeError from `range`, and an order or a cell count of 2.5 or True
+    to be truncated to an integer."""
     problem = build_problem("quartic", 1)
     u = make_space(build_unit_mesh(1, 4), 2, problem.boundary_fn).zero_function()
     with pytest.raises(ValueError, match=f"{name} must be an integer >= 1, got "):
         COUNT_ARGUMENTS[name](problem, u, bad)
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("a mesh, a space or a Newton solve was made before the check")
+
+
+@pytest.mark.parametrize("make", [
+    lambda p: convergence_study(p, 1, 3, StudyOptions(seed=-1, diagnostics=("inverse_estimate",))),
+    lambda p: convergence_study(p, 1, 3, StudyOptions(seed=True)),
+    lambda p: convergence_study(p, 1, 3.0),
+    lambda p: convergence_study(p, 2.0, 3),
+    lambda p: convergence_study(p, 4, 3),
+], ids=["seed--1", "seed-True", "levels-3.0", "order-2.0", "order-4"])
+def test_study_inputs_are_rejected_before_any_work(monkeypatch, make):
+    """A study's inputs are checked before any mesh is built or refined,
+    any space made or any Newton step taken.  Each of these used to be
+    accepted or to fail late: seed=-1 after level 0 was solved, levels=3.0
+    with a TypeError from `range`, order=4 in `make_space`."""
+    problem = build_problem("quartic", 1)
+    for name in ("build_unit_mesh", "refine", "make_space", "minimize"):
+        monkeypatch.setattr(analysis, name, _no_work)
+    with pytest.raises(ValueError):
+        make(problem)
 
 
 def test_stability_monitor_reported():

@@ -263,6 +263,9 @@ def test_manufactured_semilinear_api():
         build_problem("cubic", 1)
     with pytest.raises(ValueError):
         build_problem("quartic", 3)
+    for dim in (True, 1.0):   # used to build the 1D problem
+        with pytest.raises(ValueError, match="dim must be 1 or 2"):
+            build_problem("quartic", dim)
 
 
 def pointwise_reference(model, v):

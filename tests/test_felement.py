@@ -30,6 +30,15 @@ def test_lagrange_and_partition_of_unity(dim, order):
     assert np.allclose(basis.gradients(pts).sum(axis=1), 0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("order", [0, 4, True, 2.5])
+def test_reference_basis_rejects_an_order_outside_1_to_3(order):
+    """True used to be built and cached under the P1 key, with order True,
+    and 2.5 to fail with a TypeError from `range`."""
+    with pytest.raises(ValueError, match="order must be"):
+        reference_basis(2, order)
+    assert reference_basis(2, 1).order == 1 and type(reference_basis(2, 1).order) is int
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("degree", list(range(1, 11)))
 def test_quadrature_exactness_and_weights(dim, degree):

@@ -265,13 +265,16 @@ def test_minimize_iteration_cap_raises():
 
 @pytest.mark.parametrize("field, bad", [
     ("max_iters", 0), ("max_iters", -1), ("max_iters", 2.5), ("max_iters", True),
-    ("residual_tol", 0.0), ("residual_tol", float("nan")),
+    ("residual_tol", 0.0), ("residual_tol", float("nan")), ("residual_tol", float("inf")),
     ("linear_tol", 0.0), ("linear_tol", -1e-12), ("linear_tol", float("nan")),
+    ("linear_tol", float("inf")),
 ])
 def test_newton_options_reject_a_cap_or_tolerance_that_is_not_positive(field, bad):
     """At max_iters=0 `minimize` would index an empty log, one that is not
     an integer would fail in `range`, and a linear_tol that is not
-    positive would fail every solve as an underflow."""
+    positive would fail every solve as an underflow.  An infinite
+    residual_tol declared the boundary lift converged, and an infinite
+    linear_tol ran Newton on zero steps until max_iters."""
     with pytest.raises(ValueError, match=field):
         NewtonOptions(**{field: bad})
 
