@@ -10,6 +10,8 @@ column the script prints the largest |new - old| / |old| over the rows
 only or a zero became non-zero.  A last line says whether the two
 report.txt files agree once every number in them is masked: the same
 checks with the same verdicts, the same overall line, the same abort.
+Exits 2, naming what is missing, when a directory lacks one of the three
+files.
 """
 
 import csv
@@ -20,6 +22,7 @@ import sys
 
 # rates.csv columns that hold counts, compared exactly
 INTEGER_COLUMNS = ("dofs", "newton_iters")
+OUTPUTS = ("rates.csv", "diagnostics.csv", "report.txt")
 
 
 def _number(text):
@@ -77,6 +80,11 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 2:
         print(__doc__.strip(), file=sys.stderr)
+        return 2
+    missing = [os.path.join(d, f) for d in argv for f in OUTPUTS
+               if not os.path.isfile(os.path.join(d, f))]
+    if missing:
+        print(f"missing output file: {', '.join(missing)}", file=sys.stderr)
         return 2
     old_dir, new_dir = argv
     for name, change in largest_changes(old_dir, new_dir).items():

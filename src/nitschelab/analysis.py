@@ -76,16 +76,14 @@ class _UndefinedDiagnostic(ValueError):
 @dataclass(frozen=True)
 class EllipticityEstimate:
     """Extremes of d2J(v) against the H^1 Gram on interior dofs, with the
-    eigen-solver that found them ("dense" or "lanczos") and the Lanczos
-    steps run when the lower and the upper end passed their residual test
-    (0 for "dense")."""
+    Lanczos steps run when the lower and the upper end passed their
+    residual test."""
 
     lambda_min: float
     lambda_max: float
     state: str
-    solver: str = "dense"
-    iters_min: int = 0
-    iters_max: int = 0
+    iters_min: int
+    iters_max: int
 
 
 @dataclass(frozen=True)
@@ -120,7 +118,6 @@ class AdjointCheck:
 # ellipticity
 
 
-_DENSE_EIG_CUTOFF = 400
 # steps of the Lanczos run that serves both ends, one G solve each, and the
 # budget of each end: an end that has not passed the residual test by the
 # last step raises PowerIterationError
@@ -140,21 +137,25 @@ def _lanczos_extremes(a_mat, g_mat, g_solve, seed):
 
     An end is done at the first test at which its extreme Ritz pair
     (theta, y), y G-normalized, passes ||A y - theta G y|| <= `_EIG_RTOL`.
-    Returns, for the lower and then the upper end, (theta, steps): the
-    end's extreme Ritz value and the steps run when it passed.  Raises
-    PowerIterationError when an end has not passed by the last of
-    `_LANCZOS_STEPS` steps.
+    The run takes at most min(`_LANCZOS_STEPS`, n) steps for n unknowns
+    and tests both ends at the last: after n steps the Krylov space is the
+    whole space, and with full reorthogonalization the tridiagonal holds
+    the pencil's whole spectrum.  Returns, for the lower and then the
+    upper end, (theta, steps): the end's extreme Ritz value and the steps
+    run when it passed.  Raises PowerIterationError when an end has not
+    passed by the last step.
     """
     import scipy.linalg as la
 
     n = a_mat.shape[0]
-    basis = np.empty((_LANCZOS_STEPS, n))
-    alpha, beta = np.empty(_LANCZOS_STEPS), np.empty(_LANCZOS_STEPS)
+    steps = min(_LANCZOS_STEPS, n)
+    basis = np.empty((steps, n))
+    alpha, beta = np.empty(steps), np.empty(steps)
     q = np.random.default_rng(seed).standard_normal(n)
     q /= math.sqrt(q @ (g_mat @ q))
     done = [False, False]
     ritz = [None, None]   # per end: theta and the steps run
-    for j in range(_LANCZOS_STEPS):
+    for j in range(steps):
         basis[j] = q
         krylov = basis[:j + 1]
         aq = a_mat @ q
@@ -165,7 +166,7 @@ def _lanczos_extremes(a_mat, g_mat, g_solve, seed):
         w -= (krylov @ (g_mat @ w)) @ krylov
         gw = g_mat @ w
         beta[j] = math.sqrt(max(w @ gw, 0.0))
-        if (j + 1) % _LANCZOS_TEST_EVERY == 0 or j + 1 == _LANCZOS_STEPS or beta[j] == 0.0:
+        if (j + 1) % _LANCZOS_TEST_EVERY == 0 or j + 1 == steps or beta[j] == 0.0:
             # A y - theta G y = s[-1] G w for every Ritz pair (theta, y = Q s)
             gw_norm = np.linalg.norm(gw)
             for end, k in enumerate((0, j)):
@@ -195,37 +196,33 @@ def estimate_ellipticity(model, v, seed=0):
     discrete coercivity at the linearization point; lambda_max estimates
     the boundedness constant.
 
-    Small systems are solved densely ("dense").  Above `_DENSE_EIG_CUTOFF`
-    interior dofs both ends come from one Lanczos run on the pencil
-    (d2J(v), G1) itself, in the G1 inner product, with G1 factored once
-    per call (sparse LU) and the run started from a random vector drawn
-    from `seed` ("lanczos").  The pencil is never swapped: (G1, d2J(v))
-    has an indefinite inner product exactly when coercivity fails, which
-    is the case the check exists to see.  G1^-1 d2J(v) is the natural
-    operator: d2J(v) is spectrally close to G1 (for the semilinear models
-    d2J(v) = K + psi'' M against G1 = K + M), so an extreme away from 1
-    converges in a number of steps that does not grow with the mesh.
-    Each end stops on its own, at the first test with
-    ||d2J(v) y - theta G1 y|| <= `_EIG_RTOL` for G1-normalized y.  An
-    extreme where the spectrum accumulates (at 1, or at an end of the
-    range of a variable coefficient) takes more steps; an end that has
-    not passed within `_LANCZOS_STEPS` steps raises PowerIterationError.
+    Both ends come from one Lanczos run on the pencil (d2J(v), G1) itself,
+    in the G1 inner product, with G1 factored once per call (sparse LU)
+    and the run started from a random vector drawn from `seed`, an integer
+    >= 0.  The pencil is never swapped: (G1, d2J(v)) has an indefinite
+    inner product exactly when coercivity fails, which is the case the
+    check exists to see.  G1^-1 d2J(v) is the natural operator: d2J(v) is
+    spectrally close to G1 (for the semilinear models d2J(v) = K + psi'' M
+    against G1 = K + M), so an extreme away from 1 converges in a number
+    of steps that does not grow with the mesh.  Each end stops on its own,
+    at the first test with ||d2J(v) y - theta G1 y|| <= `_EIG_RTOL` for
+    G1-normalized y.  An extreme where the spectrum accumulates (at 1, or
+    at an end of the range of a variable coefficient) takes more steps, up
+    to min(`_LANCZOS_STEPS`, n) on n interior dofs, where at n both ends
+    are exact up to rounding; an end that has not passed by then raises
+    PowerIterationError.
     """
-    space = v.space
-    interior = np.flatnonzero(space.interior_mask)
+    _check_count("seed", seed, lowest=0)
+    interior = np.flatnonzero(v.space.interior_mask)
     if not len(interior):
         raise _UndefinedDiagnostic("ellipticity needs interior dofs; the space has none")
-    a_mat = assemble_hessian(model, v).matrix[interior][:, interior].tocsr()
-    g_mat = assemble_gram_h1(space).matrix[interior][:, interior].tocsr()
-    state = f"{model.name} at discrete state, {len(interior)} interior dofs"
-    if len(interior) <= _DENSE_EIG_CUTOFF:
-        import scipy.linalg as la
-        ev = la.eigh(a_mat.toarray(), g_mat.toarray(), eigvals_only=True)
-        return EllipticityEstimate(float(ev[0]), float(ev[-1]), state)
     import scipy.sparse.linalg as sla
+    a_mat = assemble_hessian(model, v).matrix[interior][:, interior].tocsr()
+    g_mat = assemble_gram_h1(v.space).matrix[interior][:, interior].tocsr()
     g_solve = sla.splu(g_mat.tocsc()).solve
     (lam_min, iters_min), (lam_max, iters_max) = _lanczos_extremes(a_mat, g_mat, g_solve, seed)
-    return EllipticityEstimate(lam_min, lam_max, state, "lanczos", iters_min, iters_max)
+    return EllipticityEstimate(lam_min, lam_max, f"{model.name} at discrete state, "
+                               f"{len(interior)} interior dofs", iters_min, iters_max)
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +508,7 @@ def estimate_pq_constant(model, u, norm_pair=(1, 2), samples=8, seed=0):
         raise ValueError("the W^{2,2} factor needs order >= 2 for a "
                          "non-degenerate broken H^2 norm")
     _check_count("samples", samples)
+    _check_count("seed", seed, lowest=0)
     max_ratio = 0.0
     for k in range(samples):
         # per-sample seed streams keep the smooth draws identical across

@@ -239,7 +239,7 @@ _RULES = {}
 def quadrature_rule(dim, degree):
     """Smallest available rule integrating total degree `degree` exactly;
     one read-only rule per (dim, degree) and process."""
-    degree = max(int(degree), 1)
+    degree = max(_check_count("degree", degree, lowest=0), 1)
     rule = _RULES.get((dim, degree))
     if rule is None:
         if _check_dim(dim) == 1:
@@ -522,7 +522,7 @@ def check_inverse_estimate(space, trials, seed=0):
     shape-regular meshes, which the level-stability tests verify.
     """
     _check_count("trials", trials)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_count("seed", seed, lowest=0))
     mesh = space.mesh
     d = mesh.dim
     h = width(mesh)

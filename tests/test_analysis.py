@@ -81,8 +81,8 @@ def test_ellipticity_quartic_at_zero_matches_linear():
 
 
 def test_ellipticity_iterative_matches_dense_cutover():
-    """Above the dense cutover the Lanczos path must agree with a dense
-    reference computed here."""
+    """Above 400 interior dofs, where a dense solve used to take over,
+    the Lanczos path must agree with a dense reference computed here."""
     import scipy.linalg as la
     from nitschelab.assembly import assemble_gram_h1, assemble_hessian
     problem = build_problem("quartic", 2)
@@ -90,7 +90,7 @@ def test_ellipticity_iterative_matches_dense_cutover():
     est = estimate_ellipticity(problem.model, u)
     space = u.space
     idx = np.flatnonzero(space.interior_mask)
-    assert len(idx) > 400  # exercises the iterative path
+    assert len(idx) > 400
     a = assemble_hessian(problem.model, u).matrix[idx][:, idx].toarray()
     g = assemble_gram_h1(space).matrix[idx][:, idx].toarray()
     ev = la.eigh(a, g, eigvals_only=True)
@@ -111,7 +111,6 @@ def dense_extremes(model, u):
 
 def assert_matches_dense(model, u):
     est = estimate_ellipticity(model, u)
-    assert est.solver == "lanczos"   # above the dense cutover
     lam_min, lam_max = dense_extremes(model, u)
     assert est.lambda_min == pytest.approx(lam_min, rel=1e-6)
     assert est.lambda_max == pytest.approx(lam_max, rel=1e-6)
@@ -128,32 +127,78 @@ def test_ellipticity_matches_dense_in_1d_above_cutover(name):
     assert_matches_dense(problem.model, u)
 
 
+# psi = -15 z^2 at the zero state: d2J = K - 30 M, whose lower end is
+# negative on every space here, since 30 exceeds pi^2
+CONCAVE = dirichlet_potential_model(lambda z: -15.0 * z * z, lambda z: -30.0 * z,
+                                    lambda z: np.full_like(z, -30.0),
+                                    lambda z: np.zeros_like(z), name="concave")
+
+
 def test_ellipticity_sees_a_non_coercive_second_variation():
-    """psi = -15 z^2 at the zero state: d2J = K - 30 M has a negative
-    lower end, which must be found and not mistaken for coercivity."""
-    model = dirichlet_potential_model(lambda z: -15.0 * z * z, lambda z: -30.0 * z,
-                                      lambda z: np.full_like(z, -30.0),
-                                      lambda z: np.zeros_like(z), name="concave")
+    """The negative lower end must be found and not mistaken for
+    coercivity."""
     space = make_space(build_unit_mesh(1, 256), 2, 0.0)
-    est = assert_matches_dense(model, space.zero_function())
+    est = assert_matches_dense(CONCAVE, space.zero_function())
+    assert est.lambda_min < 0
+
+
+def test_ellipticity_sees_a_non_coercive_second_variation_on_a_small_space():
+    space = make_space(build_unit_mesh(1, 4), 2, 0.0)
+    est = assert_matches_dense(CONCAVE, space.zero_function())
     assert est.lambda_min < 0
 
 
 @pytest.mark.parametrize("order,cells", [(1, 22), (2, 11), (3, 8)])
 @pytest.mark.parametrize("name", PROBLEM_NAMES)
 def test_ellipticity_matches_dense_just_above_cutover_2d(name, order, cells):
+    """Just above 400 interior dofs, where a dense solve used to take
+    over."""
     problem = build_problem(name, 2)
     u, _ = solved(problem, cells, order=order)
     assert_matches_dense(problem.model, u)
 
 
-def test_ellipticity_records_the_solver():
+@pytest.mark.parametrize("dim,cells", [(1, 8), (2, 4)])
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+def test_ellipticity_matches_dense_on_small_spaces(name, order, dim, cells):
+    """7 to 121 interior dofs, fewer than the Lanczos step budget."""
+    problem = build_problem(name, dim)
+    u, _ = solved(problem, cells, order=order)
+    assert_matches_dense(problem.model, u)
+
+
+@pytest.mark.parametrize("dim,cells", [(1, 2), (1, 3), (1, 4), (1, 5), (2, 2)])
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+def test_ellipticity_on_one_to_four_interior_dofs(name, dim, cells):
+    """P1 with 1 to 4 interior dofs: the run stops by step n, where its
+    tridiagonal holds the pencil's whole spectrum, so both ends are exact
+    up to rounding."""
+    problem = build_problem(name, dim)
+    u, _ = solved(problem, cells)
+    n = int(u.space.interior_mask.sum())
+    est = estimate_ellipticity(problem.model, u)
+    lam_min, lam_max = dense_extremes(problem.model, u)
+    assert est.lambda_min == pytest.approx(lam_min, rel=1e-12)
+    assert est.lambda_max == pytest.approx(lam_max, rel=1e-12)
+    assert 1 <= est.iters_min <= n and 1 <= est.iters_max <= n
+
+
+@pytest.mark.parametrize("cells", [8, 16])
+def test_ellipticity_steps_are_bounded_by_the_interior_dofs(monkeypatch, cells):
+    """Quartic d=2 P2 from 8 and 16 cells, 225 and 961 interior dofs: each
+    end passes within min(`_LANCZOS_STEPS`, n) steps.  With a residual
+    tolerance that no Ritz pair can meet, the run stops at that bound."""
     problem = build_problem("quartic", 2)
-    small = estimate_ellipticity(problem.model, solved(problem, 8, order=2)[0])
-    assert (small.solver, small.iters_min, small.iters_max) == ("dense", 0, 0)
-    large = estimate_ellipticity(problem.model, solved(problem, 16, order=2)[0])
-    assert large.solver == "lanczos"
-    assert 0 < large.iters_min <= 500 and 0 < large.iters_max <= 500
+    u, _ = solved(problem, cells, order=2)
+    n = int(u.space.interior_mask.sum())
+    bound = min(analysis._LANCZOS_STEPS, n)
+    est = estimate_ellipticity(problem.model, u)
+    assert 0 < est.iters_min <= bound and 0 < est.iters_max <= bound
+    if n < analysis._LANCZOS_STEPS:
+        monkeypatch.setattr(analysis, "_EIG_RTOL", 0.0)
+        with pytest.raises(analysis.PowerIterationError, match=f"after {n} Lanczos steps"):
+            estimate_ellipticity(problem.model, u)
 
 
 def test_ellipticity_lanczos_passes_both_ends_of_a_stalling_1d_pencil():
@@ -162,8 +207,7 @@ def test_ellipticity_lanczos_passes_both_ends_of_a_stalling_1d_pencil():
     absolute tolerance.  The Lanczos run passes both ends' tests."""
     problem = build_problem("quartic", 1)
     u, _ = solved(problem, 1000)
-    est = assert_matches_dense(problem.model, u)
-    assert est.solver == "lanczos"   # both ends passed inside the run
+    assert_matches_dense(problem.model, u)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -175,7 +219,6 @@ def test_ellipticity_lanczos_runs_on_until_a_clustered_end_passes(seed):
     problem = build_problem("minimal_surface", 2)
     u, _ = solved(problem, 16, order=2)
     est = estimate_ellipticity(problem.model, u, seed=seed)
-    assert est.solver == "lanczos"
     assert 200 < est.iters_min <= analysis._LANCZOS_STEPS
     assert est.lambda_min == pytest.approx(dense_extremes(problem.model, u)[0], rel=1e-9)
 
@@ -524,20 +567,6 @@ def test_a_root_above_the_dense_cap_keeps_jacobi_pcg(monkeypatch, cells, cycle):
     dims = [hierarchy.space(level, 1).dim for level in (0, 1)]
     assert {preconditioned for dim, preconditioned, _ in solves if dim == dims[0]} == {False}
     assert {preconditioned for dim, preconditioned, _ in solves if dim == dims[1]} == {cycle}
-
-
-def test_the_root_cap_is_not_the_ellipticity_cutover(monkeypatch):
-    """The V-cycle root is capped by `_ROOT_DOFS` alone: with the dense
-    ellipticity cutover at 0 the root still binds its cycle, and every
-    level-1 Newton solve runs it."""
-    monkeypatch.setattr(analysis, "_DENSE_EIG_CUTOFF", 0)
-    solves = counted_solves(monkeypatch)
-    hierarchy = hierarchy_of("quartic", 4, 1, 2)
-    assert hierarchy.cycles[0, 1] is not None
-    fine = hierarchy.space(1, 1).dim
-    level1 = [preconditioned for dim, preconditioned, _ in solves if dim == fine]
-    assert len(level1) == hierarchy.minimizers[1, 1][1] > 0
-    assert all(level1)
 
 
 def test_a_level_cycle_is_bound_to_its_last_newton_hessian(monkeypatch):
@@ -1018,7 +1047,7 @@ def test_convergence_study_aborts_on_lost_coercivity(monkeypatch):
     from nitschelab.analysis import EllipticityEstimate
 
     def fake(model, v, seed=0):
-        return EllipticityEstimate(-1.0, 2.0, "forced")
+        return EllipticityEstimate(-1.0, 2.0, "forced", 1, 1)
 
     monkeypatch.setattr(an, "estimate_ellipticity", fake)
     problem = build_problem("quartic", 1)
@@ -1064,6 +1093,25 @@ def test_counts_must_be_integers_of_at_least_1(name, bad):
     u = make_space(build_unit_mesh(1, 4), 2, problem.boundary_fn).zero_function()
     with pytest.raises(ValueError, match=f"{name} must be an integer >= 1, got "):
         COUNT_ARGUMENTS[name](problem, u, bad)
+
+
+SEED_ARGUMENTS = {
+    "ellipticity": lambda problem, u, seed: estimate_ellipticity(problem.model, u, seed=seed),
+    "pq": lambda problem, u, seed: estimate_pq_constant(problem.model, u, samples=1, seed=seed),
+    "inverse_estimate": lambda problem, u, seed: check_inverse_estimate(u.space, 1, seed=seed),
+}
+
+
+@pytest.mark.parametrize("bad", [-1, 2.5, True])
+@pytest.mark.parametrize("name", list(SEED_ARGUMENTS))
+def test_seeds_must_be_integers_of_at_least_0(name, bad):
+    """As in `StudyOptions`: seed=-1 used to raise numpy's "expected
+    non-negative integer", 2.5 a TypeError, and True to run as seed 1."""
+    problem = build_problem("quartic", 1)
+    u = make_space(build_unit_mesh(1, 4), 2, problem.boundary_fn).zero_function()
+    with pytest.raises(ValueError, match=r"seed must be an integer >= 0, got "):
+        SEED_ARGUMENTS[name](problem, u, bad)
+    SEED_ARGUMENTS[name](problem, u, np.int64(3))
 
 
 def _no_work(*args, **kwargs):

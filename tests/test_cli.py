@@ -107,8 +107,8 @@ output_dir: {out}
 """
 
 
-# the benchmark's sampled leg: its top level (961 interior dofs) is above
-# the dense ellipticity cutover, so its extremes come from the Lanczos run
+# the benchmark's sampled leg: each level's ellipticity extremes come from
+# a Lanczos run started from a seeded random vector
 SAMPLED_P2 = """\
 problem: quartic
 dim: 2

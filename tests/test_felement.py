@@ -39,6 +39,23 @@ def test_reference_basis_rejects_an_order_outside_1_to_3(order):
     assert reference_basis(2, 1).order == 1 and type(reference_basis(2, 1).order) is int
 
 
+@pytest.mark.parametrize("degree", [2.5, True, -3])
+def test_quadrature_degree_must_be_an_integer_of_at_least_0(degree):
+    """2.5 used to return the degree-2 rule, and True and -3 the degree-1
+    rule."""
+    with pytest.raises(ValueError, match="degree must be an integer >= 0, got "):
+        quadrature_rule(2, degree)
+    with pytest.raises(ValueError, match="degree must be an integer >= 0, got "):
+        assembly.integrate(build_unit_mesh(2, 2), lambda x: x[:, 0], degree=degree)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_quadrature_degree_0_is_the_one_point_rule(dim):
+    rule = quadrature_rule(dim, 0)
+    assert rule is quadrature_rule(dim, 1) and len(rule.weights) == 1
+    assert quadrature_rule(dim, np.int64(3)) is quadrature_rule(dim, 3)
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("degree", list(range(1, 11)))
 def test_quadrature_exactness_and_weights(dim, degree):

@@ -100,3 +100,15 @@ def test_cli_outputs_match_the_reference(tmp_path, case):
             if not ok:
                 moved.append((name, level, value, new))
     assert not moved, moved
+
+
+def test_compare_outputs_names_a_missing_file_and_exits_2(tmp_path, capsys):
+    """A directory without rates.csv used to end in a FileNotFoundError
+    traceback."""
+    ref = REFERENCE / "rates_p1"
+    for name in ("diagnostics.csv", "report.txt"):
+        (tmp_path / name).write_bytes((ref / name).read_bytes())
+    assert compare.main([str(ref), str(tmp_path)]) == 2
+    assert capsys.readouterr().err.strip() == \
+        f"missing output file: {tmp_path / 'rates.csv'}"
+    assert compare.main([str(ref), str(ref)]) == 0
