@@ -578,6 +578,9 @@ _PQ_SAMPLES = 4
 _INVERSE_TRIALS = 10
 _ADJOINT_LEVELS_FINER = 2
 
+# dofs of the largest space a study may build, checked by `_check_study`
+MAX_DOFS = 1 << 20
+
 
 @dataclass
 class StudyOptions:
@@ -623,10 +626,23 @@ class ConvergenceReport:
     abort_kind: str | None = None
 
 
+def _largest_space_dofs(dim, order, levels, coarse_cells, diagnostics):
+    """Dofs of the largest space a study builds: the finest level, or with
+    the adjoint diagnostic its reference, _ADJOINT_LEVELS_FINER levels
+    finer at order max(m, 2); a lower bound beyond 64 refinements."""
+    refinements = levels - 1
+    if "adjoint" in diagnostics:
+        refinements += _ADJOINT_LEVELS_FINER
+        order = max(order, 2)
+    n = coarse_cells << min(refinements, 64)
+    return (n * order + 1) ** dim
+
+
 def _check_study(problem, order, levels, opts):
     """`opts` or the default options, once `convergence_study`'s arguments
     are checked: order an integer in 1..MAX_ORDER, levels an integer >= 3,
-    order >= 2 for the pq diagnostic.  `cli.load_config` calls it too."""
+    order >= 2 for the pq diagnostic, and a largest space of at most
+    MAX_DOFS dofs.  The CLI checks every config through it."""
     if not isinstance(problem, ManufacturedProblem):
         raise TypeError("convergence_study needs a ManufacturedProblem")
     reference_basis(problem.dim, order)   # checks the order
@@ -635,6 +651,10 @@ def _check_study(problem, order, levels, opts):
     opts = opts or StudyOptions()
     if "pq" in opts.diagnostics and order < 2:
         raise ValueError("the pq diagnostic needs order >= 2")
+    dofs = _largest_space_dofs(problem.dim, order, levels, opts.coarse_cells, opts.diagnostics)
+    if dofs > MAX_DOFS:
+        raise ValueError(f"study too large: its largest space has at least {dofs} "
+                         f"dofs, above the limit of {MAX_DOFS}")
     return opts
 
 
@@ -659,8 +679,9 @@ def convergence_study(problem, order, levels, opts=None):
     each as above, and takes level l+2 as its reference (the study then
     reads them); a solve that fails there aborts at its own level, and
     level l's adjoint entry is not recorded.  For m = 1 the reference is
-    the P2 level l+2, solved likewise from P2 level 0 up.  Every argument
-    is checked before any mesh is built (`_check_study`, `StudyOptions`).
+    the P2 level l+2, solved likewise from P2 level 0 up.  Every argument,
+    and the study's size against MAX_DOFS ("study too large"), is checked
+    before any mesh is built (`_check_study`, `StudyOptions`).
     """
     opts = _check_study(problem, order, levels, opts)
     report = ConvergenceReport(problem.name, problem.dim, order, [],

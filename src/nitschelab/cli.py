@@ -11,24 +11,24 @@ so the outputs are the same bytes at any BLAS thread count.
 
 Exit codes: 0 all enabled checks pass, 1 a rate or diagnostic check
 failed, 2 config error (no files written), 3 solver failure.  A config
-whose largest space would exceed MAX_DOFS, or whose output_dir cannot be
-created, is a config error found before any study work.
+the library rejects (too large for `analysis.MAX_DOFS`, say), or whose
+output_dir cannot be created, is a config error found before any work.
 """
 
 import argparse
 import csv
+import dataclasses
 import functools
 import os
 import sys
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy
 import yaml
 
-from .analysis import (_ADJOINT_LEVELS_FINER, DIAGNOSTIC_COLUMNS, StudyOptions,
-                       _check_study, convergence_study, estimate_rate)
+from .analysis import (DIAGNOSTIC_COLUMNS, StudyOptions, _check_study,
+                       convergence_study, estimate_rate)
 from .energy import PROBLEM_NAMES, build_problem, classify
 from .solver import NewtonOptions
 
@@ -40,32 +40,32 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
-# dofs of the largest space a study may build; larger studies are config
-# errors, rejected by load_config before anything is allocated
-MAX_DOFS = 1 << 20
-
 
 class ConfigError(ValueError):
     """Invalid study configuration."""
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class StudyConfig:
     problem: str
     dim: int
     order: int
     levels: int
-    coarse_cells: int = 8
-    diagnostics: tuple = ()
-    seed: int = 0
-    newton_tol: float = 1e-12
-    linear_tol: float = 1e-12
+    coarse_cells: int = StudyOptions.coarse_cells
+    diagnostics: tuple = StudyOptions.diagnostics
+    seed: int = StudyOptions.seed
+    newton_tol: float = NewtonOptions.residual_tol
+    linear_tol: float = NewtonOptions.linear_tol
     output_dir: str = "."
 
 
-_REQUIRED = ("problem", "dim", "order", "levels")
-_OPTIONAL = ("coarse_cells", "diagnostics", "seed", "newton_tol", "linear_tol",
-             "output_dir")
+def _study(cfg):
+    """The library's (problem, StudyOptions) for `cfg`, or its ValueError."""
+    problem = build_problem(cfg.problem, cfg.dim)
+    newton = NewtonOptions(residual_tol=cfg.newton_tol, linear_tol=cfg.linear_tol)
+    opts = StudyOptions(coarse_cells=cfg.coarse_cells, newton=newton,
+                        diagnostics=cfg.diagnostics, seed=cfg.seed)
+    return problem, _check_study(problem, cfg.order, cfg.levels, opts)
 
 
 def load_config(path):
@@ -80,38 +80,27 @@ def load_config(path):
     if not isinstance(data, dict):
         raise ConfigError("config must be a flat mapping of keys to values")
 
-    unknown = set(data) - set(_REQUIRED) - set(_OPTIONAL)
+    defaults = {f.name: f.default for f in dataclasses.fields(StudyConfig)}
+    unknown = set(data) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown, key=str)}")
-    missing = [k for k in _REQUIRED if k not in data]
+    missing = [k for k, v in defaults.items() if v is dataclasses.MISSING and k not in data]
     if missing:
         raise ConfigError(f"missing required config keys: {missing}")
+    values = {k: data.get(k, default) for k, default in defaults.items()}
 
-    diagnostics = data.get("diagnostics", ())
+    diagnostics = values["diagnostics"]
     if isinstance(diagnostics, str):
         diagnostics = [s.strip() for s in diagnostics.split(",") if s.strip()]
     # a name that is not a string would reach the library as a TypeError
     if (not isinstance(diagnostics, (list, tuple))
             or not all(isinstance(name, str) for name in diagnostics)):
         raise ConfigError("diagnostics must be a list or comma-separated names")
-    problem, dim, order, levels = (data[key] for key in _REQUIRED)
-    # the library checks every study input; each message names its key
-    try:
-        opts = StudyOptions(coarse_cells=data.get("coarse_cells", 8),
-                            diagnostics=tuple(diagnostics), seed=data.get("seed", 0))
-        _check_study(build_problem(problem, dim), order, levels, opts)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-    dofs = _largest_space_dofs(dim, order, levels, opts.coarse_cells, opts.diagnostics)
-    if dofs > MAX_DOFS:
-        raise ConfigError(f"study too large: its largest space has at least {dofs} "
-                          f"dofs, above the limit of {MAX_DOFS}")
+    values["diagnostics"] = tuple(diagnostics)
 
-    tols = {}
     for key in ("newton_tol", "linear_tol"):
-        value = data.get(key, 1e-12)
-        # yaml reads exponent forms like 1e-12 as strings; ints beyond the
-        # float range overflow
+        value = values[key]
+        # yaml reads exponent forms like 1e-12 as strings; huge ints overflow
         try:
             value = (float(value) if isinstance(value, (int, float, str))
                      and not isinstance(value, bool) else np.nan)
@@ -119,28 +108,18 @@ def load_config(path):
             value = np.nan
         if not 0 < value < np.inf:
             raise ConfigError(f"{key} must be a positive finite number")
-        tols[key] = value
+        values[key] = value
 
-    output_dir = data.get("output_dir", ".")
-    if not isinstance(output_dir, str):
+    if not isinstance(values["output_dir"], str):
         raise ConfigError("output_dir must be a string path")
 
-    return StudyConfig(problem, dim, order, levels, opts.coarse_cells, opts.diagnostics,
-                       opts.seed, tols["newton_tol"], tols["linear_tol"], output_dir)
-
-
-def _largest_space_dofs(dim, order, levels, coarse_cells, diagnostics):
-    """Dofs of the largest space a study builds: the finest level, or with
-    the adjoint diagnostic its reference space, refined
-    _ADJOINT_LEVELS_FINER more times at order max(m, 2).  Cells per side
-    double with each refinement; beyond 64 refinements, far above any
-    limit, the count is a lower bound."""
-    refinements = levels - 1
-    if "adjoint" in diagnostics:
-        refinements += _ADJOINT_LEVELS_FINER
-        order = max(order, 2)
-    n = coarse_cells << min(refinements, 64)
-    return (n * order + 1) ** dim
+    cfg = StudyConfig(**values)
+    # the library checks every study input; each message names its key
+    try:
+        _study(cfg)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+    return cfg
 
 
 def _fmt(value):
@@ -279,10 +258,7 @@ def run(config_path):
         print(f"config error: cannot create output_dir: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
-    problem = build_problem(cfg.problem, cfg.dim)
-    newton = NewtonOptions(residual_tol=cfg.newton_tol, linear_tol=cfg.linear_tol)
-    opts = StudyOptions(coarse_cells=cfg.coarse_cells, newton=newton,
-                        diagnostics=cfg.diagnostics, seed=cfg.seed)
+    problem, opts = _study(cfg)
     report = convergence_study(problem, cfg.order, cfg.levels, opts)
 
     checks = _evaluate_checks(cfg, report)

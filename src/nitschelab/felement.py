@@ -148,7 +148,8 @@ _BASIS_CACHE = {}
 
 def reference_basis(dim, order):
     """Lagrange basis of `order` on the reference simplex, one per (dim, order);
-    ValueError unless `order` is an integer in 1..MAX_ORDER, not a bool."""
+    ValueError unless `dim` is 1 or 2 and `order` an integer in 1..MAX_ORDER (no bools)."""
+    _check_dim(dim)
     if _check_count("order", order) > MAX_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ORDER}, got {order}")
     key = (dim, order)
@@ -239,10 +240,11 @@ _RULES = {}
 def quadrature_rule(dim, degree):
     """Smallest available rule integrating total degree `degree` exactly;
     one read-only rule per (dim, degree) and process."""
+    _check_dim(dim)
     degree = max(_check_count("degree", degree, lowest=0), 1)
     rule = _RULES.get((dim, degree))
     if rule is None:
-        if _check_dim(dim) == 1:
+        if dim == 1:
             n = (degree + 2) // 2
             x, w = leggauss(n)
             rule = QuadRule(1, (0.5 * (x + 1.0))[:, None], 0.5 * w, 2 * n - 1)
@@ -263,7 +265,7 @@ _LATTICES = {}
 def sample_lattice(dim):
     """Dense reference lattice used for sup-norm estimates (>= 10^d points);
     one read-only array per dim and process."""
-    pts = _LATTICES.get(dim)
+    pts = _LATTICES.get(_check_dim(dim))
     if pts is None:
         n = _LATTICE_N[dim]
         if dim == 1:

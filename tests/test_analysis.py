@@ -80,7 +80,7 @@ def test_ellipticity_quartic_at_zero_matches_linear():
     assert abs(e1.lambda_max - e2.lambda_max) < 1e-10
 
 
-def test_ellipticity_iterative_matches_dense_cutover():
+def test_ellipticity_matches_dense_on_a_fine_2d_p1_space():
     """Above 400 interior dofs, where a dense solve used to take over,
     the Lanczos path must agree with a dense reference computed here."""
     import scipy.linalg as la
@@ -118,7 +118,7 @@ def assert_matches_dense(model, u):
 
 
 @pytest.mark.parametrize("name", ["quartic", "cosine"])
-def test_ellipticity_matches_dense_in_1d_above_cutover(name):
+def test_ellipticity_matches_dense_in_1d_with_a_clustered_spectrum(name):
     """In d=1 the spectrum accumulates at 1 and the residuals of
     G-normalized vectors are small, so an absolute residual test can be
     met inside the cluster; the extremes must still be found."""
@@ -150,7 +150,7 @@ def test_ellipticity_sees_a_non_coercive_second_variation_on_a_small_space():
 
 @pytest.mark.parametrize("order,cells", [(1, 22), (2, 11), (3, 8)])
 @pytest.mark.parametrize("name", PROBLEM_NAMES)
-def test_ellipticity_matches_dense_just_above_cutover_2d(name, order, cells):
+def test_ellipticity_matches_dense_on_medium_spaces_2d(name, order, cells):
     """Just above 400 interior dofs, where a dense solve used to take
     over."""
     problem = build_problem(name, 2)
@@ -253,7 +253,7 @@ def test_ellipticity_iterations_do_not_grow_with_refinement():
 # integrated Galerkin orthogonality
 
 
-def test_galerkin_defect_quadratic_energy_any_t_order():
+def test_galerkin_defect_vanishes_for_a_quadratic_energy():
     problem = build_problem("linear", 1)
     uc, uf = solved_pair(problem, 16)
     assert galerkin_defect(problem.model, uf, uc) < 1e-10
@@ -983,13 +983,11 @@ def test_order_1_adjoint_studies_cycle_every_large_solve(monkeypatch, name, cap)
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_largest_hierarchy_space_is_the_config_bound(monkeypatch, order):
-    from nitschelab.cli import _largest_space_dofs
-
     calls = counted_calls(monkeypatch, "make_space")
     convergence_study(build_problem("quartic", 2), order, 3,
                       StudyOptions(coarse_cells=2, diagnostics=("adjoint",)))
     assert max(space.dim for space in calls["make_space"]) == \
-        _largest_space_dofs(2, order, 3, 2, ("adjoint",))
+        analysis._largest_space_dofs(2, order, 3, 2, ("adjoint",))
 
 
 def fail_minimize_call(monkeypatch, failing):
@@ -1124,12 +1122,20 @@ def _no_work(*args, **kwargs):
     lambda p: convergence_study(p, 1, 3.0),
     lambda p: convergence_study(p, 2.0, 3),
     lambda p: convergence_study(p, 4, 3),
-], ids=["seed--1", "seed-True", "levels-3.0", "order-2.0", "order-4"])
+    # d=1: 4 * cells * order + 1 dofs after two refinements
+    lambda p: convergence_study(p, 1, 3, StudyOptions(coarse_cells=(analysis.MAX_DOFS - 1) // 4 + 1)),
+    lambda p: convergence_study(p, 3, 10**6),
+    # with the adjoint: the reference two levels finer at order 2
+    lambda p: convergence_study(p, 1, 3, StudyOptions(coarse_cells=2**16,
+                                                      diagnostics=("adjoint",))),
+], ids=["seed--1", "seed-True", "levels-3.0", "order-2.0", "order-4",
+        "too-large", "too-large-levels", "too-large-adjoint"])
 def test_study_inputs_are_rejected_before_any_work(monkeypatch, make):
     """A study's inputs are checked before any mesh is built or refined,
     any space made or any Newton step taken.  Each of these used to be
     accepted or to fail late: seed=-1 after level 0 was solved, levels=3.0
-    with a TypeError from `range`, order=4 in `make_space`."""
+    with a TypeError from `range`, order=4 in `make_space`, and a study
+    whose largest space exceeds MAX_DOFS when the CLI did not bound it."""
     problem = build_problem("quartic", 1)
     for name in ("build_unit_mesh", "refine", "make_space", "minimize"):
         monkeypatch.setattr(analysis, name, _no_work)

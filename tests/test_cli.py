@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nitschelab import cli
-from nitschelab.analysis import DIAGNOSTIC_NAMES
+from nitschelab.analysis import DIAGNOSTIC_NAMES, MAX_DOFS
 from nitschelab.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK,
-                            EXIT_SOLVER, MAX_DOFS, ConfigError, list_problems,
+                            EXIT_SOLVER, ConfigError, list_problems,
                             load_config, main, plot_data, run)
 from nitschelab.energy import PROBLEM_NAMES
 
@@ -381,7 +381,8 @@ def test_run_failed_adjoint_extension_exits_solver(tmp_path, monkeypatch, capsys
 ])
 def test_load_config_size_cap(tmp_path, dim, order, cells, levels, diagnostics, accepted):
     """The largest space of the study is bounded before anything runs;
-    only load_config sees these sizes."""
+    the library's check (`analysis._check_study`) rejects these sizes,
+    and load_config reports its error as a config error."""
     path = write_config(tmp_path, f"problem: quartic\ndim: {dim}\norder: {order}\n"
                                   f"levels: {levels}\ncoarse_cells: {cells}\n"
                                   f"diagnostics: {diagnostics}\n")

@@ -39,6 +39,25 @@ def test_reference_basis_rejects_an_order_outside_1_to_3(order):
     assert reference_basis(2, 1).order == 1 and type(reference_basis(2, 1).order) is int
 
 
+@pytest.mark.parametrize("cached", [False, True])
+@pytest.mark.parametrize("dim", [0, 3, True, 1.0])
+def test_reference_data_rejects_a_dim_other_than_1_or_2(monkeypatch, dim, cached):
+    """The per-dim caches are keyed after the check: dim 3 used to give a
+    3-node basis and dim 0 a 1-node one, True the P1 interval basis, True
+    and 1.0 the interval rule once (1, 8) was cached but MeshError before,
+    and sample_lattice(3) a bare KeyError."""
+    for cache in ("_BASIS_CACHE", "_RULES", "_LATTICES"):
+        monkeypatch.setattr(felement, cache, {})
+    if cached:
+        reference_basis(1, 1)
+        quadrature_rule(1, 8)
+        sample_lattice(1)
+    for make in (lambda: reference_basis(dim, 1), lambda: quadrature_rule(dim, 8),
+                 lambda: sample_lattice(dim)):
+        with pytest.raises(ValueError, match="dim must be 1 or 2"):
+            make()
+
+
 @pytest.mark.parametrize("degree", [2.5, True, -3])
 def test_quadrature_degree_must_be_an_integer_of_at_least_0(degree):
     """2.5 used to return the degree-2 rule, and True and -3 the degree-1
