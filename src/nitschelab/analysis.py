@@ -369,35 +369,34 @@ def galerkin_defect(model, u_fine, u_h, *, prolongation=None):
 # adjoint problem and regularity
 
 
-def solve_adjoint(model, u_ref, rhs_diff, linear_tol=1e-12, *, preconditioner=None):
-    """Solve d2J(u_ref)(W, .) = -(., rhs_diff)_{L^2} on the reference space.
+def solve_adjoint(hess, rhs_diff, linear_tol=1e-12, *, preconditioner=None):
+    """Solve d2J(u_ref)(W, .) = -(., rhs_diff)_{L^2} on the reference
+    space, rhs_diff's, with `hess` = assemble_hessian(model, u_ref).
 
     The reference order must be at least 2 so the solution supports the
-    broken-H^2 diagnostics downstream.  W carries zero boundary values.
-    The CG solve is preconditioned by `preconditioner`, as in
-    `linear_solve` (None for Jacobi).
+    broken-H^2 diagnostics downstream, and `hess` must have the space's
+    size.  W carries zero boundary values.  The CG solve is preconditioned
+    by `preconditioner`, as in `linear_solve` (None for Jacobi).
     """
-    space = u_ref.space
+    space = rhs_diff.space
     if space.order < 2:
         raise ValueError("adjoint solves need a reference space of order >= 2")
-    if rhs_diff.space is not space:
-        raise ValueError("rhs_diff must live on the reference space")
-    hess = assemble_hessian(model, u_ref)
+    if hess.dim != space.dim:
+        raise ValueError(f"hess has size {hess.dim}; the reference space has {space.dim} dofs")
     b = -assemble_gram_l2(space).apply(rhs_diff.coeffs)
     b[space.boundary_dofs] = 0.0
     w = linear_solve(hess, b, tol=linear_tol, preconditioner=preconditioner)
     return FEFunction(space, w)
 
 
-def h2_regularity_ratio(w, rhs_diff):
-    """(||W||_{L^2} + |W|_{H^1} + broken H^2 of W) / ||rhs||_{L^2}.
+def h2_regularity_ratio(w, rhs_l2):
+    """(||W||_{L^2} + |W|_{H^1} + broken H^2 of W) / `rhs_l2` = ||rhs||_{L^2}.
 
     A level-stable ratio under reference refinement is the empirical
     signature of H^2 regularity of the adjoint problem.
     """
     if w.space.order < 2:
         raise ValueError("H^2 ratio needs order >= 2")
-    rhs_l2 = norms(None, rhs_diff).l2
     if rhs_l2 == 0.0:
         raise _UndefinedDiagnostic("zero right-hand side")
     nw = norms(None, w, include_broken_h2=True)
@@ -430,7 +429,8 @@ def _adjoint_check(hierarchy, level, u_h, l2_exact, levels_finer):
     function, with ||u - u_h||_{L^2} already taken.  The reference u* is
     the hierarchy's minimizer `levels_finer` levels up at order max(m, 2);
     u_h is embedded by the held prolongations into it, for m = 1 after one
-    embedding into P2 on its own mesh."""
+    embedding into P2 on its own mesh.  d2J(u*) serves the solve and the
+    bilinear term, ||e||_{L^2} the check and the ratio; each is taken once."""
     ref_level, ref_order = level + levels_finer, max(u_h.space.order, 2)
     u_star, _ = hierarchy.minimizer(ref_level, ref_order)
     coeffs = (u_h.coeffs if u_h.space.order == ref_order
@@ -441,14 +441,14 @@ def _adjoint_check(hierarchy, level, u_h, l2_exact, levels_finer):
     e[u_star.space.boundary_dofs] = 0.0
     e_fe = FEFunction(u_star.space, e)
 
-    model = hierarchy.problem.model
-    w = solve_adjoint(model, u_star, e_fe, hierarchy.newton.linear_tol,
+    hess = assemble_hessian(hierarchy.problem.model, u_star)
+    w = solve_adjoint(hess, e_fe, hierarchy.newton.linear_tol,
                       preconditioner=hierarchy.cycles[ref_level, ref_order])
-    bil = float(w.coeffs @ assemble_hessian(model, u_star).apply(e_fe.coeffs))
-
+    bil = float(w.coeffs @ hess.apply(e))
+    del hess  # the norms below run without it
     l2_disc = norms(None, e_fe).l2
     residual = abs(l2_exact**2 + bil) / l2_exact**2
-    return AdjointCheck(residual, l2_exact, l2_disc, h2_regularity_ratio(w, e_fe))
+    return AdjointCheck(residual, l2_exact, l2_disc, h2_regularity_ratio(w, l2_disc))
 
 
 # ---------------------------------------------------------------------------

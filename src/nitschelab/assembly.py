@@ -46,6 +46,7 @@ a masked operator keeps every interior entry of the unmasked pattern,
 explicit zeros included.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -453,9 +454,15 @@ def assemble_gram_h1(space):
     return _scatter(space, _geometric_local(space))
 
 
+def _is_number(q):
+    """Whether `q` is a real number, a bool not counting as one."""
+    return isinstance(q, numbers.Real) and not isinstance(q, bool)
+
+
 def lq_norm(v, q):
-    """Plain L^q norm of an FE function (no gradient part), q finite."""
-    if not (np.isfinite(q) and q >= 1):
+    """Plain L^q norm of an FE function (no gradient part), q a finite
+    number >= 1, not a bool."""
+    if not (_is_number(q) and np.isfinite(q) and q >= 1):
         raise ValueError(f"lq_norm needs a finite q >= 1, got {q!r}")
     space = v.space
     rule = space.quad
@@ -488,11 +495,12 @@ def norms(f, g, q=2, include_broken_h2=False):
     FE function on the same space, or None (plain norms of g).  For
     q = inf the sup norm is sampled on a dense per-element lattice, a
     documented approximation; everything else is quadrature on g's space.
+    q must be a number >= 1 or inf, not a bool.
     """
     space = g.space
     rule = space.quad
-    if not (q == np.inf or q >= 1):
-        raise ValueError("q must be >= 1 or inf")
+    if not (_is_number(q) and (q == np.inf or q >= 1)):
+        raise ValueError(f"q must be a number >= 1 or inf, got {q!r}")
     if include_broken_h2 and space.order < 2:
         raise ValueError("broken H2 norm needs order >= 2 (second derivatives of "
                          "P1 functions vanish identically inside elements)")

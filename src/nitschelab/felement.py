@@ -415,15 +415,16 @@ def make_space(mesh, order, boundary_fn=0.0):
 
     boundary_fn may be a callable of a coordinate array or a constant;
     its nodal values become the prescribed boundary data (the boundary
-    trace is assumed exactly representable at the Lagrange nodes).
+    trace is assumed exactly representable at the Lagrange nodes).  It
+    must give one finite value per boundary dof, or a single one for all.
 
     Quadrature integrates total degree max(2*order + 2, 8): the extra
     exactness over 2m+2 keeps the quadrature error of smooth
     non-polynomial data (forcing, potential terms) below solver tolerance
     even on coarse meshes, so integrated-orthogonality identities between
     nested discrete minimizers hold at solver precision.  Raises
-    ValueError unless `order` is an integer in 1..MAX_ORDER, not a bool; a
-    float is not truncated.
+    ValueError unless `order` is an integer in 1..MAX_ORDER, not a bool (a
+    float is not truncated), and boundary_fn's values are as above.
     """
     basis = reference_basis(mesh.dim, order)
     elements, ne = mesh.elements, mesh.num_elements
@@ -463,6 +464,11 @@ def make_space(mesh, order, boundary_fn=0.0):
 
     fn = boundary_fn if callable(boundary_fn) else (lambda x, c=float(boundary_fn): np.full(len(x), c))
     boundary_values = np.asarray(fn(dof_coords[boundary_dofs]), dtype=float).reshape(-1)
+    if boundary_values.size not in (1, len(boundary_dofs)):
+        raise ValueError(f"boundary_fn must give one value per boundary dof ({len(boundary_dofs)}) "
+                         f"or a single one, got {boundary_values.size}")
+    if not np.all(np.isfinite(boundary_values)):
+        raise ValueError("boundary_fn must give finite values")
 
     quad = quadrature_rule(mesh.dim, max(2 * order + 2, 8))
     return FESpace(mesh, basis, dof_coords, elem_dofs, boundary_dofs,

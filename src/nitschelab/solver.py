@@ -112,8 +112,11 @@ def linear_solve(op, b, tol=1e-12, max_iters=None, preconditioner=None):
     is reached, or immediately if the operator is found indefinite or
     non-finite (a diagonal entry or a curvature p.Ap that is not a
     positive finite number), the preconditioner is found not positive
-    definite (r.z negative or not a number) or r.z underflows.
+    definite (r.z negative or not a number) or r.z underflows.  Raises
+    ValueError before any work unless tol is positive and finite.
     """
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
     cap = 10 * n + 100 if max_iters is None else _check_count("max_iters", max_iters)

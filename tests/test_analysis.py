@@ -7,13 +7,13 @@ from nitschelab.analysis import (adjoint_identity_check, convergence_study,
                                  estimate_rate, galerkin_defect,
                                  h2_regularity_ratio, solve_adjoint,
                                  StudyOptions)
-from nitschelab.assembly import (assemble_gram_h1, assemble_hessian, assemble_residual,
-                                norms)
+from nitschelab.assembly import (assemble_gram_h1, assemble_gram_l2, assemble_hessian,
+                                assemble_residual, norms)
 from nitschelab.energy import (PROBLEM_NAMES, ExactSolution, build_problem,
                                dirichlet_potential_model)
 from nitschelab.felement import FEFunction, check_inverse_estimate, interpolate, make_space
 from nitschelab.mesh import build_unit_mesh, refine
-from nitschelab.solver import NewtonOptions, linear_solve, minimize, prolong
+from nitschelab.solver import NewtonOptions, embed, linear_solve, minimize, prolong
 
 
 def solved(problem, cells, order=1, **kw):
@@ -334,7 +334,7 @@ def test_galerkin_defect_rejects_non_nested():
 def test_solve_adjoint_zero_rhs():
     problem = build_problem("linear", 1)
     u, _ = solved(problem, 16, order=2)
-    w = solve_adjoint(problem.model, u, u.space.zero_function())
+    w = solve_adjoint(assemble_hessian(problem.model, u), u.space.zero_function())
     assert np.abs(w.coeffs).max() == 0.0
 
 
@@ -342,7 +342,15 @@ def test_solve_adjoint_requires_order_2():
     problem = build_problem("linear", 1)
     u, _ = solved(problem, 16, order=1)
     with pytest.raises(ValueError, match="order >= 2"):
-        solve_adjoint(problem.model, u, u.space.zero_function())
+        solve_adjoint(assemble_hessian(problem.model, u), u.space.zero_function())
+
+
+def test_solve_adjoint_rejects_a_hessian_of_another_space():
+    problem = build_problem("linear", 1)
+    u, _ = solved(problem, 16, order=2)
+    other, _ = solved(problem, 8, order=2)
+    with pytest.raises(ValueError, match="hess has size 17; the reference space has 33"):
+        solve_adjoint(assemble_hessian(problem.model, other), u.space.zero_function())
 
 
 def test_solve_adjoint_closed_form_ode():
@@ -358,7 +366,7 @@ def test_solve_adjoint_closed_form_ode():
         u, _ = solved(problem, cells, order=2)
         rhs = interpolate(u.space, lambda x: np.sin(np.pi * x[:, 0]))
         rhs.coeffs[u.space.boundary_dofs] = 0.0
-        w = solve_adjoint(problem.model, u, rhs)
+        w = solve_adjoint(assemble_hessian(problem.model, u), rhs)
         errs.append(norms(target, w).l2)
     assert errs[0] < 1e-4
     assert errs[0] / errs[1] > 4.0
@@ -438,11 +446,12 @@ def test_h2_ratio_scaling_invariance():
     u, _ = solved(problem, 32, order=2)
     rhs = interpolate(u.space, lambda x: np.sin(np.pi * x[:, 0]))
     rhs.coeffs[u.space.boundary_dofs] = 0.0
-    w1 = solve_adjoint(problem.model, u, rhs)
-    r1 = h2_regularity_ratio(w1, rhs)
+    hess = assemble_hessian(problem.model, u)
+    w1 = solve_adjoint(hess, rhs)
+    r1 = h2_regularity_ratio(w1, norms(None, rhs).l2)
     rhs10 = FEFunction(u.space, 10.0 * rhs.coeffs)
-    w10 = solve_adjoint(problem.model, u, rhs10)
-    r10 = h2_regularity_ratio(w10, rhs10)
+    w10 = solve_adjoint(hess, rhs10)
+    r10 = h2_regularity_ratio(w10, norms(None, rhs10).l2)
     assert abs(r1 - r10) < 1e-12
 
 
@@ -450,7 +459,7 @@ def test_h2_ratio_validates_input():
     problem = build_problem("linear", 1)
     u, _ = solved(problem, 16, order=2)
     with pytest.raises(ValueError, match="zero right-hand side"):
-        h2_regularity_ratio(u, u.space.zero_function())
+        h2_regularity_ratio(u, norms(None, u.space.zero_function()).l2)
 
 
 # ---------------------------------------------------------------------------
@@ -636,19 +645,13 @@ def test_adjoint_embeds_by_the_held_prolongations(monkeypatch):
     the two prolongations the hierarchy holds, which equals the two-level
     embedding matrix to rounding; no embedding matrix is built for it."""
     calls = counted_calls(monkeypatch, "embedding_matrix")
-    embedded = []
-    original = analysis.solve_adjoint
-
-    def recording(model, u_ref, rhs, tol, **kwargs):
-        embedded.append(rhs.coeffs + u_ref.coeffs)
-        return original(model, u_ref, rhs, tol, **kwargs)
-
-    monkeypatch.setattr(analysis, "solve_adjoint", recording)
+    adjoint_solves = recorded_adjoint_solves(monkeypatch)
     report, _, solutions = recorded_study(
         monkeypatch, build_problem("quartic", 2), 2, 3,
         StudyOptions(coarse_cells=2, diagnostics=("adjoint",)))
     assert report.aborted is None
     assert len(calls["embedding_matrix"]) == 4  # the prolongations into levels 1-4
+    embedded = [rhs.coeffs + u_ref.coeffs for u_ref, rhs in adjoint_solves]
     assert len(embedded) == 3
     for level, e in enumerate(embedded):
         u_h, ref = solutions[level], solutions[level + 2]
@@ -883,6 +886,86 @@ def test_study_takes_its_diagnostics_through_the_public_functions(monkeypatch):
         assert defect == recorded == galerkin_defect(problem.model, u_fine, u_h)
 
 
+def two_pass_adjoint_check(hierarchy, level, u_h, l2_exact, levels_finer):
+    """`analysis._adjoint_check` written out with d2J(u*) assembled for the
+    solve and again for the bilinear term, and ||e||_{L^2} taken for the
+    check and again for the ratio."""
+    model, order = hierarchy.problem.model, max(u_h.space.order, 2)
+    ref_level = level + levels_finer
+    u_star, _ = hierarchy.minimizer(ref_level, order)
+    space = u_star.space
+    coeffs = (u_h.coeffs if u_h.space.order == order
+              else embed(u_h, hierarchy.space(level, order)).coeffs)
+    for k in range(level + 1, ref_level + 1):
+        coeffs = hierarchy.prolongations[k, order] @ coeffs
+    e = FEFunction(space, coeffs - u_star.coeffs)
+    e.coeffs[space.boundary_dofs] = 0.0
+    b = -assemble_gram_l2(space).apply(e.coeffs)
+    b[space.boundary_dofs] = 0.0
+    w = FEFunction(space, linear_solve(assemble_hessian(model, u_star), b,
+                                       tol=hierarchy.newton.linear_tol,
+                                       preconditioner=hierarchy.cycles[ref_level, order]))
+    bil = float(w.coeffs @ assemble_hessian(model, u_star).apply(e.coeffs))
+    nw = norms(None, w, include_broken_h2=True)
+    ratio = float((nw.l2 + nw.h1_semi + nw.broken_h2) / norms(None, e).l2)
+    return analysis.AdjointCheck(abs(l2_exact**2 + bil) / l2_exact**2, l2_exact,
+                                 norms(None, e).l2, ratio)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_adjoint_check_assembles_the_hessian_and_takes_the_error_norm_once(
+        monkeypatch, order):
+    """Each adjoint check of a study assembles d2J(u*) once, for the solve
+    and the bilinear term, and takes the L^2 norm of the error once, for
+    the check and the ratio; the check is bitwise the two-pass one."""
+    log, checks, original = [], [], analysis._adjoint_check
+    for name in ("assemble_hessian", "norms"):
+        def recording(*args, _name=name, _original=getattr(analysis, name), **kwargs):
+            log.append((_name, args, kwargs))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, name, recording)
+
+    def check(*args):
+        start = len(log)
+        out = original(*args)
+        checks.append((args, out, log[start:]))
+        return out
+
+    monkeypatch.setattr(analysis, "_adjoint_check", check)
+    report = convergence_study(build_problem("quartic", 2), order, 3,
+                               StudyOptions(coarse_cells=2, diagnostics=("adjoint",)))
+    assert report.aborted is None and len(checks) == 3
+    for args, out, calls in checks:
+        hierarchy, level, _, _, levels_finer = args
+        u_star, _ = hierarchy.minimizer(level + levels_finer, max(order, 2))
+        assert sum(v is u_star for name, (_, v), _ in calls if name == "assemble_hessian") == 1
+        assert sum(f is None and g.space is u_star.space and not kwargs.get("include_broken_h2")
+                   for name, (f, g), kwargs in calls if name == "norms") == 1
+        assert out == two_pass_adjoint_check(*args)
+
+
+def recorded_adjoint_solves(monkeypatch):
+    """Patch analysis's `assemble_hessian` and `solve_adjoint` to record,
+    per adjoint solve, the state its operator was assembled at and the
+    right-hand side; returns the list of (state, rhs)."""
+    assembled, solves = [], []
+    original_hessian, original_solve = analysis.assemble_hessian, analysis.solve_adjoint
+
+    def hessian(model, v, *args, **kwargs):
+        hess = original_hessian(model, v, *args, **kwargs)
+        assembled.append((hess, v))
+        return hess
+
+    def solve(hess, rhs, *args, **kwargs):
+        solves.append((next(v for op, v in assembled if op is hess), rhs))
+        return original_solve(hess, rhs, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "assemble_hessian", hessian)
+    monkeypatch.setattr(analysis, "solve_adjoint", solve)
+    return solves
+
+
 def counted_calls(monkeypatch, *names):
     """Patch analysis's bindings of `names` to record every call's result;
     returns {name: [results]}."""
@@ -918,17 +1001,11 @@ def test_adjoint_references_are_later_study_levels(monkeypatch):
     minimizer; only the two levels past the last are solved in addition
     (4 refinements, 5 spaces and 5 Newton solves for 3 levels)."""
     calls = counted_calls(monkeypatch, "refine", "make_space", "minimize")
-    refs = []
-    original = analysis.solve_adjoint
-
-    def recording(model, u_ref, rhs, tol, **kwargs):
-        refs.append(u_ref)
-        return original(model, u_ref, rhs, tol, **kwargs)
-
-    monkeypatch.setattr(analysis, "solve_adjoint", recording)
+    adjoint_solves = recorded_adjoint_solves(monkeypatch)
     report = convergence_study(build_problem("quartic", 2), 2, 3,
                                StudyOptions(coarse_cells=2, diagnostics=("adjoint",)))
     assert report.aborted is None
+    refs = [u_ref for u_ref, _ in adjoint_solves]
     assert [len(calls[name]) for name in ("refine", "make_space", "minimize")] == [4, 5, 5]
     solutions = [u for u, _ in calls["minimize"]]
     assert [u.space.mesh.level for u in solutions] == [0, 1, 2, 3, 4]
@@ -942,18 +1019,12 @@ def test_order_1_references_form_a_p2_chain(monkeypatch):
     """For m = 1 the P2 references sit on the study's meshes two levels up.
     The hierarchy solves P2 from level 0 up by nested iteration, so the
     first reference's solve is preceded by those of P2 levels 0 and 1."""
-    refs = []
-    original = analysis.solve_adjoint
-
-    def recording(model, u_ref, rhs, tol, **kwargs):
-        refs.append(u_ref)
-        return original(model, u_ref, rhs, tol, **kwargs)
-
-    monkeypatch.setattr(analysis, "solve_adjoint", recording)
+    adjoint_solves = recorded_adjoint_solves(monkeypatch)
     report, starts, solutions = recorded_study(
         monkeypatch, build_problem("quartic", 2), 1, 3,
         StudyOptions(coarse_cells=2, diagnostics=("adjoint",)))
     assert report.aborted is None
+    refs = [u_ref for u_ref, _ in adjoint_solves]
     p1 = [u for u in solutions if u.space.order == 1]
     p2 = [(start, u) for start, u in zip(starts, solutions) if u.space.order == 2]
     assert [u.space.mesh.level for _, u in p2] == [0, 1, 2, 3, 4]

@@ -301,14 +301,25 @@ def test_lq_norm_sine():
     assert lq_norm(v, 2) == pytest.approx(norms(None, v).l2, rel=1e-12)
 
 
-@pytest.mark.parametrize("q", [np.inf, -np.inf, 0, 0.5, -1, np.nan])
+@pytest.mark.parametrize("q", [np.inf, -np.inf, 0, 0.5, -1, np.nan, True, np.True_, "2", None])
 def test_lq_norm_rejects_q_that_is_not_finite_and_at_least_1(q):
-    """q = inf used to return 1 for any v, q = 0 to divide by zero, and
-    q = -1 and q = nan to return numbers."""
+    """q = inf used to return 1 for any v, q = 0 to divide by zero,
+    q = -1 and q = nan to return numbers, q = True to run as q = 1, and a
+    string or None to raise a TypeError."""
     space = make_space(build_unit_mesh(1, 8), 1, 0.0)
     v = interpolate(space, lambda x: np.sin(np.pi * x[:, 0]))
     with pytest.raises(ValueError, match="finite q >= 1"):
         lq_norm(v, q)
+
+
+@pytest.mark.parametrize("q", [-np.inf, 0, 0.5, -1, np.nan, True, np.True_, "2", None])
+def test_norms_rejects_q_that_is_not_a_number_of_at_least_1(q):
+    """q = True used to run as q = 1, and a string or None to raise a
+    TypeError from the comparison."""
+    space = make_space(build_unit_mesh(1, 8), 1, 0.0)
+    v = interpolate(space, lambda x: np.sin(np.pi * x[:, 0]))
+    with pytest.raises(ValueError, match="q must be a number >= 1 or inf"):
+        norms(None, v, q=q)
 
 
 def test_hessian_rejects_nonfinite_zz_block(problems):

@@ -119,6 +119,24 @@ def test_make_space_square_m2_dim():
 def test_make_space_constant_boundary():
     space = make_space(build_unit_mesh(2, 2), 2, 3.5)
     assert np.all(space.boundary_values == 3.5)
+    # a callable's single value is broadcast over the boundary dofs
+    space = make_space(build_unit_mesh(2, 4), 1, lambda x: 2.0)
+    assert np.all(space.with_boundary_values().coeffs[space.boundary_dofs] == 2.0)
+
+
+@pytest.mark.parametrize("boundary_fn, message", [
+    (lambda x: np.ones(3), r"one value per boundary dof \(16\) or a single one, got 3"),
+    (lambda x: np.full(len(x), np.nan), "finite"),
+    (lambda x: np.where(x[:, 0] > 0.5, np.inf, 0.0), "finite"),
+    (np.nan, "finite"),
+], ids=["three-values", "nan", "inf", "nan-constant"])
+def test_make_space_rejects_boundary_data_of_the_wrong_size_or_not_finite(
+        boundary_fn, message):
+    """3 values for the 16 boundary dofs of a 4x4 P1 mesh used to fail
+    later in `minimize` with numpy's shape mismatch, and NaN data as an
+    AssemblyError in the first residual."""
+    with pytest.raises(ValueError, match=f"boundary_fn must give {message}"):
+        make_space(build_unit_mesh(2, 4), 1, boundary_fn)
 
 
 def test_make_space_shared_interface_dofs():

@@ -110,6 +110,20 @@ def test_linear_solve_rejects_a_cap_that_is_not_a_positive_integer(bad):
             linear_solve(a, b, max_iters=bad)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.inf, np.nan])
+def test_linear_solve_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
+    """On a 400-point 1-D Laplacian, tol = inf used to return after one CG
+    step at relative residual 14.1, and tol = nan and -1 to run until r.z
+    underflowed; the tolerance is checked before a zero right-hand side
+    returns."""
+    n = 400
+    lap = SparseOperator(sp.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)],
+                                  [-1, 0, 1], format="csr"))
+    for b in (np.linspace(0.0, 1.0, n), np.zeros(n)):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            linear_solve(lap, b, tol=tol)
+
+
 @pytest.mark.parametrize("cap", [1, np.int64(1)])
 def test_linear_solve_accepts_an_integer_cap(cap):
     a = SparseOperator(sp.csr_matrix(np.diag([2.0, 3.0])))
