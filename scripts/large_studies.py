@@ -1,0 +1,97 @@
+"""Run the two larger studies of ROADMAP.md, S1 and S2, and print for
+each its exit code, wall time, peak RSS and a sha256 of its outputs.
+
+    python scripts/large_studies.py
+
+S1 is quartic d=2 P1, 6 levels from 8 cells, no diagnostics (66 049 dofs
+at the finest level).  S2 is quartic d=2 P2, 5 levels from 4 cells, with
+the adjoint, galerkin and ellipticity diagnostics (its largest space, the
+adjoint reference of the last level, has 263 169 dofs).
+
+Each study runs `cli.main(["run", config])` in a fresh interpreter on
+the `src/` next to this script, with one BLAS thread, and writes its
+outputs into a temporary directory that is removed afterwards.  The wall
+time is that of the `cli.main` call, the peak RSS the interpreter's
+`ru_maxrss`, and the sha256 is taken over rates.csv, diagnostics.csv and
+report.txt, in that order, each name followed by its bytes.
+
+Exits 1 unless every study exits with its expected code: 0 for S1, and
+1 for S2, whose report holds the one known `[FAIL] galerkin`.  Times and
+bytes are printed, not checked.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+OUTPUTS = ("rates.csv", "diagnostics.csv", "report.txt")
+
+# name: (config lines, expected exit code)
+STUDIES = {
+    "S1": ("problem: quartic\ndim: 2\norder: 1\nlevels: 6\ncoarse_cells: 8\n"
+           "diagnostics: []\n", 0),
+    "S2": ("problem: quartic\ndim: 2\norder: 2\nlevels: 5\ncoarse_cells: 4\n"
+           "diagnostics: [adjoint, galerkin, ellipticity]\n", 1),
+}
+
+# runs in the fresh interpreter; its last stdout line is the measurement
+CHILD = """
+import json, resource, sys, time
+from nitschelab import cli
+start = time.perf_counter()
+code = cli.main(["run", sys.argv[1]])
+wall = time.perf_counter() - start
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"exit": code, "wall_s": wall, "peak_rss_mb": peak}))
+"""
+
+
+def outputs_sha256(directory):
+    digest = hashlib.sha256()
+    for name in OUTPUTS:
+        path = os.path.join(directory, name)
+        digest.update(name.encode())
+        if os.path.isfile(path):
+            with open(path, "rb") as fh:
+                digest.update(fh.read())
+    return digest.hexdigest()
+
+
+def run_study(config):
+    """The measurement of one study, with the sha256 of its outputs."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.yaml")
+        with open(path, "w") as fh:
+            fh.write(config + f"output_dir: {json.dumps(os.path.join(tmp, 'out'))}\n")
+        done = subprocess.run([sys.executable, "-c", CHILD, path], env=env, cwd=tmp,
+                              stdout=subprocess.PIPE, text=True)
+        if done.returncode != 0:
+            return {"exit": None, "error": f"interpreter exited {done.returncode}"}
+        result = json.loads(done.stdout.splitlines()[-1])
+        result["sha256"] = outputs_sha256(os.path.join(tmp, "out"))
+    return result
+
+
+def main():
+    ok = True
+    for name, (config, expected) in STUDIES.items():
+        result = run_study(config)
+        if "error" in result:
+            print(f"{name}: {result['error']}")
+        else:
+            print(f"{name}: exit {result['exit']}  wall {result['wall_s']:.2f} s  "
+                  f"peak {result['peak_rss_mb']:.1f} MB  sha256 {result['sha256']}")
+        if result["exit"] != expected:
+            print(f"{name}: expected exit {expected}")
+            ok = False
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

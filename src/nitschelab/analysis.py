@@ -34,7 +34,7 @@ from functools import partial
 
 import numpy as np
 
-from .assembly import (AssemblyError, assemble_gram_h1, assemble_gram_l2,
+from .assembly import (AssemblyError, _is_number, assemble_gram_h1, assemble_gram_l2,
                        assemble_hessian, assemble_residual, apply_third_variation,
                        lq_norm, norms)
 from .energy import ManufacturedProblem
@@ -393,10 +393,13 @@ def h2_regularity_ratio(w, rhs_l2):
     """(||W||_{L^2} + |W|_{H^1} + broken H^2 of W) / `rhs_l2` = ||rhs||_{L^2}.
 
     A level-stable ratio under reference refinement is the empirical
-    signature of H^2 regularity of the adjoint problem.
+    signature of H^2 regularity of the adjoint problem.  `rhs_l2` must be
+    a finite number >= 0, not a bool; at 0 the ratio is undefined.
     """
     if w.space.order < 2:
         raise ValueError("H^2 ratio needs order >= 2")
+    if not (_is_number(rhs_l2) and 0 <= rhs_l2 < np.inf):
+        raise ValueError(f"rhs_l2 must be a finite number >= 0, got {rhs_l2!r}")
     if rhs_l2 == 0.0:
         raise _UndefinedDiagnostic("zero right-hand side")
     nw = norms(None, w, include_broken_h2=True)
@@ -476,22 +479,36 @@ def _random_rough(space, rng):
     return FEFunction(space, coeffs)
 
 
+def _check_norm_pair(norm_pair):
+    """Raise ValueError unless `norm_pair` is (1, 2) or (0, r) with r a
+    number >= 1 or inf, o an integer and neither entry a bool."""
+    try:
+        o, r = norm_pair
+    except (TypeError, ValueError):
+        raise ValueError(f"norm_pair must be a pair (o, r), got {norm_pair!r}") from None
+    if isinstance(o, bool) or not isinstance(o, (int, np.integer)) or o not in (0, 1):
+        raise ValueError(f"unsupported norm pair {norm_pair!r}: o must be the integer 0 or 1")
+    if o == 1 and not (_is_number(r) and r == 2):
+        raise ValueError(f"unsupported norm pair {norm_pair!r}: "
+                         "the first-order directional norm supports r = 2 only")
+    if o == 0 and not (_is_number(r) and r >= 1):
+        raise ValueError(f"unsupported norm pair {norm_pair!r}: "
+                         "r must be inf or a finite q >= 1")
+
+
 def _directional_norm(v, norm_pair, h1):
-    """||v||_{W^{o,r}}; `h1` is ||v||_{W^{1,2}}, already at hand."""
+    """||v||_{W^{o,r}} for a pair that `_check_norm_pair` passed; `h1` is
+    ||v||_{W^{1,2}}, already at hand."""
     o, r = norm_pair
     if o == 1:
-        if r != 2:
-            raise ValueError("first-order directional norm supports r=2 only")
         return h1
-    if o == 0:
-        if r == np.inf:
-            # sup|v| on the lattice that `norms(q=inf)` samples, values only
-            lattice = sample_lattice(v.space.mesh.dim)
-            return max(float(np.abs(tabulate(v.space, v.coeffs, lattice, sl,
-                                             gradients=False)[0]).max())
-                       for sl in _chunks(v.space.mesh.num_elements, len(lattice)))
-        return lq_norm(v, r)
-    raise ValueError(f"unsupported norm pair {norm_pair}")
+    if r == np.inf:
+        # sup|v| on the lattice that `norms(q=inf)` samples, values only
+        lattice = sample_lattice(v.space.mesh.dim)
+        return max(float(np.abs(tabulate(v.space, v.coeffs, lattice, sl,
+                                         gradients=False)[0]).max())
+                   for sl in _chunks(v.space.mesh.num_elements, len(lattice)))
+    return lq_norm(v, r)
 
 
 def estimate_pq_constant(model, u, norm_pair=(1, 2), samples=8, seed=0):
@@ -502,11 +519,14 @@ def estimate_pq_constant(model, u, norm_pair=(1, 2), samples=8, seed=0):
     the largest observed |d3J(u)(U,V,V)| / (||U||_{W^{2,2}} ||V||_{W^{1,2}}
     ||V||_{W^{o,r}}).  Sampling only ever gives a lower bound on the
     constant; level stability of the maximum is the quantity of interest.
+    `norm_pair` (o, r) is (1, 2) or (0, r) with r a number >= 1 or inf,
+    o an integer and neither a bool; it is checked before any sample.
     """
     space = u.space
     if space.order < 2:
         raise ValueError("the W^{2,2} factor needs order >= 2 for a "
                          "non-degenerate broken H^2 norm")
+    _check_norm_pair(norm_pair)
     _check_count("samples", samples)
     _check_count("seed", seed, lowest=0)
     max_ratio = 0.0

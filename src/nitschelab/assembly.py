@@ -35,15 +35,15 @@ of the element loops; none changes a value it serves.
     point set) and process, for the rules of `quadrature_rule` and the
     sample lattices (`felement._rule_table`).
   * `FESpace._cache` holds what depends only on the space, each entry
-    made on first use by `_cached`: the CSR skeleton (the unmasked and
-    masked patterns and the data index of every local entry, so every
-    operator is one `np.bincount` of its element matrices), the data of
-    the unmasked stiffness K, and one load vector b_f per forcing,
-    evaluated chunk by chunk.
+    made on first use by `_cached`: the CSR skeleton (the one pattern of
+    every operator on the space and the data index of every local entry,
+    so every operator is one `np.bincount` of its element matrices), the
+    data of the unmasked stiffness K, and one load vector b_f per
+    forcing, evaluated chunk by chunk.
 Dirichlet conditions are imposed by identity-masking boundary rows and
-columns, which keeps the operators symmetric on the constrained space;
-a masked operator keeps every interior entry of the unmasked pattern,
-explicit zeros included.
+columns in place, which keeps the operators symmetric on the
+constrained space: a masked operator has the space's pattern, with
+explicit zeros in its boundary rows and columns off the diagonal.
 """
 
 import numbers
@@ -353,20 +353,18 @@ def _geometric_local(space, stiffness=True, mass=True):
 class _Skeleton:
     """CSR pattern of every operator on a space, arrays read-only.
 
-    `position[e, b, c]` is the index in the unmasked pattern (indptr,
-    indices; `rows` holds the row of every entry) of the entry that
-    element e's local entry (b, c) adds to.  The masked pattern keeps the
-    unmasked entries `take` (interior rows and columns, and the diagonal),
-    and its boundary rows hold only their diagonal, at `boundary_diagonal`.
+    `position[e, b, c]` is the index in the pattern (indptr, indices;
+    `rows` holds the row of every entry) of the entry that element e's
+    local entry (b, c) adds to.  `boundary_entries` indexes the entries
+    in a boundary row or column, `boundary_diagonal` those on the
+    diagonal of a boundary row.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     rows: np.ndarray
     position: np.ndarray
-    masked_indptr: np.ndarray
-    masked_indices: np.ndarray
-    take: np.ndarray
+    boundary_entries: np.ndarray
     boundary_diagonal: np.ndarray
 
     def __post_init__(self):
@@ -380,17 +378,15 @@ def _skeleton(space):
 
 
 def _build_skeleton(space):
-    n, ed = space.dim, space.elem_dofs
+    n, ed, boundary = space.dim, space.elem_dofs, space.boundary_dofs
     keys, position = np.unique(ed[:, :, None] * n + ed[:, None, :], return_inverse=True)
     rows, cols = np.divmod(keys, n)
-    interior = space.interior_mask
-    take = np.flatnonzero(interior[rows] & interior[cols] | (rows == cols))
+    outside = ~space.interior_mask
     index = np.int32 if len(keys) <= np.iinfo(np.int32).max else np.int64
-    bounds = np.arange(n + 1)
-    masked_indptr = np.searchsorted(rows[take], bounds).astype(index)
-    return _Skeleton(np.searchsorted(rows, bounds).astype(index), cols.astype(index), rows,
-                     position.ravel(), masked_indptr, cols[take].astype(index), take,
-                     masked_indptr[space.boundary_dofs])
+    return _Skeleton(np.searchsorted(rows, np.arange(n + 1)).astype(index), cols.astype(index),
+                     rows, position.ravel(),
+                     np.flatnonzero(outside[rows] | outside[cols]).astype(index),
+                     np.searchsorted(keys, boundary * n + boundary).astype(index))
 
 
 def _scatter_data(space, loc):
@@ -403,20 +399,19 @@ def _scatter_data(space, loc):
 
 def _scatter(space, loc, mask=False, base=None):
     """Global operator from element matrices (ne, nloc, nloc), plus `base`,
-    data on the unmasked pattern, when given.  `mask` replaces the
-    Dirichlet rows and columns by the identity."""
+    data on the skeleton, when given.  `mask` replaces the Dirichlet rows
+    and columns by the identity in place: 0.0 in their entries, then 1.0
+    on their diagonal."""
     skeleton = _skeleton(space)
     data = _scatter_data(space, loc)
     if base is not None:
         data += base
-    indices, indptr = skeleton.indices, skeleton.indptr
     if mask:
-        data = data[skeleton.take]
+        data[skeleton.boundary_entries] = 0.0
         data[skeleton.boundary_diagonal] = 1.0
-        indices, indptr = skeleton.masked_indices, skeleton.masked_indptr
     # the operator owns its index arrays, so changing it in place leaves
     # the skeleton intact
-    return SparseOperator(sp.csr_matrix((data, indices.copy(), indptr.copy()),
+    return SparseOperator(sp.csr_matrix((data, skeleton.indices.copy(), skeleton.indptr.copy()),
                                         shape=(space.dim, space.dim)))
 
 

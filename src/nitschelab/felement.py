@@ -346,8 +346,8 @@ class FESpace:
 
     `quad` is the rule of every kernel and norm on the space.  The order
     is the basis's.  `_cache` holds data that depends only on the space,
-    made on first use: `assembly` keeps there the CSR skeleton shared by
-    every operator on the space (masked and unmasked), the Laplace
+    made on first use: `assembly` keeps there the CSR skeleton, the one
+    pattern of every operator on the space, masked or not, the Laplace
     stiffness, and the load vector int f phi_i of each forcing f of a
     forced energy model.  It assumes `mesh`, `quad`
     and the dof arrays are never reassigned after construction.

@@ -458,8 +458,16 @@ def test_h2_ratio_scaling_invariance():
 def test_h2_ratio_validates_input():
     problem = build_problem("linear", 1)
     u, _ = solved(problem, 16, order=2)
-    with pytest.raises(ValueError, match="zero right-hand side"):
+    with pytest.raises(analysis._UndefinedDiagnostic, match="zero right-hand side"):
         h2_regularity_ratio(u, norms(None, u.space.zero_function()).l2)
+
+
+@pytest.mark.parametrize("rhs_l2", [True, "1", -1.0, np.nan, np.inf])
+def test_h2_ratio_rejects_a_denominator_that_is_not_a_finite_number_of_at_least_0(rhs_l2):
+    space = make_space(build_unit_mesh(2, 4), 2, 0.0)
+    w = interpolate(space, lambda x: np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1]))
+    with pytest.raises(ValueError, match="rhs_l2 must be a finite number >= 0"):
+        h2_regularity_ratio(w, rhs_l2)
 
 
 # ---------------------------------------------------------------------------
@@ -706,6 +714,19 @@ def test_pq_rejects_an_invalid_lr_exponent(r):
                                 samples=1).max_ratio > 0
     with pytest.raises(ValueError, match="finite q >= 1"):
         estimate_pq_constant(problem.model, u, norm_pair=(0, r), samples=1)
+
+
+@pytest.mark.parametrize("pair", [(1, 3), (2, 2), (0, 0.5), (0,), "12", (0, np.nan),
+                                  (True, 2), (1.0, 2), (0, True), (1, "2"), None])
+def test_pq_rejects_a_bad_norm_pair_before_any_sample(pair, monkeypatch):
+    problem = build_problem("quartic", 1)
+    u, _ = solved(problem, 8, order=2)
+    calls = []
+    monkeypatch.setattr(analysis, "apply_third_variation",
+                        lambda *args: calls.append(args) or 0.0)
+    with pytest.raises(ValueError, match="norm.pair"):
+        estimate_pq_constant(problem.model, u, norm_pair=pair, samples=1)
+    assert calls == []
 
 
 def test_pq_takes_each_norm_once(monkeypatch):

@@ -583,20 +583,43 @@ def test_scatter_matches_coo_reference(dim, order):
     loc = rng.integers(-3, 4, size=(space.mesh.num_elements, nloc, nloc)).astype(float)
     loc[::3] = 0.0
     loc[1, 0, 1], loc[2, 0, 1] = 1.0, -1.0
+    # masked or not, the operator has the one pattern of the space: the
+    # mask writes zeros and the unit diagonal in place
     for mask in (False, True):
         want = coo_reference(space, loc, mask)
         got = assembly._scatter(space, loc, mask).matrix
-        assert np.array_equal(got.toarray(), want.toarray())
         assert got.has_canonical_format
-        if not mask:
-            assert np.array_equal(got.indptr, want.indptr)
-            assert np.array_equal(got.indices, want.indices)
-            assert np.array_equal(got.data, want.data)
-    # the masked pattern is the unmasked one less the boundary couplings
-    full = assembly._scatter(space, loc).matrix.tocoo()
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
+
+
+def boundary_free_pattern(op, space):
+    """The unmasked operator on the pattern that leaves out every entry
+    in a boundary row or column, with the boundary diagonal set to 1.0."""
+    full = op.matrix.tocoo()
     keep = space.interior_mask
-    expected = np.count_nonzero(keep[full.row] & keep[full.col] | (full.row == full.col))
-    assert assembly._scatter(space, loc, mask=True).matrix.nnz == expected
+    entries = keep[full.row] & keep[full.col] | (full.row == full.col)
+    data = np.where(keep[full.row], full.data, 1.0)[entries]
+    return sp.csr_matrix((data, (full.row[entries], full.col[entries])), shape=op.matrix.shape)
+
+
+@pytest.mark.parametrize("name", ["quartic", "minimal_surface"])
+@pytest.mark.parametrize("dim,order", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)])
+def test_masked_products_are_those_of_the_boundary_free_pattern(name, dim, order):
+    """The explicit zeros of a masked operator leave every product bitwise
+    as it was on the pattern without the boundary couplings: the split
+    Hessian of quartic and the generic one of minimal_surface."""
+    model = build_problem(name, dim).model
+    assert model.quadratic_gradient == (name == "quartic")
+    space = make_space(build_unit_mesh(dim, 6 if dim == 1 else 3), order, 0.0)
+    v = smooth_state(space, seed=order)
+    masked = assemble_hessian(model, v).matrix
+    want = boundary_free_pattern(assemble_hessian(model, v, mask=False), space)
+    assert masked.nnz > want.nnz
+    rng = np.random.default_rng(dim * 10 + order)
+    for x in rng.standard_normal((4, space.dim)):
+        assert (masked @ x).tobytes() == (want @ x).tobytes()
 
 
 def test_operators_own_their_index_arrays():
