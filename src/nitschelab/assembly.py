@@ -55,6 +55,7 @@ import scipy.sparse as sp
 from .felement import (FEFunction, ReferenceBasis, _chunks, _reference_table,
                        _rule_table, _squared_norms, quadrature_rule, sample_lattice,
                        tabulate)
+from .mesh import _pull
 
 __all__ = [
     "SparseOperator",
@@ -184,18 +185,6 @@ def _state(space, coeffs, sl, gradients=True):
     them; p is None without `gradients`."""
     vals, grads = tabulate(space, coeffs, space.quad.points, sl, gradients)
     return (None if grads is None else grads.reshape(-1, grads.shape[-1])), vals.ravel()
-
-
-def _pull(a, jac):
-    """a J^T on every element, for a (e, ..., d) and J (e, d, d): d
-    broadcast products, where a batched matmul would make one tiny BLAS
-    call per element."""
-    d = jac.shape[-1]
-    shape = (len(jac),) + (1,) * (a.ndim - 2) + (d,)
-    out = a[..., 0, None] * jac[:, :, 0].reshape(shape)
-    for i in range(1, d):
-        out += a[..., i, None] * jac[:, :, i].reshape(shape)
-    return out
 
 
 def energy_value(model, v):
@@ -486,7 +475,7 @@ def integrate(mesh, fn, degree=6):
 def norms(f, g, q=2, include_broken_h2=False):
     """Broken norms of the difference f - g.
 
-    f may be an exact solution (value/gradient/hessian callables), another
+    f may be an exact solution (read through its jet), another
     FE function on the same space, or None (plain norms of g).  For
     q = inf the sup norm is sampled on a dense per-element lattice, a
     documented approximation; everything else is quadrature on g's space.
@@ -511,16 +500,17 @@ def norms(f, g, q=2, include_broken_h2=False):
         hess = _fe_hessians(space, coeffs, sl, pts) if with_hess else None
         if exact is not None:
             flat = _physical_points(space.mesh, pts, sl).reshape(-1, space.mesh.dim)
-            vals = exact.value(flat).reshape(vals.shape) + vals
-            grads = exact.gradient(flat).reshape(grads.shape) + grads
+            jet = exact.jet(flat, hessian=with_hess)
+            vals = jet[0].reshape(vals.shape) + vals
+            grads = jet[1].reshape(grads.shape) + grads
             if with_hess:
-                hess = exact.hessian(flat).reshape(hess.shape) + hess
+                hess = jet[2].reshape(hess.shape) + hess
         return vals, grads, hess
 
     acc_l2 = acc_h1 = acc_q = acc_h2 = 0.0
     for sl, wq in _quadrature(space.mesh, rule.weights):
         vals, grads, hess = diff(sl, rule.points, include_broken_h2)
-        gnorm2 = np.einsum("eqi,eqi->eq", grads, grads)
+        gnorm2 = _squared_norms(grads)
         acc_l2 += float(np.sum(wq * vals**2))
         acc_h1 += float(np.sum(wq * gnorm2))
         if q not in (2, np.inf):

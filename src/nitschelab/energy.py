@@ -83,19 +83,36 @@ class EnergyModel:
     quadratic_gradient: bool = False
 
 
+def _jet_of_parts(parts, x, hessian=True):
+    """The jet of a solution built without one: `parts`, its (value,
+    gradient, hessian) callables, called one by one."""
+    value, gradient, hess = parts
+    if hessian:
+        return value(x), gradient(x), hess(x)
+    return value(x), gradient(x)
+
+
 @dataclass(frozen=True)
 class ExactSolution:
     """A manufactured solution with analytic gradient and Hessian.
 
-    `jet` returns (value, gradient, hessian) at once, bitwise what the
-    three callables return, sharing the work they have in common; the
-    manufactured forcing reads it, and a solution that is only a norms
-    target may leave it None."""
+    `jet(x)` returns (value, gradient, hessian) at once and
+    `jet(x, hessian=False)` returns (value, gradient), sharing the work
+    the callables have in common; a jet must return bit for bit what the
+    callables return.  The manufactured forcing, `norms` and `el_residual`
+    read the solution through it.  A solution built without a jet (jet
+    None) gets one that calls the three callables one by one, and
+    `dataclasses.replace` derives it again from the new callables."""
 
     value: callable       # (n, d) -> (n,)
     gradient: callable    # (n, d) -> (n, d)
     hessian: callable     # (n, d) -> (n, d, d)
-    jet: callable = None  # (n, d) -> (value, gradient, hessian)
+    jet: callable = None  # (n, d), hessian=True -> (value, gradient[, hessian])
+
+    def __post_init__(self):
+        if self.jet is None or getattr(self.jet, "func", None) is _jet_of_parts:
+            parts = (self.value, self.gradient, self.hessian)
+            object.__setattr__(self, "jet", functools.partial(_jet_of_parts, parts))
 
 
 @dataclass(frozen=True)
@@ -256,7 +273,7 @@ def _sine_product(dim):
 
     sin and cos are taken once per call and every derivative multiplies
     its factors left to right, axis by axis; the jet takes them once for
-    all three."""
+    all it returns."""
 
     def trig(x):
         px = np.pi * np.atleast_2d(x)
@@ -294,8 +311,10 @@ def _sine_product(dim):
     def hessian(x):
         return hessian_of(*trig(x))
 
-    def jet(x):
+    def jet(x, hessian=True):
         s, c = trig(x)
+        if not hessian:
+            return value_of(s), gradient_of(s, c)
         return value_of(s), gradient_of(s, c), hessian_of(s, c)
 
     return ExactSolution(value, gradient, hessian, jet)
@@ -362,7 +381,8 @@ def el_residual(problem, points):
     x = np.atleast_2d(np.asarray(points, dtype=float))
 
     def flux(y, axis):
-        return model.dL_dp(exact.gradient(y), exact.value(y))[:, axis]
+        u, du = exact.jet(y, hessian=False)
+        return model.dL_dp(du, u)[:, axis]
 
     div = np.zeros(len(x))
     for axis in range(x.shape[1]):
@@ -370,5 +390,6 @@ def el_residual(problem, points):
             shift = np.zeros(x.shape[1])
             shift[axis] = k * h
             div += weight * (flux(x + shift, axis) - flux(x - shift, axis)) / h
-    residual = -div + model.dL_dz(exact.gradient(x), exact.value(x))
+    u, du = exact.jet(x, hessian=False)
+    residual = -div + model.dL_dz(du, u)
     return residual if model.forcing is None else residual - model.forcing(x)

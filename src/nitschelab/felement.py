@@ -546,7 +546,7 @@ def check_inverse_estimate(space, trials, seed=0):
                              np.sqrt(_squared_norms(grads_l).max(axis=1)))
 
             vals_q, grads_q = tabulate(space, coeffs, qpts, sl)
-            dens = vals_q**2 + np.einsum("eqi,eqi->eq", grads_q, grads_q)
+            dens = vals_q**2 + _squared_norms(grads_q)
             w12 = np.sqrt(np.abs(mesh.det_jac[sl]) ** -1 * (dens @ qw))
 
             ratio = sup / (h ** (-d / 2) * w12)

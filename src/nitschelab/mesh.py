@@ -295,6 +295,18 @@ def element_map(mesh, element_id):
     return ElementMap(eid, jac.copy(), -(jac @ v0), float(mesh.det_jac[eid]))
 
 
+def _pull(a, jac):
+    """a J^T on every element, for a (e, ..., d) and J (e, d, d): d
+    broadcast products, where a batched matmul would make one tiny BLAS
+    call per element."""
+    d = jac.shape[-1]
+    shape = (len(jac),) + (1,) * (a.ndim - 2) + (d,)
+    out = a[..., 0, None] * jac[:, :, 0].reshape(shape)
+    for i in range(1, d):
+        out += a[..., i, None] * jac[:, :, i].reshape(shape)
+    return out
+
+
 def check_conforming(mesh):
     """Verify the partition property: element closures meet in common faces.
 
@@ -348,7 +360,7 @@ def check_nested(fine):
     pid = fine.parent_elements
     v0 = coarse.vertices[coarse.elements[pid, 0]]
     rel = fine.vertices[fine.elements] - v0[:, None, :]            # (ne, d+1, d)
-    ref = np.einsum("eij,ekj->eki", coarse.jac[pid], rel)
+    ref = _pull(rel, coarse.jac[pid])
     outside = np.any((ref.min(axis=2) < -tol) | (ref.sum(axis=2) > 1.0 + tol), axis=1)
     if outside.any():
         eid = int(np.argmax(outside))

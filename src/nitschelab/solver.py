@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import _pull, assemble_hessian, assemble_residual, energy_value
+from .assembly import assemble_hessian, assemble_residual, energy_value
 from .felement import FEFunction, interpolate
-from .mesh import _check_count
+from .mesh import _check_count, _pull
 
 __all__ = [
     "NewtonOptions",

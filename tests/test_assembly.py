@@ -9,9 +9,9 @@ from nitschelab.assembly import (AssemblyError, apply_third_variation,
                                  assemble_hessian, assemble_residual,
                                  energy_value, integrate, lq_norm, norms)
 from nitschelab import assembly, felement
-from nitschelab.energy import (build_problem, dirichlet_potential_model,
-                               minimal_surface_model, with_forcing,
-                               with_zeroed_gradient_blocks)
+from nitschelab.energy import (ExactSolution, build_problem,
+                               dirichlet_potential_model, minimal_surface_model,
+                               with_forcing, with_zeroed_gradient_blocks)
 from nitschelab.felement import FEFunction, interpolate, make_space
 from nitschelab.mesh import build_unit_mesh
 from nitschelab.solver import minimize
@@ -213,7 +213,6 @@ def test_gram_h1_is_mass_plus_stiffness(problems):
 
 def test_norms_linear_interpolant_exact():
     space = make_space(build_unit_mesh(2, 3), 1, 0.0)
-    from nitschelab.energy import ExactSolution
     f = ExactSolution(
         lambda x: 1.0 + 2 * x[:, 0] - x[:, 1],
         lambda x: np.tile([2.0, -1.0], (len(x), 1)),
@@ -262,6 +261,83 @@ def test_norms_broken_h2_oracle():
     space = make_space(build_unit_mesh(1, 128), 2, 0.0)
     rep = norms(problem.exact, space.zero_function(), include_broken_h2=True)
     assert rep.broken_h2 == pytest.approx(np.pi**2 / np.sqrt(2), rel=1e-6)
+
+
+def _norms_by_parts(exact, g, q, include_broken_h2):
+    """norms(exact, g) with the exact solution read callable by callable
+    and every squared norm taken by einsum, chunk by chunk as norms does."""
+    space = g.space
+    mesh, rule, coeffs = space.mesh, space.quad, -g.coeffs
+
+    def diff(sl, pts, with_hess):
+        vals, grads = felement.tabulate(space, coeffs, pts, sl)
+        flat = assembly._physical_points(mesh, pts, sl).reshape(-1, mesh.dim)
+        vals = exact.value(flat).reshape(vals.shape) + vals
+        grads = exact.gradient(flat).reshape(grads.shape) + grads
+        hess = None
+        if with_hess:
+            hess = assembly._fe_hessians(space, coeffs, sl, pts)
+            hess = exact.hessian(flat).reshape(hess.shape) + hess
+        return vals, grads, hess
+
+    l2 = h1 = lq = h2 = 0.0
+    for sl, wq in assembly._quadrature(mesh, rule.weights):
+        vals, grads, hess = diff(sl, rule.points, include_broken_h2)
+        gnorm2 = np.einsum("eqi,eqi->eq", grads, grads)
+        l2 += float(np.sum(wq * vals**2))
+        h1 += float(np.sum(wq * gnorm2))
+        if q not in (2, np.inf):
+            lq += float(np.sum(wq * (np.abs(vals) ** q + gnorm2 ** (q / 2))))
+        if include_broken_h2:
+            h2 += float(np.sum(wq * np.einsum("eqij,eqij->eq", hess, hess)))
+    if q == np.inf:
+        lattice = felement.sample_lattice(mesh.dim)
+        w1q = 0.0
+        for sl in felement._chunks(mesh.num_elements, len(lattice)):
+            lv, lg, _ = diff(sl, lattice, False)
+            w1q = max(w1q, float(np.abs(lv).max()),
+                      float(np.sqrt(np.einsum("eqi,eqi->eq", lg, lg).max())))
+    elif q == 2:
+        w1q = float(np.hypot(np.sqrt(l2), np.sqrt(h1)))
+    else:
+        w1q = float(lq ** (1.0 / q))
+    return assembly.NormReport(float(np.sqrt(l2)), float(np.sqrt(h1)), w1q,
+                               np.sqrt(h2) if include_broken_h2 else None)
+
+
+# 20 000 intervals span two quadrature and two lattice chunks, 40^2 cells
+# two lattice chunks
+@pytest.mark.parametrize("dim,cells", [(1, 20000), (2, 40)])
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("q", [2, 4, np.inf])
+def test_norms_bitwise_equal_through_the_jet_and_by_parts(dim, cells, order, q):
+    """norms against the sine product returns bit for bit what it returns
+    through the jet derived from the parts, and what the parts give one by
+    one with einsum."""
+    exact = build_problem("quartic", dim).exact
+    g = smooth_state(make_space(build_unit_mesh(dim, cells), order, 0.0), seed=order)
+    rep = norms(exact, g, q=q, include_broken_h2=order >= 2)
+    assert rep == norms(replace(exact, jet=None), g, q=q, include_broken_h2=order >= 2)
+    assert rep == _norms_by_parts(exact, g, q, order >= 2)
+
+
+def test_norms_reads_an_exact_solution_once_per_chunk_through_its_jet():
+    """One jet call per quadrature chunk, with the Hessian only where the
+    broken H^2 norm needs it, and one per lattice chunk; no part is called."""
+    exact = build_problem("linear", 2).exact
+    calls = []
+
+    def jet(x, hessian=True):
+        calls.append(hessian)
+        return exact.jet(x, hessian=hessian)
+
+    def part(x):
+        raise AssertionError("norms called a part of the solution")
+
+    target = ExactSolution(part, part, part, jet)
+    space = make_space(build_unit_mesh(2, 40), 2, 0.0)
+    norms(target, space.zero_function(), q=np.inf, include_broken_h2=True)
+    assert calls == [True, False, False]
 
 
 # the quasilinear composition Dv/sqrt(1+|Dv|^2) has much larger high-order

@@ -8,8 +8,8 @@ from hypothesis.extra import numpy as hnp
 
 from nitschelab import energy
 from nitschelab.assembly import assemble_residual, energy_value, integrate
-from nitschelab.energy import (PROBLEM_NAMES, ManufacturedProblem, build_problem,
-                               classify, dirichlet_potential_model, el_residual,
+from nitschelab.energy import (PROBLEM_NAMES, ExactSolution, ManufacturedProblem,
+                               build_problem, classify, dirichlet_potential_model, el_residual,
                                minimal_surface_model, with_forcing,
                                with_zeroed_gradient_blocks)
 from nitschelab.felement import FEFunction, make_space
@@ -218,6 +218,29 @@ def test_sine_product_jet_bitwise_equal_to_its_parts(dim, data):
     assert np.array_equal(value, exact.value(x))
     assert np.array_equal(gradient, exact.gradient(x))
     assert np.array_equal(hessian, exact.hessian(x))
+    value, gradient = exact.jet(x, hessian=False)
+    assert np.array_equal(value, exact.value(x))
+    assert np.array_equal(gradient, exact.gradient(x))
+
+
+def test_exact_solution_built_without_a_jet_derives_one_from_its_parts():
+    """A hand-made solution gets a jet that calls its three callables;
+    `replace` derives it again from new callables and keeps a given jet."""
+    value = lambda x: x[:, 0] ** 2
+    gradient = lambda x: 2.0 * x
+    hessian = lambda x: np.full((len(x), 1, 1), 2.0)
+    solution = ExactSolution(value, gradient, hessian)
+    x = np.linspace(-0.5, 1.5, 9)[:, None]
+    u, du, h = solution.jet(x)
+    assert np.array_equal(u, value(x))
+    assert np.array_equal(du, gradient(x))
+    assert np.array_equal(h, hessian(x))
+    u, du = solution.jet(x, hessian=False)
+    assert np.array_equal(u, value(x)) and np.array_equal(du, gradient(x))
+    shifted = replace(solution, value=lambda x: x[:, 0] ** 2 + 1.0)
+    assert np.array_equal(shifted.jet(x)[0], value(x) + 1.0)
+    sine = energy._sine_product(1)
+    assert replace(sine, value=value).jet is sine.jet
 
 
 def test_manufactured_quartic_forcing_closed_form():
