@@ -3,23 +3,17 @@
 Builds simplicial meshes of the unit interval and unit square, refines
 them uniformly, and prints the per-level quantities that stay constant
 for a shape-regular family: h^d * max|det DF_h| and max||DF_h^{-1}|| / h.
-Also shows the plain-text dump format.
 """
-
-import os
-import tempfile
 
 import numpy as np
 
-from nitschelab import (build_unit_mesh, check_conforming, check_nested,
-                        dump_mesh, element_map, refine, width)
+from nitschelab import build_unit_mesh, check_conforming, check_nested, refine, width
 
 print("interval mesh, 4 cells:")
 mesh = build_unit_mesh(1, 4)
 print(f"  {mesh.num_vertices} vertices, {mesh.num_elements} elements, "
       f"width h = {width(mesh)}")
-em = element_map(mesh, 0)
-print(f"  element 0 map: jacobian {em.affine_part.ravel()}, det {em.det}")
+print(f"  element 0 map: jacobian {mesh.jac[0].ravel()}, det {mesh.det_jac[0]}")
 
 print("\nunit square, 2 cells per side:")
 mesh = build_unit_mesh(2, 2)
@@ -40,11 +34,3 @@ for level in range(6):
         check_conforming(m_next)
         check_nested(m_next)
         m = m_next
-
-print("\nplain-text dump of the 1d mesh (exact decimal round trip):")
-fd, path = tempfile.mkstemp(suffix=".txt")
-os.close(fd)
-dump_mesh(build_unit_mesh(1, 4), path)
-with open(path) as fh:
-    print("  " + "  ".join(fh.read().splitlines()[:6]) + " ...")
-os.unlink(path)

@@ -10,12 +10,12 @@ its H^2-regularity ratio, the mixed-norm bound on the third variation,
 and the resulting H^1 rate m and L^2 rate m+1 on manufactured problems.
 """
 
-from .mesh import (Mesh, ElementMap, build_unit_mesh, refine, width,
-                   element_map, check_conforming, check_nested,
-                   dump_mesh, load_mesh)
+from .mesh import (Mesh, build_unit_mesh, refine, width,
+                   check_conforming, check_nested)
 from .felement import (ReferenceBasis, QuadRule, FESpace, FEFunction,
                        reference_basis, quadrature_rule, make_space,
-                       interpolate, evaluate, check_inverse_estimate)
+                       interpolate, tabulate, check_inverse_estimate,
+                       sample_lattice)
 from .energy import (EnergyModel, ExactSolution, ManufacturedProblem,
                      dirichlet_potential_model, minimal_surface_model,
                      classify, build_problem,
@@ -25,7 +25,7 @@ from .assembly import (SparseOperator, NormReport, energy_value,
                        apply_third_variation, assemble_gram_l2,
                        assemble_gram_h1, norms, lq_norm, integrate)
 from .solver import (NewtonOptions, SolveLog, LinearSolveError, NewtonError,
-                     linear_solve, minimize, prolong, embedding_matrix, embed)
+                     linear_solve, minimize, embedding_matrix, embed)
 from .analysis import (EllipticityEstimate, RateEstimate, PQEstimate,
                        AdjointCheck, StudyOptions, LevelResult,
                        ConvergenceReport, PowerIterationError,

@@ -307,6 +307,9 @@ def plot_data(rates_csv_path, output_dir=None):
     except (KeyError, ValueError, TypeError) as err:   # TypeError: a short row
         print(f"malformed rates csv: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    if not np.isfinite(l2).all():   # the fit below checks the H1 column
+        print("malformed rates csv: L2 errors must be finite", file=sys.stderr)
+        return EXIT_CONFIG
 
     # the fit validates the data, so it comes before any file is written;
     # its warnings reach the user as notes, not as library warnings

@@ -31,7 +31,6 @@ __all__ = [
     "make_space",
     "interpolate",
     "tabulate",
-    "evaluate",
     "check_inverse_estimate",
     "sample_lattice",
 ]
@@ -291,8 +290,8 @@ def _squared_norms(vecs):
 
 # Tables of a reference basis at a point set the package owns (the rules of
 # quadrature_rule, the sample lattices) are built once per process and kept
-# read-only; any other points (evaluate's) get a fresh table per call, so
-# the cache cannot grow with them.
+# read-only; any other points, one-off points passed to `tabulate`, get a
+# fresh table per call, so the cache cannot grow with them.
 _OWNED_POINTS = {}
 _TABLES = {}
 
@@ -513,12 +512,6 @@ def tabulate(space, coeffs, ref_pts, sl=slice(None), gradients=True):
     npts, nloc, m = tab.shape
     ref = (local @ tab.transpose(1, 0, 2).reshape(nloc, -1)).reshape(-1, npts, m)
     return ref[..., -1], ref[..., :-1] @ space.mesh.jac[sl]
-
-
-def evaluate(f, element_id, ref_point):
-    """Value and physical gradient of f at a reference point of one element."""
-    vals, grads = tabulate(f.space, f.coeffs, np.atleast_2d(ref_point), [element_id])
-    return float(vals[0, 0]), grads[0, 0]
 
 
 def check_inverse_estimate(space, trials, seed=0):

@@ -2,8 +2,8 @@
 
 Supports intervals (d=1) and triangles (d=2).  All elements are affine
 images of a fixed reference simplex, so the mesh carries, per element,
-the affine map data (Jacobian, offset, determinant) needed by assembly
-and by the width/order scaling diagnostics.
+the affine map data (Jacobian, its inverse, determinant, volume) needed
+by assembly and by the width/order scaling diagnostics.
 
 Meshes are immutable after construction and may be shared freely.
 """
@@ -14,15 +14,11 @@ import numpy as np
 
 __all__ = [
     "Mesh",
-    "ElementMap",
     "build_unit_mesh",
     "refine",
     "width",
-    "element_map",
     "check_conforming",
     "check_nested",
-    "dump_mesh",
-    "load_mesh",
 ]
 
 # Reference simplex measures: [0,1] for d=1, triangle (0,0),(1,0),(0,1) for d=2.
@@ -55,7 +51,6 @@ class Mesh:
     vertices : (nv, dim) float array
     elements : (ne, dim+1) int array of vertex indices
     boundary_facets : (nb, dim) int array; vertices for d=1, edges for d=2
-    boundary_markers : (nb,) int array
     parent : the coarser mesh this one refines, or None
     parent_elements : (ne,) int array mapping each element to its parent
         element id, or None on level 0
@@ -67,7 +62,6 @@ class Mesh:
     vertices: np.ndarray
     elements: np.ndarray
     boundary_facets: np.ndarray
-    boundary_markers: np.ndarray
     parent: "Mesh | None" = None
     parent_elements: np.ndarray | None = None
 
@@ -81,7 +75,6 @@ class Mesh:
         self.vertices = np.ascontiguousarray(self.vertices, dtype=float)
         self.elements = np.ascontiguousarray(self.elements, dtype=np.int64)
         self.boundary_facets = np.ascontiguousarray(self.boundary_facets, dtype=np.int64)
-        self.boundary_markers = np.ascontiguousarray(self.boundary_markers, dtype=np.int64)
         _check_dim(self.dim)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != self.dim:
             raise MeshError("vertices must have shape (nv, dim)")
@@ -103,8 +96,7 @@ class Mesh:
         self.volumes = np.abs(det_b) * _REF_VOLUME[self.dim]
 
         for arr in (self.vertices, self.elements, self.boundary_facets,
-                    self.boundary_markers, self.jac, self.inv_jac,
-                    self.det_jac, self.volumes):
+                    self.jac, self.inv_jac, self.det_jac, self.volumes):
             arr.flags.writeable = False
 
     @property
@@ -118,30 +110,6 @@ class Mesh:
     @property
     def num_elements(self):
         return len(self.elements)
-
-    def element_vertices(self, element_id):
-        return self.vertices[self.elements[element_id]]
-
-
-@dataclass(frozen=True)
-class ElementMap:
-    """Affine map F_h from one element onto the reference simplex.
-
-    F_h(x) = affine_part @ x + offset maps the element to the reference;
-    det = det(affine_part) scales like h^{-d}.  The inverse map takes
-    reference coordinates back into the element.
-    """
-
-    element_id: int
-    affine_part: np.ndarray
-    offset: np.ndarray
-    det: float
-
-    def to_reference(self, x):
-        return self.affine_part @ np.asarray(x, dtype=float) + self.offset
-
-    def from_reference(self, xref):
-        return np.linalg.solve(self.affine_part, np.asarray(xref, dtype=float) - self.offset)
 
 
 def build_unit_mesh(dim, cells_per_side):
@@ -169,8 +137,7 @@ def build_unit_mesh(dim, cells_per_side):
         v01, v11 = v00 + 1, v10 + 1
         elements = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
     facets, _, counts, _ = _facet_table(elements)
-    boundary = facets[counts == 1]
-    return Mesh(dim, vertices, elements, boundary, np.ones(len(boundary), dtype=np.int64))
+    return Mesh(dim, vertices, elements, facets[counts == 1])
 
 
 # Local facets of an element: its two vertices (d=1), or the edges joining
@@ -237,7 +204,6 @@ def _refine_interval(mesh):
         np.vstack([mesh.vertices, mids]),
         elements.reshape(-1, 2),
         mesh.boundary_facets.copy(),
-        mesh.boundary_markers.copy(),
         parent=mesh,
         parent_elements=np.repeat(np.arange(ne), 2),
     )
@@ -266,7 +232,6 @@ def _refine_triangles(mesh):
         np.vstack([mesh.vertices, new_vertices]),
         elements.reshape(-1, 3),
         facets.reshape(-1, 2),
-        np.repeat(mesh.boundary_markers, 2),
         parent=mesh,
         parent_elements=np.repeat(np.arange(ne), 4),
     )
@@ -277,22 +242,6 @@ def width(mesh):
     i, j = np.triu_indices(mesh.dim + 1, 1)                 # vertex pairs
     verts = mesh.vertices[mesh.elements]                    # (ne, dim+1, dim)
     return float(np.linalg.norm(verts[:, j] - verts[:, i], axis=-1).max())
-
-
-def element_map(mesh, element_id):
-    """Affine map data for one element.
-
-    The forward Jacobian `affine_part` sends the element onto the
-    reference simplex, so |det| ~ h^{-d} while the inverse map's
-    derivative norm scales like h (the order-m scaling of the grid;
-    affine maps realize it trivially, all higher derivatives vanish).
-    """
-    eid = int(element_id)
-    if not 0 <= eid < mesh.num_elements:
-        raise IndexError(f"element id {eid} out of range")
-    jac = mesh.jac[eid]
-    v0 = mesh.vertices[mesh.elements[eid, 0]]
-    return ElementMap(eid, jac.copy(), -(jac @ v0), float(mesh.det_jac[eid]))
 
 
 def _pull(a, jac):
@@ -366,50 +315,3 @@ def check_nested(fine):
         eid = int(np.argmax(outside))
         raise MeshError(f"child {eid} vertex outside parent {pid[eid]}")
     return True
-
-
-def dump_mesh(mesh, path):
-    """Write the plain-text mesh format.
-
-    One line per vertex (`v x [y]`), element (`e i0 i1 [i2]`) and boundary
-    facet (`b i0 [i1] marker`).  Floats use their shortest exact decimal
-    representation, so a dump/load round trip is bit-exact.
-    """
-    lines = []
-    for v in mesh.vertices:
-        lines.append("v " + " ".join(repr(float(c)) for c in v))
-    for e in mesh.elements:
-        lines.append("e " + " ".join(str(int(i)) for i in e))
-    for f, m in zip(mesh.boundary_facets, mesh.boundary_markers):
-        lines.append("b " + " ".join(str(int(i)) for i in f) + f" {int(m)}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_mesh(path):
-    """Read the plain-text format written by dump_mesh.  A malformed record
-    raises MeshError naming its line; the first vertex sets the dimension."""
-    records = {"v": [], "e": [], "b": []}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.split()
-            if not parts:
-                continue
-            tag, data = parts[0], parts[1:]
-            if tag not in records:
-                raise MeshError(f"{path}:{lineno}: unknown record {tag!r}")
-            try:
-                records[tag].append((lineno, [(float if tag == "v" else int)(c) for c in data]))
-            except ValueError:
-                raise MeshError(f"{path}:{lineno}: non-numeric field in {tag!r} record") from None
-    if not records["v"] or not records["e"]:
-        raise MeshError(f"{path}: no vertices or elements")
-    dim = len(records["v"][0][1])
-    widths = {"v": dim, "e": dim + 1, "b": dim + 1}
-    for tag, width in widths.items():
-        for lineno, row in records[tag]:
-            if len(row) != width:
-                raise MeshError(f"{path}:{lineno}: {tag!r} record: {len(row)} fields, not {width}")
-    v, e, b = ([row for _, row in records[tag]] for tag in "veb")
-    return Mesh(dim, np.array(v), np.array(e), np.array([row[:-1] for row in b]),
-                np.array([row[-1] for row in b]))

@@ -28,7 +28,6 @@ __all__ = [
     "NewtonError",
     "linear_solve",
     "minimize",
-    "prolong",
     "embedding_matrix",
     "embed",
 ]
@@ -332,12 +331,3 @@ def embed(f, dst_space):
     """Exact representation of f in a nested finer or higher-order space."""
     return FEFunction(dst_space, embedding_matrix(f.space, dst_space) @ f.coeffs)
 
-
-def prolong(f, fine_space):
-    """Exact representation on the once-refined mesh with the same order."""
-    if fine_space.order != f.space.order:
-        raise ValueError("prolong keeps the polynomial order; use embed for "
-                         "order changes")
-    if fine_space.mesh.parent is not f.space.mesh:
-        raise ValueError("fine space does not refine the function's mesh")
-    return embed(f, fine_space)

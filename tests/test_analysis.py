@@ -13,7 +13,7 @@ from nitschelab.energy import (PROBLEM_NAMES, ExactSolution, build_problem,
                                dirichlet_potential_model)
 from nitschelab.felement import FEFunction, check_inverse_estimate, interpolate, make_space
 from nitschelab.mesh import build_unit_mesh, refine
-from nitschelab.solver import NewtonOptions, embed, linear_solve, minimize, prolong
+from nitschelab.solver import NewtonOptions, embed, linear_solve, minimize
 
 
 def solved(problem, cells, order=1, **kw):
@@ -846,7 +846,7 @@ def assert_nested_iteration(starts, solutions):
     assert starts[0] is None
     for start, coarse, fine in zip(starts[1:], solutions, solutions[1:]):
         assert start.space is fine.space
-        np.testing.assert_array_equal(start.coeffs, prolong(coarse, fine.space).coeffs)
+        np.testing.assert_array_equal(start.coeffs, embed(coarse, fine.space).coeffs)
 
 
 @pytest.mark.parametrize("name, dim, cells, max_iters", [

@@ -214,20 +214,23 @@ RATES_HEADER = ("level,h,dofs,err_l2,err_h1,slope_l2_running,"
                 "slope_h1_running,newton_iters\n")
 
 
-@pytest.mark.parametrize("hs,h1,subdir", [
-    (("0.5", "0.5", "0.25"), ("0.1", "0.05", "0.025"), "out"),     # equal widths
-    (("0.5", "0.25", "0.125"), ("0.1", "0.0", "-0.1"), "out"),     # < 2 positive errors
-    (("0.5", "0.0", "0.125"), ("0.1", "0.05", "0.025"), "out"),    # zero width
-    (("0.5", "-0.25", "0.125"), ("0.1", "0.05", "0.025"), "out"),  # negative width
-    (("0.5", "inf", "0.125"), ("0.1", "0.05", "0.025"), "out"),    # infinite width
-    (("0.5", "0.25", "0.125"), ("0.1", "inf", "0.025"), "out"),    # infinite error
-    (("0.5", "0.25", "0.125"), ("0.1", "0.05", "0.025"), "file/out"),  # under a file
+@pytest.mark.parametrize("hs,h1,l2,subdir", [
+    (("0.5", "0.5", "0.25"), ("0.1", "0.05", "0.025"), None, "out"),     # equal widths
+    (("0.5", "0.25", "0.125"), ("0.1", "0.0", "-0.1"), None, "out"),     # < 2 positive errors
+    (("0.5", "0.0", "0.125"), ("0.1", "0.05", "0.025"), None, "out"),    # zero width
+    (("0.5", "-0.25", "0.125"), ("0.1", "0.05", "0.025"), None, "out"),  # negative width
+    (("0.5", "inf", "0.125"), ("0.1", "0.05", "0.025"), None, "out"),    # infinite width
+    (("0.5", "0.25", "0.125"), ("0.1", "inf", "0.025"), None, "out"),    # infinite error
+    (("0.5", "0.25", "0.125"), ("0.1", "0.05", "0.025"), None, "file/out"),  # under a file
+    (("0.5", "0.25", "0.125"), ("0.1", "0.05", "0.025"), ("0.01", "nan", "0.001"), "out"),
+    (("0.5", "0.25", "0.125"), ("0.1", "0.05", "0.025"), ("0.01", "0.002", "inf"), "out"),
 ], ids=["equal_h", "few_positive", "zero_h", "negative_h", "inf_h", "inf_error",
-        "under_file"])
-def test_plot_bad_input_exits_config_and_writes_nothing(tmp_path, capsys, hs, h1, subdir):
+        "under_file", "nan_l2_error", "inf_l2_error"])
+def test_plot_bad_input_exits_config_and_writes_nothing(tmp_path, capsys, hs, h1, l2, subdir):
+    """`l2` None repeats the H1 errors in the err_l2 column."""
     csv_path = tmp_path / "rates.csv"
     csv_path.write_text(RATES_HEADER + "".join(
-        f"{k},{h},9,{e},{e},,,3\n" for k, (h, e) in enumerate(zip(hs, h1))))
+        f"{k},{h},9,{e2},{e1},,,3\n" for k, (h, e1, e2) in enumerate(zip(hs, h1, l2 or h1))))
     (tmp_path / "file").write_text("a regular file\n")
     before = sorted(tmp_path.rglob("*"))
     assert main(["plot", str(csv_path), "--output-dir", str(tmp_path / subdir)]) == EXIT_CONFIG

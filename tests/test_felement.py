@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from nitschelab import assembly, felement
-from nitschelab.felement import (FEFunction, check_inverse_estimate, evaluate,
-                                 interpolate, make_space, quadrature_rule,
-                                 reference_basis, sample_lattice, tabulate)
+from nitschelab.felement import (FEFunction, check_inverse_estimate, interpolate,
+                                 make_space, quadrature_rule, reference_basis,
+                                 sample_lattice, tabulate)
 from nitschelab.mesh import Mesh, build_unit_mesh, refine, width
 from nitschelab.analysis import estimate_rate
 
@@ -168,7 +168,7 @@ def test_make_space_dofs_sit_at_element_nodes_in_any_orientation(order):
     elements = np.take_along_axis(elements, rng.random(elements.shape).argsort(axis=1), 1)
     facets = base.boundary_facets[rng.permutation(len(base.boundary_facets))]
     facets = np.take_along_axis(facets, rng.random(facets.shape).argsort(axis=1), 1)
-    mesh = Mesh(2, base.vertices, elements, facets, np.ones(len(facets)))
+    mesh = Mesh(2, base.vertices, elements, facets)
     space = make_space(mesh, order, 0.0)
     v0 = mesh.vertices[mesh.elements[:, 0]]
     nodes = v0[:, None, :] + np.einsum("eij,lj->eli", mesh.inv_jac, space.basis.nodes)
@@ -244,15 +244,13 @@ def test_interpolate_rejects_nonfinite():
 
 def test_evaluate_constant_and_linear():
     space = make_space(build_unit_mesh(2, 2), 2, 0.0)
-    c = FEFunction(space, np.full(space.dim, 2.5))
-    val, grad = evaluate(c, 3, [0.25, 0.25])
-    assert val == pytest.approx(2.5, abs=1e-14)
-    assert np.allclose(grad, 0.0, atol=1e-13)
+    vals, grads = tabulate(space, np.full(space.dim, 2.5), np.array([[0.25, 0.25]]), [3])
+    assert vals[0, 0] == pytest.approx(2.5, abs=1e-14)
+    assert np.allclose(grads, 0.0, atol=1e-13)
     lin = interpolate(space, lambda x: x[:, 0])
-    for eid in (0, 5):
-        _, grad = evaluate(lin, eid, [0.3, 0.1])
-        assert grad[0] == pytest.approx(1.0, abs=1e-13)
-        assert grad[1] == pytest.approx(0.0, abs=1e-13)
+    _, grads = tabulate(space, lin.coeffs, np.array([[0.3, 0.1]]), [0, 5])
+    assert np.allclose(grads[:, 0, 0], 1.0, atol=1e-13)
+    assert np.allclose(grads[:, 0, 1], 0.0, atol=1e-13)
 
 
 @pytest.mark.parametrize("dim,order", [(1, 2), (1, 3), (2, 2), (2, 3)])
@@ -263,16 +261,15 @@ def test_evaluate_against_monomial_reexpansion(dim, order):
     if dim == 1:
         verts = np.array([[0.2], [0.7]])
         elements = np.array([[0, 1]])
-        facets, markers = np.array([[0], [1]]), np.array([1, 1])
+        facets = np.array([[0], [1]])
         exps = [(k,) for k in range(order + 1)]
     else:
         verts = np.array([[0.1, 0.1], [0.8, 0.2], [0.3, 0.9]])
         elements = np.array([[0, 1, 2]])
         facets = np.array([[0, 1], [1, 2], [0, 2]])
-        markers = np.array([1, 1, 1])
         exps = [(a, b) for t in range(order + 1) for a in range(t + 1)
                 for b in (t - a,)]
-    mesh = Mesh(dim, verts, elements, facets, markers)
+    mesh = Mesh(dim, verts, elements, facets)
     space = make_space(mesh, order, 0.0)
     f = FEFunction(space, rng.standard_normal(space.dim))
 
@@ -281,8 +278,9 @@ def test_evaluate_against_monomial_reexpansion(dim, order):
     vand = np.column_stack([np.prod(coords ** np.array(e), axis=1) for e in exps])
     mono_coeff = np.linalg.solve(vand, f.coeffs)
 
-    for ref in rng.uniform(0.05, 0.3, size=(10, dim)):
-        val, grad = evaluate(f, 0, ref)
+    refs = rng.uniform(0.05, 0.3, size=(10, dim))
+    vals, grads = tabulate(space, f.coeffs, refs, [0])
+    for ref, val, grad in zip(refs, vals[0], grads[0]):
         x = mesh.vertices[mesh.elements[0, 0]] + mesh.inv_jac[0] @ ref
         oracle_val = sum(c * np.prod(x ** np.array(e))
                          for c, e in zip(mono_coeff, exps))
@@ -413,7 +411,8 @@ def test_reference_tables_built_once_per_basis_and_rule(dim, order):
 
 
 def test_evaluate_leaves_table_cache_unchanged():
-    """One-off points are tabulated afresh, never cached."""
+    """One-off points passed to `tabulate` are tabulated afresh, never
+    cached."""
     space = make_space(build_unit_mesh(2, 2), 2, 0.0)
     f = interpolate(space, lambda x: x[:, 0] * x[:, 1] + x[:, 1] ** 2)
     tabulate(space, f.coeffs, space.quad.points)
@@ -422,6 +421,6 @@ def test_evaluate_leaves_table_cache_unchanged():
     for _ in range(1000):
         a, b = rng.uniform(size=2)
         element = int(rng.integers(space.mesh.num_elements))
-        val, _ = evaluate(f, element, [a * (1 - b), b])
-        assert np.isfinite(val)
+        vals, _ = tabulate(space, f.coeffs, np.array([[a * (1 - b), b]]), [element])
+        assert np.isfinite(vals).all()
     assert (len(felement._TABLES), len(felement._OWNED_POINTS)) == before

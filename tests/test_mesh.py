@@ -1,13 +1,11 @@
 import hashlib
-import re
 
 import numpy as np
 import pytest
 
 from nitschelab.felement import make_space
 from nitschelab.mesh import (MeshError, Mesh, build_unit_mesh, check_conforming,
-                             check_nested, dump_mesh, element_map, load_mesh,
-                             refine, width)
+                             check_nested, refine, width)
 
 
 def shoelace(p0, p1, p2):
@@ -57,8 +55,7 @@ def test_level_is_the_length_of_the_parent_chain(dim):
         m = refine(m)
         assert m.level == level
     # the same data without a parent is a level-0 mesh
-    assert Mesh(dim, m.vertices, m.elements, m.boundary_facets,
-                m.boundary_markers).level == 0
+    assert Mesh(dim, m.vertices, m.elements, m.boundary_facets).level == 0
 
 
 def test_refine_triangles_count_and_area():
@@ -81,45 +78,44 @@ def test_width_examples():
 
 def test_element_map_interval_scaling():
     m = build_unit_mesh(1, 4)
-    em = element_map(m, 0)
-    assert em.affine_part[0, 0] == pytest.approx(4.0)
-    assert em.det == pytest.approx(4.0)
+    assert m.jac[0, 0, 0] == pytest.approx(4.0)
+    assert m.det_jac[0] == pytest.approx(4.0)
     # map consistency: |T_h| = |det|^{-1} |T|
-    assert 1.0 / abs(em.det) == pytest.approx(0.25)
+    assert 1.0 / abs(m.det_jac[0]) == pytest.approx(0.25)
 
 
 def test_element_map_reference_triangle_identity():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    m = Mesh(2, verts, np.array([[0, 1, 2]]),
-             np.array([[0, 1], [1, 2], [0, 2]]), np.array([1, 1, 1]))
-    em = element_map(m, 0)
-    assert np.allclose(em.affine_part, np.eye(2), atol=1e-14)
-    assert em.det == pytest.approx(1.0)
-    assert np.allclose(em.offset, 0.0, atol=1e-14)
+    m = Mesh(2, verts, np.array([[0, 1, 2]]), np.array([[0, 1], [1, 2], [0, 2]]))
+    assert np.allclose(m.jac[0], np.eye(2), atol=1e-14)
+    assert np.allclose(m.inv_jac[0], np.eye(2), atol=1e-14)
+    assert m.det_jac[0] == pytest.approx(1.0)
 
 
 def test_element_map_area_matches_shoelace():
     verts = np.array([[0.1, 0.2], [0.9, 0.35], [0.4, 0.8]])
-    m = Mesh(2, verts, np.array([[0, 1, 2]]),
-             np.array([[0, 1], [1, 2], [0, 2]]), np.array([1, 1, 1]))
-    em = element_map(m, 0)
-    area_via_map = 0.5 / abs(em.det)
-    assert area_via_map == pytest.approx(shoelace(*verts), abs=1e-14)
+    m = Mesh(2, verts, np.array([[0, 1, 2]]), np.array([[0, 1], [1, 2], [0, 2]]))
+    # |T_h| = |det DF_h|^{-1} |T|, |T| = 1/2
+    assert 0.5 / abs(m.det_jac[0]) == pytest.approx(shoelace(*verts), abs=1e-14)
+    assert m.volumes[0] == pytest.approx(shoelace(*verts), abs=1e-14)
 
 
 def test_element_map_roundtrip_points():
+    """DF_h and its inverse invert each other on every element, and the
+    centroid maps to the reference centroid and back."""
     m = refine(build_unit_mesh(2, 3))
-    em = element_map(m, 7)
-    x = m.element_vertices(7).mean(axis=0)
-    ref = em.to_reference(x)
-    assert np.allclose(em.from_reference(ref), x, atol=1e-14)
+    assert np.abs(m.jac @ m.inv_jac - np.eye(2)).max() < 1e-14
+    v = m.vertices[m.elements[7]]
+    x = v.mean(axis=0)
+    ref = m.jac[7] @ (x - v[0])
+    assert np.allclose(ref, 1.0 / 3.0, atol=1e-14)
+    assert np.allclose(v[0] + m.inv_jac[7] @ ref, x, atol=1e-14)
 
 
 def test_degenerate_element_rejected():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(MeshError):
-        Mesh(2, verts, np.array([[0, 1, 2]]), np.zeros((0, 2), dtype=int),
-             np.zeros(0, dtype=int))
+        Mesh(2, verts, np.array([[0, 1, 2]]), np.zeros((0, 2), dtype=int))
 
 
 @pytest.mark.parametrize("dim,cells", [(1, 5), (2, 3)])
@@ -133,16 +129,14 @@ def test_conformity_across_levels(dim, cells):
 
 def test_conformity_detects_bad_boundary():
     m = build_unit_mesh(2, 2)
-    broken = Mesh(2, m.vertices.copy(), m.elements.copy(),
-                  m.boundary_facets[:-1].copy(), m.boundary_markers[:-1].copy())
+    broken = Mesh(2, m.vertices.copy(), m.elements.copy(), m.boundary_facets[:-1].copy())
     with pytest.raises(MeshError):
         check_conforming(broken)
 
 
 def test_conformity_detects_duplicate_vertices():
     verts = np.array([[0.0], [0.5], [0.5], [1.0]])
-    m = Mesh(1, verts, np.array([[0, 1], [2, 3]]), np.array([[0], [3]]),
-             np.array([1, 1]))
+    m = Mesh(1, verts, np.array([[0, 1], [2, 3]]), np.array([[0], [3]]))
     with pytest.raises(MeshError):
         check_conforming(m)
 
@@ -171,41 +165,6 @@ def test_width_order_scaling_constants(dim):
         m = refine(m)
     assert max(dets) / min(dets) - 1 < 0.01
     assert max(jacs) / min(jacs) - 1 < 0.01
-
-
-@pytest.mark.parametrize("dim", [1, 2])
-def test_dump_load_roundtrip(dim, tmp_path):
-    m = refine(build_unit_mesh(dim, 3))
-    path = tmp_path / "mesh.txt"
-    dump_mesh(m, path)
-    loaded = load_mesh(path)
-    assert np.array_equal(loaded.vertices, m.vertices)
-    assert np.array_equal(loaded.elements, m.elements)
-    assert np.array_equal(loaded.boundary_facets, m.boundary_facets)
-    # byte-exact on re-dump
-    path2 = tmp_path / "mesh2.txt"
-    dump_mesh(loaded, path2)
-    assert path.read_bytes() == path2.read_bytes()
-
-
-def test_load_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("v 0.0\nq 1 2\n")
-    with pytest.raises(MeshError):
-        load_mesh(path)
-
-
-@pytest.mark.parametrize("text,lineno", [
-    ("v 0\nv 1\ne 0 1\nb\n", 4),           # a facet with neither vertex nor marker
-    ("v 0\nv one\ne 0 1\n", 2),             # a non-numeric field
-    ("v 0 0\nv 1\nv 0 1\ne 0 1 2\n", 2),   # vertex rows of unequal length
-], ids=["bare-b", "non-numeric", "ragged-vertices"])
-def test_load_names_the_line_of_a_malformed_record(tmp_path, text, lineno):
-    """Used to raise IndexError or a ValueError with no location."""
-    path = tmp_path / "bad.txt"
-    path.write_text(text)
-    with pytest.raises(MeshError, match=re.escape(f"{path}:{lineno}: ")):
-        load_mesh(path)
 
 
 def _digest(arrays):
@@ -240,7 +199,9 @@ def test_refined_topology_and_dofs_pinned(dim, cells):
     m = build_unit_mesh(dim, cells)
     for _ in range(3):
         m = refine(m)
-    assert _digest([m.vertices, m.elements, m.boundary_facets, m.boundary_markers,
+    # the pinned digests hash a column of ones after the boundary facets
+    markers = np.ones(len(m.boundary_facets), dtype=np.int64)
+    assert _digest([m.vertices, m.elements, m.boundary_facets, markers,
                     m.parent_elements]) == _TOPOLOGY_DIGESTS[dim, "mesh"]
     for order in (1, 2, 3):
         s = make_space(m, order, 0.0)
@@ -251,7 +212,7 @@ def test_refined_topology_and_dofs_pinned(dim, cells):
 def test_conformity_detects_facet_shared_by_three():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.0]])
     elements = np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]])
-    m = Mesh(2, verts, elements, np.array([[0, 2], [1, 2]]), np.array([1, 1]))
+    m = Mesh(2, verts, elements, np.array([[0, 2], [1, 2]]))
     with pytest.raises(MeshError, match=r"facet \(0, 1\) shared by 3 > 2"):
         check_conforming(m)
 
@@ -259,9 +220,9 @@ def test_conformity_detects_facet_shared_by_three():
 def test_element_repeating_a_vertex_rejected():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(MeshError, match="degenerate"):
-        Mesh(2, verts, np.array([[0, 1, 1]]), np.array([[0, 1]]), np.array([1]))
+        Mesh(2, verts, np.array([[0, 1, 1]]), np.array([[0, 1]]))
     with pytest.raises(MeshError, match="degenerate"):
-        Mesh(1, verts[:2, :1], np.array([[1, 1]]), np.array([[1]]), np.array([1]))
+        Mesh(1, verts[:2, :1], np.array([[1, 1]]), np.array([[1]]))
 
 
 def test_nestedness_detects_child_outside_parent():
@@ -272,13 +233,13 @@ def test_nestedness_detects_child_outside_parent():
     parents = fine.parent_elements.copy()
     parents[:4], parents[4:8] = 1, 0
     swapped = Mesh(2, fine.vertices, fine.elements, fine.boundary_facets,
-                   fine.boundary_markers, parent=coarse, parent_elements=parents)
+                   parent=coarse, parent_elements=parents)
     with pytest.raises(MeshError, match="outside parent"):
         check_nested(swapped)
 
 
 def test_refine_rejects_boundary_facet_that_is_no_edge():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    m = Mesh(2, verts, np.array([[0, 1, 2]]), np.array([[0, 3]]), np.array([1]))
+    m = Mesh(2, verts, np.array([[0, 1, 2]]), np.array([[0, 3]]))
     with pytest.raises(MeshError, match="not a facet"):
         refine(m)
