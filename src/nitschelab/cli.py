@@ -289,7 +289,9 @@ def plot_data(rates_csv_path, output_dir=None):
 
     The reference exponents are the fitted H1 slope rounded to the nearest
     integer (the csv schema does not carry the order) and that value plus
-    one; both reference lines are anchored at the coarsest data point.
+    one. Each reference line is anchored at the coarsest row whose error
+    in its column is positive, since a log axis shows no other; a column
+    without one exits EXIT_CONFIG with nothing written.
     """
     try:
         with open(rates_csv_path) as fh:
@@ -310,6 +312,9 @@ def plot_data(rates_csv_path, output_dir=None):
     if not np.isfinite(l2).all():   # the fit below checks the H1 column
         print("malformed rates csv: L2 errors must be finite", file=sys.stderr)
         return EXIT_CONFIG
+    if not any(e > 0 for e in l2):
+        print("malformed rates csv: no positive L2 error", file=sys.stderr)
+        return EXIT_CONFIG
 
     # the fit validates the data, so it comes before any file is written;
     # its warnings reach the user as notes, not as library warnings
@@ -322,13 +327,16 @@ def plot_data(rates_csv_path, output_dir=None):
         return EXIT_CONFIG
     for warning in caught:
         print(f"note: {warning.message}", file=sys.stderr)
-    h0, e1_0, e2_0 = hs[0], h1[0], l2[0]
+    # a log axis shows only positive errors, so each line is anchored at its
+    # column's first positive one (the fit needs two in the H1 column)
+    (h1_0, e1_0), (h2_0, e2_0) = ([(h, e) for h, e in zip(hs, errs) if e > 0][0]
+                                  for errs in (h1, l2))
     script = "\n".join([
         "set logscale xy",
         "set xlabel 'h'",
         "set ylabel 'error'",
-        f"ref_h1(x) = {_fmt(e1_0)} * (x/{_fmt(h0)})**{m}",
-        f"ref_l2(x) = {_fmt(e2_0)} * (x/{_fmt(h0)})**{m + 1}",
+        f"ref_h1(x) = {_fmt(e1_0)} * (x/{_fmt(h1_0)})**{m}",
+        f"ref_l2(x) = {_fmt(e2_0)} * (x/{_fmt(h2_0)})**{m + 1}",
         "plot 'h1.dat' with linespoints title 'H1 error', \\",
         "     'l2.dat' with linespoints title 'L2 error', \\",
         f"     ref_h1(x) with lines dashtype 2 title 'h^{m}', \\",

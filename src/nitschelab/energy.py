@@ -268,16 +268,39 @@ def classify(model):
 # manufactured problems
 
 
+def _sin_cos_pi(x):
+    """sin(pi x) and cos(pi x) of the rows of x from one tan pass, by the
+    half-angle formulas sin = 2t/(1+t^2), cos = (1-t^2)/(1+t^2) with
+    t = tan(pi x/2).
+
+    On x86-64 with AVX-512, numpy 2.4's float64 tan runs a vectorized loop
+    where its sin and cos run a scalar one (0.8 against 8.8 and 10.5 ns
+    per value), so the pair costs about a sixth of np.sin plus np.cos.
+    Where numpy has no vectorized tan for the CPU it calls the scalar
+    libm tan, and the pass should be about even with sin+cos (not
+    measured).  Both factors are within 2.2e-16 of np.sin and np.cos, but
+    not bitwise them, and as accurate as np.sin against the exact value
+    (1.26e-15 against 1.25e-15 on [-2, 3]); sin is exactly 0 at x = 0.
+    Three arrays are live at a time, and x is never written."""
+    t = (0.5 * np.pi) * np.atleast_2d(x)
+    np.tan(t, out=t)
+    t2 = t * t
+    inv = np.add(t2, 1.0)
+    np.divide(1.0, inv, out=inv)
+    np.multiply(t, 2.0, out=t)
+    np.multiply(t, inv, out=t)
+    np.subtract(1.0, t2, out=t2)
+    np.multiply(t2, inv, out=t2)
+    return t, t2
+
+
 def _sine_product(dim):
     """u(x) = prod_i sin(pi x_i) on (0,1)^dim, vanishing on the boundary.
 
-    sin and cos are taken once per call and every derivative multiplies
+    Every call takes sin(pi x) and cos(pi x) from one `_sin_cos_pi` pass,
+    one tan, not from np.sin and np.cos, and every derivative multiplies
     its factors left to right, axis by axis; the jet takes them once for
     all it returns."""
-
-    def trig(x):
-        px = np.pi * np.atleast_2d(x)
-        return np.sin(px), np.cos(px)
 
     def prod(cols):
         return functools.reduce(operator.mul, cols)
@@ -303,16 +326,16 @@ def _sine_product(dim):
         return hess
 
     def value(x):
-        return value_of(np.sin(np.pi * np.atleast_2d(x)))
+        return value_of(_sin_cos_pi(x)[0])
 
     def gradient(x):
-        return gradient_of(*trig(x))
+        return gradient_of(*_sin_cos_pi(x))
 
     def hessian(x):
-        return hessian_of(*trig(x))
+        return hessian_of(*_sin_cos_pi(x))
 
     def jet(x, hessian=True):
-        s, c = trig(x)
+        s, c = _sin_cos_pi(x)
         if not hessian:
             return value_of(s), gradient_of(s, c)
         return value_of(s), gradient_of(s, c), hessian_of(s, c)

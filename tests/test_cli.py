@@ -224,8 +224,11 @@ RATES_HEADER = ("level,h,dofs,err_l2,err_h1,slope_l2_running,"
     (("0.5", "0.25", "0.125"), ("0.1", "0.05", "0.025"), None, "file/out"),  # under a file
     (("0.5", "0.25", "0.125"), ("0.1", "0.05", "0.025"), ("0.01", "nan", "0.001"), "out"),
     (("0.5", "0.25", "0.125"), ("0.1", "0.05", "0.025"), ("0.01", "0.002", "inf"), "out"),
+    (("0.5", "0.25", "0.125"), ("0.0", "0.0", "-0.1"), ("0.01", "0.002", "0.001"), "out"),
+    (("0.5", "0.25", "0.125"), ("0.1", "0.05", "0.025"), ("0.0", "-0.01", "0.0"), "out"),
 ], ids=["equal_h", "few_positive", "zero_h", "negative_h", "inf_h", "inf_error",
-        "under_file", "nan_l2_error", "inf_l2_error"])
+        "under_file", "nan_l2_error", "inf_l2_error", "no_positive_h1_error",
+        "no_positive_l2_error"])
 def test_plot_bad_input_exits_config_and_writes_nothing(tmp_path, capsys, hs, h1, l2, subdir):
     """`l2` None repeats the H1 errors in the err_l2 column."""
     csv_path = tmp_path / "rates.csv"
@@ -237,6 +240,20 @@ def test_plot_bad_input_exits_config_and_writes_nothing(tmp_path, capsys, hs, h1
     err = capsys.readouterr().err
     assert err.strip() and "Traceback" not in err
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_plot_anchors_each_reference_line_at_its_first_positive_error(tmp_path):
+    """A log axis cannot show a zero or negative error, so each reference
+    line starts from its own column's first positive row."""
+    csv_path = tmp_path / "rates.csv"
+    rows = (("0.5", "0.0", "0.0"), ("0.25", "0.05", "-0.01"), ("0.125", "0.025", "0.001"),
+            ("0.0625", "0.0125", "0.0002"))
+    csv_path.write_text(RATES_HEADER + "".join(
+        f"{k},{h},9,{e2},{e1},,,3\n" for k, (h, e1, e2) in enumerate(rows)))
+    assert plot_data(str(csv_path)) == EXIT_OK
+    script = (tmp_path / "rates.gp").read_text()
+    assert "ref_h1(x) = 0.05 * (x/0.25)**1\n" in script
+    assert "ref_l2(x) = 0.001 * (x/0.125)**2\n" in script
 
 
 @pytest.mark.parametrize("blob", [

@@ -180,11 +180,14 @@ def test_el_residual_sees_an_inconsistent_second_derivative():
 @pytest.mark.parametrize("dim", [1, 2])
 def test_sine_product_bitwise_equal_to_prod_formulation(dim):
     """The exact solution and its derivatives equal, bit for bit, the
-    np.prod of per-axis sine/cosine factors."""
+    np.prod of per-axis sine/cosine factors, each taken by the half-angle
+    formulas from t = tan(pi x/2)."""
     from nitschelab.energy import _sine_product
 
     x = np.random.default_rng(dim).uniform(size=(5000, dim))
-    s, c = np.sin(np.pi * x), np.cos(np.pi * x)
+    t = np.tan((0.5 * np.pi) * x)
+    inv = 1.0 / (t * t + 1.0)
+    s, c = (2.0 * t) * inv, (1.0 - t * t) * inv
     grad = np.empty_like(x)
     hess = np.empty(x.shape + (dim,))
     for i in range(dim):
@@ -202,6 +205,36 @@ def test_sine_product_bitwise_equal_to_prod_formulation(dim):
     assert np.array_equal(exact.value(x), np.prod(s, axis=1))
     assert np.array_equal(exact.gradient(x), grad)
     assert np.array_equal(exact.hessian(x), hess)
+
+
+def test_sine_product_factors_within_two_ulp_of_np_sin_and_cos():
+    """The half-angle factors are within 4.5e-16 (2 ulp of 1) of np.sin and
+    np.cos on [-2, 3], at every integer and half-integer, next to 1 and at
+    1e-300; the solution is at most that on the Dirichlet boundary, and no
+    entry writes the caller's points."""
+    rng = np.random.default_rng(28)
+    x = np.concatenate([rng.uniform(-2.0, 3.0, 200_000), np.arange(-4, 7) / 2,
+                        1.0 + np.arange(-10, 11) * 1e-16, [1e-300, -1e-300]])
+    s, c = energy._sin_cos_pi(x)
+    assert s.shape == c.shape == (1, len(x))
+    assert np.abs(s[0] - np.sin(np.pi * x)).max() <= 4.5e-16
+    assert np.abs(c[0] - np.cos(np.pi * x)).max() <= 4.5e-16
+    assert energy._sin_cos_pi(np.zeros(3))[0].tolist() == [[0.0, 0.0, 0.0]]
+
+    exact = energy._sine_product(2)
+    edge = rng.uniform(-0.5, 1.5, 400)
+    for side in (0.0, 1.0):
+        for axis in (0, 1):
+            pts = np.column_stack([edge, edge])
+            pts[:, axis] = side
+            assert np.abs(exact.value(pts)).max() <= 4.5e-16
+
+    pts = rng.uniform(-2.0, 3.0, size=(300, 2))
+    before = pts.copy()
+    for call in (exact.value, exact.gradient, exact.hessian, exact.jet,
+                 lambda y: exact.jet(y, hessian=False)):
+        call(pts)
+        assert np.array_equal(pts, before)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
