@@ -1,23 +1,32 @@
-"""Run the two larger studies of ROADMAP.md, S1 and S2, and print for
-each its exit code, wall time, peak RSS and a sha256 of its outputs.
+"""Run the two larger studies of ROADMAP.md, S1 and S2, print for each its
+exit code, wall time, peak RSS and a sha256 of its outputs, and compare
+the outputs against the committed ones.
 
     python scripts/large_studies.py
 
 S1 is quartic d=2 P1, 6 levels from 8 cells, no diagnostics (66 049 dofs
 at the finest level).  S2 is quartic d=2 P2, 5 levels from 4 cells, with
 the adjoint, galerkin and ellipticity diagnostics (its largest space, the
-adjoint reference of the last level, has 263 169 dofs).
+adjoint reference of the last level, has 263 169 dofs).  Each study's
+config and committed outputs are in `large_reference/<study>/` next to
+this script.
 
 Each study runs `cli.main(["run", config])` in a fresh interpreter on
 the `src/` next to this script, with one BLAS thread, and writes its
 outputs into a temporary directory that is removed afterwards.  The wall
 time is that of the `cli.main` call, the peak RSS the interpreter's
 `ru_maxrss`, and the sha256 is taken over rates.csv, diagnostics.csv and
-report.txt, in that order, each name followed by its bytes.
+report.txt, in that order, each name followed by its bytes.  Before the
+directory is removed, the outputs are compared against the committed
+ones as `tests/test_reference.py` compares its cases, with the bounds of
+`compare_outputs.py`: report.txt with its numbers masked, the integer
+columns exactly, every float within its column's bound.
 
-Exits 1 unless every study exits with its expected code: 0 for S1, and
-1 for S2, whose report holds the one known `[FAIL] galerkin`.  Times and
-bytes are printed, not checked.
+Exits 1 unless every study exits with its expected code (0 for S1, and 1
+for S2, whose report holds the one known `[FAIL] galerkin`) and its
+outputs match the committed ones; each value that moved is printed with
+its study, column, level and both values.  Times and peaks are printed,
+not checked.
 """
 
 import hashlib
@@ -27,16 +36,16 @@ import subprocess
 import sys
 import tempfile
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-OUTPUTS = ("rates.csv", "diagnostics.csv", "report.txt")
+import yaml
 
-# name: (config lines, expected exit code)
-STUDIES = {
-    "S1": ("problem: quartic\ndim: 2\norder: 1\nlevels: 6\ncoarse_cells: 8\n"
-           "diagnostics: []\n", 0),
-    "S2": ("problem: quartic\ndim: 2\norder: 2\nlevels: 5\ncoarse_cells: 4\n"
-           "diagnostics: [adjoint, galerkin, ellipticity]\n", 1),
-}
+import compare_outputs
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(HERE), "src")
+REFERENCE = os.path.join(HERE, "large_reference")
+
+# name: expected exit code
+STUDIES = {"S1": 0, "S2": 1}
 
 # runs in the fresh interpreter; its last stdout line is the measurement
 CHILD = """
@@ -52,7 +61,7 @@ print(json.dumps({"exit": code, "wall_s": wall, "peak_rss_mb": peak}))
 
 def outputs_sha256(directory):
     digest = hashlib.sha256()
-    for name in OUTPUTS:
+    for name in compare_outputs.OUTPUTS:
         path = os.path.join(directory, name)
         digest.update(name.encode())
         if os.path.isfile(path):
@@ -61,12 +70,24 @@ def outputs_sha256(directory):
     return digest.hexdigest()
 
 
-def run_study(config):
-    """The measurement of one study, with the sha256 of its outputs."""
+def moved_from_reference(name, out_dir):
+    """compare_outputs.moved_values of the outputs in out_dir against the
+    study's committed ones, with the floors of the study's config."""
+    ref_dir = os.path.join(REFERENCE, name)
+    with open(os.path.join(ref_dir, "config.yaml")) as fh:
+        floors = compare_outputs.absolute_floors(yaml.safe_load(fh))
+    return compare_outputs.moved_values(ref_dir, out_dir, floors)
+
+
+def run_study(name):
+    """The measurement of one study, with the sha256 of its outputs and
+    what in them moved from the committed ones."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.yaml")
+        with open(os.path.join(REFERENCE, name, "config.yaml")) as fh:
+            config = fh.read()
         with open(path, "w") as fh:
             fh.write(config + f"output_dir: {json.dumps(os.path.join(tmp, 'out'))}\n")
         done = subprocess.run([sys.executable, "-c", CHILD, path], env=env, cwd=tmp,
@@ -75,13 +96,14 @@ def run_study(config):
             return {"exit": None, "error": f"interpreter exited {done.returncode}"}
         result = json.loads(done.stdout.splitlines()[-1])
         result["sha256"] = outputs_sha256(os.path.join(tmp, "out"))
+        result["moved"] = moved_from_reference(name, os.path.join(tmp, "out"))
     return result
 
 
 def main():
     ok = True
-    for name, (config, expected) in STUDIES.items():
-        result = run_study(config)
+    for name, expected in STUDIES.items():
+        result = run_study(name)
         if "error" in result:
             print(f"{name}: {result['error']}")
         else:
@@ -89,6 +111,9 @@ def main():
                   f"peak {result['peak_rss_mb']:.1f} MB  sha256 {result['sha256']}")
         if result["exit"] != expected:
             print(f"{name}: expected exit {expected}")
+            ok = False
+        for line in result.get("moved", []):
+            print(f"{name}: {line}")
             ok = False
     return 0 if ok else 1
 

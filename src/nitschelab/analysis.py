@@ -253,13 +253,13 @@ class _Hierarchy:
     d2J at the minimizer when Newton took no step: on level 0, the root,
     an exact solve by a dense inverse of the Hessian's interior block;
     above it, one `solver._v_cycle` level with the Hessian on top of the
-    cycle below.  A level l >= 1 passes the same binding to `minimize` as
-    `preconditioner_for`, so each of its Newton steps is preconditioned
-    by the binding of its own Hessian; an adjoint solve on a level is
+    cycle below, through the kept prolongation and its transpose view.
+    A level l >= 1 passes the same binding to `minimize` as
+    `preconditioner_for`, so each of its Newton steps is preconditioned by
+    the binding of its own Hessian; an adjoint solve on a level is
     preconditioned by the level's kept cycle.  Solves stay
-    Jacobi-preconditioned on level 0, and on every level of an order
-    whose root has more than `_ROOT_DOFS` interior dofs, where the cycles
-    are None.
+    Jacobi-preconditioned on level 0, and on every level of an order whose
+    root has more than `_ROOT_DOFS` interior dofs, where the cycles are None.
     """
 
     problem: ManufacturedProblem
@@ -292,8 +292,8 @@ class _Hierarchy:
                 newton = replace(newton, initial=FEFunction(space, prolongation @ coarse.coeffs))
                 below = self.cycles[level - 1, order]
                 bind = below and partial(
-                    _level_cycle, _JACOBI_DAMPING[order],
-                    *_interior_transfers(prolongation, space, coarse.space), below)
+                    _level_cycle, _JACOBI_DAMPING[order], prolongation,
+                    space.boundary_dofs, coarse.space.boundary_dofs, below)
             # the root's Newton solves stay Jacobi-preconditioned
             u, log = minimize(self.problem.model, space, newton,
                               preconditioner_for=bind if level else None)
@@ -303,21 +303,10 @@ class _Hierarchy:
         return self.minimizers[level, order]
 
 
-def _interior_transfers(prolongation, fine, coarse):
-    """The prolongation with the rows of the fine and the columns of the
-    coarse boundary dofs zeroed, and its transpose."""
-    prolongation = prolongation.copy()
-    rows = np.repeat(np.arange(fine.dim), np.diff(prolongation.indptr))
-    prolongation.data[~(fine.interior_mask[rows]
-                        & coarse.interior_mask[prolongation.indices])] = 0.0
-    prolongation.eliminate_zeros()
-    return prolongation, prolongation.T.tocsr()
-
-
-def _level_cycle(omega, prolongation, restriction, coarse_solve, hess):
-    """`solver._v_cycle` with `hess` on top of `coarse_solve`, bound."""
+def _level_cycle(omega, prolongation, fine_bc, coarse_bc, coarse_solve, hess):
+    """`_v_cycle` bound with `hess` over `coarse_solve`, restricting by the view `prolongation.T`."""
     return partial(_v_cycle, hess.matrix, omega / hess.diagonal(), prolongation,
-                   restriction, coarse_solve)
+                   prolongation.T, fine_bc, coarse_bc, coarse_solve)
 
 
 def _root_solve(interior, hess):

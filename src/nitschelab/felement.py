@@ -504,8 +504,15 @@ def tabulate(space, coeffs, ref_pts, sl=slice(None), gradients=True):
     coefficient vector `coeffs` at shared reference points on the elements
     selected by `sl`; every FE evaluation in the package goes through here.
     Without `gradients` only the values are computed, and None stands in
-    for the gradients."""
-    local = np.asarray(coeffs)[space.elem_dofs[sl]]            # (ne, nloc)
+    for the gradients.  Raises ValueError unless `coeffs` has shape
+    (space.dim,) and `ref_pts` shape (npts, d) with npts >= 1."""
+    coeffs, ref_pts = np.asarray(coeffs), np.asarray(ref_pts)
+    if coeffs.shape != (space.dim,) or ref_pts.shape[1:] != (space.mesh.dim,) \
+            or not len(ref_pts):
+        raise ValueError(f"tabulate needs coeffs of shape ({space.dim},) and ref_pts of "
+                         f"shape (npts >= 1, {space.mesh.dim}), got {coeffs.shape} "
+                         f"and {ref_pts.shape}")
+    local = coeffs[space.elem_dofs[sl]]                        # (ne, nloc)
     tab = _reference_table(space.basis, ref_pts)
     if not gradients:
         return local @ tab[:, :, -1].T, None

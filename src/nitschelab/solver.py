@@ -7,9 +7,9 @@ point; positive definiteness is checked implicitly by the conjugate
 gradient solve at every step.  The solves are Jacobi-preconditioned
 unless the caller passes another preconditioner: a study's level
 hierarchy passes a geometric V-cycle, one `_v_cycle` level bound on
-top of the cycle kept for the level below, and binds the level's own
-cycle to the Hessian of the last Newton solve, `SolveLog.hessian`.  All
-solves are deterministic.
+top of the cycle kept for the level below through the level pair's
+`embedding_matrix`, and binds the level's own cycle to the Hessian of
+the last Newton solve, `SolveLog.hessian`.  All solves are deterministic.
 """
 
 from dataclasses import dataclass, field
@@ -177,25 +177,33 @@ def _check_rz(rz, residual, iterations):
 _SMOOTHING_SWEEPS = 2
 
 
-def _v_cycle(a, weights, prolongation, restriction, coarse_solve, r):
+def _v_cycle(a, weights, prolongation, restriction, fine_bc, coarse_bc, coarse_solve, r):
     """One level of a symmetric geometric V-cycle applied to r: a
     preconditioner for `linear_solve` once all but r are bound.
 
     `a` is the level's CSR operator, `weights` its damped inverse
-    diagonal, `prolongation` the map from the level below and
+    diagonal, `prolongation` the embedding from the level below and
     `restriction` its transpose; `coarse_solve` is the cycle of the level
     below, bound the same way, or at the root an exact solve.  The level
     smooths by `_SMOOTHING_SWEEPS` damped-Jacobi sweeps before and after
-    the correction from the level below.  With symmetric positive
-    definite operators, a symmetric positive definite root solve and a
-    damping below 2 / lambda_max(D^-1 A) on every level, the cycle is
-    symmetric positive definite.
+    the correction from the level below.  The restricted residual has its
+    coarse Dirichlet entries `coarse_bc` zeroed, as in `galerkin_defect`,
+    and the correction its fine ones `fine_bc`: a P3 d=2 embedding maps
+    Dirichlet rows to interior columns by rounding entries.  With SPD
+    operators, an SPD root solve and a damping below 2 / lambda_max(D^-1 A)
+    on every level, the cycle is SPD on vectors with zero Dirichlet
+    entries, the only ones `linear_solve` passes (on others, the rounding
+    entries can break its symmetry by about 1e-15).
     """
     x = weights * r
     _smooth(a, weights, x, r, _SMOOTHING_SWEEPS - 1)
     defect = a @ x
     np.subtract(r, defect, out=defect)
-    x += prolongation @ coarse_solve(restriction @ defect)
+    coarse = restriction @ defect
+    coarse[coarse_bc] = 0.0
+    correction = prolongation @ coarse_solve(coarse)
+    correction[fine_bc] = 0.0
+    x += correction
     _smooth(a, weights, x, r, _SMOOTHING_SWEEPS)
     return x
 
@@ -285,7 +293,8 @@ def embedding_matrix(src_space, dst_space):
     dst_space must live on the same mesh as src_space or on a refinement
     descendant, with order at least the source order; then every source
     function is a dst-space function and the embedding is exact (the dst
-    nodal values of the source polynomial).
+    nodal values of the source polynomial).  Only its nonzero entries
+    are stored: no product of a finite vector changes (rows sum from +0).
     """
     if dst_space.order < src_space.order:
         raise ValueError("target order is lower than source order; embedding "
@@ -321,10 +330,12 @@ def embedding_matrix(src_space, dst_space):
     # use maps about 0.5 MB more of scipy's compiled code into memory
     cols = src_space.elem_dofs[anc]
     order = np.argsort(cols, axis=1, kind="stable")
-    return sp.csr_matrix((np.take_along_axis(vals, order, axis=1).ravel(),
-                          np.take_along_axis(cols, order, axis=1).ravel(),
-                          nloc_s * np.arange(dst_space.dim + 1)),
-                         shape=(dst_space.dim, src_space.dim))
+    embedding = sp.csr_matrix((np.take_along_axis(vals, order, axis=1).ravel(),
+                               np.take_along_axis(cols, order, axis=1).ravel(),
+                               nloc_s * np.arange(dst_space.dim + 1)),
+                              shape=(dst_space.dim, src_space.dim))
+    embedding.eliminate_zeros()
+    return embedding
 
 
 def embed(f, dst_space):

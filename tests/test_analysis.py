@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from nitschelab import analysis, solver
 from nitschelab.analysis import (adjoint_identity_check, convergence_study,
@@ -572,6 +573,76 @@ def test_v_cycle_is_symmetric_positive_definite(order):
         uv, vu = u @ cycle(v), v @ cycle(u)
         assert abs(uv - vu) <= 1e-12 * np.sqrt((u @ cycle(u)) * (v @ cycle(v)))
         assert u @ cycle(u) > 0
+
+
+def quartic_hierarchy(dim, cells, order, levels):
+    """A quartic hierarchy in `dim` dimensions from `cells` coarse cells
+    with `levels` minimizers, so a kept cycle on every level above 0."""
+    hierarchy = analysis._Hierarchy(build_problem("quartic", dim), NewtonOptions(),
+                                    [build_unit_mesh(dim, cells)])
+    for level in range(levels):
+        hierarchy.minimizer(level, order)
+    return hierarchy
+
+
+def masked_level_step(a, weights, prolongation, fine, coarse, coarse_solve, r):
+    """One V-cycle level through a copy of the prolongation without the
+    fine Dirichlet rows and the coarse Dirichlet columns, and the CSR
+    transpose of that copy as the restriction."""
+    masked = prolongation.copy()
+    rows = np.repeat(np.arange(fine.dim), np.diff(masked.indptr))
+    masked.data[~(fine.interior_mask[rows] & coarse.interior_mask[masked.indices])] = 0.0
+    masked.eliminate_zeros()
+    x = weights * r
+    solver._smooth(a, weights, x, r, solver._SMOOTHING_SWEEPS - 1)
+    defect = a @ x
+    np.subtract(r, defect, out=defect)
+    x += masked @ coarse_solve(masked.T.tocsr() @ defect)
+    solver._smooth(a, weights, x, r, solver._SMOOTHING_SWEEPS)
+    return x
+
+
+HIERARCHY_SHAPES = [(dim, cells, order, levels) for dim, cells, levels in [(1, 4, 4), (2, 2, 4)]
+                    for order in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("dim, cells, order, levels", HIERARCHY_SHAPES)
+def test_v_cycle_transfers_match_the_masked_prolongation_bytewise(dim, cells, order, levels):
+    """Restricting by the prolongation's transpose and zeroing the coarse
+    Dirichlet entries, then zeroing the fine Dirichlet entries of the
+    prolonged correction, gives the bytes of the masked transfers on every
+    kept cycle, for residuals with zero Dirichlet entries.  The P3 d=2
+    prolongation carries entries of about 1e-15 from Dirichlet rows into
+    interior columns, so there the fine zeroing is needed."""
+    hierarchy = quartic_hierarchy(dim, cells, order, levels)
+    rng = np.random.default_rng(order)
+    for level in range(1, levels):
+        fine, coarse = hierarchy.space(level, order), hierarchy.space(level - 1, order)
+        cycle = hierarchy.cycles[level, order]
+        a, weights, prolongation, _, _, _, coarse_solve = cycle.args
+        for _ in range(3):
+            r = rng.standard_normal(fine.dim)
+            r[fine.boundary_dofs] = 0.0
+            assert np.array_equal(cycle(r), masked_level_step(
+                a, weights, prolongation, fine, coarse, coarse_solve, r))
+
+
+@pytest.mark.parametrize("dim, cells, order, levels", HIERARCHY_SHAPES)
+def test_a_level_cycle_holds_no_transfer_but_the_hierarchys_prolongation(
+        dim, cells, order, levels):
+    """Each kept cycle binds the hierarchy's prolongation itself and, as
+    its restriction, a transpose view on the same arrays; its only other
+    matrix is the Hessian's."""
+    hierarchy = quartic_hierarchy(dim, cells, order, levels)
+    for level in range(1, levels):
+        cycle = hierarchy.cycles[level, order]
+        a, _, prolongation, restriction = cycle.args[:4]
+        assert prolongation is hierarchy.prolongations[level, order]
+        assert restriction.shape == prolongation.shape[::-1]
+        for name in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(restriction, name), getattr(prolongation, name))
+        assert [arg is a or arg is prolongation or arg is restriction
+                for arg in cycle.args if sp.issparse(arg)] == [True] * 3
 
 
 @pytest.mark.parametrize("cells, cycle", [(21, True), (22, False)])

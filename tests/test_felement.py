@@ -253,6 +253,26 @@ def test_evaluate_constant_and_linear():
     assert np.allclose(grads[:, 0, 1], 0.0, atol=1e-13)
 
 
+@pytest.mark.parametrize("dim, coeffs, pts", [
+    (2, 25, [[0.25, 0.25]]),                 # more coefficients than dofs
+    (2, 5, [[0.25, 0.25]]),                  # fewer
+    (1, 4, [0.1, 0.5, 0.9]),                 # 1-D points as a flat array
+    (2, 9, [[0.1, 0.2, 0.3]]),               # a third coordinate in 2-D
+    (2, 9, [[0.1], [0.2]]),                  # one coordinate in 2-D
+    (2, 9, np.zeros((0, 2))),                # no point
+    (2, 9, np.zeros((2, 2, 2))),             # a 3-D point array
+    (2, (9, 1), [[0.25, 0.25]]),             # coefficients as a column
+])
+def test_tabulate_rejects_misshaped_input(dim, coeffs, pts):
+    """Mis-shaped coefficients or points raise, naming both shapes; without
+    the check the first, third and fourth cases return wrong values."""
+    space = make_space(build_unit_mesh(dim, 2 if dim == 2 else 3), 1, 0.0)
+    assert space.dim == (9 if dim == 2 else 4)
+    with pytest.raises(ValueError, match=rf"tabulate needs coeffs of shape \({space.dim},\) "
+                                         rf"and ref_pts of shape \(npts >= 1, {dim}\)"):
+        tabulate(space, np.ones(coeffs), np.asarray(pts, dtype=float))
+
+
 @pytest.mark.parametrize("dim,order", [(1, 2), (1, 3), (2, 2), (2, 3)])
 def test_evaluate_against_monomial_reexpansion(dim, order):
     """Independent oracle: express the local polynomial in the monomial

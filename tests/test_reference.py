@@ -44,34 +44,6 @@ EXIT_CODES = {
     "minimal_surface_p3": 1,
 }
 
-# The largest relative change of each float column that counts as rounding.
-# Changes that only reordered floating-point sums moved err_l2 and err_h1 by
-# at most 3.8e-15 relative; one more degree in the spaces' quadrature rule
-# moves err_l2 by 6e-10 to 8e-4 on these cases (the 1D rule of the cosine
-# case does not change).  The Lanczos extremes, the adjoint solve and the
-# pq ratio carry solver iterations, so they get more room.
-REL_BOUND = {
-    "h": 1e-15,
-    "err_l2": 1e-11,
-    "err_h1": 1e-11,
-    "slope_l2_running": 1e-11,
-    "slope_h1_running": 1e-11,
-    "galerkin_defect": 1e-9,
-    "adjoint_identity": 1e-9,
-    "h2_ratio": 1e-10,
-    "lambda_min": 1e-10,
-    "lambda_max": 1e-10,
-    "inverse_ratio": 1e-12,
-    "pq_ratio": 1e-11,
-}
-
-
-def absolute_floors(cfg):
-    """Rows that are themselves solver noise pass within 1e-3 times the
-    gate that `cli` applies to them."""
-    tols = float(cfg.get("newton_tol", 1e-12)) + float(cfg.get("linear_tol", 1e-12))
-    return {"galerkin_defect": 1e-3 * 100.0 * tols, "adjoint_identity": 1e-3 * 0.05}
-
 
 def test_every_reference_case_is_listed():
     assert sorted(p.name for p in REFERENCE.iterdir() if p.is_dir()) == sorted(EXIT_CODES)
@@ -87,23 +59,7 @@ def test_cli_outputs_match_the_reference(tmp_path, case):
     path = tmp_path / "config.yaml"
     path.write_text(config + f"output_dir: {tmp_path}\n")
     assert main(["run", str(path)]) == EXIT_CODES[case]
-    assert compare.report_text(tmp_path) == compare.report_text(ref)
-
-    floors = absolute_floors(yaml.safe_load(config))
-    want, got = compare.read_columns(ref), compare.read_columns(tmp_path)
-    assert {name: sorted(rows) for name, rows in got.items()} == \
-        {name: sorted(rows) for name, rows in want.items()}
-    moved = []
-    for name, rows in want.items():
-        for level, value in rows.items():
-            new = got[name][level]
-            if name in compare.INTEGER_COLUMNS or value is None:
-                ok = new == value
-            else:
-                ok = abs(new - value) <= max(REL_BOUND[name] * abs(value),
-                                             floors.get(name, 0.0))
-            if not ok:
-                moved.append((name, level, value, new))
+    moved = compare.moved_values(ref, tmp_path, compare.absolute_floors(yaml.safe_load(config)))
     assert not moved, moved
 
 
@@ -117,3 +73,32 @@ def test_compare_outputs_names_a_missing_file_and_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.strip() == \
         f"missing output file: {tmp_path / 'rates.csv'}"
     assert compare.main([str(ref), str(ref)]) == 0
+
+
+def test_large_study_comparison_names_a_float_moved_beyond_its_bound(tmp_path, monkeypatch):
+    """The comparison that scripts/large_studies.py makes after each study,
+    fed a copy of S1's committed outputs: the copy passes, and once one
+    err_l2 row moved by ten times its column's bound, it names that
+    column, its level and both values, and without diagnostics.csv it
+    names the missing file.  No study runs."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import large_studies
+
+    ref = ROOT / "scripts" / "large_reference" / "S1"
+    for name in compare.OUTPUTS:
+        (tmp_path / name).write_bytes((ref / name).read_bytes())
+    assert large_studies.moved_from_reference("S1", str(tmp_path)) == []
+
+    rows = (tmp_path / "rates.csv").read_text().splitlines()
+    header, row = rows[0].split(","), rows[4].split(",")
+    column = header.index("err_l2")
+    old = float(row[column])
+    new = old * (1 + 10 * compare.REL_BOUND["err_l2"])
+    row[column] = repr(new)
+    rows[4] = ",".join(row)
+    (tmp_path / "rates.csv").write_text("\n".join(rows) + "\n")
+    assert large_studies.moved_from_reference("S1", str(tmp_path)) == \
+        [f"err_l2 at level {row[0]} moved from {old!r} to {new!r}"]
+    (tmp_path / "diagnostics.csv").unlink()
+    assert large_studies.moved_from_reference("S1", str(tmp_path)) == \
+        [f"missing output file: {tmp_path / 'diagnostics.csv'}"]
