@@ -6,8 +6,8 @@ the energy decreases monotonically, and the converged iterate beats the
 interpolant of the exact solution (it is the discrete minimizer).
 """
 
-from nitschelab import (build_problem, build_unit_mesh, energy_value,
-                        interpolate, make_space, minimize, norms)
+from nitschelab import (assemble_hessian, build_problem, build_unit_mesh,
+                        energy_value, interpolate, make_space, minimize, norms)
 from nitschelab.analysis import estimate_ellipticity
 
 problem = build_problem("quartic", 2)
@@ -26,6 +26,6 @@ print(f"\nJ(u_h) = {energy_value(problem.model, u_h):.12f}  <=  "
 rep = norms(problem.exact, u_h)
 print(f"errors vs exact solution: L2 {rep.l2:.3e}, H1 {rep.h1:.3e}")
 
-est = estimate_ellipticity(problem.model, u_h)
+est = estimate_ellipticity(assemble_hessian(problem.model, u_h), u_h)
 print(f"second variation at u_h vs H1 Gram: lambda_min {est.lambda_min:.5f} "
       f"(> 0: discrete coercivity), lambda_max {est.lambda_max:.5f}")

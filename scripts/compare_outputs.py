@@ -98,16 +98,24 @@ def relative_change(old, new):
     return abs(new - old) / abs(old)
 
 
+def _paired_values(old_dir, new_dir):
+    """(column, level, old, new) for every row of every column of either
+    directory, columns in old_dir's order and then new_dir's, levels
+    ascending; a row in one directory only reads None on the other side."""
+    old, new = read_columns(old_dir), read_columns(new_dir)
+    for name in list(old) + [n for n in new if n not in old]:
+        rows_old, rows_new = old.get(name, {}), new.get(name, {})
+        for level in sorted(set(rows_old) | set(rows_new)):
+            yield name, level, rows_old.get(level), rows_new.get(level)
+
+
 def largest_changes(old_dir, new_dir):
     """{column: largest relative change over its rows}, for every column
     of either directory."""
-    old, new = read_columns(old_dir), read_columns(new_dir)
     changes = {}
-    for name in list(old) + [n for n in new if n not in old]:
-        rows_old, rows_new = old.get(name, {}), new.get(name, {})
-        changes[name] = max((relative_change(rows_old.get(k), rows_new.get(k))
-                             for k in set(rows_old) | set(rows_new)), default=0.0)
-    return changes
+    for name, _, old, new in _paired_values(old_dir, new_dir):
+        changes.setdefault(name, []).append(relative_change(old, new))
+    return {name: max(column) for name, column in changes.items()}
 
 
 def missing_outputs(*directories):
@@ -129,19 +137,15 @@ def moved_values(ref_dir, new_dir, floors):
     missing = missing_outputs(ref_dir, new_dir)
     if missing:
         return missing
-    want, got = read_columns(ref_dir), read_columns(new_dir)
     moved = []
-    for name in list(want) + [n for n in got if n not in want]:
-        rows_want, rows_got = want.get(name, {}), got.get(name, {})
-        for level in sorted(set(rows_want) | set(rows_got)):
-            value, new = rows_want.get(level), rows_got.get(level)
-            if name in INTEGER_COLUMNS or value is None or new is None:
-                ok = new == value
-            else:
-                ok = abs(new - value) <= max(REL_BOUND[name] * abs(value),
-                                             floors.get(name, 0.0))
-            if not ok:
-                moved.append(f"{name} at level {level} moved from {value!r} to {new!r}")
+    for name, level, value, new in _paired_values(ref_dir, new_dir):
+        if name in INTEGER_COLUMNS or value is None or new is None:
+            ok = new == value
+        else:
+            ok = abs(new - value) <= max(REL_BOUND[name] * abs(value),
+                                         floors.get(name, 0.0))
+        if not ok:
+            moved.append(f"{name} at level {level} moved from {value!r} to {new!r}")
     if report_text(ref_dir) != report_text(new_dir):
         moved.append("report.txt differs once its numbers are masked")
     return moved

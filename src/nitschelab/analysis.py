@@ -10,10 +10,10 @@ identity check measures.  A study's levels, Galerkin pairs and adjoint
 references all read one `_Hierarchy` of meshes, spaces, prolongations
 and minimizers, each level solved from the one below, prolonged.  The
 reference of level l is the hierarchy's level l+2 at order max(m, 2).
-The hierarchy also keeps one preconditioner cycle per level, bound to
-the Hessian of the level's last Newton solve: the root's exact solve, or
-one V-cycle level on top of the cycle below.  A level's Newton solves
-and the adjoint solve on a reference run it.
+The hierarchy also keeps d2J at each level's minimizer, which the checks
+read, and one preconditioner cycle per level bound to it: the root's
+exact solve, or one V-cycle level on top of the cycle below.  A level's
+Newton solves and the adjoint solve on a reference run the cycle.
 
 Provided checks
   * coercivity and boundedness constants of the second variation,
@@ -70,7 +70,8 @@ class PowerIterationError(RuntimeError):
 
 class _UndefinedDiagnostic(ValueError):
     """A diagnostic is undefined at its input: a space with no interior
-    dofs, or a zero adjoint right-hand side."""
+    dofs, a zero adjoint right-hand side or L^2 error, or a rate fit with
+    fewer than 2 positive errors."""
 
 
 @dataclass(frozen=True)
@@ -188,13 +189,14 @@ def _lanczos_extremes(a_mat, g_mat, g_solve, seed):
     return ritz
 
 
-def estimate_ellipticity(model, v, seed=0):
+def estimate_ellipticity(hess, v, seed=0):
     """Coercivity and boundedness constants of the second variation at v.
 
     Returns the extreme generalized eigenvalues of (d2J(v), G1) on the
-    interior dofs, where G1 is the full H^1 Gram.  lambda_min > 0 certifies
-    discrete coercivity at the linearization point; lambda_max estimates
-    the boundedness constant.
+    interior dofs, `hess` = assemble_hessian(model, v) of v's space's
+    size and G1 the full H^1 Gram.  lambda_min > 0 certifies discrete
+    coercivity at the linearization point; lambda_max estimates the
+    boundedness constant.
 
     Both ends come from one Lanczos run on the pencil (d2J(v), G1) itself,
     in the G1 inner product, with G1 factored once per call (sparse LU)
@@ -213,15 +215,17 @@ def estimate_ellipticity(model, v, seed=0):
     PowerIterationError.
     """
     _check_count("seed", seed, lowest=0)
+    if hess.dim != v.space.dim:
+        raise ValueError(f"hess has size {hess.dim}; v's space has {v.space.dim} dofs")
     interior = np.flatnonzero(v.space.interior_mask)
     if not len(interior):
         raise _UndefinedDiagnostic("ellipticity needs interior dofs; the space has none")
     import scipy.sparse.linalg as sla
-    a_mat = assemble_hessian(model, v).matrix[interior][:, interior].tocsr()
+    a_mat = hess.matrix[interior][:, interior].tocsr()
     g_mat = assemble_gram_h1(v.space).matrix[interior][:, interior].tocsr()
     g_solve = sla.splu(g_mat.tocsc()).solve
     (lam_min, iters_min), (lam_max, iters_max) = _lanczos_extremes(a_mat, g_mat, g_solve, seed)
-    return EllipticityEstimate(lam_min, lam_max, f"{model.name} at discrete state, "
+    return EllipticityEstimate(lam_min, lam_max, f"d2J at discrete state, "
                                f"{len(interior)} interior dofs", iters_min, iters_max)
 
 
@@ -242,24 +246,24 @@ _ROOT_DOFS = 400
 @dataclass
 class _Hierarchy:
     """Nested meshes refined from `meshes[0]`; per (level, order) the
-    space, and the minimizer with its Newton count and the level's cycle,
-    made on first use and kept.  Level 0 starts from `newton.initial`,
-    every level above from the minimizer below, prolonged (nested
-    iteration; the prolongation is kept).
+    space, the minimizer with its Newton count, d2J at the minimizer and
+    the level's cycle, made on first use and kept.  Level 0 starts from
+    `newton.initial`, every level above from the minimizer below,
+    prolonged (nested iteration; the prolongation is kept).
 
-    A level's cycle, `cycles[level, order]`, maps a residual r to its
-    preconditioned z.  It is bound when the level's `minimize` returns,
-    to the operator of its last Newton solve, `SolveLog.hessian`, or to
-    d2J at the minimizer when Newton took no step: on level 0, the root,
-    an exact solve by a dense inverse of the Hessian's interior block;
-    above it, one `solver._v_cycle` level with the Hessian on top of the
-    cycle below, through the kept prolongation and its transpose view.
-    A level l >= 1 passes the same binding to `minimize` as
-    `preconditioner_for`, so each of its Newton steps is preconditioned by
-    the binding of its own Hessian; an adjoint solve on a level is
-    preconditioned by the level's kept cycle.  Solves stay
-    Jacobi-preconditioned on level 0, and on every level of an order whose
-    root has more than `_ROOT_DOFS` interior dofs, where the cycles are None.
+    `hessians[level, order]`, assembled once when the level's `minimize`
+    returns, is read by the level's checks and bound into its cycle,
+    `cycles[level, order]`, which maps a residual r to its
+    preconditioned z: on level 0, the root, an exact solve by a dense
+    inverse of the Hessian's interior block; above it, one
+    `solver._v_cycle` level with the Hessian on top of the cycle below,
+    through the kept prolongation and its transpose view.  A level
+    l >= 1 passes the same binding to `minimize` as `preconditioner_for`,
+    so each of its Newton steps is preconditioned by the binding of its
+    own Hessian; an adjoint solve on a level is preconditioned by the
+    level's kept cycle.  Solves stay Jacobi-preconditioned on level 0,
+    and on every level of an order whose root has more than `_ROOT_DOFS`
+    interior dofs, where the cycles are None.
     """
 
     problem: ManufacturedProblem
@@ -268,6 +272,7 @@ class _Hierarchy:
     spaces: dict = field(default_factory=dict)
     prolongations: dict = field(default_factory=dict)
     minimizers: dict = field(default_factory=dict)
+    hessians: dict = field(default_factory=dict)
     cycles: dict = field(default_factory=dict)
 
     def space(self, level, order):
@@ -297,8 +302,8 @@ class _Hierarchy:
             # the root's Newton solves stay Jacobi-preconditioned
             u, log = minimize(self.problem.model, space, newton,
                               preconditioner_for=bind if level else None)
-            self.cycles[level, order] = bind and bind(
-                log.hessian or assemble_hessian(self.problem.model, u))
+            self.hessians[level, order] = assemble_hessian(self.problem.model, u)
+            self.cycles[level, order] = bind and bind(self.hessians[level, order])
             self.minimizers[level, order] = (u, len(log.iterations) - 1)
         return self.minimizers[level, order]
 
@@ -418,11 +423,14 @@ def adjoint_identity_check(problem, u_h, levels_finer=2, newton=None):
 
 def _adjoint_check(hierarchy, level, u_h, l2_exact, levels_finer):
     """`adjoint_identity_check` of u_h, the hierarchy's (level, m)
-    function, with ||u - u_h||_{L^2} already taken.  The reference u* is
-    the hierarchy's minimizer `levels_finer` levels up at order max(m, 2);
-    u_h is embedded by the held prolongations into it, for m = 1 after one
-    embedding into P2 on its own mesh.  d2J(u*) serves the solve and the
-    bilinear term, ||e||_{L^2} the check and the ratio; each is taken once."""
+    function, with ||u - u_h||_{L^2} already taken (undefined at 0).  The
+    reference u* is the hierarchy's minimizer `levels_finer` levels up at
+    order max(m, 2); u_h is embedded by the held prolongations into it,
+    for m = 1 after one embedding into P2 on its own mesh.  The held
+    d2J(u*) serves the solve and the bilinear term, ||e||_{L^2} the check
+    and the ratio; the norm is taken once."""
+    if l2_exact == 0.0:
+        raise _UndefinedDiagnostic("zero L^2 error")
     ref_level, ref_order = level + levels_finer, max(u_h.space.order, 2)
     u_star, _ = hierarchy.minimizer(ref_level, ref_order)
     coeffs = (u_h.coeffs if u_h.space.order == ref_order
@@ -433,11 +441,10 @@ def _adjoint_check(hierarchy, level, u_h, l2_exact, levels_finer):
     e[u_star.space.boundary_dofs] = 0.0
     e_fe = FEFunction(u_star.space, e)
 
-    hess = assemble_hessian(hierarchy.problem.model, u_star)
+    hess = hierarchy.hessians[ref_level, ref_order]
     w = solve_adjoint(hess, e_fe, hierarchy.newton.linear_tol,
                       preconditioner=hierarchy.cycles[ref_level, ref_order])
     bil = float(w.coeffs @ hess.apply(e))
-    del hess  # the norms below run without it
     l2_disc = norms(None, e_fe).l2
     residual = abs(l2_exact**2 + bil) / l2_exact**2
     return AdjointCheck(residual, l2_exact, l2_disc, h2_regularity_ratio(w, l2_disc))
@@ -561,7 +568,7 @@ def estimate_rate(pairs):
         warnings.warn("excluding non-positive errors from the rate fit "
                       "(at or below solver tolerance)", stacklevel=2)
     if len(kept) < 2:
-        raise ValueError("fewer than 2 positive errors; cannot fit a rate")
+        raise _UndefinedDiagnostic("fewer than 2 positive errors; cannot fit a rate")
     x = np.log([h for h, _ in kept])
     y = np.log([e for _, e in kept])
     slope, intercept = np.polyfit(x, y, 1)
@@ -677,7 +684,8 @@ def convergence_study(problem, order, levels, opts=None):
     diagnostic enabled, a non-coercive second variation at a converged
     state aborts with abort_kind "ellipticity", and a diagnostic that is
     undefined at a level with abort_kind "diagnostic".  The Galerkin defect
-    between levels l-1 and l is taken as soon as level l is solved.
+    between levels l-1 and l is taken as soon as level l is solved.  With
+    fewer than 2 positive L^2 or H^1 errors, both rates stay None.
 
     Level 0's Newton iteration starts from `opts.newton.initial`; every
     later level's starts from the previous level's minimizer, prolonged
@@ -715,7 +723,8 @@ def convergence_study(problem, order, levels, opts=None):
                     prolongation=hierarchy.prolongations[level, order])
                 report.diagnostics["galerkin"].append((level - 1, defect))
             if "ellipticity" in opts.diagnostics:
-                est = estimate_ellipticity(problem.model, u_h, seed=opts.seed + level)
+                est = estimate_ellipticity(hierarchy.hessians[level, order], u_h,
+                                           seed=opts.seed + level)
                 report.diagnostics["ellipticity"].append(
                     (level, est.lambda_min, est.lambda_max))
                 if est.lambda_min <= 0:
@@ -748,6 +757,10 @@ def convergence_study(problem, order, levels, opts=None):
                              else "solver")
 
     if len(report.levels) >= 3:
-        report.rate_l2 = estimate_rate([(lr.h, lr.err_l2) for lr in report.levels])
-        report.rate_h1 = estimate_rate([(lr.h, lr.err_h1) for lr in report.levels])
+        try:  # both rates or neither: the CLI reads them as a pair
+            report.rate_l2, report.rate_h1 = [
+                estimate_rate([(lr.h, getattr(lr, err)) for lr in report.levels])
+                for err in ("err_l2", "err_h1")]
+        except _UndefinedDiagnostic:
+            pass
     return report

@@ -390,7 +390,9 @@ def _scatter(space, loc, mask=False, base=None):
     """Global operator from element matrices (ne, nloc, nloc), plus `base`,
     data on the skeleton, when given.  `mask` replaces the Dirichlet rows
     and columns by the identity in place: 0.0 in their entries, then 1.0
-    on their diagonal."""
+    on their diagonal.  The operator owns its data and shares the
+    skeleton's read-only `indices` and `indptr`, so a change of its
+    structure in place (`eliminate_zeros`, say) raises ValueError."""
     skeleton = _skeleton(space)
     data = _scatter_data(space, loc)
     if base is not None:
@@ -398,9 +400,7 @@ def _scatter(space, loc, mask=False, base=None):
     if mask:
         data[skeleton.boundary_entries] = 0.0
         data[skeleton.boundary_diagonal] = 1.0
-    # the operator owns its index arrays, so changing it in place leaves
-    # the skeleton intact
-    return SparseOperator(sp.csr_matrix((data, skeleton.indices.copy(), skeleton.indptr.copy()),
+    return SparseOperator(sp.csr_matrix((data, skeleton.indices, skeleton.indptr),
                                         shape=(space.dim, space.dim)))
 
 
@@ -475,8 +475,8 @@ def integrate(mesh, fn, degree=6):
 def norms(f, g, q=2, include_broken_h2=False):
     """Broken norms of the difference f - g.
 
-    f may be an exact solution (read through its jet), another
-    FE function on the same space, or None (plain norms of g).  For
+    f is an exact solution (read through its jet) or None (plain norms
+    of g); an `FEFunction` f raises TypeError (subtract first).  For
     q = inf the sup norm is sampled on a dense per-element lattice, a
     documented approximation; everything else is quadrature on g's space.
     q must be a number >= 1 or inf, not a bool.
@@ -489,11 +489,9 @@ def norms(f, g, q=2, include_broken_h2=False):
         raise ValueError("broken H2 norm needs order >= 2 (second derivatives of "
                          "P1 functions vanish identically inside elements)")
     if isinstance(f, FEFunction):
-        if f.space is not space:
-            raise ValueError("FE functions must share a space; embed first")
-        coeffs, exact = f.coeffs - g.coeffs, None
-    else:
-        coeffs, exact = -g.coeffs, f
+        raise TypeError("norms takes an exact solution or None as f; for two FE "
+                        "functions on one space, pass None and their difference")
+    coeffs, exact = -g.coeffs, f
 
     def diff(sl, pts, with_hess=False):
         vals, grads = tabulate(space, coeffs, pts, sl)

@@ -8,8 +8,8 @@ gradient solve at every step.  The solves are Jacobi-preconditioned
 unless the caller passes another preconditioner: a study's level
 hierarchy passes a geometric V-cycle, one `_v_cycle` level bound on
 top of the cycle kept for the level below through the level pair's
-`embedding_matrix`, and binds the level's own cycle to the Hessian of
-the last Newton solve, `SolveLog.hessian`.  All solves are deterministic.
+`embedding_matrix`, and binds the level's own cycle to d2J at the
+level's minimizer.  All solves are deterministic.
 """
 
 from dataclasses import dataclass, field
@@ -83,13 +83,10 @@ class NewtonOptions:
 @dataclass
 class SolveLog:
     """What `minimize` did: one (residual_norm, energy, step) per iterate,
-    whether it converged, and `hessian`, the operator of its last Newton
-    solve (None when Newton took no step), which the log keeps alive for
-    as long as it is held."""
+    and whether it converged."""
 
     iterations: list = field(default_factory=list)
     converged: bool = False
-    hessian: object = None
 
     @property
     def residual_norms(self):
@@ -235,9 +232,8 @@ def minimize(model, space, opts=None, preconditioner_for=None):
     below residual_tol.  Raises NewtonError on Hessian solve failure,
     line-search underflow, or the iteration cap.  `preconditioner_for`
     maps each assembled Hessian to the preconditioner of its solve (None
-    for Jacobi); without it every solve is Jacobi-preconditioned.  The
-    log's `hessian` is the operator of the last Newton solve, None when
-    Newton took no step; the log keeps it alive for as long as it is held.
+    for Jacobi); without it every solve is Jacobi-preconditioned.  No
+    Hessian outlives the call.
     """
     opts = opts or NewtonOptions()
     u, energy = _initial_iterate(space, opts.initial), None
@@ -253,7 +249,7 @@ def minimize(model, space, opts=None, preconditioner_for=None):
             log.converged = True
             return u, log
 
-        hess = log.hessian = assemble_hessian(model, u)
+        hess = assemble_hessian(model, u)
         preconditioner = preconditioner_for and preconditioner_for(hess)
         try:
             step = linear_solve(hess, -r, tol=opts.linear_tol,

@@ -10,8 +10,8 @@ from nitschelab.analysis import (adjoint_identity_check, convergence_study,
                                  StudyOptions)
 from nitschelab.assembly import (assemble_gram_h1, assemble_gram_l2, assemble_hessian,
                                 assemble_residual, norms)
-from nitschelab.energy import (PROBLEM_NAMES, ExactSolution, build_problem,
-                               dirichlet_potential_model)
+from nitschelab.energy import (PROBLEM_NAMES, ExactSolution, ManufacturedProblem,
+                               build_problem, dirichlet_potential_model)
 from nitschelab.felement import FEFunction, check_inverse_estimate, interpolate, make_space
 from nitschelab.mesh import build_unit_mesh, refine
 from nitschelab.solver import NewtonOptions, embed, linear_solve, minimize
@@ -50,7 +50,7 @@ def test_ellipticity_closed_form_oracle_1d():
     problem = build_problem("linear", 1)
     cells = 32
     u, _ = solved(problem, cells)
-    est = estimate_ellipticity(problem.model, u)
+    est = estimate_ellipticity(assemble_hessian(problem.model, u), u)
     kappa = p1_laplace_eigs_closed_form(cells)
     mu = kappa / (1.0 + kappa)   # stiffness against mass + stiffness
     assert est.lambda_min == pytest.approx(mu.min(), rel=1e-9)
@@ -63,7 +63,7 @@ def test_ellipticity_level_stability_linear():
     mins, maxs = [], []
     for cells in (16, 32, 64):
         u, _ = solved(problem, cells)
-        est = estimate_ellipticity(problem.model, u)
+        est = estimate_ellipticity(assemble_hessian(problem.model, u), u)
         mins.append(est.lambda_min)
         maxs.append(est.lambda_max)
     assert max(mins) / min(mins) - 1 < 0.05
@@ -75,8 +75,8 @@ def test_ellipticity_quartic_at_zero_matches_linear():
     quart = build_problem("quartic", 1)
     space = make_space(build_unit_mesh(1, 32), 1, 0.0)
     zero = space.zero_function()
-    e1 = estimate_ellipticity(lin.model, zero)
-    e2 = estimate_ellipticity(quart.model, zero)
+    e1 = estimate_ellipticity(assemble_hessian(lin.model, zero), zero)
+    e2 = estimate_ellipticity(assemble_hessian(quart.model, zero), zero)
     assert abs(e1.lambda_min - e2.lambda_min) < 1e-10
     assert abs(e1.lambda_max - e2.lambda_max) < 1e-10
 
@@ -88,7 +88,7 @@ def test_ellipticity_matches_dense_on_a_fine_2d_p1_space():
     from nitschelab.assembly import assemble_gram_h1, assemble_hessian
     problem = build_problem("quartic", 2)
     u, _ = solved(problem, 24, order=1)
-    est = estimate_ellipticity(problem.model, u)
+    est = estimate_ellipticity(assemble_hessian(problem.model, u), u)
     space = u.space
     idx = np.flatnonzero(space.interior_mask)
     assert len(idx) > 400
@@ -111,7 +111,7 @@ def dense_extremes(model, u):
 
 
 def assert_matches_dense(model, u):
-    est = estimate_ellipticity(model, u)
+    est = estimate_ellipticity(assemble_hessian(model, u), u)
     lam_min, lam_max = dense_extremes(model, u)
     assert est.lambda_min == pytest.approx(lam_min, rel=1e-6)
     assert est.lambda_max == pytest.approx(lam_max, rel=1e-6)
@@ -178,7 +178,7 @@ def test_ellipticity_on_one_to_four_interior_dofs(name, dim, cells):
     problem = build_problem(name, dim)
     u, _ = solved(problem, cells)
     n = int(u.space.interior_mask.sum())
-    est = estimate_ellipticity(problem.model, u)
+    est = estimate_ellipticity(assemble_hessian(problem.model, u), u)
     lam_min, lam_max = dense_extremes(problem.model, u)
     assert est.lambda_min == pytest.approx(lam_min, rel=1e-12)
     assert est.lambda_max == pytest.approx(lam_max, rel=1e-12)
@@ -194,12 +194,12 @@ def test_ellipticity_steps_are_bounded_by_the_interior_dofs(monkeypatch, cells):
     u, _ = solved(problem, cells, order=2)
     n = int(u.space.interior_mask.sum())
     bound = min(analysis._LANCZOS_STEPS, n)
-    est = estimate_ellipticity(problem.model, u)
+    est = estimate_ellipticity(assemble_hessian(problem.model, u), u)
     assert 0 < est.iters_min <= bound and 0 < est.iters_max <= bound
     if n < analysis._LANCZOS_STEPS:
         monkeypatch.setattr(analysis, "_EIG_RTOL", 0.0)
         with pytest.raises(analysis.PowerIterationError, match=f"after {n} Lanczos steps"):
-            estimate_ellipticity(problem.model, u)
+            estimate_ellipticity(assemble_hessian(problem.model, u), u)
 
 
 def test_ellipticity_lanczos_passes_both_ends_of_a_stalling_1d_pencil():
@@ -219,7 +219,7 @@ def test_ellipticity_lanczos_runs_on_until_a_clustered_end_passes(seed):
     the dense extreme to 1e-9."""
     problem = build_problem("minimal_surface", 2)
     u, _ = solved(problem, 16, order=2)
-    est = estimate_ellipticity(problem.model, u, seed=seed)
+    est = estimate_ellipticity(assemble_hessian(problem.model, u), u, seed=seed)
     assert 200 < est.iters_min <= analysis._LANCZOS_STEPS
     assert est.lambda_min == pytest.approx(dense_extremes(problem.model, u)[0], rel=1e-9)
 
@@ -231,7 +231,7 @@ def test_ellipticity_raises_when_an_end_does_not_pass_within_the_steps(monkeypat
     problem = build_problem("minimal_surface", 2)
     u, _ = solved(problem, 16, order=2)
     with pytest.raises(analysis.PowerIterationError, match="after 12 Lanczos steps"):
-        estimate_ellipticity(problem.model, u)
+        estimate_ellipticity(assemble_hessian(problem.model, u), u)
 
 
 def test_ellipticity_iterations_do_not_grow_with_refinement():
@@ -244,7 +244,8 @@ def test_ellipticity_iterations_do_not_grow_with_refinement():
     totals = []
     for m in (mesh, refine(mesh)):
         u, _ = minimize(problem.model, make_space(m, 2, problem.boundary_fn))
-        ests = [estimate_ellipticity(problem.model, u, seed=s) for s in range(8)]
+        hess = assemble_hessian(problem.model, u)
+        ests = [estimate_ellipticity(hess, u, seed=s) for s in range(8)]
         assert all(e.iters_min > 0 and e.iters_max > 0 for e in ests)
         totals.append(sum(e.iters_min + e.iters_max for e in ests))
     assert totals[1] <= totals[0]
@@ -352,6 +353,14 @@ def test_solve_adjoint_rejects_a_hessian_of_another_space():
     other, _ = solved(problem, 8, order=2)
     with pytest.raises(ValueError, match="hess has size 17; the reference space has 33"):
         solve_adjoint(assemble_hessian(problem.model, other), u.space.zero_function())
+
+
+def test_ellipticity_rejects_a_hessian_of_another_space():
+    problem = build_problem("linear", 1)
+    u, _ = solved(problem, 16)
+    other, _ = solved(problem, 8)
+    with pytest.raises(ValueError, match="hess has size 9; v's space has 17 dofs"):
+        estimate_ellipticity(assemble_hessian(problem.model, other), u)
 
 
 def test_solve_adjoint_closed_form_ode():
@@ -657,20 +666,25 @@ def test_a_root_above_the_dense_cap_keeps_jacobi_pcg(monkeypatch, cells, cycle):
     assert {preconditioned for dim, preconditioned, _ in solves if dim == dims[1]} == {cycle}
 
 
-def test_a_level_cycle_is_bound_to_its_last_newton_hessian(monkeypatch):
-    """The cycle kept for a level above the root carries the matrix of the
-    Hessian that the level's last Newton solve ran on."""
+def test_a_level_cycle_is_bound_to_the_hessian_at_its_minimizer(monkeypatch):
+    """The hierarchy assembles d2J once at each level's minimizer itself
+    and keeps it; the cycle kept for a level above the root carries its
+    matrix."""
     assembled = []
 
     def recording_hessian(model, v):
-        assembled.append((v.space, assemble_hessian(model, v)))
+        assembled.append((v, assemble_hessian(model, v)))
         return assembled[-1][1]
 
-    monkeypatch.setattr(solver, "assemble_hessian", recording_hessian)
+    monkeypatch.setattr(analysis, "assemble_hessian", recording_hessian)
     hierarchy = hierarchy_of("quartic", 4, 2, 3)
-    top = [hess for space, hess in assembled if space is hierarchy.space(2, 2)]
-    assert len(top) == hierarchy.minimizers[2, 2][1] > 0
-    assert hierarchy.cycles[2, 2].args[0] is top[-1].matrix
+    assert len(assembled) == 3
+    for level in range(3):
+        u, _ = hierarchy.minimizers[level, 2]
+        (hess,) = [hess for v, hess in assembled if v is u]
+        assert hess is hierarchy.hessians[level, 2]
+        if level:
+            assert hierarchy.cycles[level, 2].args[0] is hess.matrix
 
 
 def test_a_converged_root_still_cycles_the_levels_above(monkeypatch):
@@ -1007,9 +1021,12 @@ def two_pass_adjoint_check(hierarchy, level, u_h, l2_exact, levels_finer):
 @pytest.mark.parametrize("order", [1, 2])
 def test_adjoint_check_assembles_the_hessian_and_takes_the_error_norm_once(
         monkeypatch, order):
-    """Each adjoint check of a study assembles d2J(u*) once, for the solve
-    and the bilinear term, and takes the L^2 norm of the error once, for
-    the check and the ratio; the check is bitwise the two-pass one."""
+    """Over a study, d2J(u*) is assembled once per reference, by the
+    hierarchy when it solves u*, for the cycle, the adjoint solve and the
+    bilinear term; the check assembles none of its own (for m = 1 it
+    solves the P2 references, each assembling its minimizer's Hessian).
+    It takes the L^2 norm of the error once, for the check and the ratio,
+    and is bitwise the two-pass one."""
     log, checks, original = [], [], analysis._adjoint_check
     for name in ("assemble_hessian", "norms"):
         def recording(*args, _name=name, _original=getattr(analysis, name), **kwargs):
@@ -1019,22 +1036,60 @@ def test_adjoint_check_assembles_the_hessian_and_takes_the_error_norm_once(
         monkeypatch.setattr(analysis, name, recording)
 
     def check(*args):
-        start = len(log)
+        start, held = len(log), set(args[0].minimizers)
         out = original(*args)
-        checks.append((args, out, log[start:]))
+        checks.append((args, out, log[start:], set(args[0].minimizers) - held))
         return out
 
     monkeypatch.setattr(analysis, "_adjoint_check", check)
     report = convergence_study(build_problem("quartic", 2), order, 3,
                                StudyOptions(coarse_cells=2, diagnostics=("adjoint",)))
     assert report.aborted is None and len(checks) == 3
-    for args, out, calls in checks:
+    assembled = [v for name, (_, v), _ in log if name == "assemble_hessian"]
+    for args, out, calls, solved_here in checks:
         hierarchy, level, _, _, levels_finer = args
         u_star, _ = hierarchy.minimizer(level + levels_finer, max(order, 2))
-        assert sum(v is u_star for name, (_, v), _ in calls if name == "assemble_hessian") == 1
+        assert sum(v is u_star for v in assembled) == 1
+        assert sorted(id(v) for name, (_, v), _ in calls if name == "assemble_hessian") == \
+            sorted(id(hierarchy.minimizers[key][0]) for key in solved_here)
         assert sum(f is None and g.space is u_star.space and not kwargs.get("include_broken_h2")
                    for name, (f, g), kwargs in calls if name == "norms") == 1
         assert out == two_pass_adjoint_check(*args)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_a_study_assembles_one_hessian_per_level_and_every_check_reads_it(
+        monkeypatch, order):
+    """With the adjoint and ellipticity diagnostics, analysis assembles
+    d2J exactly once at each solved (level, order)'s minimizer and at no
+    other state; each ellipticity check and each adjoint solve runs on
+    the hierarchy's kept Hessian of its level, the very object."""
+    calls = {name: [] for name in ("assemble_hessian", "solve_adjoint",
+                                   "estimate_ellipticity", "_adjoint_check")}
+    for name in calls:
+        def recording(*args, _name=name, _original=getattr(analysis, name), **kwargs):
+            calls[_name].append(args)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, name, recording)
+    report = convergence_study(build_problem("quartic", 2), order, 3, StudyOptions(
+        coarse_cells=2, diagnostics=("adjoint", "ellipticity")))
+    assert report.aborted is None
+    hierarchy = calls["_adjoint_check"][0][0]
+    assert all(args[0] is hierarchy for args in calls["_adjoint_check"])
+    minimizers = {key: u for key, (u, _) in hierarchy.minimizers.items()}
+    assembled = [v for _, v in calls["assemble_hessian"]]
+    assert len(assembled) == len(minimizers) == len(hierarchy.hessians)
+    assert all(sum(v is u for v in assembled) == 1 for u in minimizers.values())
+    ellipticity = [args[:2] for args in calls["estimate_ellipticity"]]
+    solves = [(hess, rhs.space) for hess, rhs, *_ in calls["solve_adjoint"]]
+    assert len(ellipticity) == 3
+    for level, (hess, v) in enumerate(ellipticity):
+        assert v is minimizers[level, order] and hess is hierarchy.hessians[level, order]
+    assert len(solves) == 3
+    for level, (hess, space) in enumerate(solves):
+        key = (level + analysis._ADJOINT_LEVELS_FINER, max(order, 2))
+        assert space is hierarchy.spaces[key] and hess is hierarchy.hessians[key]
 
 
 def recorded_adjoint_solves(monkeypatch):
@@ -1194,6 +1249,43 @@ def test_a_failed_p2_root_aborts_an_order_1_study_at_its_level(monkeypatch):
     assert report.diagnostics["adjoint"] == []
 
 
+def zero_problem():
+    """u = 0 for psi = 0, no forcing and zero boundary data on (0,1)^2:
+    every discrete minimizer is exactly 0, and so is every error."""
+    zero = np.zeros_like
+    exact = ExactSolution(lambda x: np.zeros(len(x)), zero,
+                          lambda x: np.zeros(x.shape + x.shape[-1:]))
+    model = dirichlet_potential_model(zero, zero, zero, zero, name="zero")
+    return ManufacturedProblem("zero", 2, model, exact, exact.value)
+
+
+def test_adjoint_check_of_a_zero_error_raises():
+    """The identity residual divides by ||u - u_h||^2; at a zero error a
+    standalone check ended in a bare ZeroDivisionError."""
+    problem = zero_problem()
+    u_h, _ = solved(problem, 2, order=2)
+    assert norms(problem.exact, u_h).l2 == 0.0
+    with pytest.raises(ValueError, match=r"zero L\^2 error"):
+        adjoint_identity_check(problem, u_h)
+
+
+def test_study_adjoint_of_a_zero_error_aborts_as_diagnostic():
+    report = convergence_study(zero_problem(), 2, 3,
+                               StudyOptions(coarse_cells=2, diagnostics=("adjoint",)))
+    assert report.abort_kind == "diagnostic"
+    assert report.aborted == "level 0: zero L^2 error"
+
+
+def test_study_without_two_positive_errors_fits_no_rate():
+    """Every level of the zero problem has zero errors: the study warns
+    that the rate fits exclude them and leaves both rates None, where it
+    raised "fewer than 2 positive errors" after its last level."""
+    with pytest.warns(UserWarning, match="excluding non-positive errors"):
+        report = convergence_study(zero_problem(), 1, 3, StudyOptions(coarse_cells=2))
+    assert report.aborted is None and len(report.levels) == 3
+    assert report.rate_l2 is None and report.rate_h1 is None
+
+
 def test_convergence_study_marks_solver_abort():
     problem = build_problem("quartic", 1)
     opts = StudyOptions(coarse_cells=8, newton=NewtonOptions(max_iters=1))
@@ -1257,7 +1349,8 @@ def test_counts_must_be_integers_of_at_least_1(name, bad):
 
 
 SEED_ARGUMENTS = {
-    "ellipticity": lambda problem, u, seed: estimate_ellipticity(problem.model, u, seed=seed),
+    "ellipticity": lambda problem, u, seed: estimate_ellipticity(
+        assemble_hessian(problem.model, u), u, seed=seed),
     "pq": lambda problem, u, seed: estimate_pq_constant(problem.model, u, samples=1, seed=seed),
     "inverse_estimate": lambda problem, u, seed: check_inverse_estimate(u.space, 1, seed=seed),
 }

@@ -244,6 +244,15 @@ def test_norms_broken_h2_requires_order_2():
         norms(None, v, include_broken_h2=True)
 
 
+def test_norms_takes_no_fe_function_as_f():
+    """The norms of two FE functions' difference are those of the
+    difference taken first; an FE function as f is refused."""
+    space = make_space(build_unit_mesh(1, 8), 1, 0.0)
+    v = smooth_state(space, seed=3)
+    with pytest.raises(TypeError, match="pass None and their difference"):
+        norms(v, v)
+
+
 def test_norms_poincare_consistency():
     """||v||_L2 <= (1/pi) |v|_H1 for zero-boundary functions on (0,1)."""
     space = make_space(build_unit_mesh(1, 32), 2, 0.0)
@@ -698,11 +707,20 @@ def test_masked_products_are_those_of_the_boundary_free_pattern(name, dim, order
         assert (masked @ x).tobytes() == (want @ x).tobytes()
 
 
-def test_operators_own_their_index_arrays():
+def test_operators_share_the_skeletons_read_only_index_arrays():
+    """Every operator on a space stores the skeleton's own `indices` and
+    `indptr`, read-only: a change of an operator's structure in place
+    raises instead of forking it, and later operators are unchanged."""
     space = make_space(build_unit_mesh(2, 3), 2, 0.0)
     loc = np.zeros((space.mesh.num_elements, 6, 6))
     first = assembly._scatter(space, loc, mask=True).matrix
-    first.eliminate_zeros()
+    skeleton = assembly._skeleton(space)
+    for op in (first, assemble_gram_h1(space).matrix):
+        for name in ("indices", "indptr"):
+            assert np.shares_memory(getattr(op, name), getattr(skeleton, name))
+            assert not getattr(op, name).flags.writeable
+    with pytest.raises(ValueError):
+        first.eliminate_zeros()
     again = assembly._scatter(space, np.ones_like(loc), mask=True).matrix
     assert np.array_equal(again.toarray(),
                           coo_reference(space, np.ones_like(loc), True).toarray())

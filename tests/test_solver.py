@@ -242,26 +242,6 @@ def test_minimize_evaluates_each_energy_once(name, monkeypatch):
         assert logged == energy_value(problem.model, FEFunction(space, coeffs))
 
 
-def test_log_holds_the_operator_of_the_last_newton_solve(monkeypatch):
-    """`SolveLog.hessian` is the last Hessian that `minimize` assembled;
-    a start at the minimizer takes no Newton step and leaves it None."""
-    problem = build_problem("quartic", 2)
-    space = make_space(build_unit_mesh(2, 4), 1, problem.boundary_fn)
-    assembled = []
-
-    def recording_hessian(model, v):
-        assembled.append(assemble_hessian(model, v))
-        return assembled[-1]
-
-    monkeypatch.setattr(solver, "assemble_hessian", recording_hessian)
-    u, log = minimize(problem.model, space)
-    assert log.converged and len(assembled) == len(log.iterations) - 1 > 1
-    assert log.hessian is assembled[-1]
-    _, restarted = minimize(problem.model, space, NewtonOptions(initial=u))
-    assert len(restarted.iterations) == 1 and restarted.hessian is None
-    assert len(assembled) == len(log.iterations) - 1
-
-
 def test_minimize_armijo_energy_monotone():
     problem = build_problem("minimal_surface", 2)
     space = make_space(build_unit_mesh(2, 8), 1, problem.boundary_fn)
