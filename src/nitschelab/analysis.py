@@ -251,19 +251,19 @@ class _Hierarchy:
     `newton.initial`, every level above from the minimizer below,
     prolonged (nested iteration; the prolongation is kept).
 
-    `hessians[level, order]`, assembled once when the level's `minimize`
-    returns, is read by the level's checks and bound into its cycle,
-    `cycles[level, order]`, which maps a residual r to its
-    preconditioned z: on level 0, the root, an exact solve by a dense
-    inverse of the Hessian's interior block; above it, one
-    `solver._v_cycle` level with the Hessian on top of the cycle below,
-    through the kept prolongation and its transpose view.  A level
-    l >= 1 passes the same binding to `minimize` as `preconditioner_for`,
-    so each of its Newton steps is preconditioned by the binding of its
-    own Hessian; an adjoint solve on a level is preconditioned by the
-    level's kept cycle.  Solves stay Jacobi-preconditioned on level 0,
-    and on every level of an order whose root has more than `_ROOT_DOFS`
-    interior dofs, where the cycles are None.
+    d2J at the minimizer, `hessian(level, order)`, is assembled on first
+    read, by the level's checks or its cycle, `cycle(level, order)`, bound
+    on first read too, which maps a residual r to its preconditioned z:
+    on level 0, the root, an exact solve by a dense inverse of the
+    Hessian's interior block; above it, one `solver._v_cycle` level with
+    the Hessian on top of the cycle below, through the kept prolongation
+    and its transpose view.  A level l >= 1 passes the same binding to
+    `minimize` as `preconditioner_for`, so it reads the cycle of level
+    l-1, and each of its Newton steps is preconditioned by the binding of
+    its own Hessian.  An adjoint solve on a level runs the level's cycle.
+    Solves stay Jacobi-preconditioned on level 0, and on every level of
+    an order whose root has more than `_ROOT_DOFS` interior dofs, where
+    the cycles are None and read no Hessian.
     """
 
     problem: ManufacturedProblem
@@ -285,33 +285,46 @@ class _Hierarchy:
 
     def minimizer(self, level, order):
         if (level, order) not in self.minimizers:
-            space, newton = self.space(level, order), self.newton
-            if level == 0:
-                interior = np.flatnonzero(space.interior_mask)
-                bind = (partial(_root_solve, interior)
-                        if len(interior) <= _ROOT_DOFS else None)
-            else:
+            space, newton, bind = self.space(level, order), self.newton, None
+            if level:
                 coarse, _ = self.minimizer(level - 1, order)
                 prolongation = embedding_matrix(coarse.space, space)
                 self.prolongations[level, order] = prolongation
                 newton = replace(newton, initial=FEFunction(space, prolongation @ coarse.coeffs))
-                below = self.cycles[level - 1, order]
-                bind = below and partial(
-                    _level_cycle, _JACOBI_DAMPING[order], prolongation,
-                    space.boundary_dofs, coarse.space.boundary_dofs, below)
+                bind = self._binding(level, order)
             # the root's Newton solves stay Jacobi-preconditioned
-            u, log = minimize(self.problem.model, space, newton,
-                              preconditioner_for=bind if level else None)
-            self.hessians[level, order] = assemble_hessian(self.problem.model, u)
-            self.cycles[level, order] = bind and bind(self.hessians[level, order])
+            u, log = minimize(self.problem.model, space, newton, preconditioner_for=bind)
             self.minimizers[level, order] = (u, len(log.iterations) - 1)
         return self.minimizers[level, order]
 
+    def hessian(self, level, order):
+        if (level, order) not in self.hessians:
+            u, _ = self.minimizer(level, order)
+            self.hessians[level, order] = assemble_hessian(self.problem.model, u)
+        return self.hessians[level, order]
 
-def _level_cycle(omega, prolongation, fine_bc, coarse_bc, coarse_solve, hess):
+    def cycle(self, level, order):
+        if (level, order) not in self.cycles:
+            self.minimizer(level, order)
+            bind = self._binding(level, order)
+            self.cycles[level, order] = bind and bind(self.hessian(level, order))
+        return self.cycles[level, order]
+
+    def _binding(self, level, order):
+        """The map from a Hessian on `level` to its cycle, or None."""
+        if level == 0:
+            interior = np.flatnonzero(self.space(0, order).interior_mask)
+            return partial(_root_solve, interior) if len(interior) <= _ROOT_DOFS else None
+        below = self.cycle(level - 1, order)
+        return below and partial(_level_cycle, _JACOBI_DAMPING[order],
+                                 self.prolongations[level, order],
+                                 self.space(level - 1, order).boundary_dofs, below)
+
+
+def _level_cycle(omega, prolongation, coarse_bc, coarse_solve, hess):
     """`_v_cycle` bound with `hess` over `coarse_solve`, restricting by the view `prolongation.T`."""
     return partial(_v_cycle, hess.matrix, omega / hess.diagonal(), prolongation,
-                   prolongation.T, fine_bc, coarse_bc, coarse_solve)
+                   prolongation.T, coarse_bc, coarse_solve)
 
 
 def _root_solve(interior, hess):
@@ -441,9 +454,9 @@ def _adjoint_check(hierarchy, level, u_h, l2_exact, levels_finer):
     e[u_star.space.boundary_dofs] = 0.0
     e_fe = FEFunction(u_star.space, e)
 
-    hess = hierarchy.hessians[ref_level, ref_order]
+    hess = hierarchy.hessian(ref_level, ref_order)
     w = solve_adjoint(hess, e_fe, hierarchy.newton.linear_tol,
-                      preconditioner=hierarchy.cycles[ref_level, ref_order])
+                      preconditioner=hierarchy.cycle(ref_level, ref_order))
     bil = float(w.coeffs @ hess.apply(e))
     l2_disc = norms(None, e_fe).l2
     residual = abs(l2_exact**2 + bil) / l2_exact**2
@@ -723,7 +736,7 @@ def convergence_study(problem, order, levels, opts=None):
                     prolongation=hierarchy.prolongations[level, order])
                 report.diagnostics["galerkin"].append((level - 1, defect))
             if "ellipticity" in opts.diagnostics:
-                est = estimate_ellipticity(hierarchy.hessians[level, order], u_h,
+                est = estimate_ellipticity(hierarchy.hessian(level, order), u_h,
                                            seed=opts.seed + level)
                 report.diagnostics["ellipticity"].append(
                     (level, est.lambda_min, est.lambda_max))

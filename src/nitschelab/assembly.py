@@ -55,7 +55,6 @@ import scipy.sparse as sp
 from .felement import (FEFunction, ReferenceBasis, _chunks, _reference_table,
                        _rule_table, _squared_norms, quadrature_rule, sample_lattice,
                        tabulate)
-from .mesh import _pull
 
 __all__ = [
     "SparseOperator",
@@ -120,6 +119,18 @@ def _quadrature(mesh, weights):
     vol = np.abs(mesh.det_jac) ** -1               # |det DF_h^{-1}| = |T_h|/|T|
     for sl in _chunks(mesh.num_elements, len(weights)):
         yield sl, vol[sl][:, None] * weights
+
+
+def _pull(a, jac):
+    """a J^T on every element, for a (e, ..., d) and J (e, d, d): d
+    broadcast products, where a batched matmul would make one tiny BLAS
+    call per element."""
+    d = jac.shape[-1]
+    shape = (len(jac),) + (1,) * (a.ndim - 2) + (d,)
+    out = a[..., 0, None] * jac[:, :, 0].reshape(shape)
+    for i in range(1, d):
+        out += a[..., i, None] * jac[:, :, i].reshape(shape)
+    return out
 
 
 def _physical_points(mesh, points, sl):

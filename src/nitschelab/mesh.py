@@ -51,9 +51,8 @@ class Mesh:
     vertices : (nv, dim) float array
     elements : (ne, dim+1) int array of vertex indices
     boundary_facets : (nb, dim) int array; vertices for d=1, edges for d=2
-    parent : the coarser mesh this one refines, or None
-    parent_elements : (ne,) int array mapping each element to its parent
-        element id, or None on level 0
+    parent : the mesh this one refines, set by `refine` alone, or None;
+        element e is child e % 2^d of its element e // 2^d (`_CHILDREN`)
     level : refinement level, the length of the parent chain (a property;
         0 for a mesh without parent)
     """
@@ -62,8 +61,7 @@ class Mesh:
     vertices: np.ndarray
     elements: np.ndarray
     boundary_facets: np.ndarray
-    parent: "Mesh | None" = None
-    parent_elements: np.ndarray | None = None
+    parent: "Mesh | None" = field(default=None, init=False)
 
     # geometry caches, filled in __post_init__
     jac: np.ndarray = field(init=False, repr=False)       # DF_h, element -> reference
@@ -182,59 +180,45 @@ def _facet_ids(facets, query):
     return np.searchsorted(keys, wanted)
 
 
+# refine's layout, its one owner: child k of element p is element 2^d p + k,
+# and the child's local vertex v is the midpoint of the parent's local
+# vertices (i, j) = _CHILDREN[d][k][v], vertex i itself where i == j
+_CHILDREN = {1: (((0, 0), (0, 1)), ((0, 1), (1, 1))),
+             2: (((0, 0), (0, 1), (0, 2)), ((0, 1), (1, 1), (1, 2)),
+                 ((0, 2), (1, 2), (2, 2)), ((0, 1), (1, 2), (0, 2)))}
+
+
 def refine(mesh):
-    """Uniform red refinement: bisection (d=1) or 4 congruent children (d=2).
+    """Uniform red refinement: bisection (d=1) or 4 congruent children
+    (d=2), laid out as `_CHILDREN` says; the result's `parent` is `mesh`.
 
-    Vertex indices of the coarse mesh are preserved; new midpoint vertices
-    are appended.  Child elements record their parent element id and the
-    mesh records its parent, so nested hierarchies can be walked.
+    Vertex indices of the coarse mesh are preserved.  The edge midpoints
+    are appended as vertices nv, nv+1, ... in the order in which their
+    edges are first met, reading the elements' local edges in order.
     """
-    if mesh.dim == 1:
-        return _refine_interval(mesh)
-    return _refine_triangles(mesh)
-
-
-def _refine_interval(mesh):
-    nv, ne = mesh.num_vertices, mesh.num_elements
-    mids = 0.5 * (mesh.vertices[mesh.elements[:, 0]] + mesh.vertices[mesh.elements[:, 1]])
-    m = nv + np.arange(ne)
-    elements = np.stack([mesh.elements[:, 0], m, m, mesh.elements[:, 1]], axis=1)
-    return Mesh(
-        1,
-        np.vstack([mesh.vertices, mids]),
-        elements.reshape(-1, 2),
-        mesh.boundary_facets.copy(),
-        parent=mesh,
-        parent_elements=np.repeat(np.arange(ne), 2),
-    )
-
-
-def _refine_triangles(mesh):
-    """Midpoint vertices are numbered nv, nv+1, ... in the order in which
-    their edges are first met, reading the elements' edges in order."""
-    nv, ne = mesh.num_vertices, mesh.num_elements
-    edges, elem_edges, _, first = _facet_table(mesh.elements)
+    d, nv, ne = mesh.dim, mesh.num_vertices, mesh.num_elements
+    if d == 1:  # an interval is its own one edge
+        edges, elem_edges, first = mesh.elements, np.arange(ne)[:, None], np.arange(ne)
+    else:
+        edges, elem_edges, _, first = _facet_table(mesh.elements)
     by_rank = np.argsort(first)
     mid = np.empty(len(edges), dtype=np.int64)
     mid[by_rank] = nv + np.arange(len(edges))
     new_vertices = 0.5 * (mesh.vertices[edges[by_rank, 0]] + mesh.vertices[edges[by_rank, 1]])
 
-    a, b, c = mesh.elements.T
-    mab, mbc, mac = mid[elem_edges].T
-    elements = np.stack([a, mab, mac, mab, b, mbc, mac, mbc, c, mab, mbc, mac], axis=1)
-
-    # each boundary edge (a, b) becomes (a, m), (b, m): m exceeds every old index
-    fa, fb = mesh.boundary_facets.reshape(-1, 2).T
-    fm = mid[_facet_ids(edges, mesh.boundary_facets)]
-    facets = np.stack([fa, fm, fb, fm], axis=1)
-    return Mesh(
-        2,
-        np.vstack([mesh.vertices, new_vertices]),
-        elements.reshape(-1, 3),
-        facets.reshape(-1, 2),
-        parent=mesh,
-        parent_elements=np.repeat(np.arange(ne), 4),
-    )
+    # the element's vertices, then its edge midpoints (an interval's edge is [0, 1])
+    points = np.concatenate([mesh.elements, mid[elem_edges]], axis=1)
+    columns = [i if i == j else d + 1 + _LOCAL_FACETS[2].index([i, j])
+               for child in _CHILDREN[d] for i, j in child]
+    facets = mesh.boundary_facets
+    if d == 2:  # each boundary edge (a, b) becomes (a, m), (b, m): m exceeds every old index
+        fa, fb = facets.reshape(-1, 2).T
+        fm = mid[_facet_ids(edges, facets)]
+        facets = np.stack([fa, fm, fb, fm], axis=1).reshape(-1, 2)
+    fine = Mesh(d, np.vstack([mesh.vertices, new_vertices]),
+                points[:, columns].reshape(-1, d + 1), facets)
+    fine.parent = mesh
+    return fine
 
 
 def width(mesh):
@@ -242,18 +226,6 @@ def width(mesh):
     i, j = np.triu_indices(mesh.dim + 1, 1)                 # vertex pairs
     verts = mesh.vertices[mesh.elements]                    # (ne, dim+1, dim)
     return float(np.linalg.norm(verts[:, j] - verts[:, i], axis=-1).max())
-
-
-def _pull(a, jac):
-    """a J^T on every element, for a (e, ..., d) and J (e, d, d): d
-    broadcast products, where a batched matmul would make one tiny BLAS
-    call per element."""
-    d = jac.shape[-1]
-    shape = (len(jac),) + (1,) * (a.ndim - 2) + (d,)
-    out = a[..., 0, None] * jac[:, :, 0].reshape(shape)
-    for i in range(1, d):
-        out += a[..., i, None] * jac[:, :, i].reshape(shape)
-    return out
 
 
 def check_conforming(mesh):
@@ -286,32 +258,20 @@ def check_conforming(mesh):
 
 
 def check_nested(fine):
-    """Verify the refinement hierarchy between `fine` and its parent.
-
-    Each parent element must own the right number of children, children
-    volumes must sum to the parent volume, and every child vertex must lie
-    in the closure of its parent element (barycentric coordinates in
-    [0,1] up to rounding).
-    """
-    coarse = fine.parent
-    if coarse is None or fine.parent_elements is None:
+    """Verify that `fine` is refine's refinement of its parent: 2^d
+    children per parent element, each with the vertices 0.5 (x_i + x_j)
+    that `_CHILDREN` names, bit for bit.  Returns True or raises
+    MeshError naming the first child that differs."""
+    coarse, d = fine.parent, fine.dim
+    if coarse is None:
         raise MeshError("mesh has no refinement parent")
-    expected = 2 ** fine.dim
-    child_counts = np.bincount(fine.parent_elements, minlength=coarse.num_elements)
-    if not np.all(child_counts == expected):
+    if fine.num_elements != 2**d * coarse.num_elements:
         raise MeshError("parent element without exactly 2^d children")
-
-    vol_sums = np.bincount(fine.parent_elements, fine.volumes, minlength=coarse.num_elements)
-    if not np.allclose(vol_sums, coarse.volumes, rtol=1e-12, atol=0):
-        raise MeshError("child volumes do not sum to parent volume")
-
-    tol = 1e-12
-    pid = fine.parent_elements
-    v0 = coarse.vertices[coarse.elements[pid, 0]]
-    rel = fine.vertices[fine.elements] - v0[:, None, :]            # (ne, d+1, d)
-    ref = _pull(rel, coarse.jac[pid])
-    outside = np.any((ref.min(axis=2) < -tol) | (ref.sum(axis=2) > 1.0 + tol), axis=1)
-    if outside.any():
-        eid = int(np.argmax(outside))
-        raise MeshError(f"child {eid} vertex outside parent {pid[eid]}")
+    corners = coarse.vertices[coarse.elements]                 # (ne, d+1, d)
+    i, j = np.moveaxis(np.array(_CHILDREN[d]), -1, 0)          # (2^d, d+1) each
+    expected = 0.5 * (corners[:, i] + corners[:, j]).reshape(-1, d + 1, d)
+    differs = np.any(fine.vertices[fine.elements] != expected, axis=(1, 2))
+    if differs.any():
+        eid = int(np.argmax(differs))
+        raise MeshError(f"child {eid} has a vertex outside parent {eid >> d}'s layout")
     return True

@@ -7,19 +7,23 @@ point; positive definiteness is checked implicitly by the conjugate
 gradient solve at every step.  The solves are Jacobi-preconditioned
 unless the caller passes another preconditioner: a study's level
 hierarchy passes a geometric V-cycle, one `_v_cycle` level bound on
-top of the cycle kept for the level below through the level pair's
-`embedding_matrix`, and binds the level's own cycle to d2J at the
-level's minimizer.  All solves are deterministic.
+top of the cycle of the level below through the level pair's
+`embedding_matrix`.  The embedding reads no geometry: each element of a
+refined mesh is a child in refine's layout (`mesh._CHILDREN`), whose
+rows are a table of exact values rounded once.  All solves are
+deterministic.
 """
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from .assembly import assemble_hessian, assemble_residual, energy_value
-from .felement import FEFunction, interpolate
-from .mesh import _check_count, _pull
+from .felement import FEFunction, interpolate, make_space, reference_basis
+from .mesh import _CHILDREN, _check_count
 
 __all__ = [
     "NewtonOptions",
@@ -174,7 +178,7 @@ def _check_rz(rz, residual, iterations):
 _SMOOTHING_SWEEPS = 2
 
 
-def _v_cycle(a, weights, prolongation, restriction, fine_bc, coarse_bc, coarse_solve, r):
+def _v_cycle(a, weights, prolongation, restriction, coarse_bc, coarse_solve, r):
     """One level of a symmetric geometric V-cycle applied to r: a
     preconditioner for `linear_solve` once all but r are bound.
 
@@ -184,13 +188,12 @@ def _v_cycle(a, weights, prolongation, restriction, fine_bc, coarse_bc, coarse_s
     below, bound the same way, or at the root an exact solve.  The level
     smooths by `_SMOOTHING_SWEEPS` damped-Jacobi sweeps before and after
     the correction from the level below.  The restricted residual has its
-    coarse Dirichlet entries `coarse_bc` zeroed, as in `galerkin_defect`,
-    and the correction its fine ones `fine_bc`: a P3 d=2 embedding maps
-    Dirichlet rows to interior columns by rounding entries.  With SPD
-    operators, an SPD root solve and a damping below 2 / lambda_max(D^-1 A)
-    on every level, the cycle is SPD on vectors with zero Dirichlet
-    entries, the only ones `linear_solve` passes (on others, the rounding
-    entries can break its symmetry by about 1e-15).
+    coarse Dirichlet entries `coarse_bc` zeroed, as in `galerkin_defect`;
+    the correction is 0 on the fine ones, whose rows reach coarse
+    Dirichlet columns only.  With SPD operators, an SPD root solve and a
+    damping below 2 / lambda_max(D^-1 A) on every level, the cycle is SPD
+    on vectors with zero Dirichlet entries, the only ones `linear_solve`
+    passes.
     """
     x = weights * r
     _smooth(a, weights, x, r, _SMOOTHING_SWEEPS - 1)
@@ -198,9 +201,7 @@ def _v_cycle(a, weights, prolongation, restriction, fine_bc, coarse_bc, coarse_s
     np.subtract(r, defect, out=defect)
     coarse = restriction @ defect
     coarse[coarse_bc] = 0.0
-    correction = prolongation @ coarse_solve(coarse)
-    correction[fine_bc] = 0.0
-    x += correction
+    x += prolongation @ coarse_solve(coarse)
     _smooth(a, weights, x, r, _SMOOTHING_SWEEPS)
     return x
 
@@ -289,42 +290,44 @@ def embedding_matrix(src_space, dst_space):
     dst_space must live on the same mesh as src_space or on a refinement
     descendant, with order at least the source order; then every source
     function is a dst-space function and the embedding is exact (the dst
-    nodal values of the source polynomial).  Only its nonzero entries
-    are stored: no product of a finite vector changes (rows sum from +0).
+    nodal values of the source polynomial).  Each dst element reads the
+    `_transfer_table` of its child in refine's layout, or on the same mesh
+    of the identity; a deeper descendant is the product of one-level
+    embeddings.  Only nonzero entries are stored: no product of a finite
+    vector changes (rows sum from +0).
     """
     if dst_space.order < src_space.order:
         raise ValueError("target order is lower than source order; embedding "
                          "would not be exact")
-    dst_mesh = mesh = dst_space.mesh
-    ancestor = np.arange(dst_mesh.num_elements)
-    while mesh is not src_space.mesh:
-        if mesh.parent is None or mesh.parent_elements is None:
-            raise ValueError("target mesh is not a refinement descendant of the "
-                             "source mesh")
-        ancestor = mesh.parent_elements[ancestor]
-        mesh = mesh.parent
+    mesh, d = dst_space.mesh, dst_space.mesh.dim
+    if mesh is src_space.mesh:
+        children = (tuple((v, v) for v in range(d + 1)),)
+    elif mesh.parent is src_space.mesh:
+        children = _CHILDREN[d]
+    elif mesh.parent is None:
+        raise ValueError("target mesh is not a refinement descendant of the "
+                         "source mesh")
+    else:
+        middle = make_space(mesh.parent, src_space.order)
+        return (embedding_matrix(middle, dst_space)
+                @ embedding_matrix(src_space, middle)).sorted_indices()
+    tables = np.stack([_transfer_table(d, src_space.order, dst_space.order, child)
+                       for child in children])
 
-    src_mesh = src_space.mesh
-    nloc_d = dst_space.basis.n_local
-    nloc_s = src_space.basis.n_local
-    # each dst node once, on the first element that holds it: its physical
-    # point, then the reference point in that element's source ancestor,
-    # as d broadcast products each (a batched matmul would make one tiny
-    # BLAS call per node)
-    _, first = np.unique(dst_space.elem_dofs.ravel(), return_index=True)
-    owner, local = np.divmod(first, nloc_d)
-    anc = ancestor[owner]
-    phys = (dst_mesh.vertices[dst_mesh.elements[owner, 0]]
-            + _pull(dst_space.basis.nodes[local], dst_mesh.inv_jac[owner]))
-    ref = _pull(phys - src_mesh.vertices[src_mesh.elements[anc, 0]],
-                src_mesh.jac[anc])
-    vals = src_space.basis.values(ref)
+    # each dst dof on one element that holds it: any such element gives the
+    # same nonzero entries, since a source basis function that is nonzero
+    # at a node shared by two source elements belongs to their common face
+    owner = np.empty(dst_space.dim, dtype=np.int64)
+    owner[dst_space.elem_dofs.ravel()] = np.arange(dst_space.elem_dofs.size)
+    element, local = np.divmod(owner, dst_space.basis.n_local)
+    vals = tables[element % len(children), local]
 
     # row i holds the values at node i of the nloc_s basis functions of its
     # source element, columns ascending as a COO to CSR conversion would
     # leave them; built as CSR directly, since that conversion's first
     # use maps about 0.5 MB more of scipy's compiled code into memory
-    cols = src_space.elem_dofs[anc]
+    nloc_s = src_space.basis.n_local
+    cols = src_space.elem_dofs[element // len(children)]
     order = np.argsort(cols, axis=1, kind="stable")
     embedding = sp.csr_matrix((np.take_along_axis(vals, order, axis=1).ravel(),
                                np.take_along_axis(cols, order, axis=1).ravel(),
@@ -332,6 +335,31 @@ def embedding_matrix(src_space, dst_space):
                               shape=(dst_space.dim, src_space.dim))
     embedding.eliminate_zeros()
     return embedding
+
+
+@functools.cache
+def _transfer_table(dim, src_order, dst_order, child):
+    """(dst n_local, src n_local) values of the order-`src_order` reference
+    basis at the order-`dst_order` nodes of `child` (as in
+    `mesh._CHILDREN`), in rationals rounded once, so an exact 0 is 0.0.
+    In barycentric coordinates the order-m basis function of node n is
+    prod over v and t < m n_v of (m p_v - t) / (t + 1) at p (Silvester)."""
+    from fractions import Fraction  # its decimal import costs 1 ms at start-up
+    def barycentric(node):  # a reference node's coordinates are k/2 or k/3
+        xi = [Fraction(x).limit_denominator(6) for x in node]
+        return [1 - sum(xi)] + xi
+
+    m, rows = src_order, []
+    src = [barycentric(n) for n in reference_basis(dim, src_order).nodes]
+    for node in reference_basis(dim, dst_order).nodes:
+        # the child's vertex (i, j) is the parent's point (e_i + e_j) / 2
+        p = [sum(lam * ((v == i) + (v == j)) for lam, (i, j) in zip(barycentric(node), child)) / 2
+             for v in range(dim + 1)]
+        rows.append([float(math.prod((m * p_v - t) / (t + 1) for n_v, p_v in zip(n, p)
+                                     for t in range(int(m * n_v)))) for n in src])
+    table = np.array(rows)
+    table.flags.writeable = False
+    return table
 
 
 def embed(f, dst_space):

@@ -556,7 +556,7 @@ def cycle_at_the_top(name, cells, order, levels):
     hierarchy = hierarchy_of(name, cells, order, levels)
     u, _ = hierarchy.minimizers[levels - 1, order]
     hess = assemble_hessian(hierarchy.problem.model, u)
-    cycle = hierarchy.cycles[levels - 1, order]
+    cycle = hierarchy.cycle(levels - 1, order)
     b = np.random.default_rng(order).standard_normal(u.space.dim)
     b[u.space.boundary_dofs] = 0.0
     return hess, cycle, b
@@ -618,17 +618,17 @@ HIERARCHY_SHAPES = [(dim, cells, order, levels) for dim, cells, levels in [(1, 4
 @pytest.mark.parametrize("dim, cells, order, levels", HIERARCHY_SHAPES)
 def test_v_cycle_transfers_match_the_masked_prolongation_bytewise(dim, cells, order, levels):
     """Restricting by the prolongation's transpose and zeroing the coarse
-    Dirichlet entries, then zeroing the fine Dirichlet entries of the
-    prolonged correction, gives the bytes of the masked transfers on every
-    kept cycle, for residuals with zero Dirichlet entries.  The P3 d=2
-    prolongation carries entries of about 1e-15 from Dirichlet rows into
-    interior columns, so there the fine zeroing is needed."""
+    Dirichlet entries gives the bytes of the masked transfers on every
+    kept cycle, for residuals with zero Dirichlet entries.  The prolonged
+    correction needs no zeroing: the exact embedding maps a Dirichlet row
+    to Dirichlet columns only, where every coarse cycle returns 0, so the
+    correction is 0 on the fine Dirichlet entries already."""
     hierarchy = quartic_hierarchy(dim, cells, order, levels)
     rng = np.random.default_rng(order)
     for level in range(1, levels):
         fine, coarse = hierarchy.space(level, order), hierarchy.space(level - 1, order)
-        cycle = hierarchy.cycles[level, order]
-        a, weights, prolongation, _, _, _, coarse_solve = cycle.args
+        cycle = hierarchy.cycle(level, order)
+        a, weights, prolongation, _, _, coarse_solve = cycle.args
         for _ in range(3):
             r = rng.standard_normal(fine.dim)
             r[fine.boundary_dofs] = 0.0
@@ -644,7 +644,7 @@ def test_a_level_cycle_holds_no_transfer_but_the_hierarchys_prolongation(
     matrix is the Hessian's."""
     hierarchy = quartic_hierarchy(dim, cells, order, levels)
     for level in range(1, levels):
-        cycle = hierarchy.cycles[level, order]
+        cycle = hierarchy.cycle(level, order)
         a, _, prolongation, restriction = cycle.args[:4]
         assert prolongation is hierarchy.prolongations[level, order]
         assert restriction.shape == prolongation.shape[::-1]
@@ -658,18 +658,22 @@ def test_a_level_cycle_holds_no_transfer_but_the_hierarchys_prolongation(
 def test_a_root_above_the_dense_cap_keeps_jacobi_pcg(monkeypatch, cells, cycle):
     """P1 on 21 x 21 cells has 400 interior dofs, at the root cap
     `_ROOT_DOFS`; on 22 x 22, 441, above it.  Level 0 is
-    Jacobi-preconditioned either way."""
+    Jacobi-preconditioned either way.  Only a cycle reads d2J at a
+    minimizer here: level 1's reads level 0's, and without a root solve
+    no Hessian is assembled."""
     solves = counted_solves(monkeypatch)
     hierarchy = hierarchy_of("quartic", cells, 1, 2)
     dims = [hierarchy.space(level, 1).dim for level in (0, 1)]
     assert {preconditioned for dim, preconditioned, _ in solves if dim == dims[0]} == {False}
     assert {preconditioned for dim, preconditioned, _ in solves if dim == dims[1]} == {cycle}
+    assert list(hierarchy.hessians) == ([(0, 1)] if cycle else [])
 
 
 def test_a_level_cycle_is_bound_to_the_hessian_at_its_minimizer(monkeypatch):
-    """The hierarchy assembles d2J once at each level's minimizer itself
-    and keeps it; the cycle kept for a level above the root carries its
-    matrix."""
+    """The hierarchy assembles d2J at a level's minimizer on first read and
+    keeps it; the cycle of a level above the root carries its matrix.  The
+    levels below the top are read by the cycles that the Newton solves
+    above them run; the top's Hessian waits for its first read."""
     assembled = []
 
     def recording_hessian(model, v):
@@ -678,13 +682,16 @@ def test_a_level_cycle_is_bound_to_the_hessian_at_its_minimizer(monkeypatch):
 
     monkeypatch.setattr(analysis, "assemble_hessian", recording_hessian)
     hierarchy = hierarchy_of("quartic", 4, 2, 3)
-    assert len(assembled) == 3
+    assert [id(v) for v, _ in assembled] == [id(hierarchy.minimizers[level, 2][0])
+                                             for level in (0, 1)]
     for level in range(3):
         u, _ = hierarchy.minimizers[level, 2]
-        (hess,) = [hess for v, hess in assembled if v is u]
-        assert hess is hierarchy.hessians[level, 2]
+        hess = hierarchy.hessian(level, 2)
+        assert [id(h) for v, h in assembled if v is u] == [id(hess)]
+        assert hierarchy.hessian(level, 2) is hess
         if level:
-            assert hierarchy.cycles[level, 2].args[0] is hess.matrix
+            assert hierarchy.cycle(level, 2).args[0] is hess.matrix
+    assert len(assembled) == 3
 
 
 def test_a_converged_root_still_cycles_the_levels_above(monkeypatch):
@@ -1010,7 +1017,7 @@ def two_pass_adjoint_check(hierarchy, level, u_h, l2_exact, levels_finer):
     b[space.boundary_dofs] = 0.0
     w = FEFunction(space, linear_solve(assemble_hessian(model, u_star), b,
                                        tol=hierarchy.newton.linear_tol,
-                                       preconditioner=hierarchy.cycles[ref_level, order]))
+                                       preconditioner=hierarchy.cycle(ref_level, order)))
     bil = float(w.coeffs @ assemble_hessian(model, u_star).apply(e.coeffs))
     nw = norms(None, w, include_broken_h2=True)
     ratio = float((nw.l2 + nw.h1_semi + nw.broken_h2) / norms(None, e).l2)
@@ -1022,9 +1029,10 @@ def two_pass_adjoint_check(hierarchy, level, u_h, l2_exact, levels_finer):
 def test_adjoint_check_assembles_the_hessian_and_takes_the_error_norm_once(
         monkeypatch, order):
     """Over a study, d2J(u*) is assembled once per reference, by the
-    hierarchy when it solves u*, for the cycle, the adjoint solve and the
-    bilinear term; the check assembles none of its own (for m = 1 it
-    solves the P2 references, each assembling its minimizer's Hessian).
+    hierarchy on its first read, for the cycle, the adjoint solve and the
+    bilinear term; while a check runs, the only Hessians assembled are
+    d2J(u*) and those of the levels it solves (for m = 1 the P2 references,
+    each read by the cycle of the level above).
     It takes the L^2 norm of the error once, for the check and the ratio,
     and is bitwise the two-pass one."""
     log, checks, original = [], [], analysis._adjoint_check
@@ -1051,7 +1059,7 @@ def test_adjoint_check_assembles_the_hessian_and_takes_the_error_norm_once(
         u_star, _ = hierarchy.minimizer(level + levels_finer, max(order, 2))
         assert sum(v is u_star for v in assembled) == 1
         assert sorted(id(v) for name, (_, v), _ in calls if name == "assemble_hessian") == \
-            sorted(id(hierarchy.minimizers[key][0]) for key in solved_here)
+            sorted({id(u_star)} | {id(hierarchy.minimizers[key][0]) for key in solved_here})
         assert sum(f is None and g.space is u_star.space and not kwargs.get("include_broken_h2")
                    for name, (f, g), kwargs in calls if name == "norms") == 1
         assert out == two_pass_adjoint_check(*args)
@@ -1085,11 +1093,11 @@ def test_a_study_assembles_one_hessian_per_level_and_every_check_reads_it(
     solves = [(hess, rhs.space) for hess, rhs, *_ in calls["solve_adjoint"]]
     assert len(ellipticity) == 3
     for level, (hess, v) in enumerate(ellipticity):
-        assert v is minimizers[level, order] and hess is hierarchy.hessians[level, order]
+        assert v is minimizers[level, order] and hess is hierarchy.hessian(level, order)
     assert len(solves) == 3
     for level, (hess, space) in enumerate(solves):
         key = (level + analysis._ADJOINT_LEVELS_FINER, max(order, 2))
-        assert space is hierarchy.spaces[key] and hess is hierarchy.hessians[key]
+        assert space is hierarchy.spaces[key] and hess is hierarchy.hessian(*key)
 
 
 def recorded_adjoint_solves(monkeypatch):

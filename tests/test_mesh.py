@@ -199,10 +199,12 @@ def test_refined_topology_and_dofs_pinned(dim, cells):
     m = build_unit_mesh(dim, cells)
     for _ in range(3):
         m = refine(m)
-    # the pinned digests hash a column of ones after the boundary facets
+    # the pinned digests hash a column of ones after the boundary facets,
+    # then each element's parent element id, e // 2^d in refine's layout
     markers = np.ones(len(m.boundary_facets), dtype=np.int64)
+    parents = np.arange(m.num_elements) // 2**dim
     assert _digest([m.vertices, m.elements, m.boundary_facets, markers,
-                    m.parent_elements]) == _TOPOLOGY_DIGESTS[dim, "mesh"]
+                    parents]) == _TOPOLOGY_DIGESTS[dim, "mesh"]
     for order in (1, 2, 3):
         s = make_space(m, order, 0.0)
         assert _digest([s.elem_dofs, s.boundary_dofs,
@@ -229,13 +231,36 @@ def test_nestedness_detects_child_outside_parent():
     coarse = build_unit_mesh(2, 2)
     fine = refine(coarse)
     # hand the children of the two triangles of one grid square to each
-    # other: counts and volume sums still match, containment does not
-    parents = fine.parent_elements.copy()
-    parents[:4], parents[4:8] = 1, 0
-    swapped = Mesh(2, fine.vertices, fine.elements, fine.boundary_facets,
-                   parent=coarse, parent_elements=parents)
+    # other: counts and volume sums still match, refine's layout does not
+    elements = np.concatenate([fine.elements[4:8], fine.elements[:4], fine.elements[8:]])
+    swapped = Mesh(2, fine.vertices, elements, fine.boundary_facets)
+    swapped.parent = coarse
     with pytest.raises(MeshError, match="outside parent"):
         check_nested(swapped)
+
+
+def test_nestedness_detects_a_midpoint_moved_along_its_edge():
+    """An interior edge midpoint moved 1e-3 along its edge: the children
+    still tile their parents (each vertex stays on the segment, so every
+    child keeps its orientation and the areas still sum), but the vertex
+    is no longer the midpoint, which check_nested reports at the first
+    child holding it."""
+    coarse = build_unit_mesh(2, 2)
+    fine = refine(coarse)
+    # the midpoint of the interior diagonal of grid square (0, 0)
+    a, b = coarse.elements[0, 0], coarse.elements[0, 2]
+    mid = np.flatnonzero(np.all(fine.vertices == 0.5 * (coarse.vertices[a]
+                                                         + coarse.vertices[b]), axis=1))[0]
+    vertices = fine.vertices.copy()
+    vertices[mid] += 1e-3 * (coarse.vertices[b] - coarse.vertices[a])
+    shifted = Mesh(2, vertices, fine.elements, fine.boundary_facets)
+    shifted.parent = coarse
+    assert check_conforming(shifted)
+    ne = coarse.num_elements
+    assert np.allclose(shifted.volumes.reshape(ne, 4).sum(axis=1), coarse.volumes,
+                       rtol=1e-12, atol=0)
+    with pytest.raises(MeshError, match="child 0 has a vertex outside parent 0"):
+        check_nested(shifted)
 
 
 def test_refine_rejects_boundary_facet_that_is_no_edge():

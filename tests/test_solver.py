@@ -1,3 +1,7 @@
+import functools
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,8 +10,9 @@ from nitschelab.assembly import (SparseOperator, assemble_gram_l2,
                                  assemble_hessian, assemble_residual,
                                  energy_value, norms)
 from nitschelab.energy import build_problem
-from nitschelab.felement import FEFunction, interpolate, make_space, tabulate
-from nitschelab.mesh import build_unit_mesh, refine
+from nitschelab.felement import (FEFunction, interpolate, make_space, reference_basis,
+                                 tabulate)
+from nitschelab.mesh import _CHILDREN, build_unit_mesh, refine
 from nitschelab import solver
 from nitschelab.solver import (LinearSolveError, NewtonError, NewtonOptions,
                                embed, linear_solve, minimize)
@@ -291,7 +296,7 @@ def test_prolong_exact_at_fine_nodes(dim, order):
     pf = embed(f, fine)
     fine_vals, _ = tabulate(fine, pf.coeffs, fine.basis.nodes)
     for eid in range(fine_mesh.num_elements):
-        pid = fine_mesh.parent_elements[eid]
+        pid = eid // 2**dim  # refine's layout
         x = fine_mesh.vertices[fine_mesh.elements[eid, 0]] \
             + fine.basis.nodes @ fine_mesh.inv_jac[eid].T
         ref_c = (x - coarse_mesh.vertices[coarse_mesh.elements[pid, 0]]) \
@@ -323,7 +328,7 @@ def test_prolong_squared_difference_vanishes():
     # evaluate f on the same physical points through the coarse elements
     coarse_vals = np.empty_like(fine_vals)
     for eid in range(fine_mesh.num_elements):
-        pid = fine_mesh.parent_elements[eid]
+        pid = eid // 4  # refine's layout
         x = (fine_mesh.vertices[fine_mesh.elements[eid, 0]][None, :]
              + qp @ fine_mesh.inv_jac[eid].T)
         ref_c = (x - coarse_mesh.vertices[coarse_mesh.elements[pid, 0]][None, :]) \
@@ -354,47 +359,118 @@ def test_prolong_space_mismatch_errors():
         embed(f, other)
 
 
-def einsum_embedding_matrix(src_space, dst_space):
-    """The embedding as first written: every dst node of every element
-    mapped with two einsums, then the first occurrence of each dof kept."""
-    dst_mesh, src_mesh = dst_space.mesh, src_space.mesh
-    ancestor = np.arange(dst_mesh.num_elements)
-    mesh = dst_mesh
-    while mesh is not src_mesh:
-        ancestor = mesh.parent_elements[ancestor]
-        mesh = mesh.parent
-    phys = (dst_mesh.vertices[dst_mesh.elements[:, 0]][:, None, :]
-            + np.einsum("eij,lj->eli", dst_mesh.inv_jac, dst_space.basis.nodes))
-    v0 = src_mesh.vertices[src_mesh.elements[ancestor, 0]]
-    ref = np.einsum("eij,elj->eli", src_mesh.jac[ancestor], phys - v0[:, None, :])
-    vals = src_space.basis.values(ref.reshape(-1, src_mesh.dim))
-    uniq, first = np.unique(dst_space.elem_dofs.ravel(), return_index=True)
-    nloc_s = src_space.basis.n_local
-    rows = np.repeat(uniq, nloc_s)
-    cols = src_space.elem_dofs[ancestor[first // dst_space.basis.n_local]].ravel()
-    return sp.coo_matrix((vals[first].ravel(), (rows, cols)),
-                         shape=(dst_space.dim, src_space.dim)).tocsr()
+@functools.cache
+def exact_basis(dim, order):
+    """The reference nodes of `order`, multiples of 1/order, as Fractions,
+    and the exact coefficients of the Lagrange basis in the monomials of
+    `reference_basis`: the inverse of the Vandermonde matrix at the nodes,
+    by Gauss-Jordan elimination in Fractions."""
+    basis = reference_basis(dim, order)
+    nodes = [[Fraction(x).limit_denominator(order) for x in node] for node in basis.nodes]
+    n = len(nodes)
+    rows = [monomials(basis.exponents, x) + [Fraction(i == j) for j in range(n)]
+            for i, x in enumerate(nodes)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r in range(n):
+            if r != col:
+                rows[r] = [v - rows[r][col] * w for v, w in zip(rows[r], rows[col])]
+    return nodes, [row[n:] for row in rows]
+
+
+def monomials(exponents, x):
+    return [math.prod(xa**e for xa, e in zip(x, exps)) for exps in exponents]
+
+
+def exact_table(dim, src_order, dst_order, corners):
+    """The order-`src_order` basis at the order-`dst_order` nodes of the
+    sub-simplex with vertices `corners` (exact reference coordinates of
+    the source element), each value rounded once from its exact value."""
+    src_nodes, coeffs = exact_basis(dim, src_order)
+    dst_nodes, _ = exact_basis(dim, dst_order)
+    exps = reference_basis(dim, src_order).exponents
+    table = []
+    for xi in dst_nodes:
+        x = [corners[0][a] + sum(xi[k] * (corners[k + 1][a] - corners[0][a]) for k in range(dim))
+             for a in range(dim)]
+        mono = monomials(exps, x)
+        table.append([float(sum(m * c[i] for m, c in zip(mono, coeffs)))
+                      for i in range(len(src_nodes))])
+    return np.array(table)
+
+
+REFERENCE_VERTICES = {1: [[0], [1]], 2: [[0, 0], [1, 0], [0, 1]]}
+
+
+def child_corners(corners, child):
+    """The vertices of a child in refine's layout: the midpoints of the
+    parent vertex pairs that `mesh._CHILDREN` lists for it."""
+    return [[(corners[i][a] + corners[j][a]) / 2 for a in range(len(corners[0]))]
+            for i, j in child]
 
 
 @pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("src_order, dst_order", [(1, 1), (2, 2), (3, 3), (1, 2), (1, 3), (2, 3)])
+def test_transfer_tables_are_the_exact_embedding_rounded_once(dim, src_order, dst_order):
+    """Every child's table, and the identity child's of an order raise on
+    one mesh, holds bitwise the exact values from a Vandermonde solve."""
+    corners = [[Fraction(c) for c in v] for v in REFERENCE_VERTICES[dim]]
+    identity = tuple((v, v) for v in range(dim + 1))
+    for child in (identity, *_CHILDREN[dim]):
+        got = solver._transfer_table(dim, src_order, dst_order, child)
+        expected = exact_table(dim, src_order, dst_order, child_corners(corners, child))
+        assert got.tobytes() == expected.tobytes(), child
+
+
+def exact_embedding(src_space, dst_space, levels):
+    """The dense embedding into `dst_space`, `levels` refinements below
+    `src_space`, each dst element's table composed exactly along its chain
+    of children (element e is child e % 2^d of element e // 2^d); asserts
+    that every element holding a dst dof gives it the same row."""
+    d = src_space.mesh.dim
+    dense = np.full((dst_space.dim, src_space.dim), np.nan)
+    tables = {}
+    for e, dofs in enumerate(dst_space.elem_dofs):
+        path, ancestor = [], e
+        for _ in range(levels):
+            ancestor, k = divmod(ancestor, 2**d)
+            path.append(k)
+        if tuple(path) not in tables:
+            corners = [[Fraction(c) for c in v] for v in REFERENCE_VERTICES[d]]
+            for k in reversed(path):
+                corners = child_corners(corners, _CHILDREN[d][k])
+            tables[tuple(path)] = exact_table(d, src_space.order, dst_space.order, corners)
+        for dof, values in zip(dofs, tables[tuple(path)]):
+            row = np.zeros(src_space.dim)
+            row[src_space.elem_dofs[ancestor]] = values
+            assert np.isnan(dense[dof, 0]) or np.array_equal(dense[dof], row)
+            dense[dof] = row
+    return dense
+
+
+@pytest.mark.parametrize("cells", [3, 4])
+@pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("order", [1, 2, 3])
 @pytest.mark.parametrize("finer", [1, 2])
-def test_embedding_matrix_matches_the_einsum_formula(dim, order, finer):
-    coarse_mesh = build_unit_mesh(dim, 3)
-    fine_mesh = coarse_mesh
+def test_embedding_matrix_is_the_exact_embedding(dim, order, cells, finer):
+    """The embedding stores bitwise the exact embedding's nonzero entries,
+    in canonical CSR order, so products sum alike; none is rounding noise
+    (all are at least 1e-12), and no Dirichlet row reaches an interior
+    column."""
+    coarse_mesh = fine_mesh = build_unit_mesh(dim, cells)
     for _ in range(finer):
         fine_mesh = refine(fine_mesh)
     coarse = make_space(coarse_mesh, order, 0.0)
     fine = make_space(fine_mesh, order, 0.0)
-    expected = einsum_embedding_matrix(coarse, fine)
-    expected.eliminate_zeros()
     got = solver.embedding_matrix(coarse, fine)
-    # the same nonzero entries in the same order, so products sum alike; a
-    # CSR product starts each row at +0.0, so a stored zero would add nothing
-    assert np.all(got.data != 0.0)
-    np.testing.assert_array_equal(got.indptr, expected.indptr)
-    np.testing.assert_array_equal(got.indices, expected.indices)
-    assert np.abs(got.data - expected.data).max() <= 1e-15 * np.abs(expected.data).max()
+    expected = sp.csr_matrix(exact_embedding(coarse, fine, finer))
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(expected, name))
+    assert np.abs(got.data).min() >= 1e-12
+    rows = np.repeat(np.arange(fine.dim), np.diff(got.indptr))
+    assert not np.any(~fine.interior_mask[rows] & coarse.interior_mask[got.indices])
 
 
 def test_embed_order_raise_two_levels():
