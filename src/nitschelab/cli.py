@@ -41,6 +41,11 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
 
+# libyaml's parser where PyYAML was built with it; both loaders share the
+# safe constructor, so they build the same mapping, and raise YAMLError
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 class ConfigError(ValueError):
     """Invalid study configuration."""
 
@@ -72,7 +77,7 @@ def load_config(path):
     """Parse and validate a flat key/value config file."""
     try:
         with open(path) as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_YAML_LOADER)
     except OSError as err:
         raise ConfigError(f"cannot read config: {err}") from err
     except (yaml.YAMLError, UnicodeDecodeError) as err:

@@ -16,7 +16,10 @@ Built-in models:
 
 Manufactured problems pick u(x) = prod_i sin(pi x_i) and compute the
 matching forcing analytically, so the exact solution and all its
-derivatives are available to the error studies.
+derivatives are available to the error studies.  The forcing of a
+Dirichlet-potential problem reads the solution's value alone, since
+-laplace u = d pi^2 u holds bit for bit for the sine product; the
+minimal surface forcing reads its gradient and Hessian too.
 """
 
 import functools
@@ -99,10 +102,12 @@ class ExactSolution:
     `jet(x)` returns (value, gradient, hessian) at once and
     `jet(x, hessian=False)` returns (value, gradient), sharing the work
     the callables have in common; a jet must return bit for bit what the
-    callables return.  The manufactured forcing, `norms` and `el_residual`
-    read the solution through it.  A solution built without a jet (jet
-    None) gets one that calls the three callables one by one, and
-    `dataclasses.replace` derives it again from the new callables."""
+    callables return.  `norms`, `el_residual` and the manufactured
+    forcing of a model that is not `quadratic_gradient` read the solution
+    through it; a Dirichlet-potential forcing reads `value` alone.  A
+    solution built without a jet (jet None) gets one that calls the three
+    callables one by one, and `dataclasses.replace` derives it again from
+    the new callables."""
 
     value: callable       # (n, d) -> (n,)
     gradient: callable    # (n, d) -> (n, d)
@@ -343,6 +348,16 @@ def _sine_product(dim):
     return ExactSolution(value, gradient, hessian, jet)
 
 
+def _sine_product_eigenvalue(dim):
+    """dim pi^2, with -laplace u = dim pi^2 u for u = `_sine_product(dim)`.
+
+    The identity holds bit for bit against the Hessian's trace: each
+    diagonal entry is pi^2 times the product with one factor negated,
+    -(pi^2 u) rounded once, and summing dim = 1 or 2 of them, like
+    multiplying by dim, is exact."""
+    return dim * np.pi**2
+
+
 _POTENTIALS = {
     "linear": (lambda z: np.zeros_like(z), lambda z: np.zeros_like(z),
                lambda z: np.zeros_like(z), lambda z: np.zeros_like(z),
@@ -356,8 +371,21 @@ _POTENTIALS = {
 }
 
 
-def _manufactured_forcing(base_model, exact):
-    """Forcing that makes `exact` solve -div dL_dp + dL_dz = f pointwise."""
+def _manufactured_forcing(base_model, exact, laplace_eigenvalue=None):
+    """Forcing that makes `exact` solve -div dL_dp + dL_dz = f pointwise.
+
+    Generically f = -(d2L_dpp : H + d2L_dpz . Du) + dL_dz, from the jet
+    of `exact`.  For a `quadratic_gradient` model -div dL_dp is
+    -laplace u, so given `laplace_eigenvalue`, the lambda with
+    -laplace u = lambda u, f is lambda u + dL_dz(None, u) from the value
+    alone, bit for bit the generic result when the identity holds bit for
+    bit (as `_sine_product_eigenvalue` states it does)."""
+    if base_model.quadratic_gradient and laplace_eigenvalue is not None:
+        def f(x):
+            u = exact.value(np.atleast_2d(x))
+            return laplace_eigenvalue * u + base_model.dL_dz(None, u)
+
+        return f
 
     def f(x):
         x = np.atleast_2d(x)
@@ -381,7 +409,7 @@ def build_problem(name, dim):
         psi, dpsi, d2psi, d3psi, formula = _POTENTIALS[name]
         base = dirichlet_potential_model(psi, dpsi, d2psi, d3psi,
                                          name=name, formula=formula)
-    f = _manufactured_forcing(base, exact)
+    f = _manufactured_forcing(base, exact, _sine_product_eigenvalue(dim))
     model = with_forcing(base, f, name=name)
     return ManufacturedProblem(name, dim, model, exact, exact.value)
 

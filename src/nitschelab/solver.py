@@ -120,7 +120,7 @@ def linear_solve(op, b, tol=1e-12, max_iters=None, preconditioner=None):
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
     cap = 10 * n + 100 if max_iters is None else _check_count("max_iters", max_iters)
-    bnorm = float(np.linalg.norm(b))
+    bnorm = math.sqrt(b @ b)
     if bnorm == 0.0:
         return np.zeros(n)
     diag = op.diagonal()
@@ -147,7 +147,7 @@ def linear_solve(op, b, tol=1e-12, max_iters=None, preconditioner=None):
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
-        rnorm = float(np.linalg.norm(r))
+        rnorm = math.sqrt(r @ r)
         if rnorm <= tol * bnorm:
             return x
         z = preconditioner(r)

@@ -456,6 +456,47 @@ def test_run_output_file_taken_by_a_directory_is_config_error(tmp_path, monkeypa
     assert "config error" in err and name in err and "Traceback" not in err
 
 
+REFERENCE_CONFIGS = sorted((Path(__file__).parent / "reference").glob("*/config.yaml"))
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML without libyaml")
+@pytest.mark.parametrize("path", REFERENCE_CONFIGS, ids=lambda p: p.parent.name)
+def test_libyaml_and_python_loaders_parse_a_config_alike(path):
+    """load_config parses with libyaml's loader where PyYAML has it; both
+    loaders build the same mapping, key order and value types included."""
+    assert cli._YAML_LOADER is yaml.CSafeLoader
+    text = path.read_text()
+    fast = yaml.load(text, Loader=yaml.CSafeLoader)
+    assert isinstance(fast, dict)
+    assert repr(fast) == repr(yaml.load(text, Loader=yaml.SafeLoader))
+
+
+def test_reference_configs_are_found():
+    assert len(REFERENCE_CONFIGS) == 9
+
+
+@pytest.mark.parametrize("loader", ["SafeLoader", "CSafeLoader"])
+@pytest.mark.parametrize("text", [
+    "problem: quartic\ndim: 1: 2\n",
+    "problem: [quartic\ndim: 1\n",
+    "problem: 'quartic\ndim: 1\n",
+    "problem: quartic\n\tdim: 1\n",
+    "problem: quartic\ndim: 1\nproblem: *missing\n",
+], ids=["nested-colon", "unclosed-flow", "unclosed-quote", "tab", "unknown-alias"])
+def test_malformed_config_exits_config_error(tmp_path, monkeypatch, capsys, text, loader):
+    """Text that is not YAML exits 2 with a config error and writes
+    nothing, under either loader (only the error's wording may differ)."""
+    if not hasattr(yaml, loader):
+        pytest.skip("PyYAML without libyaml")
+    monkeypatch.setattr(cli, "_YAML_LOADER", getattr(yaml, loader))
+    path = write_config(tmp_path, text)
+    assert main(["run", path]) == EXIT_CONFIG
+    assert os.listdir(tmp_path) == ["study.yaml"]
+    err = capsys.readouterr().err
+    assert "config error" in err and "not valid key/value text" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("text,reason", [
     # one P1 cell has no interior dofs, so no coercivity constant
     ("problem: linear\ndim: 1\norder: 1\ncoarse_cells: 1\n"

@@ -177,6 +177,66 @@ def test_el_residual_sees_an_inconsistent_second_derivative():
     assert np.abs(el_residual(problem, pts)).max() > 1.0
 
 
+def _generic_forcing(model, exact, x):
+    """-(d2L_dpp : H + d2L_dpz . Du) + dL_dz of the jet of `exact` at x."""
+    u, du, hess = exact.jet(x)
+    return -(np.einsum("nij,nij->n", model.d2L_dpp(du, u), hess)
+             + np.einsum("ni,ni->n", model.d2L_dpz(du, u), du)) + model.dL_dz(du, u)
+
+
+def _jetless(exact):
+    """`exact` with its gradient, Hessian and jet replaced by callables
+    that fail, so only its value can be read."""
+    def unread(*args, **kwargs):
+        raise AssertionError("the forcing read more than the value")
+
+    return ExactSolution(exact.value, unread, unread, unread)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_sine_product_laplacian_is_its_eigenvalue_times_its_value_bitwise(dim):
+    """-trace(hessian) == d pi^2 value, bit for bit: the identity the
+    Dirichlet-potential forcing is built on."""
+    exact = energy._sine_product(dim)
+    x = np.random.default_rng(dim).uniform(size=(200_000, dim))
+    u, _, hess = exact.jet(x)
+    assert energy._sine_product_eigenvalue(dim) == dim * np.pi**2
+    laplacian = np.trace(hess, axis1=1, axis2=2)
+    assert (-laplacian).tobytes() == (energy._sine_product_eigenvalue(dim) * u).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("name", ["linear", "quartic", "cosine"])
+def test_potential_forcing_from_the_value_is_the_generic_formula_bitwise(name, dim):
+    """A Dirichlet-potential problem's forcing reads the exact solution's
+    value alone, as d pi^2 u + psi'(u), and is bit for bit the generic
+    -(d2L_dpp : H + d2L_dpz . Du) + dL_dz of the jet."""
+    problem = build_problem(name, dim)
+    model, exact = problem.model, problem.exact
+    x = np.random.default_rng(10 + dim).uniform(size=(200_000, dim))
+    generic = _generic_forcing(model, exact, x)
+    assert model.forcing(x).tobytes() == generic.tobytes()
+    value_only = energy._manufactured_forcing(model, _jetless(exact),
+                                              energy._sine_product_eigenvalue(dim))
+    assert value_only(x).tobytes() == generic.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_minimal_surface_forcing_keeps_the_generic_path(dim):
+    """minimal_surface is not `quadratic_gradient`: its forcing reads the
+    jet even when offered the Laplacian's eigenvalue, and is the generic
+    formula bit for bit."""
+    problem = build_problem("minimal_surface", dim)
+    model, exact = problem.model, problem.exact
+    assert not model.quadratic_gradient
+    x = np.random.default_rng(20 + dim).uniform(size=(1000, dim))
+    assert model.forcing(x).tobytes() == _generic_forcing(model, exact, x).tobytes()
+    forcing = energy._manufactured_forcing(model, _jetless(exact),
+                                           energy._sine_product_eigenvalue(dim))
+    with pytest.raises(AssertionError, match="more than the value"):
+        forcing(x)
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_sine_product_bitwise_equal_to_prod_formulation(dim):
     """The exact solution and its derivatives equal, bit for bit, the
