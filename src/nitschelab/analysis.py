@@ -34,7 +34,7 @@ from functools import partial
 
 import numpy as np
 
-from .assembly import (AssemblyError, _is_number, assemble_gram_h1, assemble_gram_l2,
+from .assembly import (AssemblyError, _is_number, _matvec, assemble_gram_h1, assemble_gram_l2,
                        assemble_hessian, assemble_residual, apply_third_variation,
                        lq_norm, norms)
 from .energy import ManufacturedProblem
@@ -153,19 +153,19 @@ def _lanczos_extremes(a_mat, g_mat, g_solve, seed):
     basis = np.empty((steps, n))
     alpha, beta = np.empty(steps), np.empty(steps)
     q = np.random.default_rng(seed).standard_normal(n)
-    q /= math.sqrt(q @ (g_mat @ q))
+    q /= math.sqrt(q @ _matvec(g_mat, q))
     done = [False, False]
     ritz = [None, None]   # per end: theta and the steps run
     for j in range(steps):
         basis[j] = q
         krylov = basis[:j + 1]
-        aq = a_mat @ q
+        aq = _matvec(a_mat, q)
         alpha[j] = q @ aq
         w = g_solve(aq) - alpha[j] * q
         if j:
             w -= beta[j - 1] * basis[j - 1]
-        w -= (krylov @ (g_mat @ w)) @ krylov
-        gw = g_mat @ w
+        w -= (krylov @ _matvec(g_mat, w)) @ krylov
+        gw = _matvec(g_mat, w)
         beta[j] = math.sqrt(max(w @ gw, 0.0))
         if (j + 1) % _LANCZOS_TEST_EVERY == 0 or j + 1 == steps or beta[j] == 0.0:
             # A y - theta G y = s[-1] G w for every Ritz pair (theta, y = Q s)
@@ -178,7 +178,8 @@ def _lanczos_extremes(a_mat, g_mat, g_solve, seed):
                 ritz[end] = (float(theta[0]), j + 1)
                 if abs(s[-1, 0]) * gw_norm <= _EIG_RTOL:
                     y = s[:, 0] @ krylov
-                    done[end] = np.linalg.norm(a_mat @ y - theta[0] * (g_mat @ y)) <= _EIG_RTOL
+                    res = _matvec(a_mat, y) - theta[0] * _matvec(g_mat, y)
+                    done[end] = np.linalg.norm(res) <= _EIG_RTOL
             if all(done) or beta[j] == 0.0:
                 break
         q = w / beta[j]

@@ -51,6 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .felement import (FEFunction, ReferenceBasis, _chunks, _reference_table,
                        _rule_table, _squared_norms, quadrature_rule, sample_lattice,
@@ -75,9 +76,35 @@ class AssemblyError(RuntimeError):
     """Raised when an integrand evaluates to a non-finite value."""
 
 
+def _matvec(a, x):
+    """a @ x, bitwise, for a float64 CSR matrix or a CSC view of one (its
+    `.T`) and a float64 vector x.
+
+    This is what scipy's `@` runs once its dispatch has found a vector:
+    the compiled CSR (or CSC) product of its private module
+    `scipy.sparse._sparsetools` into a zeroed output, so every row sums
+    from +0 in entry order (Saad, Iterative Methods for Sparse Linear
+    Systems, 2nd ed., 2003, sec. 3.4).  At the sizes of the studies the
+    dispatch costs about as much as the product; calling the kernel
+    directly skips it.  Written against scipy 1.17.1, the pinned version;
+    `tests/test_assembly.py` checks it bitwise against `@`, so an upgrade
+    that changes the module fails there.  The kernel reads x without
+    bounds checks, so a vector of another length raises ValueError here,
+    as `@` would.
+    """
+    m, n = a.shape
+    if x.shape != (n,):
+        raise ValueError(f"matvec: a has {n} columns, x has shape {x.shape}")
+    out = np.zeros(m)
+    kernel = _sparsetools.csr_matvec if a.format == "csr" else _sparsetools.csc_matvec
+    kernel(m, n, a.indptr, a.indices, a.data, x, out)
+    return out
+
+
 @dataclass
 class SparseOperator:
-    """Symmetric sparse operator in CSR storage."""
+    """Symmetric sparse operator in CSR storage.  `apply` takes a vector
+    of length `dim` and is the product `_matvec`, bitwise `matrix @ x`."""
 
     matrix: sp.csr_matrix
 
@@ -86,7 +113,7 @@ class SparseOperator:
         return self.matrix.shape[0]
 
     def apply(self, x):
-        return self.matrix @ np.asarray(x, dtype=float)
+        return _matvec(self.matrix, np.asarray(x, dtype=float))
 
     def toarray(self):
         return self.matrix.toarray()
@@ -353,16 +380,14 @@ def _geometric_local(space, stiffness=True, mass=True):
 class _Skeleton:
     """CSR pattern of every operator on a space, arrays read-only.
 
-    `position[e, b, c]` is the index in the pattern (indptr, indices;
-    `rows` holds the row of every entry) of the entry that element e's
-    local entry (b, c) adds to.  `boundary_entries` indexes the entries
-    in a boundary row or column, `boundary_diagonal` those on the
-    diagonal of a boundary row.
+    `position[e, b, c]` is the index in the pattern (indptr, indices) of
+    the entry that element e's local entry (b, c) adds to.
+    `boundary_entries` indexes the entries in a boundary row or column,
+    `boundary_diagonal` those on the diagonal of a boundary row.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
-    rows: np.ndarray
     position: np.ndarray
     boundary_entries: np.ndarray
     boundary_diagonal: np.ndarray
@@ -384,7 +409,7 @@ def _build_skeleton(space):
     outside = ~space.interior_mask
     index = np.int32 if len(keys) <= np.iinfo(np.int32).max else np.int64
     return _Skeleton(np.searchsorted(rows, np.arange(n + 1)).astype(index), cols.astype(index),
-                     rows, position.ravel(),
+                     position.ravel(),
                      np.flatnonzero(outside[rows] | outside[cols]).astype(index),
                      np.searchsorted(keys, boundary * n + boundary).astype(index))
 
@@ -432,11 +457,21 @@ def _stiffness_product(space, coeffs):
     because the basis sums to one.  The plain product cancels O(1) terms
     and leaves a converged residual about ten times the rounding noise of
     the element-wise gradient flux; differencing first keeps it at that
-    size, and with it the CG iteration counts of the last Newton steps."""
-    skeleton = _skeleton(space)
-    diff = coeffs[skeleton.indices] - coeffs[skeleton.rows]
-    return np.bincount(skeleton.rows, weights=_stiffness(space) * diff,
-                       minlength=space.dim)
+    size, and with it the CG iteration counts of the last Newton steps.
+
+    The row sums are the CSR kernel of `_matvec` with the data
+    K_ij (v_j - v_i) against a vector of ones: each row sums its entries
+    from +0 in entry order, as `np.bincount` over the entries' rows
+    would.  v_i is repeated over row i's entries, so the skeleton holds
+    no row index per entry."""
+    skeleton, n = _skeleton(space), space.dim
+    indptr = skeleton.indptr
+    data = np.take(coeffs, skeleton.indices)
+    data -= np.repeat(coeffs, indptr[1:] - indptr[:-1])
+    data *= _stiffness(space)
+    out = np.zeros(n)
+    _sparsetools.csr_matvec(n, n, indptr, skeleton.indices, data, np.ones(n), out)
+    return out
 
 
 def assemble_gram_l2(space):

@@ -67,7 +67,6 @@ class Mesh:
     jac: np.ndarray = field(init=False, repr=False)       # DF_h, element -> reference
     inv_jac: np.ndarray = field(init=False, repr=False)   # DF_h^{-1}, reference -> element
     det_jac: np.ndarray = field(init=False, repr=False)   # det DF_h, ~ h^{-d}
-    volumes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.vertices = np.ascontiguousarray(self.vertices, dtype=float)
@@ -91,11 +90,15 @@ class Mesh:
         self.inv_jac = b_mats
         self.jac = np.linalg.inv(b_mats)
         self.det_jac = 1.0 / det_b
-        self.volumes = np.abs(det_b) * _REF_VOLUME[self.dim]
 
         for arr in (self.vertices, self.elements, self.boundary_facets,
-                    self.jac, self.inv_jac, self.det_jac, self.volumes):
+                    self.jac, self.inv_jac, self.det_jac):
             arr.flags.writeable = False
+
+    @property
+    def volumes(self):
+        """Element volumes |T_h| = |T| / |det DF_h|, computed on each read."""
+        return np.abs(self.det_jac) ** -1 * _REF_VOLUME[self.dim]
 
     @property
     def level(self):

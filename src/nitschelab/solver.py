@@ -10,7 +10,11 @@ hierarchy passes a geometric V-cycle, one `_v_cycle` level bound on
 top of the cycle of the level below through the level pair's
 `embedding_matrix`.  The embedding reads no geometry: each element of a
 refined mesh is a child in refine's layout (`mesh._CHILDREN`), whose
-rows are a table of exact values rounded once.  All solves are
+rows are a table of exact values rounded once.  Every sparse product of
+a solve (the operator in conjugate gradients through
+`SparseOperator.apply`, and the operator and both transfers in each
+cycle level) is `assembly._matvec`: scipy's compiled CSR kernel called
+without the dispatch of `@`, bitwise its result.  All solves are
 deterministic.
 """
 
@@ -21,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import assemble_hessian, assemble_residual, energy_value
+from .assembly import _matvec, assemble_hessian, assemble_residual, energy_value
 from .felement import FEFunction, interpolate, make_space, reference_basis
 from .mesh import _CHILDREN, _check_count
 
@@ -197,11 +201,11 @@ def _v_cycle(a, weights, prolongation, restriction, coarse_bc, coarse_solve, r):
     """
     x = weights * r
     _smooth(a, weights, x, r, _SMOOTHING_SWEEPS - 1)
-    defect = a @ x
+    defect = _matvec(a, x)
     np.subtract(r, defect, out=defect)
-    coarse = restriction @ defect
+    coarse = _matvec(restriction, defect)
     coarse[coarse_bc] = 0.0
-    x += prolongation @ coarse_solve(coarse)
+    x += _matvec(prolongation, coarse_solve(coarse))
     _smooth(a, weights, x, r, _SMOOTHING_SWEEPS)
     return x
 
@@ -209,7 +213,7 @@ def _v_cycle(a, weights, prolongation, restriction, coarse_bc, coarse_solve, r):
 def _smooth(a, weights, x, r, sweeps):
     """Damped-Jacobi sweeps on a x = r, updating x in place."""
     for _ in range(sweeps):
-        defect = a @ x
+        defect = _matvec(a, x)
         np.subtract(r, defect, out=defect)
         defect *= weights
         x += defect

@@ -13,8 +13,8 @@ from nitschelab.energy import (ExactSolution, build_problem,
                                dirichlet_potential_model, minimal_surface_model,
                                with_forcing, with_zeroed_gradient_blocks)
 from nitschelab.felement import FEFunction, interpolate, make_space
-from nitschelab.mesh import build_unit_mesh
-from nitschelab.solver import minimize
+from nitschelab.mesh import Mesh, build_unit_mesh, refine
+from nitschelab.solver import embedding_matrix, minimize
 
 
 @pytest.fixture(scope="module")
@@ -781,3 +781,104 @@ def test_space_under_another_rule_keeps_its_own_caches():
     assert all(space._cache[key] is data for key, data in before.items())
     assert np.array_equal(assemble_hessian(model, v).toarray(), hessian)
     assert np.array_equal(assemble_residual(model, v), residual)
+
+
+# ---------------------------------------------------------------------------
+# the sparse product: scipy's CSR kernel without its dispatch
+
+
+def scrambled_mesh():
+    """The refined 3x3 unit mesh with its elements, their local vertex
+    order and its boundary facets in scrambled order, as in
+    test_make_space_dofs_sit_at_element_nodes_in_any_orientation."""
+    rng = np.random.default_rng(4)
+    base = refine(build_unit_mesh(2, 3))
+    elements = base.elements[rng.permutation(base.num_elements)]
+    elements = np.take_along_axis(elements, rng.random(elements.shape).argsort(axis=1), 1)
+    facets = base.boundary_facets[rng.permutation(len(base.boundary_facets))]
+    facets = np.take_along_axis(facets, rng.random(facets.shape).argsort(axis=1), 1)
+    return Mesh(2, base.vertices, elements, facets)
+
+
+def assert_products_match(a, rng):
+    """`_matvec(a, x)` is bitwise `a @ x` on random vectors, one with
+    exact zeros among them."""
+    for x in rng.standard_normal((3, a.shape[1])):
+        x[::4] = 0.0
+        assert assembly._matvec(a, x).tobytes() == (a @ x).tobytes()
+
+
+def with_int64_indices(a):
+    """A copy of the CSR or CSC matrix a whose index arrays are int64;
+    scipy's constructor would cast them back to int32."""
+    b = a.copy()
+    b.indices, b.indptr = a.indices.astype(np.int64), a.indptr.astype(np.int64)
+    return b
+
+
+@pytest.mark.parametrize("dim,order", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)])
+def test_matvec_is_bitwise_the_scipy_product_on_operators(dim, order):
+    """Masked and unmasked Hessians, both Gram matrices and an interior
+    block cut as the ellipticity check cuts it, with int32 and with int64
+    index arrays."""
+    model = build_problem("quartic", dim).model
+    space = make_space(build_unit_mesh(dim, 7 if dim == 1 else 3), order, 0.0)
+    v = smooth_state(space, seed=order)
+    interior = np.flatnonzero(space.interior_mask)
+    ops = [assemble_hessian(model, v).matrix, assemble_hessian(model, v, mask=False).matrix,
+           assemble_hessian(build_problem("minimal_surface", dim).model, v).matrix,
+           assemble_gram_l2(space).matrix, assemble_gram_h1(space).matrix]
+    ops.append(ops[0][interior][:, interior].tocsr())
+    rng = np.random.default_rng(10 * dim + order)
+    for a in ops:
+        assert a.format == "csr" and a.indices.dtype == np.int32
+        assert_products_match(a, rng)
+        wide = with_int64_indices(a)
+        assert wide.indices.dtype == wide.indptr.dtype == np.int64
+        assert_products_match(wide, rng)
+
+
+@pytest.mark.parametrize("dim,order", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)])
+def test_matvec_is_bitwise_the_scipy_product_on_transfers(dim, order):
+    """Prolongations of one and of two refinements, of one order and from
+    the order to P3, and their transposes, which are CSC views."""
+    coarse = build_unit_mesh(dim, 3 if dim == 1 else 2)
+    mid = refine(coarse)
+    src = make_space(coarse, order, 0.0)
+    rng = np.random.default_rng(10 * dim + order)
+    for dst in (make_space(mid, order, 0.0), make_space(refine(mid), order, 0.0),
+                make_space(mid, 3, 0.0)):
+        p = embedding_matrix(src, dst)
+        assert p.format == "csr" and p.T.format == "csc"
+        assert np.shares_memory(p.T.data, p.data)
+        for a in (p, p.T, with_int64_indices(p), with_int64_indices(p).T):
+            assert_products_match(a, rng)
+
+
+def test_apply_rejects_a_vector_of_another_length():
+    """The kernel reads x without bounds checks, so a shorter or longer
+    vector, or a column, raises before it runs."""
+    op = assemble_gram_h1(make_space(build_unit_mesh(2, 2), 1, 0.0))
+    for x in (np.ones(op.dim - 1), np.ones(op.dim + 1), np.ones((op.dim, 1))):
+        for apply in (op.apply, lambda x: assembly._matvec(op.matrix.T, x)):
+            with pytest.raises(ValueError, match="columns"):
+                apply(x)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("mesh", ["d1", "d2", "scrambled"])
+def test_stiffness_product_is_bitwise_the_bincount_of_differences(mesh, order):
+    """K v as the kernel's row sums equals, bit for bit, the bincount of
+    K_ij (v_j - v_i) over the rows of the skeleton's entries."""
+    mesh = {"d1": lambda: build_unit_mesh(1, 9), "d2": lambda: build_unit_mesh(2, 4),
+            "scrambled": scrambled_mesh}[mesh]()
+    space = make_space(mesh, order, 0.0)
+    skeleton = assembly._skeleton(space)
+    rows = np.repeat(np.arange(space.dim), np.diff(skeleton.indptr))
+    rng = np.random.default_rng(order)
+    for coeffs in (smooth_state(space, seed=order).coeffs, rng.standard_normal(space.dim),
+                   np.ones(space.dim)):
+        diff = coeffs[skeleton.indices] - coeffs[rows]
+        want = np.bincount(rows, weights=assembly._stiffness(space) * diff,
+                           minlength=space.dim)
+        assert assembly._stiffness_product(space, coeffs).tobytes() == want.tobytes()
