@@ -12,8 +12,8 @@ and minimizers, each level solved from the one below, prolonged.  The
 reference of level l is the hierarchy's level l+2 at order max(m, 2).
 The hierarchy also keeps d2J at each level's minimizer, which the checks
 read, and one preconditioner cycle per level bound to it: the root's
-exact solve, or one V-cycle level on top of the cycle below.  A level's
-Newton solves and the adjoint solve on a reference run the cycle.
+solve, or one V-cycle level on top of the cycle below.  Every Newton
+solve above the root and every adjoint solve runs the cycle.
 
 Provided checks
   * coercivity and boundedness constants of the second variation,
@@ -41,8 +41,8 @@ from .energy import ManufacturedProblem
 from .felement import (FEFunction, _chunks, check_inverse_estimate, interpolate,
                        make_space, reference_basis, sample_lattice, tabulate)
 from .mesh import _check_count, build_unit_mesh, refine, width
-from .solver import (LinearSolveError, NewtonError, NewtonOptions, _v_cycle,
-                     embed, embedding_matrix, linear_solve, minimize)
+from .solver import (LinearSolveError, NewtonError, NewtonOptions, _level_cycle,
+                     _root_solve, embed, embedding_matrix, linear_solve, minimize)
 
 __all__ = [
     "EllipticityEstimate",
@@ -234,16 +234,6 @@ def estimate_ellipticity(hess, v, seed=0):
 # level hierarchy
 
 
-# damping of the V-cycle's Jacobi smoother by polynomial order.  The
-# smoother needs damping < 2 / lambda_max(D^-1 A); on minimal_surface d=2
-# lambda_max grows under refinement to 2.50, 2.72 and 3.01 (P1 and P2 at
-# 16 641 dofs, P3 at 9409), so 0.8 for P1 would sit at the limit
-_JACOBI_DAMPING = {1: 0.7, 2: 0.6, 3: 0.5}
-# largest root, in interior dofs, that the V-cycle inverts densely; every
-# level of an order with a larger root runs Jacobi-PCG
-_ROOT_DOFS = 400
-
-
 @dataclass
 class _Hierarchy:
     """Nested meshes refined from `meshes[0]`; per (level, order) the
@@ -255,16 +245,15 @@ class _Hierarchy:
     d2J at the minimizer, `hessian(level, order)`, is assembled on first
     read, by the level's checks or its cycle, `cycle(level, order)`, bound
     on first read too, which maps a residual r to its preconditioned z:
-    on level 0, the root, an exact solve by a dense inverse of the
-    Hessian's interior block; above it, one `solver._v_cycle` level with
-    the Hessian on top of the cycle below, through the kept prolongation
-    and its transpose view.  A level l >= 1 passes the same binding to
-    `minimize` as `preconditioner_for`, so it reads the cycle of level
-    l-1, and each of its Newton steps is preconditioned by the binding of
-    its own Hessian.  An adjoint solve on a level runs the level's cycle.
-    Solves stay Jacobi-preconditioned on level 0, and on every level of
-    an order whose root has more than `_ROOT_DOFS` interior dofs, where
-    the cycles are None and read no Hessian.
+    on level 0, the root, `solver._root_solve`, exact by a dense inverse
+    or Jacobi by the diagonal, picked by the root's size; above it,
+    `solver._level_cycle`, one V-cycle level with the Hessian on top of
+    the cycle below, through the kept prolongation.  A level l >= 1
+    passes the same binding to `minimize` as `preconditioner_for`, so it
+    reads the cycle of level l-1, and each of its Newton steps is
+    preconditioned by the binding of its own Hessian.  An adjoint solve
+    on a level runs the level's cycle.  The root's Newton solves stay
+    Jacobi-preconditioned.
     """
 
     problem: ManufacturedProblem
@@ -293,7 +282,6 @@ class _Hierarchy:
                 self.prolongations[level, order] = prolongation
                 newton = replace(newton, initial=FEFunction(space, prolongation @ coarse.coeffs))
                 bind = self._binding(level, order)
-            # the root's Newton solves stay Jacobi-preconditioned
             u, log = minimize(self.problem.model, space, newton, preconditioner_for=bind)
             self.minimizers[level, order] = (u, len(log.iterations) - 1)
         return self.minimizers[level, order]
@@ -306,39 +294,16 @@ class _Hierarchy:
 
     def cycle(self, level, order):
         if (level, order) not in self.cycles:
-            self.minimizer(level, order)
-            bind = self._binding(level, order)
-            self.cycles[level, order] = bind and bind(self.hessian(level, order))
+            hess = self.hessian(level, order)
+            self.cycles[level, order] = self._binding(level, order)(hess)
         return self.cycles[level, order]
 
     def _binding(self, level, order):
-        """The map from a Hessian on `level` to its cycle, or None."""
+        """The map from a Hessian on `level` to its cycle."""
         if level == 0:
-            interior = np.flatnonzero(self.space(0, order).interior_mask)
-            return partial(_root_solve, interior) if len(interior) <= _ROOT_DOFS else None
-        below = self.cycle(level - 1, order)
-        return below and partial(_level_cycle, _JACOBI_DAMPING[order],
-                                 self.prolongations[level, order],
-                                 self.space(level - 1, order).boundary_dofs, below)
-
-
-def _level_cycle(omega, prolongation, coarse_bc, coarse_solve, hess):
-    """`_v_cycle` bound with `hess` over `coarse_solve`, restricting by the view `prolongation.T`."""
-    return partial(_v_cycle, hess.matrix, omega / hess.diagonal(), prolongation,
-                   prolongation.T, coarse_bc, coarse_solve)
-
-
-def _root_solve(interior, hess):
-    """Exact solve on the `interior` dofs by a dense inverse of `hess`'s
-    interior block, bound."""
-    inverse = np.linalg.inv(hess.matrix[interior][:, interior].toarray())
-    return partial(_dense_solve, interior, 0.5 * (inverse + inverse.T))
-
-
-def _dense_solve(interior, inverse, r):
-    x = np.zeros_like(r)
-    x[interior] = inverse @ r[interior]
-    return x
+            return partial(_root_solve, np.flatnonzero(self.space(0, order).interior_mask))
+        return partial(_level_cycle, order, self.prolongations[level, order],
+                       self.space(level - 1, order).boundary_dofs, self.cycle(level - 1, order))
 
 
 # ---------------------------------------------------------------------------

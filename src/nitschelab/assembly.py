@@ -383,7 +383,7 @@ class _Skeleton:
     `position[e, b, c]` is the index in the pattern (indptr, indices) of
     the entry that element e's local entry (b, c) adds to.
     `boundary_entries` indexes the entries in a boundary row or column,
-    `boundary_diagonal` those on the diagonal of a boundary row.
+    `boundary_diagonal` those on the diagonal of a boundary row (both np.intp).
     """
 
     indptr: np.ndarray
@@ -410,8 +410,8 @@ def _build_skeleton(space):
     index = np.int32 if len(keys) <= np.iinfo(np.int32).max else np.int64
     return _Skeleton(np.searchsorted(rows, np.arange(n + 1)).astype(index), cols.astype(index),
                      position.ravel(),
-                     np.flatnonzero(outside[rows] | outside[cols]).astype(index),
-                     np.searchsorted(keys, boundary * n + boundary).astype(index))
+                     np.flatnonzero(outside[rows] | outside[cols]),
+                     np.searchsorted(keys, boundary * n + boundary))
 
 
 def _scatter_data(space, loc):

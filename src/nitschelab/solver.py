@@ -1,14 +1,15 @@
 """Sparse SPD solves, damped Newton minimization over the discrete space,
-and exact embedding between nested spaces.
+the geometric V-cycle, and exact embedding between nested spaces.
 
 Newton iterates the first-order condition (masked residual = 0) with the
 assembled second variation, so a converged iterate is a discrete critical
 point; positive definiteness is checked implicitly by the conjugate
 gradient solve at every step.  The solves are Jacobi-preconditioned
 unless the caller passes another preconditioner: a study's level
-hierarchy passes a geometric V-cycle, one `_v_cycle` level bound on
-top of the cycle of the level below through the level pair's
-`embedding_matrix`.  The embedding reads no geometry: each element of a
+hierarchy passes a geometric V-cycle on every level above its root, one
+`_level_cycle` bound on top of the cycle below through the level pair's
+`embedding_matrix`, down to the root's `_root_solve`, dense or diagonal
+by the root's size.  The embedding reads no geometry: each element of a
 refined mesh is a child in refine's layout (`mesh._CHILDREN`), whose
 rows are a table of exact values rounded once.  Every sparse product of
 a solve (the operator in conjugate gradients through
@@ -132,8 +133,7 @@ def linear_solve(op, b, tol=1e-12, max_iters=None, preconditioner=None):
         raise LinearSolveError("operator diagonal not positive and finite; not SPD",
                                iterations=0)
     if preconditioner is None:
-        def preconditioner(r):
-            return r / diag
+        preconditioner = functools.partial(_jacobi, diag)
 
     x = np.zeros(n)
     r = b.copy()
@@ -164,6 +164,10 @@ def linear_solve(op, b, tol=1e-12, max_iters=None, preconditioner=None):
         residual=rnorm / bnorm, iterations=cap)
 
 
+def _jacobi(diag, r):
+    return r / diag
+
+
 def _check_rz(rz, residual, iterations):
     """Raise unless the preconditioned residual product r.z is positive."""
     if rz > 0:
@@ -180,6 +184,14 @@ def _check_rz(rz, residual, iterations):
 
 # damped-Jacobi sweeps of `_v_cycle` before and after each coarse correction
 _SMOOTHING_SWEEPS = 2
+# damping of the V-cycle's Jacobi smoother by polynomial order.  The
+# smoother needs damping < 2 / lambda_max(D^-1 A); on minimal_surface d=2
+# lambda_max grows under refinement to 2.50, 2.72 and 3.01 (P1 and P2 at
+# 16 641 dofs, P3 at 9409), so 0.8 for P1 would sit at the limit
+_JACOBI_DAMPING = {1: 0.7, 2: 0.6, 3: 0.5}
+# largest root, in interior dofs, that the V-cycle inverts densely; a
+# larger root is solved by its diagonal
+_ROOT_DOFS = 400
 
 
 def _v_cycle(a, weights, prolongation, restriction, coarse_bc, coarse_solve, r):
@@ -187,17 +199,19 @@ def _v_cycle(a, weights, prolongation, restriction, coarse_bc, coarse_solve, r):
     preconditioner for `linear_solve` once all but r are bound.
 
     `a` is the level's CSR operator, `weights` its damped inverse
-    diagonal, `prolongation` the embedding from the level below and
-    `restriction` its transpose; `coarse_solve` is the cycle of the level
-    below, bound the same way, or at the root an exact solve.  The level
-    smooths by `_SMOOTHING_SWEEPS` damped-Jacobi sweeps before and after
-    the correction from the level below.  The restricted residual has its
-    coarse Dirichlet entries `coarse_bc` zeroed, as in `galerkin_defect`;
-    the correction is 0 on the fine ones, whose rows reach coarse
-    Dirichlet columns only.  With SPD operators, an SPD root solve and a
-    damping below 2 / lambda_max(D^-1 A) on every level, the cycle is SPD
-    on vectors with zero Dirichlet entries, the only ones `linear_solve`
-    passes.
+    diagonal, `prolongation` P, the embedding from the level below, and
+    `restriction` its transpose; `coarse_solve` B_c is the cycle of the
+    level below, bound the same way, or at the root its `_root_solve`.
+    The level smooths by s = `_SMOOTHING_SWEEPS` damped-Jacobi sweeps
+    before and after the correction from below.  The restricted residual
+    has its coarse Dirichlet entries `coarse_bc` zeroed, as in
+    `galerkin_defect`, so B_c returns 0 on them and the correction is 0
+    on the fine ones, whose rows reach coarse Dirichlet columns only.
+    With M = (I - weights a)^s the cycle is
+    B = (I - M^2) a^-1 + (M P) B_c (M P)^T: for SPD `a`, a damping below
+    2 / lambda_max(D^-1 a) and any SPD B_c, dense or diagonal, the first
+    term is SPD and the second PSD, so B is SPD on vectors with zero
+    Dirichlet entries, the only ones `linear_solve` passes.
     """
     x = weights * r
     _smooth(a, weights, x, r, _SMOOTHING_SWEEPS - 1)
@@ -217,6 +231,27 @@ def _smooth(a, weights, x, r, sweeps):
         np.subtract(r, defect, out=defect)
         defect *= weights
         x += defect
+
+
+def _level_cycle(order, prolongation, coarse_bc, coarse_solve, hess):
+    """`_v_cycle` bound with `hess`, damped for `order`, restricting by the view `prolongation.T`."""
+    return functools.partial(_v_cycle, hess.matrix, _JACOBI_DAMPING[order] / hess.diagonal(),
+                             prolongation, prolongation.T, coarse_bc, coarse_solve)
+
+
+def _root_solve(interior, hess):
+    """The root's solve with `hess`, bound: exact by a dense inverse of the
+    `interior` block up to `_ROOT_DOFS` dofs, Jacobi above."""
+    if len(interior) > _ROOT_DOFS:
+        return functools.partial(_jacobi, hess.diagonal())
+    inverse = np.linalg.inv(hess.matrix[interior][:, interior].toarray())
+    return functools.partial(_dense_solve, interior, 0.5 * (inverse + inverse.T))
+
+
+def _dense_solve(interior, inverse, r):
+    x = np.zeros_like(r)
+    x[interior] = inverse @ r[interior]
+    return x
 
 
 def _initial_iterate(space, initial):

@@ -573,9 +573,14 @@ def test_v_cycle_solution_agrees_with_jacobi_pcg(name, order, levels):
     assert np.linalg.norm(x_cycle - x_jacobi) <= 1e-10 * np.linalg.norm(x_jacobi)
 
 
-@pytest.mark.parametrize("order", [1, 2, 3])
-def test_v_cycle_is_symmetric_positive_definite(order):
-    hess, cycle, b = cycle_at_the_top("quartic", 2, order, 3)
+@pytest.mark.parametrize("order, cells, levels", [
+    pytest.param(1, 2, 3, id="1"), pytest.param(2, 2, 3, id="2"), pytest.param(3, 2, 3, id="3"),
+    pytest.param(1, 22, 2, id="diagonal_root"),
+])
+def test_v_cycle_is_symmetric_positive_definite(order, cells, levels):
+    """Symmetric and positive on random vectors, over the dense root of a
+    2-cell mesh and over the diagonal root of P1 on 22 x 22 cells."""
+    hess, cycle, b = cycle_at_the_top("quartic", cells, order, levels)
     rng = np.random.default_rng(7)
     for _ in range(3):
         u, v = rng.standard_normal((2, hess.dim))
@@ -654,19 +659,43 @@ def test_a_level_cycle_holds_no_transfer_but_the_hierarchys_prolongation(
                 for arg in cycle.args if sp.issparse(arg)] == [True] * 3
 
 
-@pytest.mark.parametrize("cells, cycle", [(21, True), (22, False)])
-def test_a_root_above_the_dense_cap_keeps_jacobi_pcg(monkeypatch, cells, cycle):
+@pytest.mark.parametrize("cells", [21, 22])
+def test_a_root_above_the_dense_cap_is_solved_by_its_diagonal(monkeypatch, cells):
     """P1 on 21 x 21 cells has 400 interior dofs, at the root cap
-    `_ROOT_DOFS`; on 22 x 22, 441, above it.  Level 0 is
-    Jacobi-preconditioned either way.  Only a cycle reads d2J at a
-    minimizer here: level 1's reads level 0's, and without a root solve
-    no Hessian is assembled."""
+    `_ROOT_DOFS`; on 22 x 22, 441, above it, where the root's solve is
+    Jacobi by the diagonal of d2J instead of a dense inverse.  Level 0 is
+    Jacobi-preconditioned and level 1 cycled either way; only the cycle
+    reads d2J at a minimizer here, level 0's."""
     solves = counted_solves(monkeypatch)
     hierarchy = hierarchy_of("quartic", cells, 1, 2)
     dims = [hierarchy.space(level, 1).dim for level in (0, 1)]
     assert {preconditioned for dim, preconditioned, _ in solves if dim == dims[0]} == {False}
-    assert {preconditioned for dim, preconditioned, _ in solves if dim == dims[1]} == {cycle}
-    assert list(hierarchy.hessians) == ([(0, 1)] if cycle else [])
+    assert {preconditioned for dim, preconditioned, _ in solves if dim == dims[1]} == {True}
+    assert list(hierarchy.hessians) == [(0, 1)]
+    root = hierarchy.cycle(0, 1)
+    if cells == 21:
+        assert root.func is solver._dense_solve
+    else:
+        assert root.func is solver._jacobi
+        assert np.array_equal(root.args[0], hierarchy.hessians[0, 1].diagonal())
+
+
+@pytest.mark.parametrize("order, cells", [(1, 22), (2, 11), (3, 8)])
+def test_a_cycle_over_a_diagonal_root_bounds_cg_by_the_roots_jacobi_pcg(
+        monkeypatch, order, cells):
+    """Quartic d=2 from a root above `_ROOT_DOFS` (441 interior dofs for
+    P1 from 22 cells and P2 from 11, 529 for P3 from 8), three levels:
+    every solve on levels 1 and 2 runs the V-cycle over the diagonal root
+    and takes at most as many CG iterations as the largest Jacobi-PCG
+    solve of level 0."""
+    solves = counted_solves(monkeypatch)
+    hierarchy = hierarchy_of("quartic", cells, order, 3)
+    assert hierarchy.cycle(0, order).func is solver._jacobi
+    root = hierarchy.space(0, order).dim
+    jacobi = [iters for dim, _, iters in solves if dim == root]
+    above = [(preconditioned, iters) for dim, preconditioned, iters in solves if dim != root]
+    assert len(above) >= 2 and all(preconditioned for preconditioned, _ in above)
+    assert max(iters for _, iters in above) <= max(jacobi), solves
 
 
 def test_a_level_cycle_is_bound_to_the_hessian_at_its_minimizer(monkeypatch):

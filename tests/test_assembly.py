@@ -715,6 +715,7 @@ def test_operators_share_the_skeletons_read_only_index_arrays():
     loc = np.zeros((space.mesh.num_elements, 6, 6))
     first = assembly._scatter(space, loc, mask=True).matrix
     skeleton = assembly._skeleton(space)
+    assert skeleton.boundary_entries.dtype == skeleton.boundary_diagonal.dtype == np.intp
     for op in (first, assemble_gram_h1(space).matrix):
         for name in ("indices", "indptr"):
             assert np.shares_memory(getattr(op, name), getattr(skeleton, name))

@@ -31,7 +31,7 @@ _spec.loader.exec_module(compare)
 # minimal_surface P3 from 2 cells fails both rate windows and the Galerkin
 # gate.  quartic d=2 P1 runs the P2 adjoint reference of a P1 study, and
 # its run from 22 cells has a root of 441 interior dofs, above
-# analysis._ROOT_DOFS, so every level's solves run Jacobi-PCG
+# solver._ROOT_DOFS, so the V-cycle above it runs over a diagonal root
 EXIT_CODES = {
     "rates_p1": 0,
     "adjoint_p2": 0,
