@@ -82,7 +82,6 @@ class EllipticityEstimate:
 
     lambda_min: float
     lambda_max: float
-    state: str
     iters_min: int
     iters_max: int
 
@@ -100,9 +99,7 @@ class RateEstimate:
 class PQEstimate:
     """Sampled lower bound on the third-variation constant C3."""
 
-    samples: int
     max_ratio: float
-    norm_pair: tuple
 
 
 @dataclass(frozen=True)
@@ -226,8 +223,7 @@ def estimate_ellipticity(hess, v, seed=0):
     g_mat = assemble_gram_h1(v.space).matrix[interior][:, interior].tocsr()
     g_solve = sla.splu(g_mat.tocsc()).solve
     (lam_min, iters_min), (lam_max, iters_max) = _lanczos_extremes(a_mat, g_mat, g_solve, seed)
-    return EllipticityEstimate(lam_min, lam_max, f"d2J at discrete state, "
-                               f"{len(interior)} interior dofs", iters_min, iters_max)
+    return EllipticityEstimate(lam_min, lam_max, iters_min, iters_max)
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +514,7 @@ def estimate_pq_constant(model, u, norm_pair=(1, 2), samples=8, seed=0):
             denom = u_w22 * v_h1 * _directional_norm(fv, norm_pair, v_h1)
             if denom > 0:
                 max_ratio = max(max_ratio, value / denom)
-    return PQEstimate(samples, float(max_ratio), tuple(norm_pair))
+    return PQEstimate(float(max_ratio))
 
 
 # ---------------------------------------------------------------------------
@@ -610,9 +606,6 @@ class LevelResult:
 
 @dataclass
 class ConvergenceReport:
-    problem: str
-    dim: int
-    order: int
     levels: list
     rate_l2: RateEstimate | None
     rate_h1: RateEstimate | None
@@ -666,8 +659,9 @@ def convergence_study(problem, order, levels, opts=None):
     between levels l-1 and l is taken as soon as level l is solved.  With
     fewer than 2 positive L^2 or H^1 errors, both rates stay None.
 
-    Level 0's Newton iteration starts from `opts.newton.initial`; every
-    later level's starts from the previous level's minimizer, prolonged
+    Level 0's Newton iteration starts from `opts.newton.initial`, None or
+    a callable, since the study builds the level's space; every later
+    level's starts from the previous level's minimizer, prolonged
     (nested iteration), so its `newton_iters` counts the steps from there.
     Every level comes from one `_Hierarchy`, which builds each level
     pair's prolongation once for that start and the Galerkin defect.  For
@@ -680,8 +674,7 @@ def convergence_study(problem, order, levels, opts=None):
     before any mesh is built (`_check_study`, `StudyOptions`).
     """
     opts = _check_study(problem, order, levels, opts)
-    report = ConvergenceReport(problem.name, problem.dim, order, [],
-                               None, None, {name: [] for name in opts.diagnostics})
+    report = ConvergenceReport([], None, None, {name: [] for name in opts.diagnostics})
     hierarchy = _Hierarchy(problem, opts.newton,
                            [build_unit_mesh(problem.dim, opts.coarse_cells)])
     try:

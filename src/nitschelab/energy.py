@@ -86,15 +86,6 @@ class EnergyModel:
     quadratic_gradient: bool = False
 
 
-def _jet_of_parts(parts, x, hessian=True):
-    """The jet of a solution built without one: `parts`, its (value,
-    gradient, hessian) callables, called one by one."""
-    value, gradient, hess = parts
-    if hessian:
-        return value(x), gradient(x), hess(x)
-    return value(x), gradient(x)
-
-
 @dataclass(frozen=True)
 class ExactSolution:
     """A manufactured solution with analytic gradient and Hessian.
@@ -102,22 +93,15 @@ class ExactSolution:
     `jet(x)` returns (value, gradient, hessian) at once and
     `jet(x, hessian=False)` returns (value, gradient), sharing the work
     the callables have in common; a jet must return bit for bit what the
-    callables return.  `norms`, `el_residual` and the manufactured
-    forcing of a model that is not `quadratic_gradient` read the solution
-    through it; a Dirichlet-potential forcing reads `value` alone.  A
-    solution built without a jet (jet None) gets one that calls the three
-    callables one by one, and `dataclasses.replace` derives it again from
-    the new callables."""
+    callables return, and `dataclasses.replace` of a callable keeps it.
+    `norms`, `el_residual` and the manufactured forcing of a model that is
+    not `quadratic_gradient` read the solution through it; a
+    Dirichlet-potential forcing reads `value` alone."""
 
     value: callable       # (n, d) -> (n,)
     gradient: callable    # (n, d) -> (n, d)
     hessian: callable     # (n, d) -> (n, d, d)
-    jet: callable = None  # (n, d), hessian=True -> (value, gradient[, hessian])
-
-    def __post_init__(self):
-        if self.jet is None or getattr(self.jet, "func", None) is _jet_of_parts:
-            parts = (self.value, self.gradient, self.hessian)
-            object.__setattr__(self, "jet", functools.partial(_jet_of_parts, parts))
+    jet: callable         # (n, d), hessian=True -> (value, gradient[, hessian])
 
 
 @dataclass(frozen=True)
@@ -221,18 +205,12 @@ def minimal_surface_model():
 
 
 def with_forcing(model, f, name=None):
-    """Add the linear term -<f, u> to the energy; the density is unchanged.
-
-    The result's `forcing` is f, or, on a model already forced by g, the
-    sum x -> g(x) + f(x)."""
-    forcing = f
+    """Add the linear term -<f, u> to the energy of an unforced model; the
+    density is unchanged and the result's `forcing` is f.  Raises
+    ValueError if `model` already has a forcing."""
     if model.forcing is not None:
-        inner = model.forcing
-
-        def forcing(x):
-            return inner(x) + f(x)
-
-    return replace(model, forcing=forcing, name=name or model.name,
+        raise ValueError(f"model {model.name!r} already has a forcing")
+    return replace(model, forcing=f, name=name or model.name,
                    formula=model.formula + " - f u")
 
 

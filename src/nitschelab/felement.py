@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 MAX_ORDER = 3
+# total degree that every space's quadrature integrates exactly, at every
+# order: 2m + 2 at m = MAX_ORDER, so one rule per dimension serves them all
+QUAD_DEGREE = 2 * MAX_ORDER + 2
 
 # elements per slice in every element loop (assembly, norms, diagnostics),
 # sized for rules of at most 16 points; denser point sets get fewer elements
@@ -417,13 +420,15 @@ def make_space(mesh, order, boundary_fn=0.0):
     trace is assumed exactly representable at the Lagrange nodes).  It
     must give one finite value per boundary dof, or a single one for all.
 
-    Quadrature integrates total degree max(2*order + 2, 8): the extra
-    exactness over 2m+2 keeps the quadrature error of smooth
-    non-polynomial data (forcing, potential terms) below solver tolerance
-    even on coarse meshes, so integrated-orthogonality identities between
-    nested discrete minimizers hold at solver precision.  Raises
-    ValueError unless `order` is an integer in 1..MAX_ORDER, not a bool (a
-    float is not truncated), and boundary_fn's values are as above.
+    Quadrature integrates total degree QUAD_DEGREE = 8 at every order.
+    That is 2m+2 at m = MAX_ORDER = 3, the mass integrand's degree 2m with
+    two to spare; below m = 3 the exactness over 2m+2 keeps the quadrature
+    error of smooth non-polynomial data (forcing, potential terms) below
+    solver tolerance even on coarse meshes, so integrated-orthogonality
+    identities between nested discrete minimizers hold at solver
+    precision.  Raises ValueError unless `order` is an integer in
+    1..MAX_ORDER, not a bool (a float is not truncated), and boundary_fn's
+    values are as above.
     """
     basis = reference_basis(mesh.dim, order)
     elements, ne = mesh.elements, mesh.num_elements
@@ -469,7 +474,7 @@ def make_space(mesh, order, boundary_fn=0.0):
     if not np.all(np.isfinite(boundary_values)):
         raise ValueError("boundary_fn must give finite values")
 
-    quad = quadrature_rule(mesh.dim, max(2 * order + 2, 8))
+    quad = quadrature_rule(mesh.dim, QUAD_DEGREE)
     return FESpace(mesh, basis, dof_coords, elem_dofs, boundary_dofs,
                    boundary_values, quad)
 

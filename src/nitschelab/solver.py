@@ -66,11 +66,12 @@ class NewtonOptions:
     """Controls for the Armijo-damped Newton minimization.
 
     initial: None starts from the boundary lift, a callable from its
-    interpolant, an FEFunction on the same space from a copy of it, one
-    on a coarser nested space from its embedding.  Boundary coefficients
-    are always reset to the prescribed data, so iterates stay admissible.
-    Construction raises ValueError unless max_iters is an integer >= 1 (not
-    a bool), both tolerances are positive and finite, and initial as above.
+    interpolant, an FEFunction on the solve's space from a copy of it;
+    `minimize` raises ValueError for one on another space (`embed` it
+    first).  Boundary coefficients are always reset to the prescribed
+    data, so iterates stay admissible.  Construction raises ValueError
+    unless max_iters is an integer >= 1 (not a bool), both tolerances are
+    positive and finite, and initial is None, a callable or an FEFunction.
     """
 
     max_iters: int = 30
@@ -91,11 +92,11 @@ class NewtonOptions:
 
 @dataclass
 class SolveLog:
-    """What `minimize` did: one (residual_norm, energy, step) per iterate,
-    and whether it converged."""
+    """What `minimize` did: one (residual_norm, energy, step) per iterate.
+    A returned log ends at the converged iterate, with step 0.0; a
+    NewtonError carries the log of the iterates before the failure."""
 
     iterations: list = field(default_factory=list)
-    converged: bool = False
 
     @property
     def residual_norms(self):
@@ -258,7 +259,9 @@ def _initial_iterate(space, initial):
     if initial is None:
         u = space.with_boundary_values(0.0)
     elif isinstance(initial, FEFunction):
-        u = initial.copy() if initial.space is space else embed(initial, space)
+        if initial.space is not space:
+            raise ValueError("initial lives on another space than the solve's; embed it first")
+        u = initial.copy()
     else:
         u = interpolate(space, initial)
     u.coeffs[space.boundary_dofs] = space.boundary_values
@@ -270,10 +273,11 @@ def minimize(model, space, opts=None, preconditioner_for=None):
 
     Returns (u_h, SolveLog) once the masked residual sup-norm is at or
     below residual_tol.  Raises NewtonError on Hessian solve failure,
-    line-search underflow, or the iteration cap.  `preconditioner_for`
-    maps each assembled Hessian to the preconditioner of its solve (None
-    for Jacobi); without it every solve is Jacobi-preconditioned.  No
-    Hessian outlives the call.
+    line-search underflow, or the iteration cap, and ValueError before any
+    assembly for an `opts.initial` on another space than `space`.
+    `preconditioner_for` maps each assembled Hessian to the preconditioner
+    of its solve (None for Jacobi); without it every solve is
+    Jacobi-preconditioned.  No Hessian outlives the call.
     """
     opts = opts or NewtonOptions()
     u, energy = _initial_iterate(space, opts.initial), None
@@ -286,7 +290,6 @@ def minimize(model, space, opts=None, preconditioner_for=None):
             energy = energy_value(model, u)
         if rnorm <= opts.residual_tol:
             log.iterations.append((rnorm, energy, 0.0))
-            log.converged = True
             return u, log
 
         hess = assemble_hessian(model, u)

@@ -316,22 +316,12 @@ def test_sine_product_jet_bitwise_equal_to_its_parts(dim, data):
     assert np.array_equal(gradient, exact.gradient(x))
 
 
-def test_exact_solution_built_without_a_jet_derives_one_from_its_parts():
-    """A hand-made solution gets a jet that calls its three callables;
-    `replace` derives it again from new callables and keeps a given jet."""
+def test_exact_solution_takes_its_jet_and_replace_keeps_it():
+    """A solution is built with its jet, which nothing derives from the
+    parts: `replace` of a part keeps the given jet."""
     value = lambda x: x[:, 0] ** 2
-    gradient = lambda x: 2.0 * x
-    hessian = lambda x: np.full((len(x), 1, 1), 2.0)
-    solution = ExactSolution(value, gradient, hessian)
-    x = np.linspace(-0.5, 1.5, 9)[:, None]
-    u, du, h = solution.jet(x)
-    assert np.array_equal(u, value(x))
-    assert np.array_equal(du, gradient(x))
-    assert np.array_equal(h, hessian(x))
-    u, du = solution.jet(x, hessian=False)
-    assert np.array_equal(u, value(x)) and np.array_equal(du, gradient(x))
-    shifted = replace(solution, value=lambda x: x[:, 0] ** 2 + 1.0)
-    assert np.array_equal(shifted.jet(x)[0], value(x) + 1.0)
+    with pytest.raises(TypeError, match="jet"):
+        ExactSolution(value, lambda x: 2.0 * x, lambda x: np.full((len(x), 1, 1), 2.0))
     sine = energy._sine_product(1)
     assert replace(sine, value=value).jet is sine.jet
 
@@ -426,22 +416,26 @@ def test_forced_model_takes_its_forcing_as_fx(name, dim):
         assert np.abs(residual - residual_want).max() <= 1e-13 * np.abs(residual_want).max()
 
 
-def test_forcing_field_of_nested_forcings():
-    """Forcing a forced model sums both forcings into the model's one; the
-    density stays the unforced one."""
-    def f1(x):
+def test_forcing_field_of_a_forced_model():
+    """Forcing an unforced model sets its one forcing to f; the density
+    stays the unforced one."""
+    def f(x):
         return np.cos(x[:, 0])
-
-    def f2(x):
-        return x[:, 0] ** 2
 
     base = quartic_model()
     assert base.forcing is None
-    assert with_forcing(base, f1).forcing is f1
-    model = with_forcing(with_forcing(base, f1), f2)
-    p, z, rng = random_states(1, 30, seed=4)
-    x = rng.uniform(size=(30, 1))
-    assert np.array_equal(model.forcing(x), f1(x) + f2(x))
+    model = with_forcing(base, f)
+    assert model.forcing is f
+    p, z, _ = random_states(1, 30, seed=4)
     assert np.array_equal(model.eval(p, z), base.eval(p, z))
     assert np.array_equal(model.dL_dz(p, z), base.dL_dz(p, z))
-    assert with_zeroed_gradient_blocks(model).forcing is model.forcing
+    assert with_zeroed_gradient_blocks(model).forcing is f
+
+
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+def test_with_forcing_rejects_a_second_forcing(name):
+    """A model has one forcing: forcing a forced model, a built-in
+    manufactured one among them, raises ValueError instead of summing."""
+    model = build_problem(name, 1).model
+    with pytest.raises(ValueError, match="already has a forcing"):
+        with_forcing(model, lambda x: x[:, 0] ** 2)
