@@ -1,6 +1,6 @@
 """Run the two larger studies of ROADMAP.md, S1 and S2, print for each its
-exit code, wall time, peak RSS and a sha256 of its outputs, and compare
-the outputs against the committed ones.
+exit code, wall time, peak RSS, minor page faults and a sha256 of its
+outputs, and compare the outputs against the committed ones.
 
     python scripts/large_studies.py
 
@@ -15,7 +15,10 @@ Each study runs `cli.main(["run", config])` in a fresh interpreter on
 the `src/` next to this script, with one BLAS thread, and writes its
 outputs into a temporary directory that is removed afterwards.  The wall
 time is that of the `cli.main` call, the peak RSS the interpreter's
-`ru_maxrss`, and the sha256 is taken over rates.csv, diagnostics.csv and
+`ru_maxrss`, the minor page faults its `ru_minflt` (so a log shows
+whether the package's heap policy held: without it, glibc unmaps the
+kernels' temporaries after each call and faults them back in on the
+next), and the sha256 is taken over rates.csv, diagnostics.csv and
 report.txt, in that order, each name followed by its bytes.  Before the
 directory is removed, the outputs are compared against the committed
 ones as `tests/test_reference.py` compares its cases, with the bounds of
@@ -25,8 +28,8 @@ columns exactly, every float within its column's bound.
 Exits 1 unless every study exits with its expected code (0 for S1, and 1
 for S2, whose report holds the one known `[FAIL] galerkin`) and its
 outputs match the committed ones; each value that moved is printed with
-its study, column, level and both values.  Times and peaks are printed,
-not checked.
+its study, column, level and both values.  Times, peaks and faults are
+printed, not checked.
 """
 
 import hashlib
@@ -54,8 +57,9 @@ from nitschelab import cli
 start = time.perf_counter()
 code = cli.main(["run", sys.argv[1]])
 wall = time.perf_counter() - start
-peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps({"exit": code, "wall_s": wall, "peak_rss_mb": peak}))
+usage = resource.getrusage(resource.RUSAGE_SELF)
+print(json.dumps({"exit": code, "wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024,
+                  "minor_faults": usage.ru_minflt}))
 """
 
 
@@ -108,7 +112,8 @@ def main():
             print(f"{name}: {result['error']}")
         else:
             print(f"{name}: exit {result['exit']}  wall {result['wall_s']:.2f} s  "
-                  f"peak {result['peak_rss_mb']:.1f} MB  sha256 {result['sha256']}")
+                  f"peak {result['peak_rss_mb']:.1f} MB  minor faults {result['minor_faults']}  "
+                  f"sha256 {result['sha256']}")
         if result["exit"] != expected:
             print(f"{name}: expected exit {expected}")
             ok = False

@@ -385,12 +385,16 @@ def adjoint_identity_check(problem, u_h, levels_finer=2, newton=None):
     the bilinear term exactly up to linear-solver noise, so the residual
     measures how well the reference pair reproduces the true L^2 error,
     and tends to zero under reference refinement.  Also returns the
-    H^2-regularity ratio of W.
+    H^2-regularity ratio of W.  For m >= 2 level 0 starts at u_h; for
+    m = 1 it is a P2 space built here, so `newton.initial` must be None or
+    a callable (ValueError for an FEFunction, before any work).
     """
     _check_count("levels_finer", levels_finer, lowest=1 if u_h.space.order >= 2 else 0)
     newton = newton or NewtonOptions()
     if u_h.space.order >= 2:  # level 0 is u_h's own space: start it at u_h
         newton = replace(newton, initial=u_h)
+    else:                     # level 0 is a P2 space built here
+        _check_own_start(newton)
     hierarchy = _Hierarchy(problem, newton, [u_h.space.mesh],
                            spaces={(0, u_h.space.order): u_h.space})
     return _adjoint_check(hierarchy, 0, u_h, norms(problem.exact, u_h).l2, levels_finer)
@@ -626,11 +630,20 @@ def _largest_space_dofs(dim, order, levels, coarse_cells, diagnostics):
     return (n * order + 1) ** dim
 
 
+def _check_own_start(newton):
+    """Raise ValueError for an FEFunction as `newton.initial` of a level
+    0 whose space is built here, so that the start cannot lie on it."""
+    if isinstance(newton.initial, FEFunction):
+        raise ValueError("the Newton start of a level 0 built here must be None or a "
+                         "callable; an FEFunction cannot lie on its space")
+
+
 def _check_study(problem, order, levels, opts):
     """`opts` or the default options, once `convergence_study`'s arguments
     are checked: order an integer in 1..MAX_ORDER, levels an integer >= 3,
-    order >= 2 for the pq diagnostic, and a largest space of at most
-    MAX_DOFS dofs.  The CLI checks every config through it."""
+    order >= 2 for the pq diagnostic, a Newton start that is None or a
+    callable, and a largest space of at most MAX_DOFS dofs.  The CLI
+    checks every config through it."""
     if not isinstance(problem, ManufacturedProblem):
         raise TypeError("convergence_study needs a ManufacturedProblem")
     reference_basis(problem.dim, order)   # checks the order
@@ -639,6 +652,7 @@ def _check_study(problem, order, levels, opts):
     opts = opts or StudyOptions()
     if "pq" in opts.diagnostics and order < 2:
         raise ValueError("the pq diagnostic needs order >= 2")
+    _check_own_start(opts.newton)
     dofs = _largest_space_dofs(problem.dim, order, levels, opts.coarse_cells, opts.diagnostics)
     if dofs > MAX_DOFS:
         raise ValueError(f"study too large: its largest space has at least {dofs} "
@@ -659,9 +673,10 @@ def convergence_study(problem, order, levels, opts=None):
     between levels l-1 and l is taken as soon as level l is solved.  With
     fewer than 2 positive L^2 or H^1 errors, both rates stay None.
 
-    Level 0's Newton iteration starts from `opts.newton.initial`, None or
-    a callable, since the study builds the level's space; every later
-    level's starts from the previous level's minimizer, prolonged
+    Level 0's Newton iteration starts from `opts.newton.initial`, which
+    must be None or a callable, since the study builds the level's space
+    (ValueError for an FEFunction); every later level's starts from the
+    previous level's minimizer, prolonged
     (nested iteration), so its `newton_iters` counts the steps from there.
     Every level comes from one `_Hierarchy`, which builds each level
     pair's prolongation once for that start and the Galerkin defect.  For

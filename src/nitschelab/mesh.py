@@ -2,8 +2,9 @@
 
 Supports intervals (d=1) and triangles (d=2).  All elements are affine
 images of a fixed reference simplex, so the mesh carries, per element,
-the affine map data (Jacobian, its inverse, determinant, volume) needed
-by assembly and by the width/order scaling diagnostics.
+the affine map data (Jacobian, its inverse, determinant) needed by
+assembly and by the width/order scaling diagnostics; element volumes
+are computed from the determinant on each read.
 
 Meshes are immutable after construction and may be shared freely.
 """

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import _matvec, assemble_hessian, assemble_residual, energy_value
+from .assembly import _is_number, _matvec, assemble_hessian, assemble_residual, energy_value
 from .felement import FEFunction, interpolate, make_space, reference_basis
 from .mesh import _CHILDREN, _check_count
 
@@ -71,7 +71,8 @@ class NewtonOptions:
     first).  Boundary coefficients are always reset to the prescribed
     data, so iterates stay admissible.  Construction raises ValueError
     unless max_iters is an integer >= 1 (not a bool), both tolerances are
-    positive and finite, and initial is None, a callable or an FEFunction.
+    positive finite real numbers (not bools), and initial is None, a
+    callable or an FEFunction.
     """
 
     max_iters: int = 30
@@ -82,7 +83,7 @@ class NewtonOptions:
     def __post_init__(self):
         _check_count("max_iters", self.max_iters)
         for name, tol in (("residual_tol", self.residual_tol), ("linear_tol", self.linear_tol)):
-            if not 0 < tol < np.inf:
+            if not (_is_number(tol) and 0 < tol < np.inf):
                 raise ValueError(f"{name} must be positive and finite, got {tol!r}")
         if not (self.initial is None or callable(self.initial)
                 or isinstance(self.initial, FEFunction)):
@@ -119,9 +120,10 @@ def linear_solve(op, b, tol=1e-12, max_iters=None, preconditioner=None):
     non-finite (a diagonal entry or a curvature p.Ap that is not a
     positive finite number), the preconditioner is found not positive
     definite (r.z negative or not a number) or r.z underflows.  Raises
-    ValueError before any work unless tol is positive and finite.
+    ValueError before any work unless tol is a positive finite real
+    number, not a bool.
     """
-    if not 0 < tol < np.inf:
+    if not (_is_number(tol) and 0 < tol < np.inf):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     b = np.asarray(b, dtype=float)
     n = b.shape[0]

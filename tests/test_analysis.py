@@ -452,6 +452,18 @@ def test_adjoint_identity_check_accepts_the_same_space_at_order_1():
     assert check.identity_residual < 0.05
 
 
+def test_adjoint_identity_check_of_order_1_rejects_an_fefunction_start(monkeypatch):
+    """For m = 1 level 0 is a P2 space the check builds, so a start given
+    as an FEFunction is rejected before any work; for m >= 2 level 0 is
+    u_h's own space and starts at u_h."""
+    problem = build_problem("quartic", 1)
+    u, _ = solved(problem, 4)
+    for name in ("refine", "make_space", "minimize", "embed"):
+        monkeypatch.setattr(analysis, name, _no_work)
+    with pytest.raises(ValueError, match="FEFunction cannot lie on its space"):
+        adjoint_identity_check(problem, u, newton=NewtonOptions(initial=u))
+
+
 def test_adjoint_check_fields_are_plain_floats():
     problem = build_problem("quartic", 1)
     u, _ = solved(problem, 8)
@@ -1430,14 +1442,18 @@ def _no_work(*args, **kwargs):
     # with the adjoint: the reference two levels finer at order 2
     lambda p: convergence_study(p, 1, 3, StudyOptions(coarse_cells=2**16,
                                                       diagnostics=("adjoint",))),
+    # level 0's space is the study's own, so no FEFunction lies on it
+    lambda p: convergence_study(p, 1, 3, StudyOptions(coarse_cells=4, newton=NewtonOptions(
+        initial=make_space(build_unit_mesh(1, 4), 1, p.boundary_fn).zero_function()))),
 ], ids=["seed--1", "seed-True", "levels-3.0", "order-2.0", "order-4",
-        "too-large", "too-large-levels", "too-large-adjoint"])
+        "too-large", "too-large-levels", "too-large-adjoint", "fefunction-start"])
 def test_study_inputs_are_rejected_before_any_work(monkeypatch, make):
     """A study's inputs are checked before any mesh is built or refined,
     any space made or any Newton step taken.  Each of these used to be
     accepted or to fail late: seed=-1 after level 0 was solved, levels=3.0
-    with a TypeError from `range`, order=4 in `make_space`, and a study
-    whose largest space exceeds MAX_DOFS when the CLI did not bound it."""
+    with a TypeError from `range`, order=4 in `make_space`, a study
+    whose largest space exceeds MAX_DOFS when the CLI did not bound it,
+    and an FEFunction start at level 0's Newton solve."""
     problem = build_problem("quartic", 1)
     for name in ("build_unit_mesh", "refine", "make_space", "minimize"):
         monkeypatch.setattr(analysis, name, _no_work)

@@ -291,6 +291,20 @@ def test_newton_options_reject_a_cap_or_tolerance_that_is_not_positive(field, ba
         NewtonOptions(**{field: bad})
 
 
+@pytest.mark.parametrize("bad", [True, "1e-12", None, 1e-12 + 0j],
+                         ids=["bool", "str", "None", "complex"])
+def test_tolerances_that_are_not_real_numbers_raise_value_error(bad):
+    """A bool was taken as a tolerance of 1.0, and a string, None or a
+    complex number raised TypeError from the comparison; every tolerance
+    raises the documented ValueError instead."""
+    for field in ("residual_tol", "linear_tol"):
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            NewtonOptions(**{field: bad})
+    a = SparseOperator(sp.csr_matrix(np.diag([2.0, 3.0])))
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        linear_solve(a, np.ones(2), tol=bad)
+
+
 def test_newton_options_validation():
     with pytest.raises(ValueError, match="initial"):
         NewtonOptions(initial="warm")
