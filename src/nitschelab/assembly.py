@@ -142,10 +142,10 @@ class NormReport:
 
 def _quadrature(mesh, weights):
     """Element chunks of a rule with weights w, each with its physical
-    weights |T_h|/|T| * w (n, npts)."""
-    vol = np.abs(mesh.det_jac) ** -1               # |det DF_h^{-1}| = |T_h|/|T|
+    weights |T_h|/|T| * w (n, npts), the ratio read from the mesh's
+    `volume_ratio`."""
     for sl in _chunks(mesh.num_elements, len(weights)):
-        yield sl, vol[sl][:, None] * weights
+        yield sl, mesh.volume_ratio[sl][:, None] * weights
 
 
 def _pull(a, jac):
@@ -372,7 +372,7 @@ def _geometric_local(space, stiffness=True, mass=True):
         coef[:, :d, :d] = _pull(mesh.jac, mesh.jac)
     if mass:
         coef[:, d, d] = 1.0
-    coef *= (np.abs(mesh.det_jac) ** -1)[:, None, None]
+    coef *= mesh.volume_ratio[:, None, None]
     return (coef.reshape(len(coef), -1) @ table).reshape(-1, nloc, nloc)
 
 

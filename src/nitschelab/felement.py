@@ -552,7 +552,7 @@ def check_inverse_estimate(space, trials, seed=0):
 
             vals_q, grads_q = tabulate(space, coeffs, qpts, sl)
             dens = vals_q**2 + _squared_norms(grads_q)
-            w12 = np.sqrt(np.abs(mesh.det_jac[sl]) ** -1 * (dens @ qw))
+            w12 = np.sqrt(mesh.volume_ratio[sl] * (dens @ qw))
 
             ratio = sup / (h ** (-d / 2) * w12)
             max_ratio = max(max_ratio, float(ratio.max()))

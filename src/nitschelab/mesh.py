@@ -3,8 +3,11 @@
 Supports intervals (d=1) and triangles (d=2).  All elements are affine
 images of a fixed reference simplex, so the mesh carries, per element,
 the affine map data (Jacobian, its inverse, determinant) needed by
-assembly and by the width/order scaling diagnostics; element volumes
-are computed from the determinant on each read.
+assembly and by the width/order scaling diagnostics, and the volume
+ratio |T_h|/|T| that every quadrature weight is scaled by.  The 2x2
+inverse and determinant are taken in closed form, not from LAPACK, so
+the geometry has the same bytes on every CPU.  The mesh width is
+computed on its first read and kept.
 
 Meshes are immutable after construction and may be shared freely.
 """
@@ -64,10 +67,13 @@ class Mesh:
     boundary_facets: np.ndarray
     parent: "Mesh | None" = field(default=None, init=False)
 
-    # geometry caches, filled in __post_init__
-    jac: np.ndarray = field(init=False, repr=False)       # DF_h, element -> reference
-    inv_jac: np.ndarray = field(init=False, repr=False)   # DF_h^{-1}, reference -> element
-    det_jac: np.ndarray = field(init=False, repr=False)   # det DF_h, ~ h^{-d}
+    # geometry, filled in __post_init__ and read-only
+    jac: np.ndarray = field(init=False, repr=False)       # DF_h = B^{-1}, element -> reference
+    inv_jac: np.ndarray = field(init=False, repr=False)   # DF_h^{-1} = B, reference -> element
+    det_jac: np.ndarray = field(init=False, repr=False)   # det DF_h = 1 / det B, ~ h^{-d}
+    volume_ratio: np.ndarray = field(init=False, repr=False)  # |det DF_h|^{-1} = |T_h|/|T|
+    # the longest edge, computed on the first call of `width`
+    _width: "float | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.vertices = np.ascontiguousarray(self.vertices, dtype=float)
@@ -82,24 +88,37 @@ class Mesh:
             raise MeshError("element vertex index out of range")
 
         # B has the edge vectors (v_i - v_0) as columns; F_h inverts x = v0 + B xref.
-        verts = self.vertices[self.elements]                 # (ne, dim+1, dim)
-        edge_vecs = verts[:, 1:, :] - verts[:, :1, :]        # (ne, dim, dim) rows are edges
-        b_mats = np.swapaxes(edge_vecs, 1, 2)                # columns are edges
-        det_b = np.linalg.det(b_mats)
-        if np.any(np.abs(det_b) < 1e-14):
+        # det B and B^{-1} = adj(B) / det B in closed form, elementwise IEEE
+        # operations with the same bytes on every CPU; d = 1 gives b and 1 / b.
+        d = self.dim
+        verts = self.vertices[self.elements]                 # (ne, d+1, d)
+        b_mats = np.empty((len(verts), d, d))
+        np.subtract(verts[:, 1:], verts[:, :1], out=np.swapaxes(b_mats, 1, 2))
+        adj = np.empty_like(b_mats)
+        if d == 1:
+            det_b = b_mats[:, 0, 0].copy()
+            adj.fill(1.0)
+        else:
+            det_b = b_mats[:, 0, 0] * b_mats[:, 1, 1]
+            det_b -= b_mats[:, 0, 1] * b_mats[:, 1, 0]
+            adj[:, 0, 0], adj[:, 1, 1] = b_mats[:, 1, 1], b_mats[:, 0, 0]
+            np.negative(b_mats[:, 0, 1], out=adj[:, 0, 1])
+            np.negative(b_mats[:, 1, 0], out=adj[:, 1, 0])
+        if np.any(np.abs(det_b) < 1e-14):                   # before any division
             raise MeshError("degenerate element (zero volume)")
-        self.inv_jac = b_mats
-        self.jac = np.linalg.inv(b_mats)
-        self.det_jac = 1.0 / det_b
+        adj /= det_b[:, None, None]
+        self.inv_jac, self.jac = b_mats, adj
+        self.det_jac = np.divide(1.0, det_b, out=det_b)
+        self.volume_ratio = np.abs(self.det_jac) ** -1
 
         for arr in (self.vertices, self.elements, self.boundary_facets,
-                    self.jac, self.inv_jac, self.det_jac):
+                    self.jac, self.inv_jac, self.det_jac, self.volume_ratio):
             arr.flags.writeable = False
 
     @property
     def volumes(self):
-        """Element volumes |T_h| = |T| / |det DF_h|, computed on each read."""
-        return np.abs(self.det_jac) ** -1 * _REF_VOLUME[self.dim]
+        """Element volumes |T_h| = |T| * volume_ratio, computed on each read."""
+        return self.volume_ratio * _REF_VOLUME[self.dim]
 
     @property
     def level(self):
@@ -166,7 +185,13 @@ def _facet_table(elements):
     """
     elements = np.asarray(elements)
     d = elements.shape[1] - 1
-    local = np.sort(elements[:, _LOCAL_FACETS[d]], axis=2).reshape(-1, d)
+    local = elements[:, _LOCAL_FACETS[d]]                   # (ne, d+1, d), a copy
+    if d == 2:  # sort each edge's pair in place; a d = 1 facet is one vertex
+        a, b = local[..., 0], local[..., 1]
+        lower = np.minimum(a, b)
+        np.maximum(a, b, out=b)
+        a[...] = lower
+    local = local.reshape(-1, d)
     n = int(elements.max(initial=0)) + 1
     _, first, inverse, counts = np.unique(_facet_keys(local, n), return_index=True,
                                           return_inverse=True, return_counts=True)
@@ -179,9 +204,11 @@ def _facet_ids(facets, query):
     query = np.sort(np.asarray(query, dtype=np.int64).reshape(-1, facets.shape[1]), axis=1)
     n = int(max(facets.max(initial=0), query.max(initial=0))) + 1
     keys, wanted = _facet_keys(facets, n), _facet_keys(query, n)
-    if not np.isin(wanted, keys).all():
+    ids = np.searchsorted(keys, wanted)
+    # a key above every facet's lands past the end, one between two on a mismatch
+    if (ids == len(keys)).any() or (keys[ids] != wanted).any():
         raise MeshError("boundary facet is not a facet of any element")
-    return np.searchsorted(keys, wanted)
+    return ids
 
 
 # refine's layout, its one owner: child k of element p is element 2^d p + k,
@@ -226,10 +253,13 @@ def refine(mesh):
 
 
 def width(mesh):
-    """Longest edge over all elements."""
-    i, j = np.triu_indices(mesh.dim + 1, 1)                 # vertex pairs
-    verts = mesh.vertices[mesh.elements]                    # (ne, dim+1, dim)
-    return float(np.linalg.norm(verts[:, j] - verts[:, i], axis=-1).max())
+    """Longest edge over all elements, computed on the first call and kept
+    on the mesh."""
+    if mesh._width is None:
+        i, j = np.triu_indices(mesh.dim + 1, 1)             # vertex pairs
+        verts = mesh.vertices[mesh.elements]                # (ne, dim+1, dim)
+        mesh._width = float(np.linalg.norm(verts[:, j] - verts[:, i], axis=-1).max())
+    return mesh._width
 
 
 def check_conforming(mesh):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from nitschelab.felement import make_space
-from nitschelab.mesh import (MeshError, Mesh, build_unit_mesh, check_conforming,
-                             check_nested, refine, width)
+from nitschelab.mesh import (_LOCAL_FACETS, MeshError, Mesh, _facet_ids, _facet_table,
+                             build_unit_mesh, check_conforming, check_nested, refine, width)
 
 
 def shoelace(p0, p1, p2):
@@ -110,6 +110,107 @@ def test_element_map_roundtrip_points():
     ref = m.jac[7] @ (x - v[0])
     assert np.allclose(ref, 1.0 / 3.0, atol=1e-14)
     assert np.allclose(v[0] + m.inv_jac[7] @ ref, x, atol=1e-14)
+
+
+def _refined(dim, cells, times=3):
+    m = build_unit_mesh(dim, cells)
+    for _ in range(times):
+        m = refine(m)
+    return m
+
+
+def _scrambled():
+    """A refined 3-cell mesh with its elements, their local vertex order
+    and its boundary facets in random order and orientation."""
+    rng = np.random.default_rng(4)
+    base = refine(build_unit_mesh(2, 3))
+    elements = base.elements[rng.permutation(base.num_elements)]
+    elements = np.take_along_axis(elements, rng.random(elements.shape).argsort(axis=1), 1)
+    facets = base.boundary_facets[rng.permutation(len(base.boundary_facets))]
+    facets = np.take_along_axis(facets, rng.random(facets.shape).argsort(axis=1), 1)
+    return Mesh(2, base.vertices, elements, facets)
+
+
+@pytest.mark.parametrize("mesh", [_refined(1, 5), _refined(2, 3), _refined(2, 22),
+                                  _scrambled()], ids=["d1", "3cells", "22cells", "scrambled"])
+def test_jacobian_times_its_inverse_is_the_identity_at_rounding(mesh):
+    eye = np.eye(mesh.dim)
+    eps = np.finfo(float).eps
+    assert np.abs(mesh.jac @ mesh.inv_jac - eye).max() <= 2 * eps
+    assert np.abs(mesh.inv_jac @ mesh.jac - eye).max() <= 2 * eps
+
+
+def test_interval_geometry_is_exact():
+    """For d = 1, B is the interval's length b, det B = b itself and DF_h
+    = det DF_h = 1 / b, each rounded once."""
+    m = _refined(1, 7)
+    b = m.vertices[m.elements[:, 1], 0] - m.vertices[m.elements[:, 0], 0]
+    assert np.array_equal(m.inv_jac[:, 0, 0], b)
+    assert np.array_equal(m.jac[:, 0, 0], 1.0 / b)
+    assert np.array_equal(m.det_jac, 1.0 / b)
+
+
+def test_volume_ratio_is_kept_read_only():
+    m = _refined(2, 3, times=1)
+    assert np.array_equal(m.volume_ratio, np.abs(m.det_jac) ** -1)
+    assert np.array_equal(m.volumes, 0.5 * m.volume_ratio)
+    assert not m.volume_ratio.flags.writeable
+
+
+# sha256 (`_digest`) of jac, det_jac and volume_ratio after three
+# refinements of build_unit_mesh(2, cells); non-dyadic meshes, on which
+# LAPACK's batched inv and det gave other bytes on other kernel families
+_GEOMETRY_DIGESTS = {
+    3: "ffd5e2c6d28d9cf6cd5fbac131c7dbb92b425ceeb5bd6eeddf22f2d669cd8ab3",
+    22: "44f9d4c2d68dad20e5ae86114aedc3f4e07d0c6bae2cf46ed1fc79f96fb1ddba",
+}
+
+
+@pytest.mark.parametrize("cells", [3, 22])
+def test_refined_geometry_pinned(cells):
+    m = _refined(2, cells)
+    assert _digest([m.jac, m.det_jac, m.volume_ratio]) == _GEOMETRY_DIGESTS[cells]
+
+
+def _facet_table_by_sorting(elements):
+    """`_facet_table` as np.sort of each local facet and np.unique of the rows."""
+    d = elements.shape[1] - 1
+    local = np.sort(elements[:, _LOCAL_FACETS[d]], axis=2).reshape(-1, d)
+    facets, first, inverse, counts = np.unique(local, axis=0, return_index=True,
+                                               return_inverse=True, return_counts=True)
+    return facets, inverse.reshape(-1, d + 1), counts, first
+
+
+@pytest.mark.parametrize("mesh", [_refined(1, 5), _refined(2, 3), _scrambled()],
+                         ids=["d1", "d2", "scrambled"])
+def test_facet_table_matches_sorting_every_facet(mesh):
+    got, expected = _facet_table(mesh.elements), _facet_table_by_sorting(mesh.elements)
+    for a, b in zip(got, expected):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+def test_facet_ids_find_either_orientation_and_reject_non_facets():
+    m = build_unit_mesh(2, 2)                           # vertices 0..8
+    facets = _facet_table(m.elements)[0]
+    ids = _facet_ids(facets, m.boundary_facets[:, ::-1])
+    assert np.array_equal(facets[ids], np.sort(m.boundary_facets, axis=1))
+    assert tuple(facets[-1]) == (7, 8)
+    # (8, 8) lies above the largest facet, (0, 5) between two facets
+    for query in ([[8, 8]], [[0, 5]], [[3, 4], [5, 0]]):
+        with pytest.raises(MeshError, match="not a facet"):
+            _facet_ids(facets, np.array(query))
+    assert len(_facet_ids(facets, np.zeros((0, 2), dtype=int))) == 0
+
+
+@pytest.mark.parametrize("mesh", [_refined(1, 5), _refined(2, 3), _scrambled()],
+                         ids=["d1", "d2", "scrambled"])
+def test_width_is_the_longest_edge_kept_after_the_first_read(mesh):
+    verts = mesh.vertices[mesh.elements]
+    longest = max(np.sqrt(np.sum((verts[:, j] - verts[:, i]) ** 2, axis=-1)).max()
+                  for i in range(mesh.dim + 1) for j in range(i + 1, mesh.dim + 1))
+    first = width(mesh)
+    assert type(first) is float and first == longest
+    assert width(mesh) is first
 
 
 def test_degenerate_element_rejected():
