@@ -34,9 +34,9 @@ from functools import partial
 
 import numpy as np
 
-from .assembly import (AssemblyError, _is_number, _matvec, assemble_gram_h1, assemble_gram_l2,
-                       assemble_hessian, assemble_residual, apply_third_variation,
-                       lq_norm, norms)
+from .assembly import (AssemblyError, _errors_and_monitor, _is_number, _matvec,
+                       assemble_gram_h1, assemble_gram_l2, assemble_hessian,
+                       assemble_residual, apply_third_variation, lq_norm, norms)
 from .energy import ManufacturedProblem
 from .felement import (FEFunction, _chunks, check_inverse_estimate, interpolate,
                        make_space, reference_basis, sample_lattice, tabulate)
@@ -698,11 +698,9 @@ def convergence_study(problem, order, levels, opts=None):
             u_h, iters = hierarchy.minimizer(level, order)
             space = u_h.space
 
-            err_rep = norms(problem.exact, u_h)
-            monitor = norms(None, u_h, q=4).w1q
+            err_l2, err_h1, monitor = _errors_and_monitor(problem.exact, u_h)
             report.levels.append(LevelResult(
-                level, width(space.mesh), space.dim, err_rep.l2, err_rep.h1,
-                iters, monitor))
+                level, width(space.mesh), space.dim, err_l2, err_h1, iters, monitor))
 
             if "galerkin" in opts.diagnostics and level > 0:
                 defect = galerkin_defect(
@@ -733,7 +731,7 @@ def convergence_study(problem, order, levels, opts=None):
                     for at in range(level + 1, level + _ADJOINT_LEVELS_FINER + 1):
                         hierarchy.minimizer(at, order)
                     at = level
-                check = _adjoint_check(hierarchy, level, u_h, err_rep.l2,
+                check = _adjoint_check(hierarchy, level, u_h, err_l2,
                                        _ADJOINT_LEVELS_FINER)
                 report.diagnostics["adjoint"].append(
                     (level, check.identity_residual, check.regularity_ratio))

@@ -16,7 +16,13 @@ The energy is J(v) = int L(Dv, v) dx - <f, v>, with a density of
 enters as the space's load vector b_f = int f phi_i: `energy_value`
 subtracts b_f . v and `assemble_residual` subtracts b_f.  So physical
 points are mapped only where something reads them: in the build of
-b_f, in `norms` against an exact solution, and in `integrate`.
+b_f, in `norms` and a study level's `_errors_and_monitor` against an
+exact solution, and in `integrate`.
+
+`energy_value` and `assemble_residual` are the two halves of one element
+pass, `_energy_and_residual`, which `minimize` runs once per Newton state
+for both: the state is tabulated once per chunk, and the load vector and
+a split model's K v below are read once.
 
 For a `quadratic_gradient` model (L = 0.5|p|^2 + G(z), the semilinear
 class) the second variation is the Laplace stiffness K plus the mass
@@ -227,63 +233,84 @@ def _state(space, coeffs, sl, gradients=True):
 
 def energy_value(model, v):
     """Total energy int L(Dv, v) dx - <f, v> of a discrete function by
-    element-wise quadrature.
+    element-wise quadrature (`_energy_and_residual`).
 
     For a `quadratic_gradient` model the gradient part is 0.5 v.Kv with
     the space's cached stiffness K, and the element loop integrates
     G(z) = eval(None, z) from values alone.  Unguarded on purpose: a
     non-finite trial energy fails the Armijo test in `minimize`, which
     then backtracks."""
-    space = v.space
-    split = model.quadratic_gradient
-    load = _load(model, space)
-    total = 0.5 * float(v.coeffs @ _stiffness_product(space, v.coeffs)) if split else 0.0
-    for sl, wq in _quadrature(space.mesh, space.quad.weights):
-        dens = model.eval(*_state(space, v.coeffs, sl, gradients=not split))
-        total += float(np.sum(wq * dens.reshape(wq.shape)))
-    if load is not None:
-        total -= float(load @ v.coeffs)
-    return total
+    return _energy_and_residual(model, v, residual=False)[0]
 
 
 def assemble_residual(model, v, mask=True):
     """First-variation vector r_0 - b_f, r_0 the variation of the density
     integral and b_f the load vector of the forcing; boundary test entries
-    are masked to zero.
+    are masked to zero (`_energy_and_residual`).
 
     For a `quadratic_gradient` model the gradient part is K v with the
     space's cached stiffness K, and only the values flux dL_dz enters the
-    element loop."""
+    element loop.  Raises AssemblyError for a non-finite flux."""
+    return _finite(_energy_and_residual(model, v, energy=False, mask=mask)[1])
+
+
+def _finite(residual):
+    """The residual of `_energy_and_residual`, or AssemblyError where a
+    non-finite flux left it None."""
+    if residual is None:
+        raise AssemblyError("non-finite density derivative during residual assembly")
+    return residual
+
+
+def _energy_and_residual(model, v, energy=True, residual=True, mask=True):
+    """(J(v), r) of `energy_value` and `assemble_residual(model, v, mask)`
+    from one element loop: the state is tabulated once per chunk, and a
+    split model takes one stiffness product K v and reads its load vector
+    once.  What is not asked for is None, and so is the residual once a
+    flux is non-finite; the energy is unguarded."""
     space = v.space
     d, nloc = space.mesh.dim, space.basis.n_local
     split = model.quadratic_gradient
     # built before the element loop, whose arrays would otherwise still be
     # alive while it is built
     load = _load(model, space)
+    kv = _stiffness_product(space, v.coeffs) if split else None
+    total = out = None
+    if energy:
+        total = 0.5 * float(v.coeffs @ kv) if split else 0.0
+    if residual:
+        out = kv if split else np.zeros(space.dim)
     tab = _reference_table(space.basis, space.quad.points)      # (nq, nloc, d+1)
     if split:
         tab = tab[..., -1:]
     tab = tab.transpose(0, 2, 1).reshape(-1, nloc)              # rows (q, c)
-    out = _stiffness_product(space, v.coeffs) if split else np.zeros(space.dim)
     for sl, wq in _quadrature(space.mesh, space.quad.weights):
+        p, z = _state(space, v.coeffs, sl, gradients=not split)
+        if energy:
+            total += float(np.sum(wq * model.eval(p, z).reshape(wq.shape)))
+        if out is None:
+            continue
         # the weighted flux [dL_dp J^T, dL_dz] against the reference table,
         # dL_dz alone for a split model
-        p, z = _state(space, v.coeffs, sl, gradients=not split)
         flux = model.dL_dz(p, z).reshape(wq.shape + (1,))
         if not split:
             dl_dp = _pull(model.dL_dp(p, z).reshape(wq.shape + (d,)), space.mesh.jac[sl])
             flux = np.concatenate((dl_dp, flux), axis=-1)
         if not np.all(np.isfinite(flux)):
-            raise AssemblyError("non-finite density derivative during residual assembly")
+            out = None
+            continue
         flux = flux * wq[..., None]
         r_loc = flux.reshape(len(flux), -1) @ tab
         out += np.bincount(space.elem_dofs[sl].ravel(), weights=r_loc.ravel(),
                            minlength=space.dim)
     if load is not None:
-        out -= load
-    if mask:
+        if energy:
+            total -= float(load @ v.coeffs)
+        if out is not None:
+            out -= load
+    if out is not None and mask:
         out[space.boundary_dofs] = 0.0
-    return out
+    return total, out
 
 
 def assemble_hessian(model, v, mask=True):
@@ -577,6 +604,36 @@ def norms(f, g, q=2, include_broken_h2=False):
         w1q = float(acc_q ** (1.0 / q))
     broken = np.sqrt(acc_h2) if include_broken_h2 else None
     return NormReport(float(l2), float(h1_semi), w1q, broken)
+
+
+def _errors_and_monitor(exact, g):
+    """(L^2 error, H^1 error, W^{1,4} norm of g) of a study level from one
+    tabulation of g per chunk: the errors bitwise those of
+    `norms(exact, g)`, the norm within rounding of
+    `norms(None, g, q=4).w1q`.
+
+    The error pass tabulates -g; its values squared and its squared
+    gradient norms are bitwise those of g, since negation is exact.  The
+    fourth powers are those squares squared, where `norms` takes
+    |g| ** 4, so the W^{1,4} norm differs from it by rounding.  Its
+    temporaries end before the exact jet is read."""
+    space = g.space
+    rule = space.quad
+    coeffs = -g.coeffs
+    acc_l2 = acc_h1 = acc_4 = 0.0
+    for sl, wq in _quadrature(space.mesh, rule.weights):
+        vals, grads = tabulate(space, coeffs, rule.points, sl)
+        sq, gnorm2 = vals * vals, _squared_norms(grads)
+        acc_4 += float(np.sum(wq * (sq * sq + gnorm2 * gnorm2)))
+        del sq, gnorm2
+        flat = _physical_points(space.mesh, rule.points, sl).reshape(-1, space.mesh.dim)
+        jet = exact.jet(flat, hessian=False)
+        vals = jet[0].reshape(vals.shape) + vals
+        grads = jet[1].reshape(grads.shape) + grads
+        acc_l2 += float(np.sum(wq * vals**2))
+        acc_h1 += float(np.sum(wq * _squared_norms(grads)))
+    l2 = float(np.sqrt(acc_l2))
+    return l2, float(np.hypot(l2, float(np.sqrt(acc_h1)))), float(acc_4 ** 0.25)
 
 
 def _fe_hessians(space, coeffs, sl, pts):

@@ -75,6 +75,13 @@ def _study(cfg):
 
 def load_config(path):
     """Parse and validate a flat key/value config file."""
+    return _load_study(path)[0]
+
+
+def _load_study(path):
+    """(cfg, problem, opts) of the config file at `path`: `load_config`'s
+    config with the `_study` that validated it, so a run builds its
+    problem once."""
     try:
         with open(path) as fh:
             data = yaml.load(fh, Loader=_YAML_LOADER)
@@ -121,10 +128,9 @@ def load_config(path):
     cfg = StudyConfig(**values)
     # the library checks every study input; each message names its key
     try:
-        _study(cfg)
+        return (cfg,) + _study(cfg)
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    return cfg
 
 
 def _fmt(value):
@@ -248,7 +254,7 @@ def _write_report_txt(path, cfg, report, checks, overall):
 def run(config_path):
     """Run the configured study; write rates.csv, diagnostics.csv, report.txt."""
     try:
-        cfg = load_config(config_path)
+        cfg, problem, opts = _load_study(config_path)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
@@ -263,7 +269,6 @@ def run(config_path):
         print(f"config error: cannot create output_dir: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
-    problem, opts = _study(cfg)
     report = convergence_study(problem, cfg.order, cfg.levels, opts)
 
     checks = _evaluate_checks(cfg, report)

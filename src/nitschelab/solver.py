@@ -26,7 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import _is_number, _matvec, assemble_hessian, assemble_residual, energy_value
+# minimize calls neither energy_value nor assemble_residual; both stay
+# bound here because perfbench/spans.py rebinds them by this module's names
+from .assembly import (_energy_and_residual, _finite, _is_number, _matvec, assemble_hessian,
+                       assemble_residual, energy_value)
 from .felement import FEFunction, interpolate, make_space, reference_basis
 from .mesh import _CHILDREN, _check_count
 
@@ -275,21 +278,28 @@ def minimize(model, space, opts=None, preconditioner_for=None):
 
     Returns (u_h, SolveLog) once the masked residual sup-norm is at or
     below residual_tol.  Raises NewtonError on Hessian solve failure,
-    line-search underflow, or the iteration cap, and ValueError before any
+    line-search underflow, or the iteration cap, AssemblyError once an
+    iterate's residual flux is non-finite, and ValueError before any
     assembly for an `opts.initial` on another space than `space`.
     `preconditioner_for` maps each assembled Hessian to the preconditioner
     of its solve (None for Jacobi); without it every solve is
     Jacobi-preconditioned.  No Hessian outlives the call.
+
+    Every state goes through one `_energy_and_residual` pass: the start,
+    and each line-search trial.  The accepted trial is bitwise the next
+    iterate, so its energy and residual are that iterate's; a trial whose
+    flux is non-finite can still be rejected, and raises only once it is
+    the iterate.  Only after a full step taken without a line search is
+    the next iterate's pass run afresh.
     """
     opts = opts or NewtonOptions()
-    u, energy = _initial_iterate(space, opts.initial), None
+    u, state = _initial_iterate(space, opts.initial), None
     log = SolveLog()
 
     for _ in range(opts.max_iters):
-        r = assemble_residual(model, u)
+        energy, r = state or _energy_and_residual(model, u)
+        r = _finite(r)
         rnorm = float(np.abs(r).max())
-        if energy is None:
-            energy = energy_value(model, u)
         if rnorm <= opts.residual_tol:
             log.iterations.append((rnorm, energy, 0.0))
             return u, log
@@ -302,23 +312,22 @@ def minimize(model, space, opts=None, preconditioner_for=None):
         except LinearSolveError as err:
             raise NewtonError(f"Hessian solve failed: {err}", log) from err
 
-        alpha, trial_energy = 1.0, None
+        alpha, state = 1.0, None
         slope = float(r @ step)
         # once the predicted decrease is below energy rounding, the line
         # search compares noise; take the full Newton step instead
         if abs(slope) > 1e-14 * (1.0 + abs(energy)):
             while True:
                 trial = FEFunction(space, u.coeffs + alpha * step)
-                trial_energy = energy_value(model, trial)
-                if trial_energy <= energy + _ARMIJO_C1 * alpha * slope:
+                state = _energy_and_residual(model, trial)
+                if state[0] <= energy + _ARMIJO_C1 * alpha * slope:
                     break
                 alpha *= _ARMIJO_BACKTRACK
                 if alpha < 1e-14:
                     raise NewtonError("line search step underflow", log)
+        # bitwise the accepted trial, whose energy and residual `state` holds
         u = FEFunction(space, u.coeffs + alpha * step)
         log.iterations.append((rnorm, energy, alpha))
-        # u is bitwise the accepted trial, whose energy is known already
-        energy = trial_energy
 
     raise NewtonError(f"no convergence within {opts.max_iters} Newton iterations "
                       f"(last residual {log.iterations[-1][0]:.3e})", log)

@@ -340,6 +340,22 @@ def test_norms_bitwise_equal_through_the_jet_and_by_parts(dim, cells, order, q):
     assert rep == _norms_by_parts(exact, g, q, order >= 2)
 
 
+@pytest.mark.parametrize("dim,cells", [(1, 20000), (2, 40)])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_errors_and_monitor_are_those_of_norms(dim, cells, order):
+    """A study level's one pass over g gives the L^2 and H^1 errors of
+    `norms(exact, g)` bit for bit, and the W^{1,4} norm of
+    `norms(None, g, q=4)` within rounding: it squares twice where `norms`
+    takes |g| ** 4."""
+    exact = build_problem("quartic", dim).exact
+    g = smooth_state(make_space(build_unit_mesh(dim, cells), order, 0.0), seed=order)
+    l2, h1, monitor = assembly._errors_and_monitor(exact, g)
+    rep = norms(exact, g)
+    assert (l2, h1) == (rep.l2, rep.h1)
+    want = norms(None, g, q=4).w1q
+    assert abs(monitor - want) <= 1e-15 * want
+
+
 def test_norms_reads_an_exact_solution_once_per_chunk_through_its_jet():
     """One jet call per quadrature chunk, with the Hessian only where the
     broken H^2 norm needs it, and one per lattice chunk; no part is called."""
@@ -626,6 +642,30 @@ def test_split_matches_generic_path(name, dim, order):
             want = assemble_residual(generic, v, mask=mask)
             got = assemble_residual(split, v, mask=mask)
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("name,split", [("quartic", True), ("quartic", False),
+                                        ("minimal_surface", False)])
+@pytest.mark.parametrize("forced", [True, False])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_joint_pass_is_bitwise_the_energy_and_the_residual(name, split, forced, dim, order):
+    """The energy and the residual from one element loop are bit for bit
+    those of `energy_value` and `assemble_residual`, masked or not, on the
+    split and the generic path, with and without a forcing."""
+    problem = build_problem(name, dim)
+    model = replace(problem.model, quadratic_gradient=split,
+                    forcing=problem.model.forcing if forced else None)
+    space = make_space(build_unit_mesh(dim, 7 if dim == 1 else 3), order,
+                       problem.boundary_fn)
+    v = FEFunction(space, np.random.default_rng(order).standard_normal(space.dim))
+    for mask in (True, False):
+        energy, residual = assembly._energy_and_residual(model, v, mask=mask)
+        assert energy == energy_value(model, v)
+        assert residual.tobytes() == assemble_residual(model, v, mask=mask).tobytes()
+    assert assembly._energy_and_residual(model, v, residual=False) == (energy, None)
+    none, residual = assembly._energy_and_residual(model, v, energy=False)
+    assert none is None and residual.tobytes() == assemble_residual(model, v).tobytes()
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -413,6 +413,27 @@ def test_load_config_size_cap(tmp_path, dim, order, cells, levels, diagnostics, 
             load_config(path)
 
 
+def test_run_builds_its_problem_once(tmp_path, monkeypatch):
+    """The problem that validated the config is the one the study solves:
+    `build_problem`, with its derivative check, runs once per run."""
+    build, study = cli.build_problem, cli.convergence_study
+    built, studied = [], []
+
+    def counting_build(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    def recording_study(problem, *args, **kwargs):
+        studied.append(problem)
+        return study(problem, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_problem", counting_build)
+    monkeypatch.setattr(cli, "convergence_study", recording_study)
+    path = write_config(tmp_path, BASE.format(out=tmp_path / "out"))
+    assert run(path) == EXIT_OK
+    assert len(built) == len(studied) == 1 and studied[0] is built[0]
+
+
 def test_run_unwritable_output_dir_is_config_error(tmp_path, monkeypatch, capsys):
     """An output_dir below a regular file exits 2 before any study work."""
     def no_study(*args, **kwargs):

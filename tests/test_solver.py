@@ -1,12 +1,14 @@
 import functools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from nitschelab.assembly import (SparseOperator, assemble_gram_l2,
+from nitschelab.assembly import (AssemblyError, SparseOperator, _energy_and_residual,
+                                 assemble_gram_l2,
                                  assemble_hessian, assemble_residual,
                                  energy_value, norms)
 from nitschelab.energy import build_problem
@@ -218,7 +220,8 @@ def test_minimize_rejects_a_start_on_another_space_before_any_assembly(start_on,
     def unreached(*args, **kwargs):
         raise AssertionError("minimize assembled before rejecting its start")
 
-    for name in ("assemble_residual", "energy_value", "assemble_hessian"):
+    for name in ("_energy_and_residual", "assemble_residual", "energy_value",
+                 "assemble_hessian"):
         monkeypatch.setattr(solver, name, unreached)
     with pytest.raises(ValueError, match="another space"):
         minimize(problem.model, space, NewtonOptions(initial=other.zero_function()))
@@ -236,28 +239,124 @@ def test_minimize_leaves_a_same_space_start_unchanged():
 
 @pytest.mark.parametrize("name", ["quartic", "minimal_surface"])
 def test_minimize_evaluates_each_energy_once(name, monkeypatch):
-    """The accepted line-search trial is the next iterate, with its energy:
-    no coefficient vector is evaluated twice, and every logged energy is
-    bitwise the energy of its iterate."""
+    """The start and every line-search trial go through one energy and
+    residual pass, and the accepted trial is the next iterate, with its
+    energy and residual: no coefficient vector goes through the pass
+    twice, every iterate went through it, and every logged energy and
+    residual norm is bitwise that of its iterate."""
     problem = build_problem(name, 2)
     space = make_space(build_unit_mesh(2, 4), 1, problem.boundary_fn)
-    evaluated, iterates = [], []
+    passed, iterates = [], []
 
-    def counting_energy(model, v):
-        evaluated.append(v.coeffs.tobytes())
-        return energy_value(model, v)
+    def recording_pass(model, v, **kwargs):
+        passed.append(v.coeffs.tobytes())
+        return _energy_and_residual(model, v, **kwargs)
 
-    def recording_residual(model, v):
+    def recording_hessian(model, v, **kwargs):
         iterates.append(v.coeffs.copy())
-        return assemble_residual(model, v)
+        return assemble_hessian(model, v, **kwargs)
 
-    monkeypatch.setattr(solver, "energy_value", counting_energy)
-    monkeypatch.setattr(solver, "assemble_residual", recording_residual)
-    _, log = minimize(problem.model, space)
+    monkeypatch.setattr(solver, "_energy_and_residual", recording_pass)
+    monkeypatch.setattr(solver, "assemble_hessian", recording_hessian)
+    u, log = minimize(problem.model, space)
+    iterates.append(u.coeffs)
     assert len(iterates) == len(log.iterations) > 2
-    assert len(set(evaluated)) == len(evaluated)
-    for coeffs, (_, logged, _) in zip(iterates, log.iterations):
-        assert logged == energy_value(problem.model, FEFunction(space, coeffs))
+    assert len(set(passed)) == len(passed)
+    for coeffs, (rnorm, logged, _) in zip(iterates, log.iterations):
+        assert coeffs.tobytes() in passed
+        v = FEFunction(space, coeffs)
+        assert logged == energy_value(problem.model, v)
+        assert rnorm == float(np.abs(assemble_residual(problem.model, v)).max())
+
+
+def _recorded_minimize(model, space, monkeypatch, opts=None):
+    """minimize's result or exception, the z sup-norm at the quadrature
+    points and the residual's finiteness of every state through the pass,
+    and the number of Hessians assembled."""
+    states, hessians = [], []
+
+    def recording_pass(model, v, **kwargs):
+        energy, r = _energy_and_residual(model, v, **kwargs)
+        z = tabulate(space, v.coeffs, space.quad.points, gradients=False)[0]
+        states.append((float(np.abs(z).max()), r is not None))
+        return energy, r
+
+    def counting_hessian(model, v, **kwargs):
+        hessians.append(v)
+        return assemble_hessian(model, v, **kwargs)
+
+    monkeypatch.setattr(solver, "_energy_and_residual", recording_pass)
+    monkeypatch.setattr(solver, "assemble_hessian", counting_hessian)
+    try:
+        result = minimize(model, space, opts)
+    except (AssemblyError, NewtonError) as err:
+        result = err
+    monkeypatch.undo()
+    return result, states, len(hessians)
+
+
+def _non_finite_beyond(fn, bound, bad):
+    """fn with the value `bad` wherever |z| > bound."""
+    return lambda p, z: np.where(np.abs(z) > bound, bad, fn(p, z))
+
+
+@pytest.fixture
+def overshooting_start(monkeypatch):
+    """quartic d=1 P1 on 8 cells, whose first full Newton step overshoots
+    the minimizer's sup-norm, and a bound on |z| that the first trial
+    exceeds and every later iterate, and the half step, stay within."""
+    problem = build_problem("quartic", 1)
+    space = make_space(build_unit_mesh(1, 8), 1, problem.boundary_fn)
+    (u, log), states, _ = _recorded_minimize(problem.model, space, monkeypatch)
+    first_trial, final = states[1][0], states[-1][0]
+    assert [it[2] for it in log.iterations[:-1]] == [1.0] * (len(log.iterations) - 1)
+    assert 0.5 * first_trial < final < first_trial
+    return problem.model, space, u, 0.5 * (final + first_trial)
+
+
+def test_minimize_backtracks_past_a_non_finite_energy_and_flux(overshooting_start,
+                                                                monkeypatch):
+    """A trial whose energy and flux are both non-finite is rejected by the
+    Armijo test without raising, and the line search halves its step."""
+    model, space, plain, bound = overshooting_start
+    capped = replace(model, eval=_non_finite_beyond(model.eval, bound, np.inf),
+                     dL_dz=_non_finite_beyond(model.dL_dz, bound, np.nan))
+    (u, log), states, _ = _recorded_minimize(capped, space, monkeypatch)
+    assert states[1][0] > bound and not states[1][1]
+    assert states[2][0] <= bound and states[2][1]
+    assert log.iterations[0][2] == 0.5
+    assert np.abs(u.coeffs - plain.coeffs).max() < 1e-10
+
+
+def test_minimize_raises_on_a_non_finite_flux_once_its_state_is_the_iterate(
+        overshooting_start, monkeypatch):
+    """A trial with a finite energy but a non-finite flux is accepted and
+    raises AssemblyError at the next iteration, before its Hessian is
+    assembled; with no iteration left, the cap's NewtonError comes first."""
+    model, space, _, bound = overshooting_start
+    capped = replace(model, dL_dz=_non_finite_beyond(model.dL_dz, bound, np.nan))
+    err, states, hessians = _recorded_minimize(capped, space, monkeypatch)
+    assert isinstance(err, AssemblyError)
+    assert str(err) == "non-finite density derivative during residual assembly"
+    assert [finite for _, finite in states] == [True, False]
+    assert hessians == 1
+    err, states, hessians = _recorded_minimize(capped, space, monkeypatch,
+                                               NewtonOptions(max_iters=1))
+    assert isinstance(err, NewtonError) and "no convergence" in str(err)
+    assert (len(states), hessians) == (2, 1)
+
+
+def test_minimize_raises_at_once_on_a_non_finite_flux_at_the_start(overshooting_start,
+                                                                    monkeypatch):
+    """A start whose flux is non-finite raises AssemblyError from its own
+    pass, before any Hessian is assembled."""
+    model, space, _, bound = overshooting_start
+    capped = replace(model, dL_dz=_non_finite_beyond(model.dL_dz, bound, np.inf))
+    start = NewtonOptions(initial=lambda x: np.full(len(x), 2 * bound))
+    err, states, hessians = _recorded_minimize(capped, space, monkeypatch, start)
+    assert isinstance(err, AssemblyError)
+    assert str(err) == "non-finite density derivative during residual assembly"
+    assert (len(states), hessians) == (1, 0)
 
 
 def test_minimize_armijo_energy_monotone():
